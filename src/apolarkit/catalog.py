@@ -195,6 +195,22 @@ def _check_transfer_char(field):
             "transfer maps need characteristic 0 or > 5 (factorials up to 6!)")
 
 
+def _pairing_weight(alpha):
+    """Sextic exponent gamma paired with the cubic monomial alpha, and the
+    unnormalized weight gamma! / alpha! of the pairing."""
+    gamma = [0, 0, 0]
+    for ai, w in zip(alpha, VERONESE_WEIGHTS):
+        for t in range(3):
+            gamma[t] += ai * w[t]
+    num = 1
+    for t in gamma:
+        num *= math.factorial(t)
+    den = 1
+    for t in alpha:
+        den *= math.factorial(t)
+    return gamma, Fraction(num, den)
+
+
 def s_map(g):
     """Lift a ternary sextic to the six-variable cubic pairing with it
     through the Veronese multiplication map.
@@ -208,20 +224,8 @@ def s_map(g):
     _check_transfer_char(F)
     coeffs = []
     for alpha in monomial_exponents(6, 3):
-        gamma = [0, 0, 0]
-        for i, ai in enumerate(alpha):
-            if ai:
-                w = VERONESE_WEIGHTS[i]
-                gamma[0] += ai * w[0]
-                gamma[1] += ai * w[1]
-                gamma[2] += ai * w[2]
-        num = 1
-        for t in gamma:
-            num *= math.factorial(t)
-        den = 1
-        for t in alpha:
-            den *= math.factorial(t)
-        scalar = F.from_fraction(S_NORMALIZATION * Fraction(num, den))
+        gamma, weight = _pairing_weight(alpha)
+        scalar = F.from_fraction(S_NORMALIZATION * weight)
         coeffs.append(F.mul(scalar, g.coefficient(gamma)))
     return HomogeneousForm(6, 3, coeffs, F, "x")
 
@@ -264,19 +268,8 @@ def derive_s_normalization():
     target = HomogeneousForm.linear(veronese_point(a), QQ, "x").power(3)
     ratios = set()
     for alpha, want in zip(monomial_exponents(6, 3), target.coeffs):
-        gamma = [0, 0, 0]
-        for i, ai in enumerate(alpha):
-            w = VERONESE_WEIGHTS[i]
-            gamma[0] += ai * w[0]
-            gamma[1] += ai * w[1]
-            gamma[2] += ai * w[2]
-        num = 1
-        for t in gamma:
-            num *= math.factorial(t)
-        den = 1
-        for t in alpha:
-            den *= math.factorial(t)
-        raw = Fraction(num, den) * g.coefficient(gamma)
+        gamma, weight = _pairing_weight(alpha)
+        raw = weight * g.coefficient(gamma)
         if raw == 0:
             if want != 0:
                 raise AssertionError("unnormalized pairing lost a coefficient")

@@ -103,14 +103,10 @@ def _random_field_point(field, rng, nvars):
 
 
 def _random_line(field, rng, nvars):
-    p = field.char
     while True:
         a = _random_field_point(field, rng, nvars)
         b = _random_field_point(field, rng, nvars)
-        proportional = all(
-            (int(a[i]) * int(b[j]) - int(a[j]) * int(b[i])) % p == 0
-            for i in range(nvars) for j in range(i + 1, nvars))
-        if not proportional:
+        if not rankloci.proportional(a, b, field.char):
             return (a, b)
 
 

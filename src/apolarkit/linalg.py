@@ -5,12 +5,10 @@ echelon form (leading entries 1, pivot columns cleared), kernel bases are
 derived from the rref free columns, so two computations of the same space
 produce identical bases regardless of the path that built the matrix.
 
-For rational matrices there are two rank engines.  The default eliminates
-exactly.  `method="modular"` reduces modulo two fixed primes above 2^15
-and accepts agreement as a certificate; rank mod p never exceeds the
-rational rank, so disagreement triggers an exact recount.  The modular
-route is opt-in ("auto" resolves to it only for large matrices) because
-it is probabilistic in principle, if not in practice.
+Rational matrices are ranked, and large ones have their kernels taken,
+by one fraction-free integer echelon; smaller rational kernels and rrefs
+use Fraction elimination.  Over GF(p) and small GF(p^2) every rank, rref
+and kernel runs on the numpy elimination core in modular.py.
 """
 
 from __future__ import annotations
@@ -18,13 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from . import modular
 from .errors import PreconditionError
-from .fields import QQ, GF, PrimeField
+from .fields import QQ
 
-# fixed odd primes just above 2^15 for the agreement certificate
+# word-sized primes below 2^16 for rational ranks taken mod p
 CERTIFICATE_PRIMES = (65521, 65519, 65497, 65479)
-
-_AUTO_MODULAR_THRESHOLD = 120 * 120
 
 
 class ExactMatrix:
@@ -73,12 +70,6 @@ class ExactMatrix:
     def transpose(self):
         return ExactMatrix(zip(*self.rows), self.field, self.nrows) if self.nrows \
             else ExactMatrix([() for _ in range(self.ncols)], self.field, 0)
-
-    def hstack(self, other):
-        if self.nrows != other.nrows or self.field != other.field:
-            raise PreconditionError("hstack shape or field mismatch")
-        return ExactMatrix([a + b for a, b in zip(self.rows, other.rows)],
-                           self.field)
 
     def vstack(self, other):
         if self.ncols != other.ncols or self.field != other.field:
@@ -153,48 +144,29 @@ class ExactMatrix:
 
     # ---- elimination --------------------------------------------------
 
+    def _codes(self, arith):
+        return arith.encode(self.rows).reshape(self.nrows, self.ncols)
+
+    def _decoded(self, codes, arith):
+        return ExactMatrix([[arith.decode(v) for v in row]
+                            for row in codes.tolist()], self.field, self.ncols)
+
     def rref(self):
+        arith = modular.field_arithmetic(self.field)
+        if arith is not None:
+            codes = self._codes(arith)
+            modular.eliminate(codes, arith, reduced=True)
+            return self._decoded(codes, arith)
         rows, _ = _rref(list(map(list, self.rows)), self.field)
         return ExactMatrix(rows, self.field, self.ncols)
 
-    def pivot_columns(self):
-        _, pivots = _rref(list(map(list, self.rows)), self.field)
-        return pivots
-
-    def rank(self, method="exact"):
-        """Rank of the matrix.
-
-        method "exact" eliminates over the actual field, "modular" uses the
-        two-prime agreement certificate (rational matrices only), "auto"
-        picks modular for large rational matrices and exact otherwise.
-        """
-        if method not in ("exact", "modular", "auto"):
-            raise ValueError("unknown rank method %r" % method)
-        if self.field == QQ and method != "exact":
-            if method == "modular" or self.nrows * self.ncols > _AUTO_MODULAR_THRESHOLD:
-                return self._rank_two_primes()
+    def rank(self):
         if self.field == QQ:
-            return _integer_echelon_rank(self.rows)
-        if isinstance(self.field, PrimeField) and self.field.p < (1 << 16):
-            from . import modular
-            return modular.rank_mod_p([list(r) for r in self.rows], self.field.p)
+            return len(_integer_echelon(self.rows)[1])
+        arith = modular.field_arithmetic(self.field)
+        if arith is not None:
+            return len(modular.eliminate(self._codes(arith), arith)[0])
         return len(_rref(list(map(list, self.rows)), self.field)[1])
-
-    def _rank_two_primes(self):
-        from . import modular
-
-        picked = []
-        for p in CERTIFICATE_PRIMES:
-            try:
-                reduced = _reduce_rows_mod_p(self.rows, p)
-            except PreconditionError:
-                continue  # a denominator hit this prime; take the next one
-            picked.append(modular.rank_mod_p(reduced, p))
-            if len(picked) == 2:
-                break
-        if len(picked) == 2 and picked[0] == picked[1]:
-            return picked[0]
-        return _integer_echelon_rank(self.rows)
 
     def kernel_basis(self):
         """Canonical basis of the right kernel {v : M v = 0}, as rows.
@@ -206,11 +178,10 @@ class ExactMatrix:
         F = self.field
         if F == QQ and self.nrows * self.ncols >= 20000:
             return self._kernel_basis_integer()
-        if isinstance(F, PrimeField) and F.p < (1 << 16) and self.nrows:
-            from . import modular
-            basis = modular.kernel_mod_p([list(r) for r in self.rows], F.p)
-            return ExactMatrix([[int(v) for v in row] for row in basis],
-                               F, self.ncols)
+        arith = modular.field_arithmetic(F)
+        if arith is not None:
+            return self._decoded(modular.kernel(self._codes(arith), arith),
+                                 arith)
         rows, pivots = _rref(list(map(list, self.rows)), self.field)
         pivot_set = set(pivots)
         free = [j for j in range(self.ncols) if j not in pivot_set]
@@ -224,43 +195,10 @@ class ExactMatrix:
         return ExactMatrix(basis, F, self.ncols)
 
     def _kernel_basis_integer(self):
-        """Kernel by integer forward elimination plus back-substitution."""
-        work = []
-        for r in self.rows:
-            ints = _primitive_integer_row(r)
-            if any(ints):
-                work.append(list(ints))
+        """Kernel by the integer echelon plus back-substitution."""
+        work, pivots = _integer_echelon(self.rows)
         ncols = self.ncols
-        pivots = []
-        rank = 0
-        for c in range(ncols):
-            pivot = None
-            for i in range(rank, len(work)):
-                if work[i][c]:
-                    pivot = i
-                    break
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            prow = work[rank]
-            pv = prow[c]
-            for i in range(rank + 1, len(work)):
-                if work[i][c]:
-                    f = work[i][c]
-                    row = [pv * a - f * b for a, b in zip(work[i], prow)]
-                    g = 0
-                    for a in row:
-                        g = gcd(g, a)
-                        if g == 1:
-                            break
-                    if g > 1:
-                        row = [a // g for a in row]
-                    work[i] = row
-            pivots.append(c)
-            rank += 1
-            if rank == len(work):
-                break
-        work = work[:rank]
+        rank = len(pivots)
         pivot_set = set(pivots)
         free = [j for j in range(ncols) if j not in pivot_set]
         basis = []
@@ -284,9 +222,6 @@ class ExactMatrix:
         return Subspace(self.kernel_basis(), degree=degree,
                         multiplicity=multiplicity, alphabet=alphabet,
                         already_independent=True)
-
-    def left_kernel_basis(self):
-        return self.transpose().kernel_basis()
 
     def row_space_basis(self):
         r = self.rref()
@@ -347,12 +282,13 @@ def _reduce_rows_mod_p(rows, p):
     return out
 
 
-def _integer_echelon_rank(rows):
-    """Rank of a rational matrix by fraction-free integer elimination.
+def _integer_echelon(rows):
+    """Fraction-free integer echelon form of a rational matrix.
 
     Rows are scaled to integers, then eliminated by cross-multiplication
-    with a gcd division per row to keep growth in check.  Only the rank
-    survives this, which is all the callers want from the fast path.
+    with a gcd division per row to keep growth in check.  Returns the
+    nonzero echelon rows and their pivot columns; the rank is the number
+    of pivots.
     """
     work = []
     for r in rows:
@@ -360,8 +296,11 @@ def _integer_echelon_rank(rows):
         if any(ints):
             work.append(list(ints))
     ncols = len(rows[0]) if rows else 0
-    rank = 0
+    pivots = []
     for c in range(ncols):
+        rank = len(pivots)
+        if rank == len(work):
+            break
         pivot = None
         for i in range(rank, len(work)):
             if work[i][c]:
@@ -384,10 +323,8 @@ def _integer_echelon_rank(rows):
                 if g > 1:
                     row = [a // g for a in row]
                 work[i] = row
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+        pivots.append(c)
+    return work[:len(pivots)], pivots
 
 
 def _primitive_integer_row(row):

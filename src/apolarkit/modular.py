@@ -1,19 +1,28 @@
 """Finite-field numerics behind the sampling-heavy operations.
 
-Three independent tool groups live here:
+One elimination core, `eliminate`, runs Gaussian elimination in place on
+a numpy int64 array of field codes and returns the pivot columns and the
+determinant.  It takes the field's arithmetic as an object:
 
-* dense elimination mod a word-sized prime on numpy int64 arrays (rank,
-  rref, kernel), used for certificates and for interpolation solves;
-* arithmetic tables for F_{p^2} with small p, elements packed as the int
-  a + p*b, with a batch matrix-rank routine for point scans;
-* univariate polynomials over F_p as coefficient lists (low degree
-  first): evaluation, Lagrange interpolation, gcd, squarefree part.
+* PrimeArithmetic reduces mod a word-sized prime p, codes in range(p);
+* QuadraticTables looks F_{p^2} sums, products and inverses up in tables
+  for small p, elements packed as the int a + p*b.
 
-Primes must stay below 2^15 so p^2 products and row updates fit
-comfortably in int64 without intermediate overflow.
+rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
+.batch_rank are thin entry points over the core, and ExactMatrix sends
+its finite-field ranks, rrefs and kernels through it as well.
+
+Univariate polynomials over F_p are coefficient lists (low degree first):
+evaluation, gcd, squarefree part.  lagrange_interpolate works over any
+field object.
+
+Primes must stay below 2^16 so a product of two residues fits in int64
+without overflow.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,109 +31,124 @@ from .errors import PreconditionError
 _MAX_PRIME = 1 << 16
 
 
-def _as_modp_array(matrix, p):
-    a = np.array(matrix, dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
-    return np.mod(a, p)
+def eliminate(a, arith, reduced=False):
+    """Gaussian elimination of the 2-d code array a, in place.
 
-
-def rank_mod_p(matrix, p):
-    """Rank over F_p of an integer matrix (rows of ints or numpy array)."""
-    if p >= _MAX_PRIME:
-        raise PreconditionError("prime %d too large for the int64 engine" % p)
-    a = _as_modp_array(matrix, p)
+    Each pivot row is scaled to lead with 1 and cleared from the rows
+    below it, or from every other row when reduced, which leaves the
+    canonical rref in a.  Returns (pivot columns, det), det being the
+    signed product of the pivots: the determinant of a square a that has
+    a pivot in every column.
+    """
     nrows, ncols = a.shape
-    rank = 0
+    pivots = []
+    det = 1
     for c in range(ncols):
-        if rank == nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        col = a[rank:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        below = np.flatnonzero(a[r:, c])
+        if below.size == 0:
             continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1:, c]
-        mask = below != 0
-        if mask.any():
-            a[rank + 1:][mask] = (a[rank + 1:][mask]
-                                  - below[mask, None] * a[rank][None, :]) % p
-        rank += 1
-    return rank
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+            det = arith.neg(det)
+        lead = int(a[r, c])
+        det = arith.mul(det, lead)
+        a[r, c:] = arith.mul(a[r, c:], arith.inv(lead))
+        # after the swap the nonzero entries below the pivot sit at
+        # below[1:]: the row swapped down was zero in this column
+        targets = r + below[1:]
+        if reduced:
+            targets = np.concatenate((np.flatnonzero(a[:r, c]), targets))
+        if targets.size:
+            block = a[targets, c:]
+            a[targets, c:] = arith.sub_mul(block, block[:, 0], a[r, c:])
+        pivots.append(c)
+    return pivots, det
 
 
-def det_mod_p(matrix, p):
-    """Determinant over F_p of a square integer matrix."""
-    if p >= _MAX_PRIME:
-        raise PreconditionError("prime %d too large for the int64 engine" % p)
-    a = _as_modp_array(matrix, p)
+def _det(a, arith):
     n, m = a.shape
     if n != m:
         raise PreconditionError("determinant of a %dx%d matrix" % (n, m))
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(a[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        piv = c + int(nz[0])
-        if piv != c:
-            a[[c, piv]] = a[[piv, c]]
-            det = p - det
-        det = det * int(a[c, c]) % p
-        inv = pow(int(a[c, c]), p - 2, p)
-        below = a[c + 1:, c]
-        mask = below != 0
-        if mask.any():
-            factor = (below[mask] * inv) % p
-            a[c + 1:][mask] = (a[c + 1:][mask]
-                               - factor[:, None] * a[c][None, :]) % p
-    return det % p
+    pivots, det = eliminate(a, arith)
+    return int(det) if len(pivots) == n else 0
 
 
-def rref_mod_p(matrix, p):
-    """Reduced row echelon form over F_p; returns (array, pivot columns)."""
-    if p >= _MAX_PRIME:
-        raise PreconditionError("prime %d too large for the int64 engine" % p)
-    a = _as_modp_array(matrix, p)
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        others = np.nonzero(a[:, c])[0]
-        for i in others:
-            if i != r:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def kernel_mod_p(matrix, p):
-    """Canonical right-kernel basis over F_p, one numpy row per vector."""
-    a, pivots = rref_mod_p(matrix, p)
+def kernel(a, arith):
+    """Canonical right-kernel basis of the code array a (consumed), one
+    row per vector: a 1 in its free column, zeros in the other free ones.
+    """
+    pivots, _ = eliminate(a, arith, reduced=True)
     ncols = a.shape[1]
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     basis = np.zeros((len(free), ncols), dtype=np.int64)
-    for k, f in enumerate(free):
-        basis[k, f] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-int(a[r, f])) % p
+    basis[np.arange(len(free)), free] = 1
+    if pivots and free:
+        basis[:, pivots] = arith.neg(a[:len(pivots), free].T)
     return basis
+
+
+class PrimeArithmetic:
+    """GF(p) arithmetic on int64 codes in range(p), p < 2^16."""
+
+    def __init__(self, p):
+        if p >= _MAX_PRIME:
+            raise PreconditionError("prime %d too large for the int64 engine" % p)
+        self.p = p
+
+    def encode(self, matrix):
+        a = np.array(matrix, dtype=np.int64)
+        if a.ndim == 1:
+            a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
+        return np.mod(a, self.p)
+
+    decode = int
+
+    def mul(self, x, y):
+        return x * y % self.p
+
+    def neg(self, x):
+        return -x % self.p
+
+    def inv(self, x):
+        return pow(int(x), self.p - 2, self.p)
+
+    def sub_mul(self, block, factors, row):
+        """block minus the outer product of factors and row."""
+        return (block - factors[:, None] * row) % self.p
+
+
+prime_arithmetic = lru_cache(maxsize=None)(PrimeArithmetic)
+
+
+def field_arithmetic(field):
+    """The core's arithmetic for a finite field, None where it has none."""
+    if field.char == 0:
+        return None
+    if field.degree == 1:
+        return prime_arithmetic(field.p) if field.p < _MAX_PRIME else None
+    return quadratic_tables(field) if field.char <= 11 else None
+
+
+def rank_mod_p(matrix, p):
+    """Rank over F_p of an integer matrix (rows of ints or numpy array)."""
+    arith = prime_arithmetic(p)
+    return len(eliminate(arith.encode(matrix), arith)[0])
+
+
+def det_mod_p(matrix, p):
+    """Determinant over F_p of a square integer matrix."""
+    arith = prime_arithmetic(p)
+    return _det(arith.encode(matrix), arith)
+
+
+def kernel_mod_p(matrix, p):
+    """Canonical right-kernel basis over F_p, one numpy row per vector."""
+    arith = prime_arithmetic(p)
+    return kernel(arith.encode(matrix), arith)
 
 
 # ---- F_{p^2} table arithmetic -----------------------------------------
@@ -134,8 +158,8 @@ class QuadraticTables:
     """Packed-int arithmetic tables for F_{p^2}, p small and odd.
 
     Elements are ints a + p*b for (a, b) coordinates over F_p.  The
-    multiplication table has p^2 * p^2 entries, which is tiny for the
-    scan primes this package allows (p <= 11).
+    addition and multiplication tables have p^2 * p^2 entries, which is
+    tiny for the scan primes this package allows (p <= 11).
     """
 
     def __init__(self, field):
@@ -149,81 +173,48 @@ class QuadraticTables:
         codes = np.arange(self.q)
         a = codes % p
         b = codes // p
+        self.add_table = (np.add.outer(a, a) % p
+                          + p * (np.add.outer(b, b) % p)).astype(np.int64)
         # mul[x, y] via the (a + bw)(c + dw) expansion with w^2 = n
-        ac = np.outer(a, a)
-        bd = np.outer(b, b)
-        ad = np.outer(a, b)
-        bc = np.outer(b, a)
-        re = (ac + n * bd) % p
-        im = (ad + bc) % p
-        self.mul = (re + p * im).astype(np.int64)
-        self.neg = ((p - a) % p + p * ((p - b) % p)).astype(np.int64)
-        inv = np.zeros(self.q, dtype=np.int64)
-        for x in range(1, self.q):
-            xa, xb = x % p, x // p
-            inv[x] = self.field.encode(self.field.inv((xa, xb)))
-        self.inv = inv
+        re = (np.outer(a, a) + n * np.outer(b, b)) % p
+        im = (np.outer(a, b) + np.outer(b, a)) % p
+        self.mul_table = (re + p * im).astype(np.int64)
+        self.neg_table = ((p - a) % p + p * ((p - b) % p)).astype(np.int64)
+        self.inv_table = np.array(
+            [0] + [field.encode(field.inv(field.decode(x)))
+                   for x in range(1, self.q)], dtype=np.int64)
 
-    def add(self, u, v):
-        p = self.p
-        return (u % p + v % p) % p + p * ((u // p + v // p) % p)
+    def encode(self, matrix):
+        return np.array([[self.field.encode(v) for v in row] for row in matrix],
+                        dtype=np.int64)
+
+    def decode(self, code):
+        return self.field.decode(int(code))
+
+    def mul(self, x, y):
+        return self.mul_table[x, y]
+
+    def neg(self, x):
+        return self.neg_table[x]
+
+    def inv(self, x):
+        return self.inv_table[x]
+
+    def sub_mul(self, block, factors, row):
+        """block minus the outer product of factors and row."""
+        return self.add_table[
+            block, self.mul_table[self.neg_table[factors][:, None], row]]
 
     def batch_rank(self, mat):
         """Rank of one packed-int matrix (2-d numpy array of codes)."""
-        a = np.array(mat, dtype=np.int64)
-        nrows, ncols = a.shape
-        rank = 0
-        for c in range(ncols):
-            if rank == nrows:
-                break
-            nz = np.nonzero(a[rank:, c])[0]
-            if nz.size == 0:
-                continue
-            piv = rank + int(nz[0])
-            if piv != rank:
-                a[[rank, piv]] = a[[piv, rank]]
-            a[rank] = self.mul[a[rank], self.inv[a[rank, c]]]
-            below = a[rank + 1:, c]
-            sel = np.nonzero(below)[0]
-            if sel.size:
-                prod = self.mul[self.neg[below[sel]][:, None], a[rank][None, :]]
-                a[rank + 1:][sel] = self.add(a[rank + 1:][sel], prod)
-            rank += 1
-        return rank
+        return len(eliminate(np.array(mat, dtype=np.int64), self)[0])
 
     def det(self, mat):
         """Determinant of one square packed-int matrix, as a packed code."""
-        a = np.array(mat, dtype=np.int64)
-        n, m = a.shape
-        if n != m:
-            raise PreconditionError("determinant of a %dx%d matrix" % (n, m))
-        det = 1  # packed code of the field's one
-        for c in range(n):
-            nz = np.nonzero(a[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            piv = c + int(nz[0])
-            if piv != c:
-                a[[c, piv]] = a[[piv, c]]
-                det = int(self.neg[det])
-            det = int(self.mul[det, a[c, c]])
-            below = a[c + 1:, c]
-            sel = np.nonzero(below)[0]
-            if sel.size:
-                factor = self.mul[below[sel], self.inv[a[c, c]]]
-                prod = self.mul[self.neg[factor][:, None], a[c][None, :]]
-                a[c + 1:][sel] = self.add(a[c + 1:][sel], prod)
-        return det
+        return _det(np.array(mat, dtype=np.int64), self)
 
 
-_TABLE_CACHE = {}
-
-
-def quadratic_tables(field):
-    key = field.char
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = QuadraticTables(field)
-    return _TABLE_CACHE[key]
+quadratic_tables = lru_cache(maxsize=None)(QuadraticTables)
 
 
 # ---- univariate polynomials over F_p ----------------------------------
@@ -317,24 +308,38 @@ def poly_squarefree_part(f, p):
     return poly_monic(result, p)
 
 
-def lagrange_interpolate(xs, ys, p):
-    """Coefficients of the unique poly of degree < len(xs) through the data."""
+def lagrange_interpolate(xs, ys, field):
+    """Coefficients of the unique poly of degree < len(xs) through the data.
+
+    Works over any field object and returns field scalars, low degree
+    first, with trailing zeros dropped.  P = prod (X - x_j) is built once;
+    one synthetic division by X - x_i per node gives the numerator of its
+    Lagrange basis polynomial, and that quotient's value at x_i, zero
+    exactly when two nodes collide, gives the denominator: O(n^2) field
+    operations in all.
+    """
+    F = field
     n = len(xs)
-    if len(set(x % p for x in xs)) != n:
-        raise PreconditionError("interpolation nodes collide mod %d" % p)
-    coeffs = [0] * n
-    for i in range(n):
-        # numerator polynomial prod_{j != i} (X - x_j), built incrementally
-        num = [1]
-        denom = 1
-        for j in range(n):
-            if j == i:
-                continue
-            num = [(-xs[j] * num[0]) % p] + [
-                (num[k - 1] - xs[j] * num[k]) % p for k in range(1, len(num))
-            ] + [num[-1]]
-            denom = denom * (xs[i] - xs[j]) % p
-        s = ys[i] * pow(denom, p - 2, p) % p
-        for k in range(n):
-            coeffs[k] = (coeffs[k] + s * num[k]) % p
-    return poly_trim(coeffs, p)
+    prod = [F.one]
+    for x in xs:
+        nx = F.neg(x)
+        prod = [F.mul(nx, prod[0])] + [
+            F.add(prod[k - 1], F.mul(nx, prod[k])) for k in range(1, len(prod))
+        ] + [prod[-1]]
+    coeffs = [F.zero] * n
+    for x, y in zip(xs, ys):
+        quot = [F.zero] * n
+        quot[-1] = prod[n]
+        for k in range(n - 1, 0, -1):
+            quot[k - 1] = F.add(prod[k], F.mul(x, quot[k]))
+        denom = F.zero
+        for c in reversed(quot):
+            denom = F.add(F.mul(denom, x), c)
+        if F.is_zero(denom):
+            raise PreconditionError(
+                "interpolation nodes collide in %s" % F.describe())
+        s = F.div(y, denom)
+        coeffs = [F.add(c, F.mul(s, q)) for c, q in zip(coeffs, quot)]
+    while coeffs and F.is_zero(coeffs[-1]):
+        coeffs.pop()
+    return coeffs

@@ -18,23 +18,14 @@ outputs are deterministic functions of (input, seed).
 from __future__ import annotations
 
 import random
+from math import comb
 
 import numpy as np
 
 from . import modular
 from .errors import PreconditionError, UnstableComputationError
-from .fields import GF, PrimeField, QuadraticField, projective_points, scalar_pow
+from .fields import GF, PrimeField, projective_points, scalar_pow
 from .forms import HomogeneousForm, monomial_count, monomial_exponents
-
-_BINOMIAL_CACHE = {}
-
-
-def _binomial(n, k):
-    key = (n, k)
-    if key not in _BINOMIAL_CACHE:
-        import math
-        _BINOMIAL_CACHE[key] = math.comb(n, k)
-    return _BINOMIAL_CACHE[key]
 
 
 class RankProfile:
@@ -84,6 +75,12 @@ def rank_profile(M, points, threshold):
     return profile
 
 
+def proportional(a, b, p):
+    """Do two integer vectors agree up to scale mod p (all 2x2 minors 0)?"""
+    return all((a[i] * b[j] - a[j] * b[i]) % p == 0
+               for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
 def _line_arrays(M, line):
     """Numpy coefficient matrices (A, B) with M(a + s*b) = A + s*B mod p."""
     a, b = line
@@ -94,10 +91,7 @@ def _line_arrays(M, line):
     b = [int(c) % p for c in b]
     if not any(a) or not any(b):
         raise PreconditionError("zero vector cannot span a line")
-    # proportionality check: all 2x2 minors of the two rows vanish
-    proportional = all((a[i] * b[j] - a[j] * b[i]) % p == 0
-                       for i in range(len(a)) for j in range(i + 1, len(a)))
-    if proportional:
+    if proportional(a, b, p):
         raise PreconditionError("degenerate line: points are proportional")
     arrays = M.integer_coefficient_arrays()
     A = sum(int(av) * arr for av, arr in zip(a, arrays)) % p
@@ -105,12 +99,48 @@ def _line_arrays(M, line):
     return A.astype(np.int64), B.astype(np.int64)
 
 
-def _gcd_update(acc, poly, p):
-    if not poly:
-        return acc
-    if acc is None:
-        return modular.poly_monic(poly, p)
-    return modular.poly_gcd(acc, poly, p)
+def _stable_minor_gcd(M, size, rng, minor_poly, p, subsets_per_round,
+                      max_rounds):
+    """Stabilized gcd of random size x size minors of M restricted to a line.
+
+    minor_poly(rows, cols) returns the restriction of one minor as a
+    polynomial over F_p in the line parameter, empty when it vanishes.
+    Each round folds subsets_per_round nonzero restrictions into the gcd
+    and into the multiplicity at infinity (size minus the degree); two
+    consecutive rounds without change is the stabilization contract.
+    Returns (gcd, multiplicity at infinity).  Raises
+    UnstableComputationError when almost all minors vanish or the gcd
+    does not settle within max_rounds, instead of guessing.
+    """
+    gcd_acc = None
+    inf_acc = None
+    for _ in range(max_rounds):
+        before = (gcd_acc, inf_acc)
+        produced = 0
+        attempts = 0
+        while produced < subsets_per_round:
+            attempts += 1
+            if attempts > 40 * subsets_per_round:
+                raise UnstableComputationError(
+                    "almost all random %dx%d minors vanish on the line"
+                    % (size, size))
+            rows = sorted(rng.sample(range(M.nrows), size))
+            if M.ncols == size:
+                cols = list(range(size))
+            else:
+                cols = sorted(rng.sample(range(M.ncols), size))
+            poly = minor_poly(rows, cols)
+            if not poly:
+                continue
+            produced += 1
+            gcd_acc = modular.poly_monic(poly, p) if gcd_acc is None \
+                else modular.poly_gcd(gcd_acc, poly, p)
+            inf_mult = size - modular.poly_degree(poly)
+            inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
+        if gcd_acc is not None and (gcd_acc, inf_acc) == before:
+            return gcd_acc, inf_acc
+    raise UnstableComputationError(
+        "minor gcd did not stabilize within %d rounds" % max_rounds)
 
 
 def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
@@ -125,9 +155,8 @@ def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
     vanishes there.
 
     The subset gcd only equals the full-minor gcd when enough random
-    subsets agree; two consecutive rounds without change is the
-    stabilization contract, and running out of rounds raises
-    UnstableComputationError instead of guessing.
+    subsets agree; see _stable_minor_gcd for the stabilization contract
+    and the UnstableComputationError raised when it fails.
     """
     field = M.field
     if not isinstance(field, PrimeField):
@@ -161,84 +190,19 @@ def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
     params = list(range(size + 1))
     mats = [(A + s * B) % p for s in params]
 
-    def one_subset():
-        rows = sorted(rng.sample(range(M.nrows), size))
-        if M.ncols == size:
-            cols = list(range(size))
-        else:
-            cols = sorted(rng.sample(range(M.ncols), size))
+    def minor_poly(rows, cols):
         vals = [modular.det_mod_p(m[np.ix_(rows, cols)], p) for m in mats]
         if not any(vals):
-            return None, None
-        poly = modular.lagrange_interpolate(params, vals, p)
-        if not poly:
-            return None, None
-        inf_mult = size - modular.poly_degree(poly)
-        return poly, inf_mult
+            return []
+        return modular.lagrange_interpolate(params, vals, field)
 
-    gcd_acc = None
-    inf_acc = None
-    stable = False
-    for _ in range(max_rounds):
-        before = (tuple(gcd_acc) if gcd_acc is not None else None, inf_acc)
-        produced = 0
-        attempts = 0
-        while produced < subsets_per_round:
-            attempts += 1
-            if attempts > 40 * subsets_per_round:
-                raise UnstableComputationError(
-                    "almost all random %dx%d minors vanish on the line"
-                    % (size, size))
-            poly, inf_mult = one_subset()
-            if poly is None:
-                continue
-            produced += 1
-            gcd_acc = _gcd_update(gcd_acc, poly, p)
-            inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
-        after = (tuple(gcd_acc) if gcd_acc is not None else None, inf_acc)
-        if before == after and before[0] is not None:
-            stable = True
-            break
-    if not stable:
-        raise UnstableComputationError(
-            "minor gcd did not stabilize within %d rounds" % max_rounds)
-
+    gcd_acc, inf_acc = _stable_minor_gcd(M, size, rng, minor_poly, p,
+                                         subsets_per_round, max_rounds)
     squarefree = modular.poly_squarefree_part(gcd_acc, p)
     degree = max(modular.poly_degree(squarefree), 0)
     if inf_acc >= 1:
         degree += 1
     return degree
-
-
-def _lagrange_field(field, xs, ys):
-    """Lagrange interpolation with scalars from an arbitrary field object.
-
-    Returns the coefficient list (low degree first) of the unique
-    polynomial of degree < len(xs) through the points.
-    """
-    n = len(xs)
-    coeffs = [field.zero] * n
-    for i in range(n):
-        num = [field.one]
-        denom = field.one
-        for j in range(n):
-            if j == i:
-                continue
-            nxj = field.neg(xs[j])
-            new = [field.mul(nxj, num[0])]
-            for k in range(1, len(num)):
-                new.append(field.add(num[k - 1], field.mul(nxj, num[k])))
-            new.append(num[-1])
-            num = new
-            denom = field.mul(denom, field.sub(xs[i], xs[j]))
-        s = field.div(ys[i], denom)
-        for k in range(n):
-            coeffs[k] = field.add(coeffs[k], field.mul(s, num[k]))
-    while len(coeffs) > 1 and field.is_zero(coeffs[-1]):
-        coeffs.pop()
-    if len(coeffs) == 1 and field.is_zero(coeffs[0]):
-        return []
-    return coeffs
 
 
 def plane_drop_points(M, t, extension_degree=1):
@@ -318,7 +282,7 @@ def _binary_restriction_weights(a, b, degree, p):
             key = (v, ev)
             if key not in factor_cache:
                 av, bv = a[v] % p, b[v] % p
-                fac = [_binomial(ev, j) * pow(bv, j, p) % p
+                fac = [comb(ev, j) * pow(bv, j, p) % p
                        * pow(av, ev - j, p) % p for j in range(ev + 1)]
                 factor_cache[key] = fac
             fac = factor_cache[key]
@@ -341,8 +305,8 @@ def _line_gcd_binary(M, line, t, rng, subsets_per_round, max_rounds):
     F_p (they must land there when both M and the line are F_p-rational).
     Returns the degree-(t+1)-homogenized coefficient list [G_0..G_d] with
     G_k the coefficient of s^k u^(d-k), d = affine degree + infinity
-    multiplicity, or None when the gcd never stabilized or the line lies
-    inside the drop locus.
+    multiplicity.  Raises UnstableComputationError when the gcd never
+    stabilized or the line lies inside the drop locus.
     """
     p = M.field.char
     size = t + 1
@@ -360,49 +324,20 @@ def _line_gcd_binary(M, line, t, rng, subsets_per_round, max_rounds):
         im = (s[1] * B) % p
         packed.append(re + p * im)
 
-    def one_subset():
-        rows = sorted(rng.sample(range(M.nrows), size))
-        if M.ncols == size:
-            cols = list(range(size))
-        else:
-            cols = sorted(rng.sample(range(M.ncols), size))
-        vals = [int(tables.det(m[np.ix_(rows, cols)])) for m in packed]
+    def minor_poly(rows, cols):
+        vals = [tables.det(m[np.ix_(rows, cols)]) for m in packed]
         if not any(vals):
-            return None, None
-        ys = [ext.decode(v) for v in vals]
-        coeffs = _lagrange_field(ext, params, ys)
-        if not coeffs:
-            return None, None
-        ints = []
-        for c in coeffs:
-            if c[1] % p:
-                raise PreconditionError(
-                    "minor restriction interpolated outside GF(%d)" % p)
-            ints.append(c[0] % p)
-        poly = modular.poly_trim(ints, p)
-        return poly, size - modular.poly_degree(poly)
+            return []
+        coeffs = modular.lagrange_interpolate(
+            params, [ext.decode(v) for v in vals], ext)
+        if any(c[1] for c in coeffs):
+            raise PreconditionError(
+                "minor restriction interpolated outside GF(%d)" % p)
+        return modular.poly_trim([c[0] for c in coeffs], p)
 
-    gcd_acc = None
-    inf_acc = None
-    for round_idx in range(max_rounds):
-        before = (tuple(gcd_acc) if gcd_acc is not None else None, inf_acc)
-        produced = 0
-        attempts = 0
-        while produced < subsets_per_round:
-            attempts += 1
-            if attempts > 40 * subsets_per_round:
-                return None
-            poly, inf_mult = one_subset()
-            if poly is None:
-                continue
-            produced += 1
-            gcd_acc = _gcd_update(gcd_acc, poly, p)
-            inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
-        after = (tuple(gcd_acc) if gcd_acc is not None else None, inf_acc)
-        if round_idx > 0 and before == after and before[0] is not None:
-            affine = list(gcd_acc)
-            return affine + [0] * inf_acc
-    return None
+    affine, inf_mult = _stable_minor_gcd(M, size, rng, minor_poly, p,
+                                         subsets_per_round, max_rounds)
+    return affine + [0] * inf_mult
 
 
 def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
@@ -461,9 +396,12 @@ def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
                               tuple(int(c) for c in basis[1])))
         rng.shuffle(lines)
         for a, b in lines:
-            G = _line_gcd_binary(M, (a, b), t, rng, subsets_per_round,
-                                 max_rounds)
-            if G is None or len(G) - 1 != target_degree:
+            try:
+                G = _line_gcd_binary(M, (a, b), t, rng, subsets_per_round,
+                                     max_rounds)
+            except UnstableComputationError:
+                continue
+            if len(G) - 1 != target_degree:
                 continue
             pivot = next(k for k in range(len(G)) if G[k])
             weights = _binary_restriction_weights(a, b, target_degree, p)
@@ -555,7 +493,7 @@ def classify_singularity(F, point):
         for du, dv in jet:
             if ea < du or eb < dv:
                 continue
-            scale = field.from_int(_binomial(ea, du) * _binomial(eb, dv))
+            scale = field.from_int(comb(ea, du) * comb(eb, dv))
             val = field.mul(c, scale)
             val = field.mul(val, scalar_pow(field, pt[ia], ea - du))
             val = field.mul(val, scalar_pow(field, pt[ib], eb - dv))

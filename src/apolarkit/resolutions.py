@@ -12,8 +12,8 @@ evaluation at the points (PointsModule); apolar and quadric modules as
 quotients by the rref of the ideal pieces (GradedModule).  Over QQ the
 differentials are ranked modulo a word-sized prime and every mod-p rank
 is kept only where semicontinuity proves it equal to the rational rank;
-the rest are ranked exactly by ExactMatrix.rank(method=rank_method), so
-the tables stay exact (see graded_betti).
+the rest are ranked exactly by ExactMatrix.rank, so the tables stay
+exact (see graded_betti).
 
 A cell (i, j) only consumes the module in degrees j-i-1 .. j-i+1, so a
 module built up to degree 3 already settles the full three-row tables of
@@ -23,8 +23,6 @@ point ideals.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from math import comb
 
@@ -41,16 +39,6 @@ from .linalg import (
     primitive_integer_matrix,
 )
 from .modular import rank_mod_p
-
-
-def thread_budget():
-    """Worker cap from APOLARKIT_THREADS; defaults to 1 (sequential)."""
-    raw = os.environ.get("APOLARKIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 # graded_betti ranks rational Koszul differentials modulo this prime first
@@ -391,7 +379,7 @@ def koszul_differential(module, i, j):
                        F, ncols)
 
 
-def graded_betti(module, max_i, max_j, max_row=None, rank_method="exact"):
+def graded_betti(module, max_i, max_j, max_row=None):
     """Betti table of the module over the window i <= max_i, j <= max_j.
 
     max_row, when given, restricts to strand rows j - i <= max_row; the
@@ -406,8 +394,8 @@ def graded_betti(module, max_i, max_j, max_row=None, rank_method="exact"):
     mod p has its rational rank, and wherever a cell C has mod-p homology
     0, dim C = r_p(d_in) + r_p(d_out) <= r_QQ(d_in) + r_QQ(d_out) <= dim C
     proves both adjacent ranks.  Every other differential, and every one
-    with a denominator divisible by p, is ranked by
-    ExactMatrix.rank(method=rank_method), so the table is always exact.
+    with a denominator divisible by p, is ranked exactly by
+    ExactMatrix.rank, so the table is always exact.
     Over other fields the differentials are ranked directly.
     """
     cells = []
@@ -440,7 +428,7 @@ def graded_betti(module, max_i, max_j, max_row=None, rank_method="exact"):
             return None, 0
         mat = koszul_differential(module, i, j)
         if not over_qq:
-            return None, mat.rank(method=rank_method)
+            return None, mat.rank()
         if min(mat.nrows, mat.ncols) == 0:
             return None, 0
         try:
@@ -452,8 +440,8 @@ def graded_betti(module, max_i, max_j, max_row=None, rank_method="exact"):
 
     pending = {}
     ranks = {}
-    for key, (mat, rank) in zip(keys, _map_threads(first_pass, keys)):
-        ranks[key] = rank
+    for key in keys:
+        mat, ranks[key] = first_pass(key)
         if mat is not None:
             pending[key] = mat
     # a cell with mod-p homology 0 proves both of its differentials
@@ -462,10 +450,8 @@ def graded_betti(module, max_i, max_j, max_row=None, rank_method="exact"):
                 and ranks[(i, j)] + ranks[(i + 1, j)] == cell_dim(i, j):
             pending.pop((i, j), None)
             pending.pop((i + 1, j), None)
-    exact = list(pending.items())
-    for (key, _), rank in zip(exact, _map_threads(
-            lambda item: item[1].rank(method=rank_method), exact)):
-        ranks[key] = rank
+    for key, mat in pending.items():
+        ranks[key] = mat.rank()
 
     entries = {}
     for i, j in cells:
@@ -474,15 +460,6 @@ def graded_betti(module, max_i, max_j, max_row=None, rank_method="exact"):
         if b < 0:
             raise AssertionError("negative homology at %s; differentials broken" % (key,))
     return BettiTable(entries, computed_cells=cells)
-
-
-def _map_threads(fn, items):
-    """fn over items, on up to thread_budget() threads, in order."""
-    budget = thread_budget()
-    if budget > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=budget) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # ---- linear syzygies and M2 -------------------------------------------
@@ -537,9 +514,8 @@ def _betti_guard(Q, order):
 
 @lru_cache(maxsize=32)
 def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
-    qforms = [HomogeneousForm(_nvars_for(basis_matrix.ncols, 2), 2, row,
-                              basis_matrix.field, "y")
-              for row in basis_matrix.rows]
+    qforms = subspace_forms(Subspace(basis_matrix, degree=2, alphabet="y",
+                                     already_independent=True))
     if not qforms:
         raise PreconditionError("empty quadric system")
     if guard:
@@ -583,13 +559,6 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
         syz2 = primitive_integer_matrix(syz2)
     return Subspace(syz2, degree=coefficient_degree, multiplicity=s1,
                     alphabet="y", already_independent=True)
-
-
-def _nvars_for(ambient, degree):
-    for cand in range(1, 8):
-        if monomial_count(cand, degree) == ambient:
-            return cand
-    raise PreconditionError("ambient dimension fits no variable count")
 
 
 def linear_syzygies(Q, order, coefficient_degree=1, guard=True):

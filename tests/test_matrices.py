@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apolarkit import modular
+import numpy as np
+
+from apolarkit import linalg, modular
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ
 from apolarkit.linalg import ExactMatrix, Subspace, primitive_integer_matrix
@@ -31,15 +33,6 @@ def test_rank_and_kernel_small_examples():
     Z = ExactMatrix.zeros(2, 3)
     assert Z.rank() == 0
     assert Z.kernel_basis().nrows == 3
-
-
-def test_rank_agrees_between_exact_and_modular_methods():
-    rng = random.Random(5)
-    for _ in range(25):
-        rows = _random_int_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        M = ExactMatrix([[Fraction(v) for v in r] for r in rows], QQ,
-                        len(rows[0]))
-        assert M.rank(method="exact") == M.rank(method="modular")
 
 
 @given(st.integers(0, 10_000))
@@ -117,17 +110,54 @@ def test_quadratic_tables_guard():
         modular.quadratic_tables(GF(13, 2))
 
 
+def _generic_det(rows, F):
+    """Cofactor expansion with the field's own scalar arithmetic."""
+    if not rows:
+        return F.one
+    total = F.zero
+    for j, v in enumerate(rows[0]):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        term = F.mul(v, _generic_det(minor, F))
+        total = F.add(total, term if j % 2 == 0 else F.neg(term))
+    return total
+
+
 def test_prime_field_fast_paths_match_generic_elimination():
+    # the numpy elimination core against the generic Fraction-free _rref,
+    # over two prime fields and GF(25), including rectangular,
+    # rank-deficient, all-zero and 0-row matrices
     rng = random.Random(9)
-    F = GF(7)
-    for _ in range(15):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[rng.randrange(7) for _ in range(ncols)] for _ in range(nrows)]
-        M = ExactMatrix(rows, F, ncols)
-        K = M.kernel_basis()
-        assert K.nrows == ncols - M.rank()
-        for i in range(K.nrows):
-            assert all(v == 0 for v in M.apply(K.row(i)))
+    for F in (GF(7), GF(101), GF(5, 2)):
+        shapes = [(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(15)]
+        cases = [[[F.random_element(rng) for _ in range(ncols)]
+                  for _ in range(nrows)] for nrows, ncols in shapes]
+        cases.append([[F.zero] * 4 for _ in range(3)])
+        base = [[F.random_element(rng) for _ in range(5)] for _ in range(2)]
+        two = F.from_int(2)
+        cases.append(base + [[F.add(a, F.mul(two, b)) for a, b in zip(*base)]])
+        cases.append([])
+        for rows in cases:
+            ncols = len(rows[0]) if rows else 3
+            M = ExactMatrix(rows, F, ncols)
+            ref_rows, pivots = linalg._rref([list(r) for r in rows], F)
+            assert M.rank() == len(pivots)
+            assert M.rref() == ExactMatrix(ref_rows, F, ncols)
+            K = M.kernel_basis()
+            for i in range(K.nrows):
+                assert all(F.is_zero(v) for v in M.apply(K.row(i)))
+            # the canonical basis: 1 in its free column, 0 in the others
+            free = [j for j in range(ncols) if j not in pivots]
+            assert K.submatrix(range(K.nrows), free) \
+                == ExactMatrix.identity(len(free), F)
+            if len(rows) == ncols and rows:
+                want = _generic_det(rows, F)
+                if F.degree == 1:
+                    assert modular.det_mod_p(rows, F.p) == want
+                else:
+                    tabs = modular.quadratic_tables(F)
+                    codes = [[F.encode(v) for v in r] for r in rows]
+                    assert tabs.det(codes) == F.encode(want)
+                    assert tabs.batch_rank(np.array(codes)) == len(pivots)
 
 
 def test_primitive_integer_matrix_scales_rows():
@@ -172,5 +202,21 @@ def test_lagrange_interpolation_round_trip():
     coeffs = [rng.randrange(p) for _ in range(6)]
     xs = list(range(7))
     ys = [modular.poly_eval(coeffs, x, p) for x in xs]
-    rec = modular.lagrange_interpolate(xs, ys, p)
-    assert modular.poly_trim(rec, p) == modular.poly_trim(coeffs, p)
+    rec = modular.lagrange_interpolate(xs, ys, GF(p))
+    assert rec == modular.poly_trim(coeffs, p)
+    # 22 nodes over GF(25), the drop-curve line interpolation's shape
+    E = GF(5, 2)
+    xs = list(E.elements())[:22]
+    coeffs = [E.random_element(rng) for _ in range(21)] + [E.one]
+    ys = []
+    for x in xs:
+        acc = E.zero
+        for c in reversed(coeffs):
+            acc = E.add(E.mul(acc, x), c)
+        ys.append(acc)
+    assert modular.lagrange_interpolate(xs, ys, E) == coeffs
+    assert modular.lagrange_interpolate(xs, [E.zero] * 22, E) == []
+    with pytest.raises(PreconditionError):
+        modular.lagrange_interpolate([1, 2, 1 + p], [0, 1, 2], GF(p))
+    with pytest.raises(PreconditionError):
+        modular.lagrange_interpolate(xs[:3] + xs[:1], ys[:4], E)

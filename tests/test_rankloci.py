@@ -1,7 +1,7 @@
 import pytest
 
 from apolarkit import catalog
-from apolarkit.errors import PreconditionError
+from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
 from apolarkit.forms import HomogeneousForm, parse_form
 from apolarkit.rankloci import (
@@ -123,6 +123,25 @@ def test_interpolate_recovers_full_diagonal_product():
     M = LinearFormMatrix(rows)
     cubic = interpolate_drop_curve(M, 2, target_degree=3)
     assert cubic == parse_form("z0*z1*z2", field=F)
+
+
+def test_unstable_minor_gcd_raises_and_interpolation_skips_the_line():
+    # one round can never show two equal rounds, so the gcd never settles
+    M = diag_matrix(GF(101))
+    assert drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 1) == 2
+    with pytest.raises(UnstableComputationError):
+        drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 1, max_rounds=1)
+    # det = z0^2 - 2*z1^2 is a conic with the single F_5 point (0:0:1), so
+    # the point conditions leave corank 5 and only line gcds pin it down
+    F = GF(5)
+    conic = LinearFormMatrix([[lf([1, 0, 0], F), lf([0, 2, 0], F)],
+                              [lf([0, 1, 0], F), lf([1, 0, 0], F)]])
+    assert interpolate_drop_curve(conic, 1, extension_degree=1,
+                                  target_degree=2) \
+        == parse_form("z0^2+3*z1^2", field=F)
+    with pytest.raises(UnstableComputationError, match="corank 5"):
+        interpolate_drop_curve(conic, 1, extension_degree=1, target_degree=2,
+                               max_rounds=1)
 
 
 def test_singular_point_scan_and_classification():
