@@ -4,7 +4,9 @@ One job per invocation: parse the inputs, run the named computation, and
 emit a deterministic report.  JSON is the machine format; the text
 renderer exists for eyeball comparison of Betti tables and PASS/FAIL
 lines.  Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 reference mismatch in a reproduction run.
+4 reference mismatch in a reproduction run.  Each subcommand names the
+fields it computes over (q, fp, fp2) and refuses any other field, like a
+count flag below its range, with exit code 2.
 """
 
 import argparse
@@ -110,6 +112,17 @@ def _random_line(field, rng, nvars):
             return (a, b)
 
 
+def _field_kind(field):
+    if field.char == 0:
+        return "q"
+    return "fp" if field.degree == 1 else "fp2"
+
+
+def _at_least(value, low, flag):
+    if value < low:
+        raise ParseError("%s must be at least %d, got %d" % (flag, low, value))
+
+
 def _envelope(command, field, seed, input_text, payload):
     digest = hashlib.sha256(input_text.encode("utf-8")).hexdigest()
     return {
@@ -170,7 +183,11 @@ def _betti_payload(table):
 def run_betti(args, field, seed):
     max_row = args.max_row
     module_degree = max_row + 1
-    if args.points:
+    if args.points is not None:
+        _at_least(args.points, 1, "--points")
+        if field != QQ:
+            raise ParseError("betti --points computes over q, not %s"
+                             % field.describe())
         pts = random_rational_points(args.points, seed)
         Z = PointSet(pts, QQ)
         module = points_quotient_module(Z, module_degree)
@@ -188,6 +205,7 @@ def run_betti(args, field, seed):
 
 
 def run_m2(args, field, seed):
+    _at_least(args.samples, 0, "--samples")
     f, label = _family_or_form(args, field)
     M = m2_matrix(f)
     rng = random.Random(seed)
@@ -210,6 +228,7 @@ def run_m2(args, field, seed):
 
 
 def run_ranklocus(args, field, seed):
+    _at_least(args.lines, 0, "--lines")
     f, label = _family_or_form(args, field)
     M = m2_matrix(f)
     matrix_ref = "m2(%s)" % label
@@ -472,7 +491,7 @@ def build_parser():
     p = sub.add_parser("apolar", help="apolar ideal summary of a form")
     p.add_argument("form", nargs="?", default=None)
     p.add_argument("--family", default=None, help="a,b,c,d,e family parameters")
-    p.set_defaults(runner=run_apolar)
+    p.set_defaults(runner=run_apolar, fields=("q", "fp"))
 
     p = sub.add_parser("betti", help="graded Betti table")
     p.add_argument("form", nargs="?", default=None)
@@ -482,7 +501,7 @@ def build_parser():
     p.add_argument("--max-i", type=int, default=6)
     p.add_argument("--max-j", type=int, default=9)
     p.add_argument("--max-row", type=int, default=3)
-    p.set_defaults(runner=run_betti)
+    p.set_defaults(runner=run_betti, fields=("q", "fp"))
 
     p = sub.add_parser("m2", help="second-syzygy matrix of a cubic")
     p.add_argument("form", nargs="?", default=None)
@@ -490,7 +509,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=3,
                    help="random points to sample the rank at")
     p.add_argument("--dump", action="store_true", help="include all entries")
-    p.set_defaults(runner=run_m2)
+    p.set_defaults(runner=run_m2, fields=("q", "fp"))
 
     p = sub.add_parser("ranklocus", help="rank-drop loci of the syzygy matrix")
     p.add_argument("form", nargs="?", default=None)
@@ -502,21 +521,21 @@ def build_parser():
                    help="restrict to the stored plane substitution first")
     p.add_argument("--interpolate", action="store_true",
                    help="interpolate the plane drop curve (3-variable matrices)")
-    p.set_defaults(runner=run_ranklocus)
+    p.set_defaults(runner=run_ranklocus, fields=("q", "fp"))
 
     p = sub.add_parser("catalog", help="stored constants as polynomial text")
     p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(runner=run_catalog)
+    p.set_defaults(runner=run_catalog, fields=("q", "fp"))
 
     p = sub.add_parser("powersum", help="seeded random power sum with checks")
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--coplanar", action="store_true",
                    help="force the first four forms into a common plane")
-    p.set_defaults(runner=run_powersum)
+    p.set_defaults(runner=run_powersum, fields=("q", "fp", "fp2"))
 
     p = sub.add_parser("repro", help="reproduction suite against stored values")
     p.add_argument("case", choices=REPRO_CASES)
-    p.set_defaults(runner=run_repro)
+    p.set_defaults(runner=run_repro, fields=("q", "fp", "fp2"))
     return parser
 
 
@@ -536,6 +555,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         field = parse_field_flag(args.field)
+        if _field_kind(field) not in args.fields:
+            raise ParseError("%s does not compute over %s (fields: %s)" % (
+                args.command, field.describe(), ", ".join(args.fields)))
         payload, ok = args.runner(args, field, args.seed)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -5,23 +5,31 @@ echelon form (leading entries 1, pivot columns cleared), kernel bases are
 derived from the rref free columns, so two computations of the same space
 produce identical bases regardless of the path that built the matrix.
 
-Rational matrices are ranked, and large ones have their kernels taken,
-by one fraction-free integer echelon; smaller rational kernels and rrefs
-use Fraction elimination.  Over GF(p) and small GF(p^2) every rank, rref
-and kernel runs on the numpy elimination core in modular.py.
+Rational matrices are ranked by one fraction-free integer echelon.  Large
+rational kernels (20000 entries or more) are multimodular: the canonical
+kernel is computed mod word primes on the numpy core, joined by CRT and
+rational reconstruction, and accepted only once A K = 0 holds exactly,
+which proves it is the rational one; smaller rational kernels, and any
+large one whose proof does not close, and all rational rrefs use Fraction
+elimination.  Over GF(p) and small GF(p^2) every rank, rref and kernel
+runs on the numpy elimination core in modular.py.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+
+import numpy as np
 
 from . import modular
 from .errors import PreconditionError
 from .fields import QQ
 
-# word-sized primes below 2^16 for rational ranks taken mod p
-CERTIFICATE_PRIMES = (65521, 65519, 65497, 65479)
+# the largest primes below 2^16, largest first: the multimodular kernel
+# draws from them in order, and rational ranks are taken mod the first
+KERNEL_PRIMES = modular.word_primes(128)
+CERTIFICATE_PRIMES = KERNEL_PRIMES[:4]
 
 
 class ExactMatrix:
@@ -173,11 +181,14 @@ class ExactMatrix:
 
         The basis is the standard one with a 1 in each free column, so it
         does not depend on the elimination route; large rational matrices
-        take a fraction-free path that gives the identical answer.
+        take a multimodular path that proves it gives the identical answer
+        and falls back to Fraction elimination when it cannot.
         """
         F = self.field
         if F == QQ and self.nrows * self.ncols >= 20000:
-            return self._kernel_basis_integer()
+            basis = _multimodular_kernel(self.rows, self.ncols)
+            if basis is not None:
+                return ExactMatrix(basis, QQ, self.ncols)
         arith = modular.field_arithmetic(F)
         if arith is not None:
             return self._decoded(modular.kernel(self._codes(arith), arith),
@@ -193,29 +204,6 @@ class ExactMatrix:
                 v[pc] = F.neg(rows[r][f])
             basis.append(v)
         return ExactMatrix(basis, F, self.ncols)
-
-    def _kernel_basis_integer(self):
-        """Kernel by the integer echelon plus back-substitution."""
-        work, pivots = _integer_echelon(self.rows)
-        ncols = self.ncols
-        rank = len(pivots)
-        pivot_set = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for r in range(rank - 1, -1, -1):
-                pc = pivots[r]
-                row = work[r]
-                s = row[f] * v[f] if f > pc else Fraction(0)
-                for later in pivots[r + 1:]:
-                    if row[later]:
-                        s += row[later] * v[later]
-                if s:
-                    v[pc] = -s / row[pc]
-            basis.append(v)
-        return ExactMatrix(basis, QQ, ncols)
 
     def kernel(self, degree=None, multiplicity=1, alphabet="y"):
         """Right kernel as a Subspace.  Ambient labels are optional."""
@@ -327,19 +315,126 @@ def _integer_echelon(rows):
     return work[:len(pivots)], pivots
 
 
+def _multimodular_kernel(rows, ncols):
+    """Canonical rational kernel basis by elimination mod word primes.
+
+    Each prime's reduced echelon form gives the kernel mod p; the prime of
+    highest rank, and among those the lexicographically smallest pivot
+    list, is kept and any other prime is discarded as unlucky.  The
+    free-column blocks of the kept primes are joined by CRT and, once one
+    probe vector reconstructs to the same rationals on two consecutive
+    primes, every entry is rationally reconstructed.  The result K is
+    accepted only if A K = 0 exactly.  K has a 1 in its own free column f
+    and zeros in the other free columns and the pivot columns after f, by
+    construction.  Since rank over QQ >= rank mod p, A K = 0 makes the
+    kernel dimension the number of free columns, and each free column
+    lies in the span of the columns before it, so the rational pivots are
+    the mod-p ones and K is the canonical basis.  Returns the basis rows,
+    or None when KERNEL_PRIMES run out before the proof closes.
+    """
+    # per row: (column, integer entry) of its nonzero entries
+    sparse = [[(j, a) for j, a in enumerate(_primitive_integer_row(r)) if a]
+              for r in rows]
+    at = (np.array([i for i, row in enumerate(sparse) for _ in row], dtype=int),
+          np.array([j for row in sparse for j, _ in row], dtype=int))
+    values = [a for row in sparse for _, a in row]
+    best = None
+    for p in KERNEL_PRIMES:
+        arith = modular.prime_arithmetic(p)
+        a = np.zeros((len(rows), ncols), dtype=np.int64)
+        a[at] = [v % p for v in values]
+        pivots, _ = modular.eliminate(a, arith, reduced=True)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        pivot_set = set(pivots)
+        free = [j for j in range(ncols) if j not in pivot_set]
+        if not free:
+            # rank over QQ is at least rank mod p = ncols
+            return []
+        block = a[:len(pivots), free].astype(object)
+        if key != best:
+            best, residues, modulus, probe = key, block, p, None
+            probe_at = len(free) - 1
+        else:
+            lift = (block - residues % p) * pow(modulus, -1, p) % p
+            residues = residues + modulus * lift
+            modulus *= p
+        guess = _reconstruct(residues[:, probe_at], modulus)
+        if guess is None or guess != probe:
+            probe = guess
+            continue
+        columns = [_reconstruct(residues[:, k], modulus)
+                   for k in range(len(free))]
+        if None in columns:
+            # a later prime tries again, probing a vector that failed
+            probe, probe_at = None, columns.index(None)
+            continue
+        basis = []
+        for f, column in zip(free, columns):
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for pc, x in zip(pivots, column):
+                if pc > f:
+                    break
+                v[pc] = -x
+            basis.append(v)
+        if _annihilates(sparse, basis):
+            return basis
+    return None
+
+
+def _reconstruct(residues, modulus):
+    """Rational reconstruction of each residue, or None if one fails.
+
+    Each residue, times the common denominator of the entries before it,
+    is taken as an integer if it lies within sqrt(modulus / 2) of zero;
+    otherwise the half-extended Euclid finds the fraction with numerator
+    and denominator within that bound (Wang's rational reconstruction;
+    von zur Gathen-Gerhard, Modern Computer Algebra 5.10).  Entries that
+    share a denominator thus cost one multiplication each.
+    """
+    bound = isqrt(modulus // 2)
+    den = 1
+    out = []
+    for u in residues:
+        w = u * den % modulus
+        if w > bound:
+            w -= modulus
+        if -bound <= w:
+            out.append(Fraction(w, den))
+            continue
+        r0, r1, t0, t1 = modulus, w % modulus, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if t1 < 0:
+            r1, t1 = -r1, -t1
+        if t1 > bound or gcd(r1, t1) != 1:
+            return None
+        out.append(Fraction(r1, t1 * den))
+        den *= t1
+    return out
+
+
+def _annihilates(sparse, basis):
+    """Is A v = 0 exactly for every v in the basis?  A is given by the
+    nonzero entries of its integer rows, and each v is scaled to integers.
+    """
+    for v in basis:
+        den = lcm(*(x.denominator for x in v))
+        ints = [x.numerator * (den // x.denominator) for x in v]
+        for row in sparse:
+            if sum(a * ints[j] for j, a in row):
+                return False
+    return True
+
+
 def _primitive_integer_row(row):
     """Scale a rational row to coprime integers (empty rows stay zero)."""
-    fracs = [Fraction(a) for a in row]
-    denom_lcm = 1
-    for a in fracs:
-        d = a.denominator
-        denom_lcm = denom_lcm // gcd(denom_lcm, d) * d
-    ints = [int(a * denom_lcm) for a in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
-        if g == 1:
-            break
+    den = lcm(*(a.denominator for a in row))
+    ints = [a.numerator * (den // a.denominator) for a in row]
+    g = gcd(*ints)
     if g > 1:
         ints = [a // g for a in ints]
     return tuple(ints)

@@ -124,6 +124,16 @@ class PrimeArithmetic:
 prime_arithmetic = lru_cache(maxsize=None)(PrimeArithmetic)
 
 
+def word_primes(count):
+    """The count largest primes below 2^16, largest first."""
+    sieve = np.ones(_MAX_PRIME, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 256):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    return tuple(int(p) for p in np.flatnonzero(sieve)[::-1][:count])
+
+
 def field_arithmetic(field):
     """The core's arithmetic for a finite field, None where it has none."""
     if field.char == 0:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import apolarkit
 from apolarkit.cli import main, parse_family_flag, parse_field_flag, random_rational_points
 from apolarkit.errors import ParseError
 from apolarkit.fields import GF, QQ
@@ -64,6 +68,37 @@ def test_argparse_rejections_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["repro", "no-such-case"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["m2", "--family", "1,-1,1,-1,1", "--samples", "-1"],
+    ["ranklocus", "--family", "1,-1,1,-1,1", "--lines", "-1"],
+    ["betti", "--points", "0"],
+    ["betti", "--points", "-3"],
+    # fields a subcommand cannot honour
+    ["--field", "fp2:7", "apolar", "--family", "1,-1,1,-1,1"],
+    ["--field", "fp2:7", "m2", "--family", "1,-1,1,-1,1"],
+    ["--field", "fp:7", "betti", "--points", "9"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_inputs_exit_2_with_one_line(argv):
+    src = os.path.dirname(os.path.dirname(apolarkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "apolarkit"] + argv,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_field_contract_keeps_supported_fields(capsys):
+    rc, env = run_json(capsys, ["--field", "fp:7", "betti", "--family",
+                                "1,-1,1,-1,1"])
+    assert rc == 0 and env["field"] == "GF(7)"
+    rc, env = run_json(capsys, ["betti", "--points", "1", "--max-row", "0"])
+    assert rc == 0 and env["field"] == "QQ"
+    rc, env = run_json(capsys, ["--field", "fp2:5", "powersum", "--count", "3"])
+    assert rc == 0 and env["field"] == "GF(5^2)"
 
 
 def test_non_generic_cubic_exits_3(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 
 from apolarkit import linalg, modular
 from apolarkit.errors import PreconditionError
-from apolarkit.fields import GF, QQ
+from apolarkit.fields import GF, QQ, is_prime
 from apolarkit.linalg import ExactMatrix, Subspace, primitive_integer_matrix
 
 
@@ -158,6 +158,114 @@ def test_prime_field_fast_paths_match_generic_elimination():
                     codes = [[F.encode(v) for v in r] for r in rows]
                     assert tabs.det(codes) == F.encode(want)
                     assert tabs.batch_rank(np.array(codes)) == len(pivots)
+
+
+def _fraction_kernel(rows, ncols):
+    # small rational matrices take the Fraction rref route
+    assert len(rows) * ncols < 20000
+    return [list(r) for r in ExactMatrix(rows, QQ, ncols).kernel_basis().rows]
+
+
+def _random_rational_matrix(rng, nrows, ncols, rank, spread=9, den=1):
+    def entry():
+        return Fraction(rng.randint(-spread, spread), rng.randint(1, den))
+    left = [[entry() for _ in range(rank)] for _ in range(nrows)]
+    right = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*right)] for row in left]
+
+
+def _multimodular_cases():
+    rng = random.Random(41)
+    cases = {
+        "tall": _random_rational_matrix(rng, 9, 4, 4),
+        "wide": _random_rational_matrix(rng, 4, 9, 4),
+        "square-rank-deficient": _random_rational_matrix(rng, 7, 7, 4),
+        "wide-rank-deficient": _random_rational_matrix(rng, 6, 11, 3),
+        "denominators": _random_rational_matrix(rng, 5, 8, 5, den=12),
+        "big-entries": _random_rational_matrix(rng, 6, 9, 6,
+                                               spread=10 ** 15, den=10 ** 6),
+        "all-zero": [[Fraction(0)] * 4 for _ in range(3)],
+        "zero-row": [],
+        "full-column-rank": _random_rational_matrix(rng, 6, 3, 3),
+        # same rank but later pivots mod 65521, then rank lower mod 65521
+        "unlucky-pivots": [[Fraction(65521), Fraction(1), Fraction(0)],
+                           [Fraction(0), Fraction(0), Fraction(1)]],
+        "unlucky-rank": [[Fraction(v) for v in r] for r in
+                         [[1, 1, 0, 0], [1, 65522, 0, 0], [0, 0, 1, 1]]],
+        # the kernel entry 1 + 65521 * 65519 reads 1 mod the first prime and
+        # mod the first two, so only A K = 0 rejects that reconstruction
+        "false-probe": [[Fraction(1), Fraction(-1 - 65521 * 65519)]],
+    }
+    for nrows, ncols in [(3, 5), (5, 3), (6, 6), (2, 7)]:
+        cases["random-%dx%d" % (nrows, ncols)] = [
+            [Fraction(rng.randint(-20, 20), rng.randint(1, 5))
+             for _ in range(ncols)] for _ in range(nrows)]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_multimodular_cases()))
+def test_multimodular_kernel_matches_fraction_kernel(name):
+    rows = _multimodular_cases()[name]
+    ncols = len(rows[0]) if rows else 5
+    basis = linalg._multimodular_kernel(rows, ncols)
+    assert basis == _fraction_kernel(rows, ncols)
+    assert all(type(x) is Fraction for v in basis for x in v)
+
+
+def test_multimodular_kernel_discards_unlucky_primes(monkeypatch):
+    assert linalg.CERTIFICATE_PRIMES == (65521, 65519, 65497, 65479)
+    assert list(linalg.KERNEL_PRIMES) == sorted(linalg.KERNEL_PRIMES,
+                                                reverse=True)
+    assert all(is_prime(q) and q < 1 << 16 for q in linalg.KERNEL_PRIMES)
+    # the unlucky-pivots and unlucky-rank cases of the comparison are
+    # unlucky at the first prime, so they exercised the restart
+    p = linalg.KERNEL_PRIMES[0]
+    assert p == 65521
+    assert modular.kernel_mod_p([[0, 1, 0], [0, 0, 1]], p).tolist() \
+        == [[1, 0, 0]]
+    assert modular.rank_mod_p([[1, 1, 0, 0], [1, 65522, 0, 0],
+                               [0, 0, 1, 1]], p) == 2
+    # 65497, the third prime, is unlucky here; restarting from it would
+    # leave too few primes for the denominator 65497 among the first five
+    p3 = linalg.KERNEL_PRIMES[2]
+    rows = [[Fraction(p3), Fraction(1), Fraction(0)],
+            [Fraction(0), Fraction(0), Fraction(1)]]
+    monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:5])
+    assert linalg._multimodular_kernel(rows, 3) == _fraction_kernel(rows, 3)
+
+
+def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
+    # the kernel vector (-b/a, 1) needs about 2 * 81 bits of modulus, far
+    # more than two 16-bit primes; 10000 copies of the row put the matrix
+    # on the multimodular route of kernel_basis
+    a, b = 3 ** 50, 2 ** 80 + 1
+    rows = [[Fraction(k * a), Fraction(k * b)] for k in range(1, 10001)]
+    expected = [[Fraction(-b, a), Fraction(1)]]
+    assert linalg._multimodular_kernel(rows, 2) == expected
+
+    rref_calls = []
+    real_rref = linalg._rref
+
+    def counting_rref(rows, field):
+        rref_calls.append(len(rows))
+        return real_rref(rows, field)
+
+    # small entries still reconstruct alike on two primes
+    small = [[Fraction(v) for v in r] for r in [[1, 2, 3, 4], [0, 1, 1, 2]]]
+    small_kernel = _fraction_kernel(small, 4)
+
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    assert ExactMatrix(rows, QQ, 2).kernel_basis() \
+        == ExactMatrix(expected, QQ, 2)
+    assert rref_calls == []
+
+    monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:2])
+    assert linalg._multimodular_kernel(rows, 2) is None
+    assert linalg._multimodular_kernel(small, 4) == small_kernel
+    assert ExactMatrix(rows, QQ, 2).kernel_basis() \
+        == ExactMatrix(expected, QQ, 2)
+    assert rref_calls == [10000]
 
 
 def test_primitive_integer_matrix_scales_rows():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -229,6 +231,28 @@ def test_m2_rank_is_invariant_under_basis_changes():
     for point in random_rational_points(2, seed=17):
         scalar = M.evaluate_at(list(point))
         assert A.matmul(scalar).matmul(B).rank() == scalar.rank() == 21
+
+
+# sha256 of the compact sorted JSON of m2_matrix(f).to_json(), recorded
+# while the large syzygy kernels were still taken by integer echelon and
+# Fraction back-substitution; the canonical bases must not change
+M2_GOLDEN_SHA256 = {
+    "family(1,-1,1,-1,1)":
+        "02e0e3dea54bff24f11b02473819c8b684658e6ff1fc0a478d0408f636b3b8b2",
+    "scroll-cubic":
+        "4f51bca7aa6088dc8214d0cd3e436d41107aa170c8179f363a9830cb7340f8de",
+}
+
+
+@pytest.mark.parametrize("name", sorted(M2_GOLDEN_SHA256))
+def test_m2_matrix_matches_golden_fixture(name):
+    if name == "scroll-cubic":
+        f = catalog.scroll_apolar_cubic()
+    else:
+        f = catalog.cubic_family(1, -1, 1, -1, 1)
+    text = json.dumps(m2_matrix(f).to_json(), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == M2_GOLDEN_SHA256[name]
 
 
 def test_m2_matrix_refuses_non_generic_cubic():
