@@ -19,7 +19,6 @@ from fractions import Fraction
 from . import __version__, catalog, rankloci
 from .apolarity import (
     PointSet,
-    apolar_ideal_component,
     catalecticant,
     cube_span_contains,
     is_apolar_pointset,
@@ -181,6 +180,9 @@ def _betti_payload(table):
 
 
 def run_betti(args, field, seed):
+    for flag, value in (("--max-i", args.max_i), ("--max-j", args.max_j),
+                        ("--max-row", args.max_row)):
+        _at_least(value, 0, flag)
     max_row = args.max_row
     module_degree = max_row + 1
     if args.points is not None:
@@ -292,6 +294,7 @@ def run_catalog(args, field, seed):
 
 
 def run_powersum(args, field, seed):
+    _at_least(args.count, 1, "--count")
     forms, lams, f = catalog.random_power_sum(
         args.count, field, seed, coplanar=args.coplanar)
     Z = PointSet([g.coeffs for g in forms], field, allow_duplicates=False)
@@ -535,7 +538,9 @@ def build_parser():
 
     p = sub.add_parser("repro", help="reproduction suite against stored values")
     p.add_argument("case", choices=REPRO_CASES)
-    p.set_defaults(runner=run_repro, fields=("q", "fp", "fp2"))
+    # each case fixes its own fields and ignores --field, so only the
+    # default is accepted
+    p.set_defaults(runner=run_repro, fields=("q",))
     return parser
 
 

@@ -457,8 +457,8 @@ class Subspace:
 
     The ambient space is S^degree V* (or a direct sum of `multiplicity`
     copies of it) identified by the row width; `full_space` marks the
-    whole ambient piece without materializing an identity basis, which the
-    graded modules use for ideal pieces beyond the socle degree.
+    whole ambient piece without materializing an identity basis, which
+    apolar_ideal_component uses for the pieces of I_f above deg f.
     """
 
     __slots__ = ("basis", "field", "ambient_dim", "degree", "multiplicity",

@@ -7,13 +7,13 @@ Betti numbers are computed as b_{i,j} = dim H_i of the Koszul strand
                                   -> Lambda^{i-1} V* (x) M_{j-i+1}
 
 with the alternating-sign contraction differentials, where M = S/I is
-held degree by degree.  Point modules are presented as the image of
-evaluation at the points (PointsModule); apolar and quadric modules as
-quotients by the rref of the ideal pieces (GradedModule).  Over QQ the
-differentials are ranked modulo a word-sized prime and every mod-p rank
-is kept only where semicontinuity proves it equal to the rational rank;
-the rest are ranked exactly by ExactMatrix.rank, so the tables stay
-exact (see graded_betti).
+held degree by degree.  GradedModule presents each piece M_j as the image
+of a matrix whose kernel is I_j: evaluation at the points for S/I_Z, the
+transposed catalecticant for S/I_f, and the annihilator of Q*S_{j-2} for
+a quadric ideal.  Over QQ the differentials are ranked modulo a
+word-sized prime and every mod-p rank is kept only where semicontinuity
+proves it equal to the rational rank; the rest are ranked exactly by
+ExactMatrix.rank, so the tables stay exact (see graded_betti).
 
 A cell (i, j) only consumes the module in degrees j-i-1 .. j-i+1, so a
 module built up to degree 3 already settles the full three-row tables of
@@ -26,7 +26,7 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .apolarity import apolar_ideal_component, evaluation_matrix, subspace_forms
+from .apolarity import catalecticant, evaluation_matrix, subspace_forms
 from .errors import PreconditionError
 from .fields import QQ
 from .forms import HomogeneousForm, monomial_count, monomial_exponents, monomial_index
@@ -105,181 +105,32 @@ class BettiTable:
 
 
 class GradedModule:
-    """S/I held as exact quotient pieces over a degree range.
+    """S/I over the degrees 0..max_degree, each piece presented as an image.
 
-    Built from the graded pieces of an ideal I; each quotient piece
-    remembers the rref of I's piece, its pivot columns, and the free
-    (standard monomial) columns that coordinatize the quotient.
-    """
-
-    def __init__(self, nvars, field, ideal_pieces, check=True):
-        self.nvars = nvars
-        self.field = field
-        degrees = sorted(ideal_pieces)
-        if degrees != list(range(len(degrees))):
-            raise PreconditionError("ideal pieces must cover 0..max contiguously")
-        self.max_degree = degrees[-1] if degrees else -1
-        self._pieces = {}
-        for j in degrees:
-            space = ideal_pieces[j]
-            expected = monomial_count(nvars, j)
-            if space.ambient_dim != expected:
-                raise PreconditionError(
-                    "piece %d has ambient %d, expected %d"
-                    % (j, space.ambient_dim, expected))
-            self._pieces[j] = _QuotientPiece(nvars, field, j, space)
-        if check:
-            self._check_multiplication(ideal_pieces)
-        self._mult_cache = {}
-
-    def _check_multiplication(self, ideal_pieces):
-        # each variable must carry I_j into I_{j+1}
-        for j in range(self.max_degree):
-            src = ideal_pieces[j]
-            dst = ideal_pieces[j + 1]
-            if src.is_full and not dst.is_full:
-                raise PreconditionError(
-                    "piece %d is everything but piece %d is not" % (j, j + 1))
-            if src.is_full or dst.is_full or src.dim == 0:
-                continue
-            dst_piece = self._pieces[j + 1]
-            for row in src.basis_matrix().rows:
-                for t in range(self.nvars):
-                    shifted = _shift_vector(self.nvars, j, row, t, self.field)
-                    if any(not self.field.is_zero(c)
-                           for c in dst_piece.reduce(shifted)):
-                        raise PreconditionError(
-                            "ideal pieces not multiplication-compatible at "
-                            "degree %d, variable %d" % (j, t))
-
-    def piece_dim(self, j):
-        if j < 0:
-            return 0
-        if j > self.max_degree:
-            raise PreconditionError(
-                "graded piece %d beyond built range %d" % (j, self.max_degree))
-        return self._pieces[j].dim
-
-    def reduce(self, j, vector):
-        return self._pieces[j].reduce(vector)
-
-    def multiplication_matrix(self, j, t):
-        """Matrix of multiplication by variable t from M_j to M_{j+1}."""
-        key = (j, t)
-        if key not in self._mult_cache:
-            src = self._pieces[j]
-            dst = self._pieces[j + 1]
-            cols = []
-            for m in src.free:
-                e = list(monomial_exponents(self.nvars, j)[m])
-                e[t] += 1
-                target = monomial_index(self.nvars, j + 1)[tuple(e)]
-                vec = [self.field.zero] * monomial_count(self.nvars, j + 1)
-                vec[target] = self.field.one
-                cols.append(dst.reduce(vec))
-            self._mult_cache[key] = ExactMatrix(
-                zip(*cols) if cols else [[] for _ in range(dst.dim)],
-                self.field, len(cols))
-        return self._mult_cache[key]
-
-
-class _QuotientPiece:
-    def __init__(self, nvars, field, degree, ideal_space):
-        self.field = field
-        ambient = monomial_count(nvars, degree)
-        if ideal_space.is_full:
-            self.rref_rows = None
-            self.pivots = tuple(range(ambient))
-            self.free = ()
-        else:
-            reduced = ideal_space.reduced_basis()
-            pivots = []
-            for row in reduced.rows:
-                for c, v in enumerate(row):
-                    if not field.is_zero(v):
-                        pivots.append(c)
-                        break
-            self.rref_rows = reduced.rows
-            self.pivots = tuple(pivots)
-            pivot_set = set(pivots)
-            self.free = tuple(c for c in range(ambient) if c not in pivot_set)
-        self.dim = len(self.free)
-
-    def reduce(self, vector):
-        """Coordinates of the vector's image in the quotient basis."""
-        F = self.field
-        if self.rref_rows is None:
-            return ()
-        work = list(vector)
-        for row, pc in zip(self.rref_rows, self.pivots):
-            c = work[pc]
-            if not F.is_zero(c):
-                for k, rv in enumerate(row):
-                    if not F.is_zero(rv):
-                        work[k] = F.sub(work[k], F.mul(c, rv))
-        return tuple(work[c] for c in self.free)
-
-
-def _shift_vector(nvars, degree, vector, t, field):
-    """Multiply a degree-`degree` coefficient vector by variable t."""
-    src = monomial_exponents(nvars, degree)
-    idx = monomial_index(nvars, degree + 1)
-    out = [field.zero] * monomial_count(nvars, degree + 1)
-    for c, e in zip(vector, src):
-        if field.is_zero(c):
-            continue
-        e2 = list(e)
-        e2[t] += 1
-        out[idx[tuple(e2)]] = field.add(out[idx[tuple(e2)]], c)
-    return out
-
-
-# ---- module factories -------------------------------------------------
-
-
-def apolar_quotient_module(f, max_degree):
-    """S / I_f as a graded module, pieces 0..max_degree."""
-    pieces = {j: apolar_ideal_component(f, j) for j in range(max_degree + 1)}
-    return GradedModule(f.nvars, f.field, pieces)
-
-
-def points_quotient_module(Z, max_degree):
-    """S / I_Z as a graded module, pieces 0..max_degree.
-
-    The module is presented as the image of evaluation at Z (Macaulay
-    duality, Iarrobino-Kanev, LNM 1721) rather than as a quotient by the
-    ideal pieces; see PointsModule.
-    """
-    return PointsModule(Z, max_degree)
-
-
-class PointsModule:
-    """S / I_Z presented by evaluation at the points of Z.
-
-    M_j = S_j / I_Z(j) is the column space of evaluation_matrix(Z, j), one
-    row per point and one column per degree-j monomial, because I_Z(j) is
-    that matrix's kernel.  The rref of the evaluation matrix (|Z| rows at
-    most) therefore presents M_j: its pivot monomials are a basis, and the
-    column of any monomial holds that monomial's coordinates.  Rescaling
-    a point scales its row, which leaves the rref alone.
+    presentations[j] is any matrix with one column per degree-j monomial
+    whose kernel is the ideal piece I_j, so M_j = S_j / I_j is its column
+    space.  The rref of that matrix presents M_j: its pivot monomials are
+    a basis, and the column of any monomial holds that monomial's
+    coordinates.
 
     Multiplication by y_t sends a basis monomial m to the rref column of
-    y_t*m in degree j+1.  This is a module law by construction, since
-    ev(y_t g) = diag(p_t) ev(g) for every form g, where p_t holds the t-th
-    coordinates of the points: the map factors through ev, so it is well
-    defined on the quotient and no ideal piece is ever built or checked.
+    y_t*m in degree j+1.  Because I is an ideal, y_t carries I_j into
+    I_{j+1}, so the map is well defined on the quotient: the module law
+    holds by construction and nothing is checked.
     """
 
-    def __init__(self, Z, max_degree):
-        if Z.allow_duplicates:
-            raise PreconditionError("ideal of a non-reduced point multiset")
-        self.nvars = Z.nvars
-        self.field = Z.field
-        self.max_degree = max_degree
+    def __init__(self, nvars, field, presentations):
+        self.nvars = nvars
+        self.field = field
+        self.max_degree = len(presentations) - 1
         self._pieces = []
-        for j in range(max_degree + 1):
-            rows, pivots = _rref(
-                [list(r) for r in evaluation_matrix(Z, j).rows], Z.field)
+        for j, mat in enumerate(presentations):
+            expected = monomial_count(nvars, j)
+            if mat.ncols != expected:
+                raise PreconditionError(
+                    "presentation %d has %d columns, expected %d"
+                    % (j, mat.ncols, expected))
+            rows, pivots = _rref([list(r) for r in mat.rows], field)
             self._pieces.append((rows[:len(pivots)], tuple(pivots)))
         self._mult_cache = {}
 
@@ -313,28 +164,57 @@ class PointsModule:
         return self._mult_cache[key]
 
 
+# ---- module factories -------------------------------------------------
+
+
+def apolar_quotient_module(f, max_degree):
+    """S / I_f as a graded module, pieces 0..max_degree.
+
+    The transposed catalecticant of degree j presents M_j: its kernel is
+    I_f(j) and its column space the span of the (d-j)-th partials of f
+    (Macaulay duality, Iarrobino-Kanev, LNM 1721).  Above deg f the piece
+    is 0, presented by a matrix with no rows.
+    """
+    return GradedModule(f.nvars, f.field, [
+        catalecticant(f, j).transpose() if j <= f.degree
+        else ExactMatrix([], f.field, monomial_count(f.nvars, j))
+        for j in range(max_degree + 1)])
+
+
+def points_quotient_module(Z, max_degree):
+    """S / I_Z as a graded module, pieces 0..max_degree.
+
+    M_j is presented by evaluation at Z, whose kernel is I_Z(j).
+    Rescaling a point scales its row, which leaves the rref alone.
+    """
+    if Z.allow_duplicates:
+        raise PreconditionError("ideal of a non-reduced point multiset")
+    return GradedModule(Z.nvars, Z.field, [
+        evaluation_matrix(Z, j) for j in range(max_degree + 1)])
+
+
 def quadric_ideal_module(Q, max_degree):
-    """S / (ideal generated by the quadrics Q), pieces 0..max_degree."""
+    """S / (ideal generated by the quadrics Q), pieces 0..max_degree.
+
+    M_j is presented by the annihilator of the span of Q*S_{j-2}: the
+    kernel of that annihilator is the span itself.
+    """
     forms = subspace_forms(Q)
     if not forms:
         raise PreconditionError("empty quadric system")
     nvars = forms[0].nvars
     field = forms[0].field
-    pieces = {}
+    presentations = []
     for j in range(max_degree + 1):
-        if j < 2:
-            pieces[j] = Subspace(ExactMatrix([], field,
-                                             monomial_count(nvars, j)),
-                                 degree=j, alphabet="y", already_independent=True)
-            continue
         rows = []
-        for g in forms:
-            for e in monomial_exponents(nvars, j - 2):
-                m = HomogeneousForm.monomial(nvars, e, field, g.alphabet)
-                rows.append(g.multiply(m).coeffs)
-        span = ExactMatrix(rows, field, monomial_count(nvars, j)).row_space_basis()
-        pieces[j] = Subspace(span, degree=j, alphabet="y", already_independent=True)
-    return GradedModule(nvars, field, pieces, check=False)
+        if j >= 2:
+            for g in forms:
+                for e in monomial_exponents(nvars, j - 2):
+                    m = HomogeneousForm.monomial(nvars, e, field, g.alphabet)
+                    rows.append(g.multiply(m).coeffs)
+        presentations.append(ExactMatrix(
+            rows, field, monomial_count(nvars, j)).kernel_basis())
+    return GradedModule(nvars, field, presentations)
 
 
 # ---- Koszul homology --------------------------------------------------

@@ -75,10 +75,17 @@ def test_argparse_rejections_exit_2():
     ["ranklocus", "--family", "1,-1,1,-1,1", "--lines", "-1"],
     ["betti", "--points", "0"],
     ["betti", "--points", "-3"],
+    ["betti", "--points", "3", "--max-i", "-1"],
+    ["betti", "--points", "3", "--max-j", "-2"],
+    ["betti", "--points", "3", "--max-row", "-1"],
+    ["powersum", "--count", "0"],
+    ["powersum", "--count", "-2"],
     # fields a subcommand cannot honour
     ["--field", "fp2:7", "apolar", "--family", "1,-1,1,-1,1"],
     ["--field", "fp2:7", "m2", "--family", "1,-1,1,-1,1"],
     ["--field", "fp:7", "betti", "--points", "9"],
+    ["--field", "fp:7", "repro", "rank-scan"],
+    ["--field", "fp2:5", "repro", "betti-generic"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_inputs_exit_2_with_one_line(argv):
     src = os.path.dirname(os.path.dirname(apolarkit.__file__))
