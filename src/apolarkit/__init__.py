@@ -29,12 +29,10 @@ from .resolutions import (
     restrict_linear_matrix,
 )
 from .rankloci import (
-    RankProfile,
     classify_singularity,
     drop_degree_on_line,
     interpolate_drop_curve,
     plane_drop_points,
-    rank_profile,
     singular_points_plane_curve,
 )
 from .catalog import (
@@ -59,9 +57,9 @@ __all__ = [
     "min_partial_rank_scan", "q_f", "BettiTable", "GradedModule",
     "LinearFormMatrix", "apolar_quotient_module", "graded_betti",
     "linear_syzygies", "m2_matrix", "points_quotient_module", "rank_at_point",
-    "restrict_linear_matrix", "RankProfile", "classify_singularity",
-    "drop_degree_on_line", "interpolate_drop_curve", "plane_drop_points",
-    "rank_profile", "singular_points_plane_curve", "cubic_family",
+    "restrict_linear_matrix", "classify_singularity", "drop_degree_on_line",
+    "interpolate_drop_curve", "plane_drop_points",
+    "singular_points_plane_curve", "cubic_family",
     "fermat_cubic", "m_star", "plane_substitution", "random_power_sum",
     "reference_betti_tables", "reference_drop_curve_mod5", "s_map",
     "scroll_apolar_cubic", "scroll_minors", "veronese_ideal_quadrics",

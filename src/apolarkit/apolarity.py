@@ -8,6 +8,12 @@ Because differentiation introduces factorials, every operation in this
 module insists on characteristic 0 or characteristic larger than the
 degree of the acted-on form.
 
+catalecticant(f, k) is the matrix of that action on degree-k operators
+(Macaulay duality; Iarrobino-Kanev, LNM 1721), and it is the only code
+that applies an operator to a form: apolar_action, the apolarity
+certificates and the partial-rank scan all go through it.  Ideal pieces
+spanned by generators are built by ideal_span alone.
+
 Matrix orientation.  catalecticant(f, k) has one row per degree-k dual
 monomial and one column per degree-(d-k) primal monomial, so the row
 space of catalecticant(f, 1) is the space of first partials P(f), and
@@ -19,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .errors import PreconditionError
-from .fields import QQ, GF
+from .fields import QQ
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
                     monomial_exponents, monomial_index)
 from .linalg import ExactMatrix, Subspace
@@ -30,31 +36,6 @@ def _require_char(field, degree):
         raise PreconditionError(
             "characteristic %d <= degree %d collides with factorials"
             % (field.char, degree))
-
-
-class ApolarityContext:
-    """Shared variable count and field for one chain of pairings.
-
-    A convenience guard object; the module functions accept bare forms,
-    and this class just centralizes the compatibility checks for callers
-    that juggle many forms at once (the CLI does).
-    """
-
-    def __init__(self, nvars, field=QQ):
-        self.nvars = nvars
-        self.field = field
-
-    def check(self, form):
-        if form.nvars != self.nvars:
-            raise PreconditionError("form has %d variables, context wants %d"
-                                    % (form.nvars, self.nvars))
-        if form.field != self.field:
-            raise PreconditionError("form is over %r, context wants %r"
-                                    % (form.field, self.field))
-        return form
-
-    def dual_alphabet_of(self, form):
-        return DUAL_ALPHABET[form.alphabet]
 
 
 class PointSet:
@@ -123,39 +104,19 @@ class PointSet:
 def apolar_action(D, f):
     """Apply the dual form D (degree k) to f (degree d >= k).
 
-    Returns the degree d-k form D(f).  Bilinear, and a ring action:
-    (D1*D2)(f) = D1(D2(f)).
+    Returns the degree d-k form D(f), the combination of the rows of
+    catalecticant(f, k) with the coefficients of D.  Bilinear, and a ring
+    action: (D1*D2)(f) = D1(D2(f)).
     """
     if D.nvars != f.nvars or D.field != f.field:
         raise PreconditionError("operator and form must share arity and field")
     if D.degree > f.degree:
         raise PreconditionError("operator degree %d exceeds form degree %d"
                                 % (D.degree, f.degree))
-    _require_char(f.field, f.degree)
-    F = f.field
-    out_degree = f.degree - D.degree
-    idx = monomial_index(f.nvars, out_degree)
-    coeffs = [F.zero] * monomial_count(f.nvars, out_degree)
-    for cd, b in D.terms():
-        for cf, a in f.terms():
-            if any(ai < bi for ai, bi in zip(a, b)):
-                continue
-            g = tuple(ai - bi for ai, bi in zip(a, b))
-            scale = 1
-            for ai, gi in zip(a, g):
-                # falling factorial a_i * (a_i-1) * ... * (g_i+1)
-                scale *= math.factorial(ai) // math.factorial(gi)
-            i = idx[g]
-            coeffs[i] = F.add(coeffs[i], F.mul(F.mul(cd, cf), F.from_int(scale)))
-    return HomogeneousForm(f.nvars, out_degree, coeffs, F,
-                           DUAL_ALPHABET[D.alphabet])
-
-
-def apolar_pairing(D, f):
-    """Scalar pairing of two forms of equal degree: the full contraction."""
-    if D.degree != f.degree:
-        raise PreconditionError("pairing needs equal degrees")
-    return apolar_action(D, f).coeffs[0]
+    image = ExactMatrix([D.coeffs], f.field).matmul(
+        catalecticant(f, D.degree))
+    return HomogeneousForm(f.nvars, f.degree - D.degree, image.rows[0],
+                           f.field, DUAL_ALPHABET[D.alphabet])
 
 
 def catalecticant(f, k):
@@ -186,6 +147,12 @@ def catalecticant(f, k):
             row[out_idx[g]] = F.mul(c, F.from_int(scale))
         rows.append(row)
     return ExactMatrix(rows, F, width)
+
+
+def _annihilates(operators, f, k):
+    """Does every row of operators, read as a degree-k dual form, kill f?"""
+    product = operators.matmul(catalecticant(f, k))
+    return all(f.field.is_zero(v) for row in product.rows for v in row)
 
 
 def apolar_ideal_component(f, k):
@@ -261,29 +228,20 @@ def ideal_of_points_component(Z, k):
     return Subspace(basis, degree=k, alphabet="y", already_independent=True)
 
 
-def imposes_independent_conditions(Z, d):
-    """True when the degree-d evaluation matrix of Z has rank |Z|."""
-    return evaluation_matrix(Z, d).rank() == len(Z)
-
-
 def is_apolar_pointset(Z, f):
     """Is the reduced point set Z apolar to the cubic f?
 
-    Tests I_Z(3) inside I_f(3) by letting every kernel generator act on f.
-    Containment in degree 3 forces containment in degrees 1 and 2 as
-    well: if D has degree 2 and y_i*D kills f for every i, the partials
-    of the linear form D(f) all vanish, so D(f) = 0.  Hence the single
-    degree suffices for a cubic.
+    Tests I_Z(3) inside I_f(3): the basis of I_Z(3) times
+    catalecticant(f, 3) must vanish.  Containment in degree 3 forces
+    containment in degrees 1 and 2 as well: if D has degree 2 and y_i*D
+    kills f for every i, the partials of the linear form D(f) all vanish,
+    so D(f) = 0.  Hence the single degree suffices for a cubic.
     """
     if f.degree != 3:
         raise PreconditionError("apolarity certificate is for cubics")
     if Z.nvars != f.nvars or Z.field != f.field:
         raise PreconditionError("point set and form must share arity and field")
-    component = ideal_of_points_component(Z, 3)
-    for D in subspace_forms(component):
-        if not apolar_action(D, f).is_zero():
-            return False
-    return True
+    return _annihilates(ideal_of_points_component(Z, 3).basis, f, 3)
 
 
 def cube_span_contains(Z, f):
@@ -302,75 +260,49 @@ def cube_span_contains(Z, f):
     return span.in_row_span(f.coeffs)
 
 
-def graded_pieces_from_generators(generators, upto_degree):
-    """Spans of the ideal pieces generated by dual forms, degree by degree.
+def ideal_span(generators, degree):
+    """Rows spanning the given degree of the ideal the generators generate.
 
-    Returns a dict degree -> list of forms spanning (not necessarily a
-    basis of) the piece generated in that degree by multiplying the
-    given generators with monomials.
+    One row g*m for each generator g of degree at most `degree` and each
+    monomial m of the complementary degree; generators form the outer
+    loop and monomials run in lex order.  The rows need not be
+    independent.
     """
     if not generators:
         raise PreconditionError("no generators")
     nvars = generators[0].nvars
     field = generators[0].field
-    alphabet = generators[0].alphabet
     for g in generators:
         if g.nvars != nvars or g.field != field:
             raise PreconditionError("generators must share arity and field")
-    pieces = {}
-    for d in range(upto_degree + 1):
-        span = []
-        for g in generators:
-            if g.degree > d:
-                continue
-            for e in monomial_exponents(nvars, d - g.degree):
-                m = HomogeneousForm.monomial(nvars, e, field, alphabet)
-                span.append(g.multiply(m))
-        pieces[d] = span
-    return pieces
+    idx = monomial_index(nvars, degree)
+    rows = []
+    for g in generators:
+        if g.degree > degree:
+            continue
+        terms = g.terms()
+        for e in monomial_exponents(nvars, degree - g.degree):
+            row = [field.zero] * len(idx)
+            for c, a in terms:
+                row[idx[tuple(ai + ei for ai, ei in zip(a, e))]] = c
+            rows.append(row)
+    return ExactMatrix(rows, field, len(idx))
 
 
 def is_apolar_variety(ideal_generators, f):
     """Does the variety cut out by the generators admit f as apolar form?
 
-    Checks that the degree-2 and degree-3 graded pieces spanned by the
-    generators annihilate f, which for a cubic is the whole containment
-    I_X inside I_f (higher pieces of I_f are everything).
+    Checks that the degree-2 and degree-3 pieces spanned by the generators
+    annihilate f, which for a cubic is the whole containment I_X inside
+    I_f (higher pieces of I_f are everything).
     """
     if f.degree != 3:
         raise PreconditionError("apolar-variety certificate is for cubics")
     for g in ideal_generators:
         if g.degree > 3:
             raise PreconditionError("generator degree %d > 3" % g.degree)
-    pieces = graded_pieces_from_generators(ideal_generators, 3)
-    for d in (2, 3):
-        for D in pieces.get(d, ()):
-            if not apolar_action(D, f).is_zero():
-                return False
-    return True
-
-
-def quadric_symmetric_matrix(q):
-    """The symmetric matrix of second partials of a quadric (the Hessian).
-
-    Its rank equals the rank of the quadric whenever 2 is invertible,
-    which the characteristic guard of the callers ensures.
-    """
-    if q.degree != 2:
-        raise PreconditionError("expected a quadric")
-    n = q.nvars
-    F = q.field
-    rows = [[F.zero] * n for _ in range(n)]
-    for c, e in q.terms():
-        support = [i for i, ei in enumerate(e) if ei]
-        if len(support) == 1:
-            i = support[0]
-            rows[i][i] = F.add(rows[i][i], F.mul(F.from_int(2), c))
-        else:
-            i, j = support
-            rows[i][j] = F.add(rows[i][j], c)
-            rows[j][i] = F.add(rows[j][i], c)
-    return ExactMatrix(rows, F, n)
+    return all(_annihilates(ideal_span(ideal_generators, d), f, d)
+               for d in (2, 3))
 
 
 def min_partial_rank_scan(f):
@@ -392,7 +324,8 @@ def min_partial_rank_scan(f):
         raise PreconditionError("scan guard: need 5 <= p <= 11, got %d" % p)
     hessians = []
     for i in range(f.nvars):
-        H = quadric_symmetric_matrix(f.derivative(i))
+        # the Hessian of d_i f: second partials are the degree-1 action
+        H = catalecticant(f.derivative(i), 1)
         hessians.append([[int(v) for v in row] for row in H.rows])
     best = f.nvars + 1
     n = f.nvars

@@ -88,11 +88,6 @@ def veronese_point(a, field=QQ):
     return tuple(out)
 
 
-def veronese_parametrization(field=QQ):
-    """The six coordinate quadrics of the Veronese map, in z-variables."""
-    return [HomogeneousForm.monomial(3, w, field, "z") for w in VERONESE_WEIGHTS]
-
-
 def discriminant_cubic(field=QQ):
     """Determinant of the generic symmetric 3x3 matrix, in y-variables.
 
@@ -169,20 +164,6 @@ def scroll_minors(field=QQ):
     """2-minors of the 2x4 matrix of dual variables cutting out the scroll."""
     y = [HomogeneousForm.variable(6, i, field, "y") for i in range(6)]
     return _two_row_minors((y[0], y[1], y[3], y[4]), (y[1], y[2], y[4], y[5]))
-
-
-def conic_points_config(field=QQ):
-    """The conic-plus-points decomposition data behind the scroll cubic.
-
-    Returns the generators of the conic section carrying the first four
-    power-sum points, together with the two point groups themselves.  The
-    whole configuration lies on the scroll, so the scroll minors annihilate
-    the cubic built from it.
-    """
-    y = [HomogeneousForm.variable(6, i, field, "y") for i in range(6)]
-    conic = [y[0], y[1], y[2], y[3] * y[5] - y[4] * y[4]]
-    pts = scroll_configuration_points(field)
-    return {"conic": conic, "conic_points": pts[:4], "residual_points": pts[4:]}
 
 
 # ---- transfer maps ----------------------------------------------------

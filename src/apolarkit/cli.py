@@ -3,10 +3,11 @@
 One job per invocation: parse the inputs, run the named computation, and
 emit a deterministic report.  JSON is the machine format; the text
 renderer exists for eyeball comparison of Betti tables and PASS/FAIL
-lines.  Exit codes: 0 success, 2 parse error, 3 precondition violation,
-4 reference mismatch in a reproduction run.  Each subcommand names the
-fields it computes over (q, fp, fp2) and refuses any other field, like a
-count flag below its range, with exit code 2.
+lines.  Exit codes: 0 success, 2 parse error or unwritable --out, 3
+precondition violation, 4 reference mismatch in a reproduction run.
+Each subcommand names the fields it computes over (q, fp, fp2) and
+refuses any other field, like a count flag below its range, with exit
+code 2.  Each repro case fixes its own field, which its envelope names.
 """
 
 import argparse
@@ -15,6 +16,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__, catalog, rankloci
 from .apolarity import (
@@ -38,12 +40,6 @@ from .resolutions import (
     points_quotient_module,
     restrict_linear_matrix,
 )
-
-REPRO_CASES = (
-    "betti-generic", "points9", "points10", "thom-porteous", "drop-curve",
-    "scroll-example", "veronese-rank-drop", "rank-scan",
-)
-
 
 def parse_field_flag(text):
     """q -> QQ, fp:<p> -> GF(p), fp2:<p> -> GF(p^2)."""
@@ -231,6 +227,7 @@ def run_m2(args, field, seed):
 
 def run_ranklocus(args, field, seed):
     _at_least(args.lines, 0, "--lines")
+    _at_least(args.threshold, 0, "--threshold")
     f, label = _family_or_form(args, field)
     M = m2_matrix(f)
     matrix_ref = "m2(%s)" % label
@@ -328,24 +325,23 @@ def _check_true(checks, name, got, detail=None):
     checks.append(entry)
 
 
-def _repro_betti_generic(seed, checks):
-    f = catalog.cubic_family(1, -1, 1, -1, 1)
+def _repro_betti_generic(field, seed, checks):
+    f = catalog.cubic_family(1, -1, 1, -1, 1, field=field)
     table = graded_betti(apolar_quotient_module(f, 4), 6, 9, max_row=3)
     ref = catalog.reference_betti_tables()["generic-cubic"]
     _check(checks, "betti-table", sorted(ref.nonzero().items()),
            sorted(table.nonzero().items()))
 
 
-def _repro_points(count, name, seed, checks):
-    Z = PointSet(random_rational_points(count, seed), QQ)
+def _repro_points(count, name, field, seed, checks):
+    Z = PointSet(random_rational_points(count, seed), field)
     table = graded_betti(points_quotient_module(Z, 4), 6, 9, max_row=3)
     ref = catalog.reference_betti_tables()[name]
     _check(checks, "betti-table", sorted(ref.nonzero().items()),
            sorted(table.nonzero().items()))
 
 
-def _repro_thom_porteous(seed, checks):
-    field = GF(101)
+def _repro_thom_porteous(field, seed, checks):
     M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
     rng = random.Random(seed)
     degrees = [rankloci.drop_degree_on_line(M, _random_line(field, rng, 6), 20,
@@ -354,17 +350,16 @@ def _repro_thom_porteous(seed, checks):
     _check(checks, "line-degrees", [9] * 5, degrees)
 
 
-def _repro_drop_curve(seed, checks):
-    field = GF(5)
+def _repro_drop_curve(field, seed, checks):
     M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
     R = restrict_linear_matrix(M, catalog.plane_substitution(field))
     curve = rankloci.interpolate_drop_curve(R, 20, extension_degree=2, seed=seed)
     _check(checks, "curve-degree", 9, curve.degree)
     ref = catalog.reference_drop_curve_mod5()
     _check_true(checks, "matches-stored-reference",
-                _proportional_mod_p(curve, ref, 5),
+                _proportional_mod_p(curve, ref, field.char),
                 detail={"computed": curve.to_text(), "reference": ref.to_text()})
-    ext = GF(5, 2)
+    ext = GF(field.char, 2)
     lifted = curve.lift_to(ext)
     singulars = rankloci.singular_points_plane_curve(curve, search_extension=2)
     _check(checks, "singular-point-count", 1, len(singulars))
@@ -388,34 +383,35 @@ def _proportional_mod_p(f, g, p):
     return all((c * scale - d) % p == 0 for c, d in zip(fc, gc))
 
 
-def _repro_scroll_example(seed, checks):
-    cubic = catalog.scroll_apolar_cubic()
+def _repro_scroll_example(field, seed, checks):
+    cubic = catalog.scroll_apolar_cubic(field)
     _check_true(checks, "apolar-to-scroll",
-                is_apolar_variety(catalog.scroll_minors(), cubic))
+                is_apolar_variety(catalog.scroll_minors(field), cubic))
     table = graded_betti(apolar_quotient_module(cubic, 4), 6, 9, max_row=3)
     ref = catalog.reference_betti_tables()["generic-cubic"]
     _check(checks, "betti-table", sorted(ref.nonzero().items()),
            sorted(table.nonzero().items()))
     M = m2_matrix(cubic)
-    zero = parse_form("0", QQ, alphabet="z", degree=1)
-    sub = [parse_form("z0", QQ, "z"), parse_form("z1", QQ, "z"),
-           parse_form("z2", QQ, "z"), zero, zero, zero]
+    zero = parse_form("0", field, alphabet="z", degree=1)
+    sub = [parse_form("z0", field, "z"), parse_form("z1", field, "z"),
+           parse_form("z2", field, "z"), zero, zero, zero]
     R = restrict_linear_matrix(M, sub)
     rng = random.Random(seed)
-    ranks = [R.evaluate_at(_random_field_point(QQ, rng, 3)).rank()
+    ranks = [R.evaluate_at(_random_field_point(field, rng, 3)).rank()
              for _ in range(5)]
     _check(checks, "restricted-ranks", [21] * 5, ranks)
 
 
-def _repro_veronese_rank_drop(seed, checks):
-    M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1))
+def _repro_veronese_rank_drop(field, seed, checks):
+    M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
     rng = random.Random(seed)
     ranks = []
     while len(ranks) < 20:
         a = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
         if not any(a):
             continue
-        ranks.append(M.evaluate_at(list(catalog.veronese_point(a))).rank())
+        point = list(catalog.veronese_point(a, field))
+        ranks.append(M.evaluate_at(point).rank())
     _check_true(checks, "all-ranks-drop", all(r <= 20 for r in ranks),
                 detail={"ranks": ranks})
     _check_true(checks, "majority-rank-20",
@@ -423,29 +419,33 @@ def _repro_veronese_rank_drop(seed, checks):
                 detail={"rank20": sum(1 for r in ranks if r == 20)})
 
 
-def _repro_rank_scan(seed, checks):
-    f = catalog.cubic_family(1, -1, 1, -1, 1, field=GF(5))
+def _repro_rank_scan(field, seed, checks):
+    f = catalog.cubic_family(1, -1, 1, -1, 1, field=field)
     best = min_partial_rank_scan(f)
     _check_true(checks, "min-partial-rank-at-least-4", best >= 4,
                 detail={"minimum": best})
 
 
+# name -> (the field the case computes over, the case); the envelope
+# names that field
+REPRO_CASES = {
+    "betti-generic": (QQ, _repro_betti_generic),
+    "points9": (QQ, partial(_repro_points, 9, "points-9")),
+    "points10": (QQ, partial(_repro_points, 10, "points-10")),
+    "thom-porteous": (GF(101), _repro_thom_porteous),
+    "drop-curve": (GF(5), _repro_drop_curve),
+    "scroll-example": (QQ, _repro_scroll_example),
+    "veronese-rank-drop": (QQ, _repro_veronese_rank_drop),
+    "rank-scan": (GF(5), _repro_rank_scan),
+}
+
+
 def run_repro(args, field, seed):
-    runners = {
-        "betti-generic": lambda: _repro_betti_generic(seed, checks),
-        "points9": lambda: _repro_points(9, "points-9", seed, checks),
-        "points10": lambda: _repro_points(10, "points-10", seed, checks),
-        "thom-porteous": lambda: _repro_thom_porteous(seed, checks),
-        "drop-curve": lambda: _repro_drop_curve(seed, checks),
-        "scroll-example": lambda: _repro_scroll_example(seed, checks),
-        "veronese-rank-drop": lambda: _repro_veronese_rank_drop(seed, checks),
-        "rank-scan": lambda: _repro_rank_scan(seed, checks),
-    }
-    if args.case not in runners:
+    if args.case not in REPRO_CASES:
         raise ParseError("unknown repro case %r; cases: %s"
                          % (args.case, ", ".join(REPRO_CASES)))
     checks = []
-    runners[args.case]()
+    REPRO_CASES[args.case][1](field, seed, checks)
     ok = all(c["pass"] for c in checks)
     return {"case": args.case, "checks": checks,
             "overall": "PASS" if ok else "FAIL"}, ok
@@ -538,8 +538,8 @@ def build_parser():
 
     p = sub.add_parser("repro", help="reproduction suite against stored values")
     p.add_argument("case", choices=REPRO_CASES)
-    # each case fixes its own fields and ignores --field, so only the
-    # default is accepted
+    # each case fixes its own field, so only the default --field is
+    # accepted and main swaps in the case's field
     p.set_defaults(runner=run_repro, fields=("q",))
     return parser
 
@@ -563,6 +563,8 @@ def main(argv=None):
         if _field_kind(field) not in args.fields:
             raise ParseError("%s does not compute over %s (fields: %s)" % (
                 args.command, field.describe(), ", ".join(args.fields)))
+        if args.command == "repro":
+            field = REPRO_CASES[args.case][0]
         payload, ok = args.runner(args, field, args.seed)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
@@ -580,8 +582,12 @@ def main(argv=None):
     else:
         rendered = _render_text(envelope)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print("cannot write --out: %s" % exc, file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0 if ok else 4

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ParseError, PreconditionError
-from .fields import QQ, GF, coerce_scalar, scalar_pow
+from .fields import QQ, GF, coerce_scalar
 
 ALPHABET_SIZES = {"x": 6, "y": 6, "z": 3}
 DUAL_ALPHABET = {"x": "y", "y": "x", "z": "z"}
@@ -127,9 +126,6 @@ class HomogeneousForm:
         exps = monomial_exponents(self.nvars, self.degree)
         return [(c, e) for c, e in zip(self.coeffs, exps)
                 if not self.field.is_zero(c)]
-
-    def with_alphabet(self, alphabet):
-        return HomogeneousForm(self.nvars, self.degree, self.coeffs, self.field, alphabet)
 
     def _require_compatible(self, other):
         if self.nvars != other.nvars:

@@ -109,31 +109,19 @@ class ExactMatrix:
         if self.ncols != other.nrows or self.field != other.field:
             raise PreconditionError("matmul shape or field mismatch")
         F = self.field
-        bt = list(zip(*other.rows)) if other.nrows else []
+        bt = list(zip(*other.rows)) if other.nrows else [()] * other.ncols
         out = []
         for r in self.rows:
+            # only the nonzero entries of the row contribute
+            terms = [(a, k) for k, a in enumerate(r) if not F.is_zero(a)]
             row = []
             for c in bt:
                 acc = F.zero
-                for a, b in zip(r, c):
-                    acc = F.add(acc, F.mul(a, b))
+                for a, k in terms:
+                    acc = F.add(acc, F.mul(a, c[k]))
                 row.append(acc)
             out.append(row)
         return ExactMatrix(out, F, other.ncols)
-
-    def apply(self, vector):
-        """Matrix times column vector, returned as a tuple."""
-        if len(vector) != self.ncols:
-            raise PreconditionError("vector length %d, expected %d"
-                                    % (len(vector), self.ncols))
-        F = self.field
-        out = []
-        for r in self.rows:
-            acc = F.zero
-            for a, b in zip(r, vector):
-                acc = F.add(acc, F.mul(a, b))
-            out.append(acc)
-        return tuple(out)
 
     __matmul__ = matmul
 
@@ -204,12 +192,6 @@ class ExactMatrix:
                 v[pc] = F.neg(rows[r][f])
             basis.append(v)
         return ExactMatrix(basis, F, self.ncols)
-
-    def kernel(self, degree=None, multiplicity=1, alphabet="y"):
-        """Right kernel as a Subspace.  Ambient labels are optional."""
-        return Subspace(self.kernel_basis(), degree=degree,
-                        multiplicity=multiplicity, alphabet=alphabet,
-                        already_independent=True)
 
     def row_space_basis(self):
         r = self.rref()
@@ -455,16 +437,16 @@ def primitive_integer_matrix(mat):
 class Subspace:
     """A subspace of a graded piece, stored as independent basis rows.
 
-    The ambient space is S^degree V* (or a direct sum of `multiplicity`
-    copies of it) identified by the row width; `full_space` marks the
-    whole ambient piece without materializing an identity basis, which
+    The ambient space (S^degree V*, or a direct sum of copies of it) is
+    identified by the row width; `full_space` marks the whole ambient
+    piece without materializing an identity basis, which
     apolar_ideal_component uses for the pieces of I_f above deg f.
     """
 
-    __slots__ = ("basis", "field", "ambient_dim", "degree", "multiplicity",
-                 "alphabet", "is_full", "_rref_cache")
+    __slots__ = ("basis", "field", "ambient_dim", "degree", "alphabet",
+                 "is_full", "_rref_cache")
 
-    def __init__(self, basis, degree=None, multiplicity=1, alphabet="y",
+    def __init__(self, basis, degree=None, alphabet="y",
                  already_independent=False):
         if basis.nrows and not already_independent:
             if basis.rank() != basis.nrows:
@@ -473,7 +455,6 @@ class Subspace:
         object.__setattr__(self, "field", basis.field)
         object.__setattr__(self, "ambient_dim", basis.ncols)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "is_full", False)
         object.__setattr__(self, "_rref_cache", None)
@@ -482,14 +463,12 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def full_space(cls, ambient_dim, field=QQ, degree=None, multiplicity=1,
-                   alphabet="y"):
+    def full_space(cls, ambient_dim, field=QQ, degree=None, alphabet="y"):
         self = cls.__new__(cls)
         object.__setattr__(self, "basis", None)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "multiplicity", multiplicity)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "is_full", True)
         object.__setattr__(self, "_rref_cache", None)
@@ -511,23 +490,6 @@ class Subspace:
         if self._rref_cache is None:
             object.__setattr__(self, "_rref_cache", self.basis.rref())
         return self._rref_cache
-
-    def contains(self, vector):
-        if len(vector) != self.ambient_dim:
-            raise PreconditionError("vector has wrong ambient dimension")
-        if self.is_full:
-            return True
-        return self.basis.in_row_span(tuple(vector))
-
-    def contains_subspace(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            raise PreconditionError("ambient dimension mismatch")
-        if self.is_full:
-            return True
-        if other.is_full:
-            return self.dim == self.ambient_dim
-        stacked = self.basis.vstack(other.basis)
-        return stacked.rank() == self.dim
 
     def __repr__(self):
         tag = "full " if self.is_full else ""

@@ -242,13 +242,6 @@ def poly_degree(f):
     return len(f) - 1 if f else -1
 
 
-def poly_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def poly_scale(f, s, p):
     return poly_trim([c * s for c in f], p)
 

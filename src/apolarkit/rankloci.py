@@ -28,53 +28,6 @@ from .fields import GF, PrimeField, projective_points, scalar_pow
 from .forms import HomogeneousForm, monomial_count, monomial_exponents
 
 
-class RankProfile:
-    """Ranks of one linear-form matrix sampled at a batch of points."""
-
-    def __init__(self, nrows, ncols, threshold, field):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.threshold = threshold
-        self.field = field
-        self.samples = []
-
-    def record(self, point, rank):
-        if rank > min(self.nrows, self.ncols):
-            raise PreconditionError(
-                "rank %d exceeds min(%d, %d)" % (rank, self.nrows, self.ncols))
-        self.samples.append((tuple(point), rank))
-
-    def dropped(self):
-        """The sampled points where the rank is at most the threshold."""
-        return [p for p, r in self.samples if r <= self.threshold]
-
-    def drop_count(self):
-        return len(self.dropped())
-
-    def to_json(self):
-        return {
-            "rows": self.nrows,
-            "cols": self.ncols,
-            "threshold": self.threshold,
-            "field": self.field.describe(),
-            "samples": [{"point": [self.field.format_scalar(c) for c in p],
-                         "rank": r} for p, r in self.samples],
-        }
-
-    def __repr__(self):
-        return "<RankProfile %dx%d threshold %d, %d samples, %d dropped>" % (
-            self.nrows, self.ncols, self.threshold, len(self.samples),
-            self.drop_count())
-
-
-def rank_profile(M, points, threshold):
-    """Evaluate the rank of M at each point and collect a RankProfile."""
-    profile = RankProfile(M.nrows, M.ncols, threshold, M.field)
-    for p in points:
-        profile.record(p, M.evaluate_at(list(p)).rank())
-    return profile
-
-
 def proportional(a, b, p):
     """Do two integer vectors agree up to scale mod p (all 2x2 minors 0)?"""
     return all((a[i] * b[j] - a[j] * b[i]) % p == 0

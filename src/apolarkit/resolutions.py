@@ -26,7 +26,8 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from .apolarity import catalecticant, evaluation_matrix, subspace_forms
+from .apolarity import (catalecticant, evaluation_matrix, ideal_span,
+                        subspace_forms)
 from .errors import PreconditionError
 from .fields import QQ
 from .forms import HomogeneousForm, monomial_count, monomial_exponents, monomial_index
@@ -57,12 +58,10 @@ GENERIC_CUBIC_APOLAR_BETTI = {
 class BettiTable:
     """Map (homological index i, internal degree j) -> Betti number."""
 
-    def __init__(self, entries, computed_cells=None):
+    def __init__(self, entries):
         self.entries = {k: v for k, v in entries.items() if v}
         if any(v < 0 for v in self.entries.values()):
             raise ValueError("negative Betti number")
-        self.computed_cells = frozenset(computed_cells) if computed_cells \
-            else frozenset(self.entries)
 
     def entry(self, i, j):
         return self.entries.get((i, j), 0)
@@ -202,19 +201,8 @@ def quadric_ideal_module(Q, max_degree):
     forms = subspace_forms(Q)
     if not forms:
         raise PreconditionError("empty quadric system")
-    nvars = forms[0].nvars
-    field = forms[0].field
-    presentations = []
-    for j in range(max_degree + 1):
-        rows = []
-        if j >= 2:
-            for g in forms:
-                for e in monomial_exponents(nvars, j - 2):
-                    m = HomogeneousForm.monomial(nvars, e, field, g.alphabet)
-                    rows.append(g.multiply(m).coeffs)
-        presentations.append(ExactMatrix(
-            rows, field, monomial_count(nvars, j)).kernel_basis())
-    return GradedModule(nvars, field, presentations)
+    return GradedModule(forms[0].nvars, forms[0].field, [
+        ideal_span(forms, j).kernel_basis() for j in range(max_degree + 1)])
 
 
 # ---- Koszul homology --------------------------------------------------
@@ -339,25 +327,10 @@ def graded_betti(module, max_i, max_j, max_row=None):
     for key, b in entries.items():
         if b < 0:
             raise AssertionError("negative homology at %s; differentials broken" % (key,))
-    return BettiTable(entries, computed_cells=cells)
+    return BettiTable(entries)
 
 
 # ---- linear syzygies and M2 -------------------------------------------
-
-
-def _syzygy_map_order1(qforms, coeff_degree):
-    """Matrix of (S^c V*)^q -> S^{2+c} V*, (l_i) -> sum l_i Q_i."""
-    nvars = qforms[0].nvars
-    field = qforms[0].field
-    cdim = monomial_count(nvars, coeff_degree)
-    out_deg = 2 + coeff_degree
-    out_dim = monomial_count(nvars, out_deg)
-    cols = []
-    for g in qforms:
-        for e in monomial_exponents(nvars, coeff_degree):
-            m = HomogeneousForm.monomial(nvars, e, field, g.alphabet)
-            cols.append(g.multiply(m).coeffs)
-    return ExactMatrix(zip(*cols), field, len(qforms) * cdim), cdim, out_dim
 
 
 def betti_cell(module, i, j):
@@ -405,12 +378,12 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
         _betti_guard(span, order)
 
     if order == 1:
-        phi1, _, _ = _syzygy_map_order1(qforms, coefficient_degree)
-        syz1 = phi1.kernel_basis()
+        # (l_i) -> sum l_i Q_i, from (S^c V*)^q to S^{2+c} V*
+        syz1 = ideal_span(qforms, 2 + coefficient_degree).transpose() \
+            .kernel_basis()
         if basis_matrix.field == QQ:
             syz1 = primitive_integer_matrix(syz1)
-        return Subspace(syz1, degree=coefficient_degree,
-                        multiplicity=len(qforms), alphabet="y",
+        return Subspace(syz1, degree=coefficient_degree, alphabet="y",
                         already_independent=True)
 
     # order 2: kernel of (V*)^{s1} -> (S^2 V*)^q, (m_j) -> sum m_j s_j,
@@ -437,8 +410,8 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
     syz2 = phi2.kernel_basis()
     if field == QQ:
         syz2 = primitive_integer_matrix(syz2)
-    return Subspace(syz2, degree=coefficient_degree, multiplicity=s1,
-                    alphabet="y", already_independent=True)
+    return Subspace(syz2, degree=coefficient_degree, alphabet="y",
+                    already_independent=True)
 
 
 def linear_syzygies(Q, order, coefficient_degree=1, guard=True):

@@ -34,7 +34,8 @@ def test_veronese_quadrics_vanish_on_veronese_points():
         vp = list(catalog.veronese_point([Fraction(t) for t in a]))
         assert all(q.evaluate(vp) == 0 for q in quadrics)
     # and symbolically: composing with the parametrization gives zero
-    par = catalog.veronese_parametrization()
+    par = [HomogeneousForm.monomial(3, w, QQ, "z")
+           for w in catalog.VERONESE_WEIGHTS]
     assert all(q.compose(par).is_zero() for q in quadrics)
     with pytest.raises(PreconditionError):
         catalog.veronese_point([1, 2])
@@ -144,15 +145,6 @@ def test_scroll_minors_annihilate_configuration_and_cubic():
     span = ExactMatrix([list(m.coeffs) for m in minors], QQ)
     assert span.rank() == 6
     assert q_f(cubic).dim == 15
-
-
-def test_conic_plus_points_configuration():
-    cfg = catalog.conic_points_config()
-    assert len(cfg["conic_points"]) == 4 and len(cfg["residual_points"]) == 6
-    mat = ExactMatrix([list(p) for p in cfg["conic_points"]], QQ, 6)
-    assert mat.rank() == 3  # four coplanar points
-    for c in cfg["conic"]:
-        assert all(c.evaluate(list(p)) == 0 for p in cfg["conic_points"])
 
 
 def test_reference_betti_tables_are_frozen():

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import apolarkit
 from apolarkit.cli import main, parse_family_flag, parse_field_flag, random_rational_points
@@ -86,6 +91,10 @@ def test_argparse_rejections_exit_2():
     ["--field", "fp:7", "betti", "--points", "9"],
     ["--field", "fp:7", "repro", "rank-scan"],
     ["--field", "fp2:5", "repro", "betti-generic"],
+    # an unwritable report path and a negative rank threshold
+    ["--out", "/nonexistent/dir/x.json", "apolar", "x0^3"],
+    ["--field", "fp:101", "ranklocus", "--family", "1,-1,1,-1,1",
+     "--threshold", "-5", "--lines", "1"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_inputs_exit_2_with_one_line(argv):
     src = os.path.dirname(os.path.dirname(apolarkit.__file__))
@@ -224,3 +233,94 @@ def test_repro_drop_curve_reports_the_known_mismatch(tmp_path, capsys):
     assert "PASS node-classification" in text
     assert "overall: FAIL" in text
     capsys.readouterr()
+
+
+# ---- fuzzing the command line -----------------------------------------
+
+FUZZ_FIELDS = ["q", "fp:5", "fp:7", "fp:101", "fp2:5", "fp:four"]
+FUZZ_FAMILIES = ["1,-1,1,-1,1", "1,4,2,3,3", "0,0,0,0,0", "1,5,0,0,0",
+                 "1/5,1,1,1,1", "1/0,1,1,1,1", "1,2", "a,b,c,d,e"]
+FUZZ_CATALOG = ["scroll-minors", "reference-betti", "plane-substitution",
+                "no-such-entry"]
+# QQ m2 and drop-curve interpolation take seconds each, so the cases that
+# run them (drop-curve, scroll-example, veronese-rank-drop) are left out
+FUZZ_REPRO = ["betti-generic", "points9", "thom-porteous", "rank-scan",
+              "no-such-case"]
+
+
+@st.composite
+def _form_text(draw):
+    """A form of degree <= 3 in x0..x5, or one of a few malformed texts."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(["x0^2+x1", "x9", "2*", "", "y0^3"]))
+    degree = draw(st.integers(0, 3))
+    text = ""
+    for _ in range(draw(st.integers(1, 3))):
+        c = draw(st.integers(-3, 3))
+        factors = ["x%d" % draw(st.integers(0, 5)) for _ in range(degree)]
+        text += ("-" if c < 0 else "+") + "*".join([str(abs(c))] + factors)
+    return text.lstrip("+")
+
+
+def _flag(name):
+    """The flag with a value in [-3, 3], or the flag left at its default."""
+    return st.one_of(st.just([]),
+                     st.integers(-3, 3).map(lambda v: [name, str(v)]))
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["apolar", "betti", "m2", "ranklocus",
+                                    "catalog", "powersum", "repro"]))
+    fields = FUZZ_FIELDS
+    if command in ("m2", "ranklocus"):
+        fields = [f for f in FUZZ_FIELDS if f != "q"]  # QQ m2 is slow
+    argv = ["--field", draw(st.sampled_from(fields)),
+            "--seed", str(draw(st.integers(0, 3))), command]
+    form_or_family = st.one_of(
+        _form_text().map(lambda t: [t]),
+        st.sampled_from(FUZZ_FAMILIES).map(lambda v: ["--family", v]),
+        st.just([]))
+    if command == "apolar":
+        argv += draw(form_or_family)
+    elif command == "betti":
+        argv += draw(st.one_of(form_or_family, _flag("--points")))
+        for name in ("--max-i", "--max-j", "--max-row"):
+            argv += draw(_flag(name))
+    elif command == "m2":
+        argv += draw(form_or_family) + draw(_flag("--samples"))
+        argv += draw(st.sampled_from([[], ["--dump"]]))
+    elif command == "ranklocus":
+        argv += draw(form_or_family) + draw(_flag("--threshold"))
+        argv += draw(_flag("--lines"))
+        argv += draw(st.sampled_from([[], ["--restrict-plane"]]))
+    elif command == "catalog":
+        argv += draw(st.sampled_from([[]] + [[n] for n in FUZZ_CATALOG]))
+    elif command == "powersum":
+        argv += draw(_flag("--count"))
+        argv += draw(st.sampled_from([[], ["--coplanar"]]))
+    else:
+        argv.append(draw(st.sampled_from(FUZZ_REPRO)))
+    return argv
+
+
+@given(argv=_cli_argv(), out=st.sampled_from([None, "file", "missing-dir"]))
+@example(argv=["apolar", "x0^3"], out="missing-dir")
+@example(argv=["--field", "fp:101", "ranklocus", "--family", "1,-1,1,-1,1",
+               "--threshold", "-5", "--lines", "1"], out=None)
+@settings(max_examples=50, deadline=None)
+def test_cli_fuzz_exits_with_a_documented_code(argv, out):
+    with tempfile.TemporaryDirectory() as tmp:
+        if out is not None:
+            path = os.path.join(tmp, "report.json") if out == "file" \
+                else os.path.join(tmp, "missing", "report.json")
+            argv = ["--out", path] + argv
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), \
+                contextlib.redirect_stderr(sink):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refusals
+                rc = exc.code
+                assert rc == 2
+        assert rc in (0, 2, 3, 4), (rc, sink.getvalue())

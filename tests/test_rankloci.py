@@ -5,13 +5,11 @@ from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
 from apolarkit.forms import HomogeneousForm, parse_form
 from apolarkit.rankloci import (
-    RankProfile,
     classify_singularity,
     drop_degree_on_line,
     drop_report,
     interpolate_drop_curve,
     plane_drop_points,
-    rank_profile,
     singular_points_plane_curve,
 )
 from apolarkit.resolutions import LinearFormMatrix, m2_matrix, restrict_linear_matrix
@@ -26,28 +24,6 @@ def diag_matrix(field, repeat=False):
     z1 = z0 if repeat else lf([0, 1, 0], field)
     zero = lf([0, 0, 0], field)
     return LinearFormMatrix([[z0, zero], [zero, z1]])
-
-
-def test_rank_profile_bookkeeping():
-    prof = RankProfile(2, 2, 1, QQ)
-    prof.record((1, 1, 1), 2)
-    prof.record((0, 1, 1), 1)
-    prof.record((0, 0, 1), 0)
-    assert prof.drop_count() == 2
-    assert prof.dropped() == [(0, 1, 1), (0, 0, 1)]
-    with pytest.raises(PreconditionError):
-        prof.record((1, 0, 0), 3)
-    data = prof.to_json()
-    assert data["threshold"] == 1 and len(data["samples"]) == 3
-
-
-def test_rank_profile_of_diagonal_matrix():
-    M = diag_matrix(QQ)
-    pts = [(1, 1, 1), (0, 1, 1), (1, 0, 1), (0, 0, 1)]
-    prof = rank_profile(M, pts, 1)
-    ranks = dict(prof.samples)
-    assert ranks == {(1, 1, 1): 2, (0, 1, 1): 1, (1, 0, 1): 1, (0, 0, 1): 0}
-    assert prof.drop_count() == 3
 
 
 def test_drop_degree_guards():

@@ -62,9 +62,8 @@ def test_koszul_differentials_compose_to_zero(build):
         outer = koszul_differential(module, i, j)
         inner = koszul_differential(module, i + 1, j)
         assert outer.ncols == inner.nrows
-        for m in range(inner.ncols):
-            image = outer.apply(inner.column(m))
-            assert all(module.field.is_zero(v) for v in image)
+        assert outer.matmul(inner) \
+            == ExactMatrix.zeros(outer.nrows, inner.ncols, module.field)
 
 
 def test_single_point_resolution_is_koszul():
