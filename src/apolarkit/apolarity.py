@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import PreconditionError
 from .fields import QQ
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
@@ -310,7 +312,9 @@ def min_partial_rank_scan(f):
 
     Exhaustive by construction, so f must live over a small prime field;
     the guard admits 5 <= p <= 11 (p > 3 keeps the cubic's factorials
-    invertible, p <= 11 keeps the scan at most (11^6-1)/10 points).
+    invertible, p <= 11 keeps the scan at most (11^6-1)/10 = 177,156
+    points).  The points are ranked in stacks of at most
+    modular.CHUNK_ENTRIES entries, so memory stays bounded.
     """
     from . import modular
     from .fields import projective_points
@@ -322,28 +326,17 @@ def min_partial_rank_scan(f):
         raise PreconditionError("scan needs a prime field")
     if p < 5 or p > 11:
         raise PreconditionError("scan guard: need 5 <= p <= 11, got %d" % p)
-    hessians = []
-    for i in range(f.nvars):
-        # the Hessian of d_i f: second partials are the degree-1 action
-        H = catalecticant(f.derivative(i), 1)
-        hessians.append([[int(v) for v in row] for row in H.rows])
-    best = f.nvars + 1
     n = f.nvars
-    for u in projective_points(f.field, n):
-        acc = [[0] * n for _ in range(n)]
-        for i, ui in enumerate(u):
-            if ui:
-                Hi = hessians[i]
-                for r in range(n):
-                    ar = acc[r]
-                    hr = Hi[r]
-                    for cidx in range(n):
-                        ar[cidx] += ui * hr[cidx]
-        rank = modular.rank_mod_p(acc, p)
-        if rank < best:
-            best = rank
-            if best == 0:
-                break
+    # the Hessian of d_i f: second partials are the degree-1 action
+    hessians = np.array([catalecticant(f.derivative(i), 1).rows
+                         for i in range(n)], dtype=np.int64)
+    best = n + 1
+    for chunk in modular.chunked(projective_points(f.field, n), n * n):
+        stack = np.einsum("ki,irc->krc", np.array(chunk, dtype=np.int64),
+                          hessians)
+        best = min(best, int(modular.rank_mod_p(stack, p).min()))
+        if best == 0:
+            break
     return best
 
 

@@ -1,20 +1,27 @@
 """Finite-field numerics behind the sampling-heavy operations.
 
 One elimination core, `eliminate`, runs Gaussian elimination in place on
-a numpy int64 array of field codes and returns the pivot columns and the
-determinant.  It takes the field's arithmetic as an object:
+a numpy int64 array of field codes: one matrix, for which it returns the
+pivot columns and the determinant, or a (batch, n, m) stack, for which it
+returns int64 arrays of ranks and determinants.  A stack runs through the
+same column loop with one pivot-row pointer per matrix, in chunks of at
+most CHUNK_ENTRIES entries so temporaries stay small.  It takes the
+field's arithmetic as an object:
 
 * PrimeArithmetic reduces mod a word-sized prime p, codes in range(p);
 * QuadraticTables looks F_{p^2} sums, products and inverses up in tables
   for small p, elements packed as the int a + p*b.
 
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
-.batch_rank are thin entry points over the core, and ExactMatrix sends
-its finite-field ranks, rrefs and kernels through it as well.
+.batch_rank are thin entry points over the core (all but kernel_mod_p
+take stacks too), and ExactMatrix sends its finite-field ranks, rrefs
+and kernels through it as well.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
 evaluation, gcd, squarefree part.  lagrange_interpolate works over any
-field object.
+field object; interpolate_at_nodes interpolates many value rows at fixed
+nodes by one product with the inverse Vandermonde matrix, built once per
+(nodes, field) from lagrange_interpolate of the unit vectors and cached.
 
 Primes must stay below 2^16 so a product of two residues fits in int64
 without overflow.
@@ -22,58 +29,120 @@ without overflow.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .errors import PreconditionError
 
 _MAX_PRIME = 1 << 16
+CHUNK_ENTRIES = 1 << 15  # matrix entries per stack chunk in eliminate
 
 
 def eliminate(a, arith, reduced=False):
-    """Gaussian elimination of the 2-d code array a, in place.
+    """Gaussian elimination, in place, of one (n, m) code array or of a
+    C-contiguous (batch, n, m) stack, CHUNK_ENTRIES entries at a time.
 
     Each pivot row is scaled to lead with 1 and cleared from the rows
     below it, or from every other row when reduced, which leaves the
-    canonical rref in a.  Returns (pivot columns, det), det being the
-    signed product of the pivots: the determinant of a square a that has
-    a pivot in every column.
+    canonical rref.  Returns (pivot columns, det) for a matrix and int64
+    arrays (ranks, dets) for a stack, det being the signed product of the
+    pivots: the determinant of a square matrix with full rank.
     """
-    nrows, ncols = a.shape
+    if a.ndim == 2:
+        pivots, _, det = _eliminate_rows(a, 1, arith, reduced)
+        return pivots, int(det[0])
+    batch, nrows, ncols = a.shape
+    ranks, dets = np.zeros(batch, dtype=np.int64), np.ones(batch, dtype=np.int64)
+    for index in chunked(range(batch), nrows * ncols):
+        part = slice(index[0], index[-1] + 1)
+        _, ranks[part], dets[part] = _eliminate_rows(
+            a[part].reshape(len(index) * nrows, ncols), len(index), arith,
+            reduced)
+    return ranks, dets
+
+
+def chunked(items, entries):
+    """Lists of consecutive items, each of at most CHUNK_ENTRIES entries
+    when every item stands for a matrix of `entries` entries."""
+    items = iter(items)
+    step = max(1, CHUNK_ENTRIES // max(1, entries))
+    while chunk := list(islice(items, step)):
+        yield chunk
+
+
+def _eliminate_rows(rows, batch, arith, reduced):
+    """The elimination loop over `batch` matrices stacked in rows.
+
+    Returns (pivot columns, ranks, dets).  A batch of one keeps its pivot
+    columns and its pivot row as an int, and works on basic slices; a
+    larger batch keeps one pivot-row pointer per matrix.
+    """
+    nrows = len(rows) // batch
+    rank = np.zeros(batch, dtype=np.int64)
+    det = [1] if batch == 1 else np.ones(batch, dtype=np.int64)
     pivots = []
-    det = 1
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        below = np.flatnonzero(a[r:, c])
-        if below.size == 0:
-            continue
-        if below[0]:
-            a[[r, r + below[0]]] = a[[r + below[0], r]]
-            det = arith.neg(det)
-        lead = int(a[r, c])
-        det = arith.mul(det, lead)
-        a[r, c:] = arith.mul(a[r, c:], arith.inv(lead))
-        # after the swap the nonzero entries below the pivot sit at
-        # below[1:]: the row swapped down was zero in this column
-        targets = r + below[1:]
-        if reduced:
-            targets = np.concatenate((np.flatnonzero(a[:r, c]), targets))
+    for c in range(rows.shape[1]):
+        if batch == 1:
+            r = len(pivots)
+            if r == nrows:
+                break
+            below = np.flatnonzero(rows[r:, c])
+            if below.size == 0:
+                continue
+            if below[0]:
+                rows[[r, r + below[0]]] = rows[[r + below[0], r]]
+                det[0] = arith.neg(det[0])
+            # after the swap the nonzero entries below the pivot sit at
+            # below[1:]: the row swapped down was zero in this column
+            targets = r + below[1:]
+            if reduced:
+                targets = np.concatenate((np.flatnonzero(rows[:r, c]), targets))
+            owners, dst, pivot_of_target = 0, r, r
+            pivots.append(c)
+        else:
+            nz = np.flatnonzero(rows[:, c])
+            owner = nz // nrows
+            top = owner * nrows + rank[owner]
+            at = np.flatnonzero(nz >= top)
+            if at.size == 0:
+                continue
+            # each matrix's pivot: its first nonzero at or below its pointer
+            new_owner = owner[at[1:]] != owner[at[:-1]]
+            first = at[np.concatenate(([True], new_owner))]
+            owners, src, dst = owner[first], nz[first], top[first]
+            moved = src != dst
+            if moved.any():
+                rows[np.concatenate((dst[moved], src[moved]))] = \
+                    rows[np.concatenate((src[moved], dst[moved]))]
+                det[owners[moved]] = arith.neg(det[owners[moved]])
+            is_target = np.isin(owner, owners) if reduced else nz >= top
+            is_target[first] = False
+            targets = nz[is_target]
+            # owner is sorted, so owners is too
+            pivot_of_target = dst[np.searchsorted(owners, owner[is_target])]
+        rank[owners] += 1
+        lead = rows[dst, c]
+        det[owners] = arith.mul(det[owners], lead)
+        scale = arith.inv(lead)
+        rows[dst, c:] = arith.mul(rows[dst, c:],
+                                  scale if batch == 1 else scale[:, None])
         if targets.size:
-            block = a[targets, c:]
-            a[targets, c:] = arith.sub_mul(block, block[:, 0], a[r, c:])
-        pivots.append(c)
-    return pivots, det
+            block = rows[targets, c:]
+            rows[targets, c:] = arith.sub_mul(block, block[:, 0],
+                                              rows[pivot_of_target, c:])
+    return pivots, rank, np.asarray(det, dtype=np.int64)
 
 
 def _det(a, arith):
-    n, m = a.shape
+    n, m = a.shape[-2:]
     if n != m:
         raise PreconditionError("determinant of a %dx%d matrix" % (n, m))
-    pivots, det = eliminate(a, arith)
-    return int(det) if len(pivots) == n else 0
+    rank, det = eliminate(a, arith)
+    if a.ndim == 3:
+        return np.where(rank == n, det, 0)
+    return det if len(rank) == n else 0
 
 
 def kernel(a, arith):
@@ -100,7 +169,7 @@ class PrimeArithmetic:
         self.p = p
 
     def encode(self, matrix):
-        a = np.array(matrix, dtype=np.int64)
+        a = np.asarray(matrix, dtype=np.int64)
         if a.ndim == 1:
             a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
         return np.mod(a, self.p)
@@ -114,11 +183,20 @@ class PrimeArithmetic:
         return -x % self.p
 
     def inv(self, x):
+        if isinstance(x, np.ndarray):
+            return self.inverses[x]
         return pow(int(x), self.p - 2, self.p)
+
+    @cached_property
+    def inverses(self):
+        # every code's inverse (0 at 0), built when a stack first needs one
+        return np.array([0] + [pow(x, -1, self.p) for x in range(1, self.p)])
 
     def sub_mul(self, block, factors, row):
         """block minus the outer product of factors and row."""
-        return (block - factors[:, None] * row) % self.p
+        out = factors[:, None] * row
+        np.subtract(block, out, out=out)
+        return np.mod(out, self.p, out=out)
 
 
 prime_arithmetic = lru_cache(maxsize=None)(PrimeArithmetic)
@@ -143,14 +221,21 @@ def field_arithmetic(field):
     return quadratic_tables(field) if field.char <= 11 else None
 
 
+def _rank(a, arith):
+    ranks = eliminate(a, arith)[0]
+    return ranks if a.ndim == 3 else len(ranks)
+
+
 def rank_mod_p(matrix, p):
-    """Rank over F_p of an integer matrix (rows of ints or numpy array)."""
+    """Rank over F_p of an integer matrix (rows of ints or numpy array),
+    or the int64 array of ranks of a (batch, n, m) stack."""
     arith = prime_arithmetic(p)
-    return len(eliminate(arith.encode(matrix), arith)[0])
+    return _rank(arith.encode(matrix), arith)
 
 
 def det_mod_p(matrix, p):
-    """Determinant over F_p of a square integer matrix."""
+    """Determinant over F_p of a square integer matrix, or the int64
+    array of determinants of a (batch, n, n) stack."""
     arith = prime_arithmetic(p)
     return _det(arith.encode(matrix), arith)
 
@@ -212,15 +297,19 @@ class QuadraticTables:
 
     def sub_mul(self, block, factors, row):
         """block minus the outer product of factors and row."""
-        return self.add_table[
-            block, self.mul_table[self.neg_table[factors][:, None], row]]
+        # take() with flat indices x*q + y reads a table faster than [x, y]
+        prod = self.mul_table.take(self.neg_table[factors][:, None] * self.q + row)
+        prod += block * self.q
+        return self.add_table.take(prod)
 
     def batch_rank(self, mat):
-        """Rank of one packed-int matrix (2-d numpy array of codes)."""
-        return len(eliminate(np.array(mat, dtype=np.int64), self)[0])
+        """Rank of one packed-int matrix (2-d array of codes), or the
+        int64 array of ranks of a (batch, n, m) stack."""
+        return _rank(np.array(mat, dtype=np.int64), self)
 
     def det(self, mat):
-        """Determinant of one square packed-int matrix, as a packed code."""
+        """Determinant of one square packed-int matrix as a packed code,
+        or the int64 array of codes of a (batch, n, n) stack."""
         return _det(np.array(mat, dtype=np.int64), self)
 
 
@@ -346,3 +435,33 @@ def lagrange_interpolate(xs, ys, field):
     while coeffs and F.is_zero(coeffs[-1]):
         coeffs.pop()
     return coeffs
+
+
+@lru_cache(maxsize=None)
+def _inverse_vandermonde(nodes, field):
+    """(re, im) int64 arrays whose column i holds the coefficients of the
+    Lagrange basis polynomial of nodes[i]: lagrange_interpolate of the
+    i-th unit vector."""
+    n = len(nodes)
+    out = np.zeros((2, n, n), dtype=np.int64)
+    for i in range(n):
+        unit = [field.one if j == i else field.zero for j in range(n)]
+        for k, c in enumerate(lagrange_interpolate(nodes, unit, field)):
+            out[:, k, i] = c if field.degree == 2 else (c, 0)
+    return out
+
+
+def interpolate_at_nodes(values, nodes, field):
+    """lagrange_interpolate of every row of an int64 code array at once.
+
+    values has one row of codes per polynomial (a + p*b over GF(p^2)),
+    one column per node.  Returns the (re, im) coefficient arrays, low
+    degree first and untrimmed, from one product with the inverse
+    Vandermonde matrix of (nodes, field), cached; w^2 = nonresidue.
+    """
+    p = field.char
+    vre, vim = _inverse_vandermonde(tuple(nodes), field)
+    yre, yim = values % p, values // p
+    w2 = field.nonresidue if field.degree == 2 else 0
+    re = yre @ vre.T + w2 * (yim @ vim.T)
+    return re % p, (yre @ vim.T + yim @ vre.T) % p

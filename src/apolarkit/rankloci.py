@@ -11,13 +11,16 @@ Three instruments over finite fields:
   the singularities of the resulting plane curves.
 
 Everything here samples; nothing expands symbolic determinants of the
-full matrix.  Randomness is always driven by an explicit seed and the
-outputs are deterministic functions of (input, seed).
+full matrix.  Samples are ranked in stacks, one modular.eliminate call
+per stack: the points of a plane scan, and every minor of a gcd round at
+every interpolation node.  Randomness is always driven by an explicit
+seed and the outputs are deterministic functions of (input, seed).
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from math import comb
 
 import numpy as np
@@ -52,19 +55,22 @@ def _line_arrays(M, line):
     return A.astype(np.int64), B.astype(np.int64)
 
 
-def _stable_minor_gcd(M, size, rng, minor_poly, p, subsets_per_round,
+def _stable_minor_gcd(M, size, rng, minor_polys, p, subsets_per_round,
                       max_rounds):
     """Stabilized gcd of random size x size minors of M restricted to a line.
 
-    minor_poly(rows, cols) returns the restriction of one minor as a
-    polynomial over F_p in the line parameter, empty when it vanishes.
-    Each round folds subsets_per_round nonzero restrictions into the gcd
-    and into the multiplicity at infinity (size minus the degree); two
-    consecutive rounds without change is the stabilization contract.
-    Returns (gcd, multiplicity at infinity).  Raises
+    minor_polys(subsets) returns the restriction of each (rows, cols)
+    minor as a polynomial over F_p in the line parameter, empty when it
+    vanishes.  Each round folds subsets_per_round nonzero restrictions
+    into the gcd and into the multiplicity at infinity (size minus the
+    degree); two consecutive rounds without change is the stabilization
+    contract.  A round draws the subsets it still misses at once, and
+    again for those that vanished: the draws and folds of taking one at
+    a time.  Returns (gcd, multiplicity at infinity).  Raises
     UnstableComputationError when almost all minors vanish or the gcd
     does not settle within max_rounds, instead of guessing.
     """
+    cap = 40 * subsets_per_round
     gcd_acc = None
     inf_acc = None
     for _ in range(max_rounds):
@@ -72,28 +78,44 @@ def _stable_minor_gcd(M, size, rng, minor_poly, p, subsets_per_round,
         produced = 0
         attempts = 0
         while produced < subsets_per_round:
-            attempts += 1
-            if attempts > 40 * subsets_per_round:
+            subsets = []
+            for _ in range(min(subsets_per_round - produced, cap - attempts)):
+                rows = sorted(rng.sample(range(M.nrows), size))
+                if M.ncols == size:
+                    cols = list(range(size))
+                else:
+                    cols = sorted(rng.sample(range(M.ncols), size))
+                subsets.append((rows, cols))
+            attempts += len(subsets)
+            for poly in minor_polys(subsets):
+                if not poly:
+                    continue
+                produced += 1
+                gcd_acc = modular.poly_monic(poly, p) if gcd_acc is None \
+                    else modular.poly_gcd(gcd_acc, poly, p)
+                inf_mult = size - modular.poly_degree(poly)
+                inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
+            if produced < subsets_per_round and attempts == cap:
                 raise UnstableComputationError(
                     "almost all random %dx%d minors vanish on the line"
                     % (size, size))
-            rows = sorted(rng.sample(range(M.nrows), size))
-            if M.ncols == size:
-                cols = list(range(size))
-            else:
-                cols = sorted(rng.sample(range(M.ncols), size))
-            poly = minor_poly(rows, cols)
-            if not poly:
-                continue
-            produced += 1
-            gcd_acc = modular.poly_monic(poly, p) if gcd_acc is None \
-                else modular.poly_gcd(gcd_acc, poly, p)
-            inf_mult = size - modular.poly_degree(poly)
-            inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
         if gcd_acc is not None and (gcd_acc, inf_acc) == before:
             return gcd_acc, inf_acc
     raise UnstableComputationError(
         "minor gcd did not stabilize within %d rounds" % max_rounds)
+
+
+def _minor_values(mats, subsets, det):
+    """det of every (rows, cols) minor of every node matrix, one row per
+    subset, taken in stacks of at most modular.CHUNK_ENTRIES entries."""
+    rows, cols = (np.array(x) for x in zip(*subsets))
+    vals = []
+    for chunk in modular.chunked(np.ndindex(len(subsets), len(mats)),
+                                 rows.shape[1] ** 2):
+        s, n = np.array(chunk).T
+        vals.append(det(mats[n[:, None, None], rows[s][:, :, None],
+                             cols[s][:, None, :]]))
+    return np.concatenate(vals).reshape(len(subsets), -1)
 
 
 def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
@@ -141,15 +163,14 @@ def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
                                 "3 random parameters" % t)
 
     params = list(range(size + 1))
-    mats = [(A + s * B) % p for s in params]
+    mats = np.array([(A + s * B) % p for s in params])
 
-    def minor_poly(rows, cols):
-        vals = [modular.det_mod_p(m[np.ix_(rows, cols)], p) for m in mats]
-        if not any(vals):
-            return []
-        return modular.lagrange_interpolate(params, vals, field)
+    def minor_polys(subsets):
+        vals = _minor_values(mats, subsets, partial(modular.det_mod_p, p=p))
+        coeffs, _ = modular.interpolate_at_nodes(vals, params, field)
+        return [modular.poly_trim(c, p) for c in coeffs.tolist()]
 
-    gcd_acc, inf_acc = _stable_minor_gcd(M, size, rng, minor_poly, p,
+    gcd_acc, inf_acc = _stable_minor_gcd(M, size, rng, minor_polys, p,
                                          subsets_per_round, max_rounds)
     squarefree = modular.poly_squarefree_part(gcd_acc, p)
     degree = max(modular.poly_degree(squarefree), 0)
@@ -170,24 +191,22 @@ def plane_drop_points(M, t, extension_degree=1):
         raise PreconditionError("plane scan wants a matrix in 3 variables")
     if not isinstance(field, PrimeField):
         raise PreconditionError("plane scan works over GF(p)")
-    p = field.char
-    arrays = M.integer_coefficient_arrays()
-    out = []
-    if extension_degree == 1:
-        for q in projective_points(field, 3):
-            mat = sum(int(qv) * arr for qv, arr in zip(q, arrays)) % p
-            if modular.rank_mod_p(mat, p) <= t:
-                out.append(tuple(int(c) for c in q))
-        return out
-    if extension_degree != 2:
+    if extension_degree not in (1, 2):
         raise PreconditionError("extension degree must be 1 or 2")
-    ext = GF(p, 2)
-    tables = modular.quadratic_tables(ext)
-    for q in projective_points(ext, 3):
-        re = sum(qv[0] * arr for qv, arr in zip(q, arrays)) % p
-        im = sum(qv[1] * arr for qv, arr in zip(q, arrays)) % p
-        if tables.batch_rank(re + p * im) <= t:
-            out.append(tuple(q))
+    p = field.char
+    arrays = np.array(M.integer_coefficient_arrays())
+    ext = field if extension_degree == 1 else GF(p, 2)
+    tables = modular.quadratic_tables(ext) if extension_degree == 2 else None
+    out = []
+    for chunk in modular.chunked(projective_points(ext, 3), arrays[0].size):
+        # (re, im) coordinates of each point, im = 0 over F_p
+        q = np.array(chunk, dtype=np.int64).reshape(len(chunk), 3, -1)
+        stack = np.einsum("kv,vij->kij", q[:, :, 0], arrays) % p
+        if extension_degree == 2:
+            stack += p * (np.einsum("kv,vij->kij", q[:, :, 1], arrays) % p)
+        ranks = (tables.batch_rank(stack) if tables
+                 else modular.rank_mod_p(stack, p))
+        out.extend(chunk[i] for i in np.flatnonzero(ranks <= t))
     return out
 
 
@@ -271,24 +290,17 @@ def _line_gcd_binary(M, line, t, rng, subsets_per_round, max_rounds):
         raise PreconditionError("p^2=%d too small to interpolate degree %d"
                                 % (p * p, size))
     params = elems[:size + 1]
-    packed = []
-    for s in params:
-        re = (A + s[0] * B) % p
-        im = (s[1] * B) % p
-        packed.append(re + p * im)
+    packed = np.array([(A + s[0] * B) % p + p * (s[1] * B % p) for s in params])
 
-    def minor_poly(rows, cols):
-        vals = [tables.det(m[np.ix_(rows, cols)]) for m in packed]
-        if not any(vals):
-            return []
-        coeffs = modular.lagrange_interpolate(
-            params, [ext.decode(v) for v in vals], ext)
-        if any(c[1] for c in coeffs):
+    def minor_polys(subsets):
+        vals = _minor_values(packed, subsets, tables.det)
+        re, im = modular.interpolate_at_nodes(vals, params, ext)
+        if im.any():
             raise PreconditionError(
                 "minor restriction interpolated outside GF(%d)" % p)
-        return modular.poly_trim([c[0] for c in coeffs], p)
+        return [modular.poly_trim(c, p) for c in re.tolist()]
 
-    affine, inf_mult = _stable_minor_gcd(M, size, rng, minor_poly, p,
+    affine, inf_mult = _stable_minor_gcd(M, size, rng, minor_polys, p,
                                          subsets_per_round, max_rounds)
     return affine + [0] * inf_mult
 

@@ -330,3 +330,88 @@ def test_lagrange_interpolation_round_trip():
         modular.lagrange_interpolate([1, 2, 1 + p], [0, 1, 2], GF(p))
     with pytest.raises(PreconditionError):
         modular.lagrange_interpolate(xs[:3] + xs[:1], ys[:4], E)
+
+
+# ---- stacked elimination ----------------------------------------------
+
+
+def _special_stack(rng, q, batch, nrows, ncols):
+    """Seeded random codes in range(q), the first matrices made singular:
+    all zero, a repeated row, a zero column, a row twice another."""
+    a = rng.integers(0, q, size=(batch, nrows, ncols), dtype=np.int64)
+    a[1::2] *= rng.random((len(a[1::2]), nrows, ncols)) < 0.3
+    if batch >= 4 and nrows >= 2:
+        a[0] = 0
+        a[1, 1] = a[1, 0]
+        a[2, :, 0] = 0
+        a[3, -1] = a[3, 0]
+    return a
+
+
+_STACK_SHAPES = [(0, 4, 4), (1, 5, 5), (12, 3, 3), (9, 6, 6), (10, 7, 4),
+                 (10, 4, 7), (6, 1, 5), (6, 5, 1), (3, 0, 2), (3, 2, 0),
+                 # more than one chunk of the core
+                 (modular.CHUNK_ENTRIES // 36 + 7, 6, 6)]
+
+
+@pytest.mark.parametrize("p", [5, 101, 65521])
+@pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
+def test_stacked_rank_and_det_match_one_matrix_at_a_time(p, shape):
+    a = _special_stack(np.random.default_rng(shape[0] * p), p, *shape)
+    ranks = modular.rank_mod_p(a, p)
+    assert ranks.dtype == np.int64 and ranks.shape == (shape[0],)
+    assert ranks.tolist() == [modular.rank_mod_p(m, p) for m in a]
+    if shape[1] == shape[2]:
+        dets = modular.det_mod_p(a, p)
+        assert dets.dtype == np.int64
+        assert dets.tolist() == [modular.det_mod_p(m, p) for m in a]
+    if len(a):
+        # a 2-d matrix keeps its int results
+        assert type(modular.rank_mod_p(a[0], p)) is int
+        if shape[1] == shape[2]:
+            assert type(modular.det_mod_p(a[0], p)) is int
+
+
+@pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
+def test_stacked_gf25_rank_and_det_match_one_matrix_at_a_time(shape):
+    tabs = modular.quadratic_tables(GF(5, 2))
+    a = _special_stack(np.random.default_rng(shape[0]), 25, *shape)
+    ranks = tabs.batch_rank(a)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == [tabs.batch_rank(m) for m in a]
+    if shape[1] == shape[2]:
+        assert tabs.det(a).tolist() == [tabs.det(m) for m in a]
+
+
+def test_stacked_det_of_a_large_gf25_batch():
+    # the shape of one round of drop-curve minors: 8 subsets x 22 nodes
+    tabs = modular.quadratic_tables(GF(5, 2))
+    a = _special_stack(np.random.default_rng(176), 25, 176, 21, 21)
+    a[100:120, 20] = a[100:120, 3]
+    dets = tabs.det(a)
+    assert dets.tolist() == [tabs.det(m) for m in a]
+    assert not dets[:4].any() and not dets[100:120].any() and dets[4:].any()
+
+
+def test_reduced_elimination_keeps_the_canonical_rref():
+    # kernel, ExactMatrix.rref and _multimodular_kernel read the rref of a
+    # 2-d array left in place by eliminate(..., reduced=True)
+    rng = random.Random(5)
+    for p in (7, 65521):
+        F = GF(p)
+        arith = modular.prime_arithmetic(p)
+        for nrows, ncols in [(4, 7), (7, 4), (5, 5), (3, 6)]:
+            rows = [[rng.randrange(p) if rng.random() < 0.6 else 0
+                     for _ in range(ncols)] for _ in range(nrows)]
+            rows[-1] = [(2 * a + b) % p for a, b in zip(rows[0], rows[1])]
+            a = np.array(rows, dtype=np.int64)
+            pivots, _ = modular.eliminate(a, arith, reduced=True)
+            ref_rows, ref_pivots = linalg._rref([list(r) for r in rows], F)
+            assert pivots == ref_pivots
+            assert a.tolist() == [[int(v) for v in r] for r in ref_rows]
+            # a stack reduces each of its matrices to the same rref
+            stack = np.array([rows, rows[::-1], np.zeros_like(rows)])
+            ranks, _ = modular.eliminate(stack, arith, reduced=True)
+            assert ranks.tolist() == [len(pivots), len(pivots), 0]
+            assert stack[0].tolist() == a.tolist()
+            assert stack[1].tolist() == a.tolist()

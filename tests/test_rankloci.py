@@ -1,6 +1,9 @@
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from apolarkit import catalog
+from apolarkit import catalog, modular, rankloci
 from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
 from apolarkit.forms import HomogeneousForm, parse_form
@@ -164,3 +167,93 @@ def test_drop_report_structure():
     assert report2["singular_points"][0][0] == GF(5, 2).format_scalar(GF(5, 2).one)
     report3 = drop_report("diag", 1, [9], None, [], None)
     assert report3["curve"] is None
+
+
+def _one_at_a_time_gcd(M, size, rng, minor_poly, p, subsets_per_round,
+                       max_rounds):
+    """The stabilized minor gcd evaluating one subset per draw: the loop
+    _stable_minor_gcd batches, kept here as the reference draw order."""
+    gcd_acc = inf_acc = None
+    for _ in range(max_rounds):
+        before = (gcd_acc, inf_acc)
+        produced = attempts = 0
+        while produced < subsets_per_round:
+            attempts += 1
+            if attempts > 40 * subsets_per_round:
+                raise UnstableComputationError("cap")
+            rows = sorted(rng.sample(range(M.nrows), size))
+            cols = list(range(size)) if M.ncols == size \
+                else sorted(rng.sample(range(M.ncols), size))
+            poly = minor_poly(rows, cols)
+            if not poly:
+                continue
+            produced += 1
+            gcd_acc = modular.poly_monic(poly, p) if gcd_acc is None \
+                else modular.poly_gcd(gcd_acc, poly, p)
+            inf_mult = size - modular.poly_degree(poly)
+            inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
+        if gcd_acc is not None and (gcd_acc, inf_acc) == before:
+            return gcd_acc, inf_acc
+    raise UnstableComputationError("rounds")
+
+
+def _stub_minor(rows, cols):
+    """A made-up restriction: zero for about a third of the subsets, else
+    a linear polynomial that depends on the subset."""
+    if (sum(rows) + cols[-1]) % 3 == 0:
+        return []
+    return modular.poly_trim([sum(rows) + 3 * cols[0], 1 + sum(rows)], 101)
+
+
+@pytest.mark.parametrize("shape", [(35, 21, 21), (10, 8, 4)])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_batched_minor_gcd_draws_the_one_at_a_time_sequence(shape, seed):
+    nrows, ncols, size = shape
+    M = SimpleNamespace(nrows=nrows, ncols=ncols)
+    want = []
+
+    def minor_poly(rows, cols):
+        want.append((rows, cols))
+        return _stub_minor(rows, cols)
+
+    got = []
+    batches = []
+
+    def minor_polys(subsets):
+        got.extend(subsets)
+        batches.append(len(subsets))
+        return [_stub_minor(r, c) for r, c in subsets]
+
+    ref_rng, rng = random.Random(seed), random.Random(seed)
+    expect = _one_at_a_time_gcd(M, size, ref_rng, minor_poly, 101, 8, 6)
+    assert rankloci._stable_minor_gcd(M, size, rng, minor_polys, 101, 8, 6) \
+        == expect
+    assert got == want and len(got) > 16
+    assert batches[0] == 8 and max(batches) <= 8 and len(batches) > 2
+    assert rng.random() == ref_rng.random()
+
+
+def test_batched_minor_gcd_keeps_the_attempt_cap():
+    M = SimpleNamespace(nrows=35, ncols=21)
+    requested = []
+
+    def minor_polys(subsets):
+        requested.extend(subsets)
+        # only the 5th draw survives, so the round never fills
+        return [[1, 1] if len(requested) - len(subsets) + i == 4 else []
+                for i in range(len(subsets))]
+
+    rng, ref_rng = random.Random(3), random.Random(3)
+    with pytest.raises(UnstableComputationError, match="almost all random"):
+        rankloci._stable_minor_gcd(M, 21, rng, minor_polys, 101, 8, 6)
+    assert len(requested) == 40 * 8
+    # the rng stops where the one-at-a-time loop stops: before draw 321
+    count = [0]
+
+    def minor_poly(rows, cols):
+        count[0] += 1
+        return [1, 1] if count[0] == 5 else []
+
+    with pytest.raises(UnstableComputationError):
+        _one_at_a_time_gcd(M, 21, ref_rng, minor_poly, 101, 8, 6)
+    assert rng.random() == ref_rng.random()
