@@ -5,14 +5,15 @@ echelon form (leading entries 1, pivot columns cleared), kernel bases are
 derived from the rref free columns, so two computations of the same space
 produce identical bases regardless of the path that built the matrix.
 
-Rational matrices are ranked by one fraction-free integer echelon.  Large
-rational kernels (20000 entries or more) are multimodular: the canonical
-kernel is computed mod word primes on the numpy core, joined by CRT and
-rational reconstruction, and accepted only once A K = 0 holds exactly,
-which proves it is the rational one; smaller rational kernels, and any
-large one whose proof does not close, and all rational rrefs use Fraction
-elimination.  Over GF(p) and small GF(p^2) every rank, rref and kernel
-runs on the numpy elimination core in modular.py.
+Rational matrices are ranked by one fraction-free integer echelon.  Every
+rational kernel is multimodular: the canonical kernel is computed mod
+primes below 2^31 on the numpy core, joined by CRT and rational
+reconstruction, and accepted only once A K = 0 holds exactly, which
+proves it is the rational one.  Fraction elimination is the one exact
+fallback, for a kernel whose proof does not close before KERNEL_PRIMES
+run out, and it takes all rational rrefs.  Over GF(p) and small GF(p^2)
+every rank, rref and kernel runs on the numpy elimination core in
+modular.py.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import modular
 from .errors import PreconditionError
 from .fields import QQ
 
-# the largest primes below 2^16, largest first: the multimodular kernel
+# the largest primes below 2^31, largest first: the multimodular kernel
 # draws from them in order, and rational ranks are taken mod the first
 KERNEL_PRIMES = modular.word_primes(128)
 CERTIFICATE_PRIMES = KERNEL_PRIMES[:4]
@@ -168,12 +169,12 @@ class ExactMatrix:
         """Canonical basis of the right kernel {v : M v = 0}, as rows.
 
         The basis is the standard one with a 1 in each free column, so it
-        does not depend on the elimination route; large rational matrices
-        take a multimodular path that proves it gives the identical answer
-        and falls back to Fraction elimination when it cannot.
+        does not depend on the elimination route; rational matrices take
+        a multimodular path that proves it gives the identical answer and
+        falls back to Fraction elimination when it cannot.
         """
         F = self.field
-        if F == QQ and self.nrows * self.ncols >= 20000:
+        if F == QQ:
             basis = _multimodular_kernel(self.rows, self.ncols)
             if basis is not None:
                 return ExactMatrix(basis, QQ, self.ncols)
@@ -246,7 +247,7 @@ def _reduce_rows_mod_p(rows, p):
             if inv is None:
                 if a.denominator % p == 0:
                     raise PreconditionError("denominator divisible by %d" % p)
-                inv = inverses[a.denominator] = pow(a.denominator, p - 2, p)
+                inv = inverses[a.denominator] = pow(a.denominator, -1, p)
             row.append(a.numerator * inv % p)
         out.append(row)
     return out
@@ -314,17 +315,25 @@ def _multimodular_kernel(rows, ncols):
     the mod-p ones and K is the canonical basis.  Returns the basis rows,
     or None when KERNEL_PRIMES run out before the proof closes.
     """
-    # per row: (column, integer entry) of its nonzero entries
-    sparse = [[(j, a) for j, a in enumerate(_primitive_integer_row(r)) if a]
-              for r in rows]
-    at = (np.array([i for i, row in enumerate(sparse) for _ in row], dtype=int),
-          np.array([j for row in sparse for j, _ in row], dtype=int))
-    values = [a for row in sparse for _, a in row]
+    # per column: (row, integer entry) of its nonzero entries
+    columns = [[] for _ in range(ncols)]
+    for i, r in enumerate(rows):
+        for j, a in enumerate(_primitive_integer_row(r)):
+            if a:
+                columns[j].append((i, a))
+    at = (np.array([i for col in columns for i, _ in col], dtype=int),
+          np.array([j for j, col in enumerate(columns) for _ in col],
+                   dtype=int))
+    values = [a for col in columns for _, a in col]
+    try:
+        values = np.array(values, dtype=np.int64)
+    except OverflowError:
+        values = np.array(values, dtype=object)  # reduced entry by entry
     best = None
     for p in KERNEL_PRIMES:
         arith = modular.prime_arithmetic(p)
         a = np.zeros((len(rows), ncols), dtype=np.int64)
-        a[at] = [v % p for v in values]
+        a[at] = values % p
         pivots, _ = modular.eliminate(a, arith, reduced=True)
         key = (-len(pivots), pivots)
         if best is not None and key > best:
@@ -334,34 +343,37 @@ def _multimodular_kernel(rows, ncols):
         if not free:
             # rank over QQ is at least rank mod p = ncols
             return []
-        block = a[:len(pivots), free].astype(object)
+        # the rref entries of each free column, one list per column
+        block = a[:len(pivots), free].T.tolist()
         if key != best:
             best, residues, modulus, probe = key, block, p, None
             probe_at = len(free) - 1
         else:
-            lift = (block - residues % p) * pow(modulus, -1, p) % p
-            residues = residues + modulus * lift
+            inv = pow(modulus, -1, p)
+            residues = [[r + modulus * ((b - r) * inv % p)
+                         for r, b in zip(rcol, bcol)]
+                        for rcol, bcol in zip(residues, block)]
             modulus *= p
-        guess = _reconstruct(residues[:, probe_at], modulus)
+        guess = _reconstruct(residues[probe_at], modulus)
         if guess is None or guess != probe:
             probe = guess
             continue
-        columns = [_reconstruct(residues[:, k], modulus)
-                   for k in range(len(free))]
-        if None in columns:
+        lifted = [_reconstruct(column, modulus) for column in residues]
+        if None in lifted:
             # a later prime tries again, probing a vector that failed
-            probe, probe_at = None, columns.index(None)
+            probe, probe_at = None, lifted.index(None)
             continue
-        basis = []
-        for f, column in zip(free, columns):
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for pc, x in zip(pivots, column):
-                if pc > f:
-                    break
-                v[pc] = -x
-            basis.append(v)
-        if _annihilates(sparse, basis):
+        # each vector as its nonzero (column, entry) pairs
+        vectors = [[(f, Fraction(1))]
+                   + [(pc, -x) for pc, x in zip(pivots, column) if pc < f and x]
+                   for f, column in zip(free, lifted)]
+        if _annihilates(columns, len(rows), vectors):
+            basis = []
+            for vector in vectors:
+                v = [Fraction(0)] * ncols
+                for j, x in vector:
+                    v[j] = x
+                basis.append(v)
             return basis
     return None
 
@@ -399,16 +411,21 @@ def _reconstruct(residues, modulus):
     return out
 
 
-def _annihilates(sparse, basis):
-    """Is A v = 0 exactly for every v in the basis?  A is given by the
-    nonzero entries of its integer rows, and each v is scaled to integers.
+def _annihilates(columns, nrows, vectors):
+    """Is A v = 0 exactly for every vector?  A is given by the nonzero
+    (row, entry) pairs of its integer columns and each v by its nonzero
+    (column, entry) pairs; v is scaled to integers, and only the columns
+    of A in its support are read.
     """
-    for v in basis:
-        den = lcm(*(x.denominator for x in v))
-        ints = [x.numerator * (den // x.denominator) for x in v]
-        for row in sparse:
-            if sum(a * ints[j] for j, a in row):
-                return False
+    for vector in vectors:
+        den = lcm(*(x.denominator for _, x in vector))
+        image = [0] * nrows
+        for j, x in vector:
+            scaled = x.numerator * (den // x.denominator)
+            for i, a in columns[j]:
+                image[i] += a * scaled
+        if any(image):
+            return False
     return True
 
 

@@ -8,7 +8,7 @@ same column loop with one pivot-row pointer per matrix, in chunks of at
 most CHUNK_ENTRIES entries so temporaries stay small.  It takes the
 field's arithmetic as an object:
 
-* PrimeArithmetic reduces mod a word-sized prime p, codes in range(p);
+* PrimeArithmetic reduces mod a prime p < 2^31, codes in range(p);
 * QuadraticTables looks F_{p^2} sums, products and inverses up in tables
   for small p, elements packed as the int a + p*b.
 
@@ -23,20 +23,25 @@ field object; interpolate_at_nodes interpolates many value rows at fixed
 nodes by one product with the inverse Vandermonde matrix, built once per
 (nodes, field) from lagrange_interpolate of the unit vectors and cached.
 
-Primes must stay below 2^16 so a product of two residues fits in int64
-without overflow.
+Primes stay below 2^31, so a product of two residues stays below 2^62
+and fits in int64; the core only ever forms one product per entry
+before it reduces.  word_primes lists the largest of them, the primes
+of the multimodular rational kernels.  Fields GF(p) take the core only
+for p < 2^16, where a stack may invert through a table of every code.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 from itertools import islice
+from math import isqrt
 
 import numpy as np
 
 from .errors import PreconditionError
 
-_MAX_PRIME = 1 << 16
+_MAX_PRIME = 1 << 31
+_TABLE_PRIME = 1 << 16  # GF(p) fields, and inverse tables, below this
 CHUNK_ENTRIES = 1 << 15  # matrix entries per stack chunk in eliminate
 
 
@@ -161,7 +166,7 @@ def kernel(a, arith):
 
 
 class PrimeArithmetic:
-    """GF(p) arithmetic on int64 codes in range(p), p < 2^16."""
+    """GF(p) arithmetic on int64 codes in range(p), p < 2^31."""
 
     def __init__(self, p):
         if p >= _MAX_PRIME:
@@ -183,9 +188,14 @@ class PrimeArithmetic:
         return -x % self.p
 
     def inv(self, x):
-        if isinstance(x, np.ndarray):
+        if not isinstance(x, np.ndarray):
+            return pow(int(x), -1, self.p)
+        if self.p < _TABLE_PRIME:
             return self.inverses[x]
-        return pow(int(x), self.p - 2, self.p)
+        # no table of 2^31 codes: invert each distinct code once
+        codes, at = np.unique(x, return_inverse=True)
+        return np.array([pow(int(c), -1, self.p) for c in codes],
+                        dtype=np.int64)[at.reshape(x.shape)]
 
     @cached_property
     def inverses(self):
@@ -203,13 +213,34 @@ prime_arithmetic = lru_cache(maxsize=None)(PrimeArithmetic)
 
 
 def word_primes(count):
-    """The count largest primes below 2^16, largest first."""
-    sieve = np.ones(_MAX_PRIME, dtype=bool)
+    """The count largest primes below 2^31, largest first.
+
+    A segmented sieve: the top `width` integers below 2^31 are crossed
+    off by every prime up to sqrt(2^31), all multiples at once.
+    """
+    small = _primes_below(isqrt(_MAX_PRIME) + 1)
+    width = 32 * count  # primes near 2^31 lie about 21.5 apart
+    while True:
+        lo = _MAX_PRIME - width
+        start = -lo % small  # offset of the first multiple of each prime
+        hits = (width - 1 - start) // small + 1
+        first = np.cumsum(hits) - hits
+        k = np.arange(hits.sum()) - np.repeat(first, hits)
+        window = np.ones(width, dtype=bool)
+        window[np.repeat(start, hits) + k * np.repeat(small, hits)] = False
+        primes = lo + np.flatnonzero(window)[::-1]
+        if len(primes) >= count:
+            return tuple(int(p) for p in primes[:count])
+        width *= 2
+
+
+def _primes_below(n):
+    sieve = np.ones(n, dtype=bool)
     sieve[:2] = False
-    for i in range(2, 256):
+    for i in range(2, isqrt(n) + 1):
         if sieve[i]:
             sieve[i * i::i] = False
-    return tuple(int(p) for p in np.flatnonzero(sieve)[::-1][:count])
+    return np.flatnonzero(sieve)
 
 
 def field_arithmetic(field):
@@ -217,7 +248,7 @@ def field_arithmetic(field):
     if field.char == 0:
         return None
     if field.degree == 1:
-        return prime_arithmetic(field.p) if field.p < _MAX_PRIME else None
+        return prime_arithmetic(field.p) if field.p < _TABLE_PRIME else None
     return quadratic_tables(field) if field.char <= 11 else None
 
 

@@ -194,7 +194,7 @@ def plane_drop_points(M, t, extension_degree=1):
     if extension_degree not in (1, 2):
         raise PreconditionError("extension degree must be 1 or 2")
     p = field.char
-    arrays = np.array(M.integer_coefficient_arrays())
+    arrays = M.integer_coefficient_arrays()
     ext = field if extension_degree == 1 else GF(p, 2)
     tables = modular.quadratic_tables(ext) if extension_degree == 2 else None
     out = []

@@ -23,8 +23,11 @@ point ideals.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
+
+import numpy as np
 
 from .apolarity import (catalecticant, evaluation_matrix, ideal_span,
                         subspace_forms)
@@ -393,20 +396,25 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
     nvars = qforms[0].nvars
     field = basis_matrix.field
     q = len(qforms)
-    s1 = syz1.nrows
-    cdim1 = monomial_count(nvars, coefficient_degree)
+    exps = monomial_exponents(nvars, coefficient_degree)
+    cdim1 = len(exps)
+    idx = monomial_index(nvars, 2 * coefficient_degree)
+    cdim2 = len(idx)
+    # column (s, e) holds y^e * s block by block; y^e times distinct
+    # monomials gives distinct monomials, so each block is a scatter of
+    # the block of s to the positions of y^e * y^k
+    at = [[idx[tuple(a + b for a, b in zip(e, k))] for k in exps]
+          for e in exps]
     cols = []
     for jrow in syz1.rows:
-        blocks = [HomogeneousForm(nvars, coefficient_degree,
-                                  jrow[i * cdim1:(i + 1) * cdim1], field, "y")
-                  for i in range(q)]
-        for e in monomial_exponents(nvars, coefficient_degree):
-            m = HomogeneousForm.monomial(nvars, e, field, "y")
-            col = []
-            for b in blocks:
-                col.extend(m.multiply(b).coeffs)
+        for positions in at:
+            col = [field.zero] * (q * cdim2)
+            for i in range(q):
+                block = jrow[i * cdim1:(i + 1) * cdim1]
+                for k, v in zip(positions, block):
+                    col[i * cdim2 + k] = v
             cols.append(col)
-    phi2 = ExactMatrix(zip(*cols), field, s1 * cdim1)
+    phi2 = ExactMatrix(zip(*cols), field, len(cols))
     syz2 = phi2.kernel_basis()
     if field == QQ:
         syz2 = primitive_integer_matrix(syz2)
@@ -438,7 +446,8 @@ def linear_syzygies(Q, order, coefficient_degree=1, guard=True):
 class LinearFormMatrix:
     """Matrix whose entries are degree-1 forms (or zero) in shared variables."""
 
-    __slots__ = ("entries", "nrows", "ncols", "nvars", "field", "alphabet")
+    __slots__ = ("entries", "nrows", "ncols", "nvars", "field", "alphabet",
+                 "_coefficient_arrays")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -459,6 +468,7 @@ class LinearFormMatrix:
         object.__setattr__(self, "nvars", first.nvars)
         object.__setattr__(self, "field", first.field)
         object.__setattr__(self, "alphabet", first.alphabet)
+        object.__setattr__(self, "_coefficient_arrays", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LinearFormMatrix is immutable")
@@ -486,25 +496,27 @@ class LinearFormMatrix:
                            F, self.ncols)
 
     def integer_coefficient_arrays(self):
-        """One numpy int64 array per variable; requires integer entries."""
-        import numpy as np
-        from fractions import Fraction
-
-        out = []
-        for t in range(self.nvars):
-            mat = self.coefficient_matrix(t)
-            rows = []
-            for r in mat.rows:
-                ints = []
-                for v in r:
-                    fr = Fraction(v)
-                    if fr.denominator != 1:
-                        raise PreconditionError(
-                            "entry coefficient %s is not an integer" % v)
-                    ints.append(fr.numerator)
-                rows.append(ints)
-            out.append(np.array(rows, dtype=np.int64))
-        return out
+        """Read-only int64 array of shape (nvars, nrows, ncols), the
+        coefficients of each variable; requires integer entries.  Built
+        once per matrix, since every sampled line reads it."""
+        if self._coefficient_arrays is None:
+            out = []
+            for t in range(self.nvars):
+                rows = []
+                for r in self.coefficient_matrix(t).rows:
+                    ints = []
+                    for v in r:
+                        fr = Fraction(v)
+                        if fr.denominator != 1:
+                            raise PreconditionError(
+                                "entry coefficient %s is not an integer" % v)
+                        ints.append(fr.numerator)
+                    rows.append(ints)
+                out.append(rows)
+            arrays = np.array(out, dtype=np.int64)
+            arrays.flags.writeable = False
+            object.__setattr__(self, "_coefficient_arrays", arrays)
+        return self._coefficient_arrays
 
     def to_json(self):
         return {

@@ -172,9 +172,21 @@ def test_prime_field_fast_paths_match_generic_elimination():
 
 
 def _fraction_kernel(rows, ncols):
-    # small rational matrices take the Fraction rref route
-    assert len(rows) * ncols < 20000
-    return [list(r) for r in ExactMatrix(rows, QQ, ncols).kernel_basis().rows]
+    # the reference: the canonical basis read off the Fraction rref, which
+    # shares nothing with the multimodular route of kernel_basis
+    ref, pivots = linalg._rref([list(r) for r in rows], QQ)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -ref[r][f]
+        basis.append(v)
+    return basis
+
+
+# the first three kernel primes; the unlucky cases below are keyed to them
+P1, P2, P3 = linalg.KERNEL_PRIMES[:3]
 
 
 def _random_rational_matrix(rng, nrows, ncols, rank, spread=9, den=1):
@@ -199,14 +211,14 @@ def _multimodular_cases():
         "all-zero": [[Fraction(0)] * 4 for _ in range(3)],
         "zero-row": [],
         "full-column-rank": _random_rational_matrix(rng, 6, 3, 3),
-        # same rank but later pivots mod 65521, then rank lower mod 65521
-        "unlucky-pivots": [[Fraction(65521), Fraction(1), Fraction(0)],
+        # same rank but later pivots mod P1, then rank lower mod P1
+        "unlucky-pivots": [[Fraction(P1), Fraction(1), Fraction(0)],
                            [Fraction(0), Fraction(0), Fraction(1)]],
         "unlucky-rank": [[Fraction(v) for v in r] for r in
-                         [[1, 1, 0, 0], [1, 65522, 0, 0], [0, 0, 1, 1]]],
-        # the kernel entry 1 + 65521 * 65519 reads 1 mod the first prime and
-        # mod the first two, so only A K = 0 rejects that reconstruction
-        "false-probe": [[Fraction(1), Fraction(-1 - 65521 * 65519)]],
+                         [[1, 1, 0, 0], [1, P1 + 1, 0, 0], [0, 0, 1, 1]]],
+        # the kernel entry 1 + P1 * P2 reads 1 mod the first prime and mod
+        # the first two, so only A K = 0 rejects that reconstruction
+        "false-probe": [[Fraction(1), Fraction(-1 - P1 * P2)]],
     }
     for nrows, ncols in [(3, 5), (5, 3), (6, 6), (2, 7)]:
         cases["random-%dx%d" % (nrows, ncols)] = [
@@ -225,31 +237,41 @@ def test_multimodular_kernel_matches_fraction_kernel(name):
 
 
 def test_multimodular_kernel_discards_unlucky_primes(monkeypatch):
-    assert linalg.CERTIFICATE_PRIMES == (65521, 65519, 65497, 65479)
-    assert list(linalg.KERNEL_PRIMES) == sorted(linalg.KERNEL_PRIMES,
-                                                reverse=True)
-    assert all(is_prime(q) and q < 1 << 16 for q in linalg.KERNEL_PRIMES)
+    # the 128 largest primes below 2^31, largest first; a product of two
+    # residues stays below 2^62
+    assert linalg.CERTIFICATE_PRIMES == linalg.KERNEL_PRIMES[:4]
+    assert len(linalg.KERNEL_PRIMES) == 128
+    assert list(linalg.KERNEL_PRIMES) == [
+        q for q in range((1 << 31) - 1, linalg.KERNEL_PRIMES[-1] - 1, -1)
+        if is_prime(q)]
+    assert P1 ** 2 < 1 << 62
     # the unlucky-pivots and unlucky-rank cases of the comparison are
     # unlucky at the first prime, so they exercised the restart
-    p = linalg.KERNEL_PRIMES[0]
-    assert p == 65521
-    assert modular.kernel_mod_p([[0, 1, 0], [0, 0, 1]], p).tolist() \
+    cases = _multimodular_cases()
+
+    def ints(name):
+        return [[int(x) for x in r] for r in cases[name]]
+    assert modular.kernel_mod_p(ints("unlucky-pivots"), P1).tolist() \
         == [[1, 0, 0]]
-    assert modular.rank_mod_p([[1, 1, 0, 0], [1, 65522, 0, 0],
-                               [0, 0, 1, 1]], p) == 2
-    # 65497, the third prime, is unlucky here; restarting from it would
-    # leave too few primes for the denominator 65497 among the first five
-    p3 = linalg.KERNEL_PRIMES[2]
-    rows = [[Fraction(p3), Fraction(1), Fraction(0)],
+    assert modular.rank_mod_p(ints("unlucky-rank"), P1) == 2
+    # the false probe reconstructs to 1 on one prime and on two
+    entry = 1 + P1 * P2
+    assert linalg._reconstruct([entry % P1], P1) == [1]
+    assert linalg._reconstruct([entry % (P1 * P2)], P1 * P2) == [1]
+    # P3, the third prime, is unlucky here; restarting from it would leave
+    # too few primes for the denominator P3 among the first five
+    rows = [[Fraction(P3), Fraction(1), Fraction(0)],
             [Fraction(0), Fraction(0), Fraction(1)]]
+    assert modular.kernel_mod_p([[int(x) for x in r] for r in rows],
+                                P3).tolist() == [[1, 0, 0]]
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:5])
     assert linalg._multimodular_kernel(rows, 3) == _fraction_kernel(rows, 3)
 
 
 def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     # the kernel vector (-b/a, 1) needs about 2 * 81 bits of modulus, far
-    # more than two 16-bit primes; 10000 copies of the row put the matrix
-    # on the multimodular route of kernel_basis
+    # more than two 31-bit primes; 10000 copies of the row make the
+    # Fraction fallback easy to tell from any other rref
     a, b = 3 ** 50, 2 ** 80 + 1
     rows = [[Fraction(k * a), Fraction(k * b)] for k in range(1, 10001)]
     expected = [[Fraction(-b, a), Fraction(1)]]
@@ -354,7 +376,7 @@ _STACK_SHAPES = [(0, 4, 4), (1, 5, 5), (12, 3, 3), (9, 6, 6), (10, 7, 4),
                  (modular.CHUNK_ENTRIES // 36 + 7, 6, 6)]
 
 
-@pytest.mark.parametrize("p", [5, 101, 65521])
+@pytest.mark.parametrize("p", [5, 101, 65521, P1])
 @pytest.mark.parametrize("shape", _STACK_SHAPES, ids=str)
 def test_stacked_rank_and_det_match_one_matrix_at_a_time(p, shape):
     a = _special_stack(np.random.default_rng(shape[0] * p), p, *shape)
@@ -397,7 +419,7 @@ def test_reduced_elimination_keeps_the_canonical_rref():
     # kernel, ExactMatrix.rref and _multimodular_kernel read the rref of a
     # 2-d array left in place by eliminate(..., reduced=True)
     rng = random.Random(5)
-    for p in (7, 65521):
+    for p in (7, 65521, P1):
         F = GF(p)
         arith = modular.prime_arithmetic(p)
         for nrows, ncols in [(4, 7), (7, 4), (5, 5), (3, 6)]:
@@ -415,3 +437,20 @@ def test_reduced_elimination_keeps_the_canonical_rref():
             assert ranks.tolist() == [len(pivots), len(pivots), 0]
             assert stack[0].tolist() == a.tolist()
             assert stack[1].tolist() == a.tolist()
+
+
+def test_stacked_inverse_mod_a_31_bit_prime_builds_no_table():
+    # a stack inverts its pivots at once; below 2^16 through a table of
+    # every code, above it code by code, never through a 2^31-entry table
+    p = (1 << 31) - 1
+    arith = modular.PrimeArithmetic(p)
+    x = np.array([1, 2, p - 1, 2, 123456789], dtype=np.int64)
+    inv = arith.inv(x)
+    assert inv.dtype == np.int64
+    assert inv.tolist() == [pow(int(v), -1, p) for v in x]
+    assert "inverses" not in vars(arith)
+    with pytest.raises(PreconditionError):
+        modular.PrimeArithmetic(1 << 31)
+    small = modular.PrimeArithmetic(101)
+    assert small.inv(np.array([3, 5])).tolist() == [34, 81]
+    assert "inverses" in vars(small)

@@ -6,17 +6,23 @@ from functools import lru_cache
 
 import pytest
 
-from apolarkit import catalog, linalg
+from apolarkit import catalog, linalg, resolutions
 from apolarkit.apolarity import (
     PointSet,
     apolar_ideal_component,
     ideal_of_points_component,
+    q_f,
 )
 from apolarkit.cli import random_rational_points
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ
 from apolarkit.forms import HomogeneousForm, monomial_count, parse_form
-from apolarkit.linalg import CERTIFICATE_PRIMES, ExactMatrix, Subspace
+from apolarkit.linalg import (
+    CERTIFICATE_PRIMES,
+    ExactMatrix,
+    Subspace,
+    primitive_integer_matrix,
+)
 from apolarkit.resolutions import (
     GENERIC_CUBIC_APOLAR_BETTI,
     BettiTable,
@@ -319,6 +325,34 @@ def test_m2_matrix_matches_golden_fixture(name):
     assert hashlib.sha256(text.encode()).hexdigest() == M2_GOLDEN_SHA256[name]
 
 
+# the cubics of the benchmark's syzygy-qq workload: the paper member, the
+# scroll cubic and four family members
+SYZYGY_QQ_CUBICS = [(1, -1, 1, -1, 1), "scroll", (3, 3, 1, -2, 4),
+                    (-5, 4, 4, 3, -3), (1, 4, 2, 3, 3), (1, -3, -1, 3, -2)]
+
+
+@pytest.mark.parametrize("params", SYZYGY_QQ_CUBICS, ids=str)
+def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
+    # both syzygy kernels of m2_matrix close on the multimodular route
+    f = catalog.scroll_apolar_cubic() if params == "scroll" \
+        else catalog.cubic_family(*params)
+    qbasis = primitive_integer_matrix(q_f(f).reduced_basis())
+    Q = Subspace(qbasis, degree=2, alphabet="y", already_independent=True)
+    calls = []
+    real_rref = linalg._rref
+
+    def counting_rref(rows, field):
+        calls.append((len(rows), len(rows[0]) if rows else 0))
+        return real_rref(rows, field)
+
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    monkeypatch.setattr(resolutions, "_rref", counting_rref)
+    resolutions._linear_syzygies_cached.cache_clear()
+    dims = [linear_syzygies(Q, order, guard=False).dim for order in (1, 2)]
+    assert dims == [35, 21]
+    assert calls == []
+
+
 def test_m2_matrix_refuses_non_generic_cubic():
     with pytest.raises(PreconditionError):
         m2_matrix(catalog.fermat_cubic())
@@ -362,6 +396,9 @@ def test_linear_form_matrix_coefficient_slices_and_reduction():
     assert M.coefficient_matrix(5).rows == ((0, 0), (-2, 0))
     arrays = M.integer_coefficient_arrays()
     assert len(arrays) == 6 and arrays[5][1][0] == -2
+    # built once and shared read-only by every later caller
+    assert arrays.shape == (6, 2, 2) and not arrays.flags.writeable
+    assert M.integer_coefficient_arrays() is arrays
     Mp = M.reduce_mod_p(5)
     assert Mp.field == GF(5)
     seven = Mp.evaluate_at([GF(5).one] + [GF(5).zero] * 5).entry(1, 0)
