@@ -180,7 +180,8 @@ def run_betti(args, field, seed):
                         ("--max-row", args.max_row)):
         _at_least(value, 0, flag)
     max_row = args.max_row
-    module_degree = max_row + 1
+    # one degree past the window lets the next strand row close proofs
+    module_degree = max_row + 2
     if args.points is not None:
         _at_least(args.points, 1, "--points")
         if field != QQ:

@@ -235,24 +235,6 @@ def _rref(rows, field):
     return rows, pivots
 
 
-def _reduce_rows_mod_p(rows, p):
-    inverses = {1: 1}  # denominator -> its inverse mod p
-    out = []
-    for r in rows:
-        row = []
-        for a in r:
-            if not isinstance(a, Fraction):
-                a = Fraction(a)
-            inv = inverses.get(a.denominator)
-            if inv is None:
-                if a.denominator % p == 0:
-                    raise PreconditionError("denominator divisible by %d" % p)
-                inv = inverses[a.denominator] = pow(a.denominator, -1, p)
-            row.append(a.numerator * inv % p)
-        out.append(row)
-    return out
-
-
 def _integer_echelon(rows):
     """Fraction-free integer echelon form of a rational matrix.
 

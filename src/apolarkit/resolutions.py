@@ -7,17 +7,21 @@ Betti numbers are computed as b_{i,j} = dim H_i of the Koszul strand
                                   -> Lambda^{i-1} V* (x) M_{j-i+1}
 
 with the alternating-sign contraction differentials, where M = S/I is
-held degree by degree.  GradedModule presents each piece M_j as the image
-of a matrix whose kernel is I_j: evaluation at the points for S/I_Z, the
-transposed catalecticant for S/I_f, and the annihilator of Q*S_{j-2} for
-a quadric ideal.  Over QQ the differentials are ranked modulo a
+held degree by degree.  GradedModule presents each piece M_j by an
+integer matrix E_j whose kernel is I_j: evaluation at integer
+representatives of the points for S/I_Z, the transposed catalecticant
+for S/I_f, and the annihilator of Q*S_{j-2} for a quadric ideal; over a
+finite field E_j holds field codes.  E_{j+1} embeds M_{j+1}, so each
+differential is written by gathering columns of E_{j+1}, with no
+coordinates to solve for.  Over QQ the differentials are ranked modulo a
 word-sized prime and every mod-p rank is kept only where semicontinuity
 proves it equal to the rational rank; the rest are ranked exactly by
 ExactMatrix.rank, so the tables stay exact (see graded_betti).
 
 A cell (i, j) only consumes the module in degrees j-i-1 .. j-i+1, so a
 module built up to degree 3 already settles the full three-row tables of
-point ideals.
+point ideals; one degree more lets the mod-p ranks of the next strand
+row close proofs.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
+from operator import mul
 
 import numpy as np
 
+from . import modular
 from .apolarity import (catalecticant, evaluation_matrix, ideal_span,
                         subspace_forms)
 from .errors import PreconditionError
@@ -38,11 +44,11 @@ from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
     Subspace,
-    _reduce_rows_mod_p,
+    _integer_echelon,
+    _primitive_integer_row,
     _rref,
     primitive_integer_matrix,
 )
-from .modular import rank_mod_p
 
 
 # graded_betti ranks rational Koszul differentials modulo this prime first
@@ -111,14 +117,16 @@ class GradedModule:
 
     presentations[j] is any matrix with one column per degree-j monomial
     whose kernel is the ideal piece I_j, so M_j = S_j / I_j is its column
-    space.  The rref of that matrix presents M_j: its pivot monomials are
-    a basis, and the column of any monomial holds that monomial's
-    coordinates.
+    space.  The module keeps it as the array E_j: over QQ with every row
+    scaled to coprime integers, which leaves the kernel alone, over a
+    finite field as field codes.  E_j maps M_j injectively onto its
+    column space, the class of a monomial to its column, and the pivot
+    monomials B_j of E_j are a basis of M_j.
 
-    Multiplication by y_t sends a basis monomial m to the rref column of
-    y_t*m in degree j+1.  Because I is an ideal, y_t carries I_j into
-    I_{j+1}, so the map is well defined on the quotient: the module law
-    holds by construction and nothing is checked.
+    Over QQ the pivots are taken mod the Betti prime: columns independent
+    mod p are independent over QQ, and they span once the mod-p rank
+    reaches min(rows, columns), which bounds the rational rank.  Any
+    other piece takes its pivots from the exact integer echelon.
     """
 
     def __init__(self, nvars, field, presentations):
@@ -132,38 +140,72 @@ class GradedModule:
                 raise PreconditionError(
                     "presentation %d has %d columns, expected %d"
                     % (j, mat.ncols, expected))
-            rows, pivots = _rref([list(r) for r in mat.rows], field)
-            self._pieces.append((rows[:len(pivots)], tuple(pivots)))
-        self._mult_cache = {}
+            codes = _presentation_codes(mat, field)
+            pivots = _pivots(codes.copy(), field)
+            if field == QQ and len(pivots) < min(codes.shape):
+                pivots = _integer_echelon(codes.tolist())[1]
+            self._pieces.append((codes, tuple(pivots)))
 
-    def piece_dim(self, j):
+    def piece(self, j):
+        """(E_j, B_j): the integer presentation of M_j and the monomial
+        indices of its basis; empty below degree 0."""
         if j < 0:
-            return 0
+            return np.zeros((0, 0), dtype=np.int64), ()
         if j > self.max_degree:
             raise PreconditionError(
                 "graded piece %d beyond built range %d" % (j, self.max_degree))
-        return len(self._pieces[j][1])
+        return self._pieces[j]
 
-    def multiplication_matrix(self, j, t):
-        """Matrix of multiplication by variable t from M_j to M_{j+1}."""
-        if not 0 <= j < self.max_degree:
-            raise PreconditionError(
-                "multiplication from degree %d beyond built range %d"
-                % (j, self.max_degree))
-        key = (j, t)
-        if key not in self._mult_cache:
-            exps = monomial_exponents(self.nvars, j)
-            idx = monomial_index(self.nvars, j + 1)
-            targets = []
-            for m in self._pieces[j][1]:
-                e = list(exps[m])
-                e[t] += 1
-                targets.append(idx[tuple(e)])
-            rows = self._pieces[j + 1][0]
-            self._mult_cache[key] = ExactMatrix(
-                [[r[c] for c in targets] for r in rows], self.field,
-                len(targets))
-        return self._mult_cache[key]
+    def piece_dim(self, j):
+        return len(self.piece(j)[1])
+
+
+def _presentation_codes(mat, field):
+    """mat as an array: coprime integer rows over QQ, codes otherwise
+    (GF(p^2) elements packed as a + p*b).  int64 where every entry fits,
+    Python ints otherwise."""
+    if field == QQ:
+        rows = [_primitive_integer_row(r) for r in mat.rows]
+    elif field.degree == 2:
+        rows = [[field.encode(a) for a in r] for r in mat.rows]
+    else:
+        rows = mat.rows
+    if not rows:
+        return np.zeros((0, mat.ncols), dtype=np.int64)
+    try:
+        codes = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+    if codes.min() == np.iinfo(np.int64).min:  # its negative overflows
+        return np.array(rows, dtype=object)
+    return codes
+
+
+def _pivots(codes, field):
+    """Pivot columns of a code array over a finite field (the array is
+    consumed), or of an integer array mod the Betti prime over QQ."""
+    if field == QQ:
+        codes = (codes % _BETTI_PRIME).astype(np.int64)
+        arith = modular.prime_arithmetic(_BETTI_PRIME)
+    else:
+        arith = modular.field_arithmetic(field)
+        if arith is None:
+            if field.degree == 2:
+                rows = [[field.decode(int(c)) for c in r] for r in codes]
+            else:
+                rows = codes.tolist()
+            return _rref(rows, field)[1]
+    return modular.eliminate(codes, arith)[0]
+
+
+def _negated(codes, field):
+    """-codes, over QQ on integers and otherwise on field codes."""
+    if field == QQ:
+        return -codes
+    p = field.char
+    if field.degree == 1:
+        return -codes % p
+    return -codes % p + p * (-(codes // p) % p)
 
 
 # ---- module factories -------------------------------------------------
@@ -187,12 +229,23 @@ def points_quotient_module(Z, max_degree):
     """S / I_Z as a graded module, pieces 0..max_degree.
 
     M_j is presented by evaluation at Z, whose kernel is I_Z(j).
-    Rescaling a point scales its row, which leaves the rref alone.
+    Rescaling a point scales its row, which leaves the kernel alone, so
+    over QQ the points are scaled to coprime integers and evaluated in
+    integers.
     """
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
-    return GradedModule(Z.nvars, Z.field, [
-        evaluation_matrix(Z, j) for j in range(max_degree + 1)])
+    if Z.field != QQ:
+        return GradedModule(Z.nvars, Z.field, [
+            evaluation_matrix(Z, j) for j in range(max_degree + 1)])
+    points = np.array([_primitive_integer_row(p) for p in Z.points],
+                      dtype=object)
+    presentations = []
+    for j in range(max_degree + 1):
+        exps = np.array(monomial_exponents(Z.nvars, j), dtype=object)
+        values = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
+        presentations.append(ExactMatrix(values.tolist(), QQ, len(exps)))
+    return GradedModule(Z.nvars, QQ, presentations)
 
 
 def quadric_ideal_module(Q, max_degree):
@@ -211,43 +264,52 @@ def quadric_ideal_module(Q, max_degree):
 # ---- Koszul homology --------------------------------------------------
 
 
-def koszul_differential(module, i, j):
-    """Matrix of Lambda^i (x) M_{j-i} -> Lambda^{i-1} (x) M_{j-i+1}.
+@lru_cache(maxsize=None)
+def _shifts(nvars, degree):
+    """shifts[t, m]: index of y_t times the degree-`degree` monomial m."""
+    idx = monomial_index(nvars, degree + 1)
+    return np.array([[idx[e[:t] + (e[t] + 1,) + e[t + 1:]]
+                      for e in monomial_exponents(nvars, degree)]
+                     for t in range(nvars)], dtype=np.intp)
 
-    Columns run over (subset, module coordinate) pairs, subsets in lex
-    order; rows likewise for the codomain.
+
+@lru_cache(maxsize=None)
+def _contractions(nvars, i):
+    """Rows (face, subset, variable, sign), one column for each i-subset
+    S and each position pos of a variable t in S: the face is S minus t
+    and the sign (-1)^pos, 0 for + and 1 for -."""
+    faces = {s: k for k, s in enumerate(itertools.combinations(range(nvars),
+                                                               i - 1))}
+    terms = [(faces[S[:pos] + S[pos + 1:]], col, t, pos % 2)
+             for col, S in enumerate(itertools.combinations(range(nvars), i))
+             for pos, t in enumerate(S)]
+    return np.array(terms, dtype=np.intp).reshape(-1, 4).T
+
+
+def koszul_differential(module, i, j):
+    """Lambda^i (x) M_{j-i} -> Lambda^{i-1} (x) M_{j-i+1}, written into
+    Lambda^{i-1} (x) (the rows of E_{j-i+1}).
+
+    Columns run over (i-subset S, basis monomial m) pairs and rows over
+    ((i-1)-subset, row of E_{j-i+1}) pairs, subsets in lex order.  The
+    column of (S, m) holds, in the block of S minus its entry t at
+    position pos, (-1)^pos times the column of y_t*m in E_{j-i+1}.
+    Because E_{j-i+1} embeds M_{j-i+1}, the matrix has the rank of the
+    differential.  It holds integers over QQ and field codes otherwise.
     """
     if i < 1:
         raise PreconditionError("differential index must be at least 1")
     n = module.nvars
-    F = module.field
-    src_deg = j - i
-    dim_src = module.piece_dim(src_deg) if src_deg >= 0 else 0
-    dim_dst = module.piece_dim(src_deg + 1) if src_deg + 1 >= 0 else 0
-    subsets_src = list(itertools.combinations(range(n), i))
-    subsets_dst = list(itertools.combinations(range(n), i - 1))
-    dst_pos = {s: k for k, s in enumerate(subsets_dst)}
-    nrows = len(subsets_dst) * dim_dst
-    ncols = len(subsets_src) * dim_src
-    if dim_src == 0 or dim_dst == 0:
-        return ExactMatrix.zeros(nrows, ncols, F)
-    # images[t][sign][m]: y_t times basis element m, negated for sign 1
-    images = {}
-    for t in range(n):
-        plus = module.multiplication_matrix(src_deg, t).transpose().rows
-        images[t] = (plus, [[F.neg(v) for v in col] for col in plus])
-    cols = []
-    for S in subsets_src:
-        for m in range(dim_src):
-            col = [F.zero] * nrows
-            # distinct positions drop distinct variables, so every block
-            # of the column is written at most once
-            for pos, t in enumerate(S):
-                block = dst_pos[S[:pos] + S[pos + 1:]] * dim_dst
-                col[block:block + dim_dst] = images[t][pos % 2][m]
-            cols.append(col)
-    return ExactMatrix(zip(*cols) if cols else [[] for _ in range(nrows)],
-                       F, ncols)
+    _, basis = module.piece(j - i)
+    E, _ = module.piece(j - i + 1)
+    nfaces, nsubsets = comb(n, i - 1), comb(n, i)
+    out = np.zeros((nfaces, E.shape[0], nsubsets, len(basis)), dtype=E.dtype)
+    if basis and E.size:
+        face, subset, t, sign = _contractions(n, i)
+        images = E[:, _shifts(n, j - i)[:, basis]].transpose(1, 0, 2)
+        signed = np.stack((images, _negated(images, module.field)))
+        out[face, :, subset, :] = signed[sign, t]
+    return out.reshape(nfaces * E.shape[0], nsubsets * len(basis))
 
 
 def graded_betti(module, max_i, max_j, max_row=None):
@@ -260,69 +322,61 @@ def graded_betti(module, max_i, max_j, max_row=None):
     Over QQ every differential is first ranked modulo the prime
     CERTIFICATE_PRIMES[0], and a mod-p rank is kept only where it is
     proved equal to the rational one (Eisenbud, The Geometry of
-    Syzygies).  Rank mod p never exceeds rank over QQ, and the reduced
-    differentials still compose to zero.  So a differential of full rank
-    mod p has its rational rank, and wherever a cell C has mod-p homology
-    0, dim C = r_p(d_in) + r_p(d_out) <= r_QQ(d_in) + r_QQ(d_out) <= dim C
-    proves both adjacent ranks.  Every other differential, and every one
-    with a denominator divisible by p, is ranked exactly by
-    ExactMatrix.rank, so the table is always exact.
+    Syzygies).  Rank mod p never exceeds rank over QQ, and rank over QQ
+    never exceeds the number of columns or the dimension of the
+    codomain, so a differential whose mod-p rank meets either bound has
+    its rational rank.  The rational differentials compose to zero, so
+    wherever a cell C has mod-p homology 0, dim C = r_p(d_in) +
+    r_p(d_out) <= r_QQ(d_in) + r_QQ(d_out) <= dim C proves both adjacent
+    ranks.  The cells of the strand row just past the window are ranked
+    mod p too, when the module is built that high, only to close proofs;
+    they are never reported.  Every other differential of the window is
+    ranked exactly by ExactMatrix.rank, so the table is always exact.
     Over other fields the differentials are ranked directly.
     """
+    def required(i, j):
+        return j - i if i == 0 else j - i + 1
+
     cells = []
     for i in range(max_i + 1):
         for j in range(i, max_j + 1):
             if max_row is not None and j - i > max_row:
                 continue
-            required = j - i if i == 0 else j - i + 1
-            if required > module.max_degree:
+            if required(i, j) > module.max_degree:
                 raise PreconditionError(
                     "cell (%d, %d) needs module degree %d; built to %d"
-                    % (i, j, required, module.max_degree))
+                    % (i, j, required(i, j), module.max_degree))
             cells.append((i, j))
+    window = set(cells)
+    past = [(i - 1, j) for i, j in cells if i > 0 and (i - 1, j) not in window
+            and required(i - 1, j) <= module.max_degree]
 
-    needed = set()
-    for i, j in cells:
-        needed.add((i, j))
-        needed.add((i + 1, j))
-    keys = sorted(needed)
+    exact = {key for i, j in cells for key in ((i, j), (i + 1, j))}
     n = module.nvars
     over_qq = module.field == QQ
 
     def cell_dim(i, j):
         return comb(n, i) * module.piece_dim(j - i)
 
-    def first_pass(key):
-        """(matrix left to rank exactly or None, rank mod p or exact rank)."""
-        i, j = key
-        if i == 0 or i > n or not 0 <= j - i <= module.max_degree:
-            return None, 0
-        mat = koszul_differential(module, i, j)
-        if not over_qq:
-            return None, mat.rank()
-        if min(mat.nrows, mat.ncols) == 0:
-            return None, 0
-        try:
-            reduced = _reduce_rows_mod_p(mat.rows, _BETTI_PRIME)
-        except PreconditionError:
-            return mat, None  # a denominator hit the prime
-        rank = rank_mod_p(reduced, _BETTI_PRIME)
-        return (None if rank == min(mat.nrows, mat.ncols) else mat), rank
-
     pending = {}
     ranks = {}
-    for key in keys:
-        mat, ranks[key] = first_pass(key)
-        if mat is not None:
+    for key in sorted(exact.union(past)):
+        i, j = key
+        if i == 0 or i > n or not 0 <= j - i <= module.max_degree:
+            ranks[key] = 0
+            continue
+        mat = koszul_differential(module, i, j)
+        ranks[key] = len(_pivots(mat, module.field))
+        bound = min(mat.shape[1], comb(n, i - 1) * module.piece_dim(j - i + 1))
+        if over_qq and ranks[key] < bound and key in exact:
             pending[key] = mat
     # a cell with mod-p homology 0 proves both of its differentials
-    for i, j in keys:
-        if (i + 1, j) in ranks and None not in (ranks[(i, j)], ranks[(i + 1, j)]) \
-                and ranks[(i, j)] + ranks[(i + 1, j)] == cell_dim(i, j):
+    for i, j in cells + past:
+        if ranks[(i, j)] + ranks[(i + 1, j)] == cell_dim(i, j):
             pending.pop((i, j), None)
             pending.pop((i + 1, j), None)
     for key, mat in pending.items():
-        ranks[key] = mat.rank()
+        ranks[key] = ExactMatrix(mat.tolist(), QQ, mat.shape[1]).rank()
 
     entries = {}
     for i, j in cells:
@@ -336,32 +390,24 @@ def graded_betti(module, max_i, max_j, max_row=None):
 # ---- linear syzygies and M2 -------------------------------------------
 
 
-def betti_cell(module, i, j):
-    """One Betti number from the two differentials around cell (i, j)."""
-    out = koszul_differential(module, i, j)
-    inc = koszul_differential(module, i + 1, j) if i + 1 <= module.nvars else None
-    b = out.ncols - out.rank() - (inc.rank() if inc is not None else 0)
-    if b < 0:
-        raise AssertionError("negative homology at (%d, %d)" % (i, j))
-    return b
-
-
 def _betti_guard(Q, order):
     """Check the strand next to the linear one is empty, else refuse.
 
     Order 1 needs no cubic generators (b_{1,3} = 0); order 2 additionally
     needs no degree-4 first syzygies (b_{2,4} = 0).  Otherwise the naive
     kernels would not be minimal Betti numbers and the caller would get a
-    silently wrong count.
+    silently wrong count.  Both cells come from the smallest window
+    holding them.
     """
-    module = quadric_ideal_module(Q, 3)
-    b13 = betti_cell(module, 1, 3)
+    table = graded_betti(quadric_ideal_module(Q, 3), order, order + 2,
+                         max_row=2)
+    b13 = table.entry(1, 3)
     if b13 != 0:
         raise PreconditionError(
             "quadric system has %d cubic generators; linear-strand kernel "
             "would not be minimal" % b13)
     if order == 2:
-        b24 = betti_cell(module, 2, 4)
+        b24 = table.entry(2, 4)
         if b24 != 0:
             raise PreconditionError(
                 "quadric system has %d non-linear first syzygies; second-order "
@@ -447,7 +493,7 @@ class LinearFormMatrix:
     """Matrix whose entries are degree-1 forms (or zero) in shared variables."""
 
     __slots__ = ("entries", "nrows", "ncols", "nvars", "field", "alphabet",
-                 "_coefficient_arrays")
+                 "_coefficient_arrays", "_coefficient_lists")
 
     def __init__(self, entries):
         entries = tuple(tuple(row) for row in entries)
@@ -469,14 +515,44 @@ class LinearFormMatrix:
         object.__setattr__(self, "field", first.field)
         object.__setattr__(self, "alphabet", first.alphabet)
         object.__setattr__(self, "_coefficient_arrays", None)
+        object.__setattr__(self, "_coefficient_lists", None)
 
     def __setattr__(self, *args):
         raise AttributeError("LinearFormMatrix is immutable")
 
     def evaluate_at(self, point):
         F = self.field
-        return ExactMatrix([[e.evaluate(point) for e in row]
-                            for row in self.entries], F, self.ncols)
+        if F != QQ:
+            return ExactMatrix([[e.evaluate(point) for e in row]
+                                for row in self.entries], F, self.ncols)
+        if len(point) != self.nvars:
+            raise PreconditionError(
+                "point length %d, expected %d" % (len(point), self.nvars))
+        # one integer dot product per entry, over the point's common
+        # denominator times the entry's
+        den = lcm(*(v.denominator for v in point))
+        ints = [v.numerator * (den // v.denominator) for v in point]
+        return ExactMatrix([[Fraction(sum(map(mul, coeffs, ints)), d * den)
+                             for coeffs, d in row]
+                            for row in self._integer_coefficients()],
+                           F, self.ncols)
+
+    def _integer_coefficients(self):
+        """Per entry over QQ: (integer coefficients, denominator), the
+        coefficients over their common denominator.  Built once, since
+        every sampled point reads them."""
+        if self._coefficient_lists is None:
+            lists = []
+            for row in self.entries:
+                out = []
+                for e in row:
+                    coeffs = [Fraction(c) for c in e.coeffs]
+                    d = lcm(*(c.denominator for c in coeffs))
+                    out.append((tuple(c.numerator * (d // c.denominator)
+                                      for c in coeffs), d))
+                lists.append(out)
+            object.__setattr__(self, "_coefficient_lists", lists)
+        return self._coefficient_lists
 
     def substitute(self, substituents):
         return LinearFormMatrix([[e.substitute(substituents) for e in row]

@@ -1,8 +1,10 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -10,13 +12,21 @@ from apolarkit import catalog, linalg, resolutions
 from apolarkit.apolarity import (
     PointSet,
     apolar_ideal_component,
+    evaluation_matrix,
     ideal_of_points_component,
+    ideal_span,
     q_f,
 )
 from apolarkit.cli import random_rational_points
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ
-from apolarkit.forms import HomogeneousForm, monomial_count, parse_form
+from apolarkit.forms import (
+    HomogeneousForm,
+    monomial_count,
+    monomial_exponents,
+    monomial_index,
+    parse_form,
+)
 from apolarkit.linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
@@ -29,7 +39,6 @@ from apolarkit.resolutions import (
     GradedModule,
     LinearFormMatrix,
     apolar_quotient_module,
-    betti_cell,
     graded_betti,
     koszul_differential,
     linear_syzygies,
@@ -59,17 +68,39 @@ def _veronese_quadric_module():
     return quadric_ideal_module(span_of(catalog.veronese_ideal_quadrics()), 3)
 
 
+def _module_coordinates(module, k, ambient):
+    """Coordinates over the basis B_k of each column of `ambient`, whose
+    blocks of rows(E_k) rows each lie in the image of E_k: solved block by
+    block against E_k[:, B_k] by Fraction rref."""
+    E, basis = module.piece(k)
+    nrows = E.shape[0]
+    coords = []
+    for start in range(0, ambient.shape[0], nrows):
+        block = ambient[start:start + nrows]
+        augmented = [[Fraction(E[r, m]) for m in basis]
+                     + [Fraction(v) for v in block[r]] for r in range(nrows)]
+        rows, pivots = linalg._rref(augmented, QQ)
+        # E_k[:, B_k] has independent columns and the block lies in its span
+        assert pivots == list(range(len(basis)))
+        coords.extend(row[len(basis):] for row in rows[:len(basis)])
+    return ExactMatrix(coords, QQ, ambient.shape[1])
+
+
 @pytest.mark.parametrize("build", [_three_point_module, _paper_member_module,
                                    _veronese_quadric_module],
                          ids=["points", "apolar", "veronese-quadrics"])
 def test_koszul_differentials_compose_to_zero(build):
+    # each differential lands in Lambda (x) rows(E), so the inner one is
+    # mapped back to module coordinates before composing
     module = build()
     for i, j in [(1, 2), (2, 3), (1, 3)]:
         outer = koszul_differential(module, i, j)
         inner = koszul_differential(module, i + 1, j)
-        assert outer.ncols == inner.nrows
-        assert outer.matmul(inner) \
-            == ExactMatrix.zeros(outer.nrows, inner.ncols, module.field)
+        inner_coords = _module_coordinates(module, j - i, inner)
+        assert outer.shape[1] == inner_coords.nrows
+        product = ExactMatrix(outer.tolist(), QQ, outer.shape[1]) \
+            .matmul(inner_coords)
+        assert product == ExactMatrix.zeros(outer.shape[0], inner.shape[1], QQ)
 
 
 def test_single_point_resolution_is_koszul():
@@ -123,11 +154,70 @@ def _points_module(name, scale=1):
     return points_quotient_module(PointSet(points, QQ), 4)
 
 
+def _fraction_betti_cells(nvars, presentations, cells):
+    """Betti numbers by Fraction elimination alone, sharing no code with
+    GradedModule: each M_j is read off the rref of its presentation (the
+    pivot monomials are a basis and the rref column of a monomial holds
+    its coordinates), y_t sends m to the rref column of y_t*m one degree
+    up, and every Koszul differential is ranked by linalg._rref."""
+    pieces = []
+    for mat in presentations:
+        rows, pivots = linalg._rref([[Fraction(a) for a in r]
+                                     for r in mat.rows], QQ)
+        pieces.append((rows[:len(pivots)], pivots))
+
+    @lru_cache(maxsize=None)
+    def rank(i, j):
+        k = j - i
+        if not 1 <= i <= nvars or k < 0:
+            return 0
+        (_, basis), (target_rows, target_basis) = pieces[k], pieces[k + 1]
+        exps = monomial_exponents(nvars, k)
+        idx = monomial_index(nvars, k + 1)
+        faces = {s: n for n, s in
+                 enumerate(itertools.combinations(range(nvars), i - 1))}
+        dim = len(target_basis)
+        columns = []
+        for S in itertools.combinations(range(nvars), i):
+            for m in basis:
+                col = [Fraction(0)] * (len(faces) * dim)
+                for pos, t in enumerate(S):
+                    e = list(exps[m])
+                    e[t] += 1
+                    at = faces[S[:pos] + S[pos + 1:]] * dim
+                    for r in range(dim):
+                        col[at + r] = (-1) ** pos * target_rows[r][idx[tuple(e)]]
+                columns.append(col)
+        if not columns or not columns[0]:
+            return 0
+        return len(linalg._rref(columns, QQ)[1])
+
+    return {(i, j): comb(nvars, i) * len(pieces[j - i][1])
+            - rank(i, j) - rank(i + 1, j) for i, j in cells}
+
+
+# The nonzero cells of the two largest configurations, recorded with
+# _fraction_betti_cells, which takes 27 s and 9 s on them on a 2-core
+# machine, too long to repeat on every run; the exact integer-echelon
+# ranks of the earlier module class gave the same cells, and seeded-9 is
+# the stored points-9 reference table.
+PINNED_EXACT_CELLS = {
+    "seeded-9": {(1, 2): 12, (2, 3): 25, (3, 4): 15, (3, 5): 6, (4, 6): 10,
+                 (5, 7): 3},
+    "coplanar-7": {(1, 1): 3, (1, 3): 3, (1, 4): 1, (2, 2): 3, (2, 4): 11,
+                   (2, 5): 4, (3, 3): 1, (3, 5): 15, (3, 6): 6, (4, 6): 9,
+                   (4, 7): 4, (5, 7): 2, (5, 8): 1},
+}
+
+
 @lru_cache(maxsize=None)
 def _exact_betti_cells(name):
-    module = _points_module(name)
-    return {(i, j): betti_cell(module, i, j)
-            for i in range(1, 7) for j in range(i, i + 4)}
+    cells = [(i, j) for i in range(1, 7) for j in range(i, i + 4)]
+    if name in PINNED_EXACT_CELLS:
+        return {key: PINNED_EXACT_CELLS[name].get(key, 0) for key in cells}
+    Z = PointSet(POINT_CONFIGURATIONS[name][0], QQ)
+    return _fraction_betti_cells(
+        6, [evaluation_matrix(Z, j) for j in range(5)], cells)
 
 
 @pytest.mark.parametrize("scale", [1, 2])
@@ -150,6 +240,44 @@ def test_points_betti_matches_exact_cells(name, scale, monkeypatch):
         assert table.entry(i, j) == b, (name, i, j)
     if name in ("congruent-pair", "collinear-mod-p"):
         assert exact_ranks, "the exact fallback was not taken"
+
+
+def _count_exact_work(monkeypatch):
+    """Record every Fraction rref, exact rank and integer echelon."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for module in (linalg, resolutions):
+        for name in ("_rref", "_integer_echelon"):
+            monkeypatch.setattr(module, name,
+                                counting(name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg.ExactMatrix, "rank",
+                        counting("rank", linalg.ExactMatrix.rank))
+    return calls
+
+
+@pytest.mark.parametrize("count", [5, 6, 7, 8, 9, 10, 11, 12, 30])
+def test_generic_points_betti_takes_no_exact_elimination(count, monkeypatch):
+    # the mod-p ranks, with the strand row past the window, prove every
+    # cell; the module is built one degree past the window, as `betti` does
+    Z = PointSet(random_rational_points(count, seed=0), QQ)
+    calls = _count_exact_work(monkeypatch)
+    table = graded_betti(points_quotient_module(Z, 5), 6, 9, max_row=3)
+    assert calls == []
+    assert table.entry(0, 0) == 1
+
+
+def test_paper_member_betti_takes_no_exact_elimination(monkeypatch):
+    f = catalog.cubic_family(1, -1, 1, -1, 1)
+    calls = _count_exact_work(monkeypatch)
+    table = graded_betti(apolar_quotient_module(f, 9), 6, 9, max_row=3)
+    assert calls == []
+    assert table.nonzero() == GENERIC_CUBIC_APOLAR_BETTI
 
 
 @pytest.mark.parametrize("name", sorted(POINT_CONFIGURATIONS))
@@ -191,7 +319,7 @@ def test_points_module_refuses_beyond_built_degree_and_multisets():
     with pytest.raises(PreconditionError):
         module.piece_dim(3)
     with pytest.raises(PreconditionError):
-        module.multiplication_matrix(2, 0)
+        koszul_differential(module, 1, 3)
     doubled = PointSet([(1, 0, 0, 0, 0, 0)] * 2, QQ, allow_duplicates=True)
     with pytest.raises(PreconditionError):
         points_quotient_module(doubled, 2)
@@ -240,8 +368,14 @@ def test_veronese_quadric_module_betti_cells():
     assert Q.dim == 6
     module = quadric_ideal_module(Q, 3)
     assert [module.piece_dim(j) for j in range(4)] == [1, 6, 15, 28]
-    assert betti_cell(module, 1, 2) == 6
-    assert betti_cell(module, 2, 3) == 8
+    table = graded_betti(module, 2, 3, max_row=1)
+    assert table.entry(1, 2) == 6
+    assert table.entry(2, 3) == 8
+    forms = [HomogeneousForm(6, 2, row, QQ, "y") for row in Q.basis.rows]
+    reference = _fraction_betti_cells(
+        6, [ideal_span(forms, j).kernel_basis() for j in range(4)],
+        [(1, 2), (2, 3)])
+    assert reference == {(1, 2): 6, (2, 3): 8}
 
 
 def test_veronese_linear_syzygies_both_orders():
@@ -351,6 +485,23 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
     dims = [linear_syzygies(Q, order, guard=False).dim for order in (1, 2)]
     assert dims == [35, 21]
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["family(1,-1,1,-1,1)", "scroll-cubic"])
+def test_evaluate_at_matches_form_evaluation(name):
+    f = catalog.scroll_apolar_cubic() if name == "scroll-cubic" \
+        else catalog.cubic_family(1, -1, 1, -1, 1)
+    M = m2_matrix(f)
+    rng = random.Random(19)
+    for _ in range(2):
+        point = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                 for _ in range(6)]
+        scalar = M.evaluate_at(point)
+        assert scalar.rows == tuple(tuple(e.evaluate(point) for e in row)
+                                    for row in M.entries)
+        assert all(type(v) is Fraction for row in scalar.rows for v in row)
+    with pytest.raises(PreconditionError):
+        M.evaluate_at(point[:5])
 
 
 def test_m2_matrix_refuses_non_generic_cubic():
