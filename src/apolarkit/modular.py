@@ -25,7 +25,8 @@ nodes by one product with the inverse Vandermonde matrix, built once per
 
 Primes stay below 2^31, so a product of two residues stays below 2^62
 and fits in int64; the core only ever forms one product per entry
-before it reduces.  word_primes lists the largest of them, the primes
+before it reduces.  matmul_mod, whose dot products sum many of them,
+takes Python ints wherever int64 could overflow.  word_primes lists the largest of them, the primes
 of the multimodular rational kernels.  Fields GF(p) take the core only
 for p < 2^16, where a stack may invert through a table of every code.
 """
@@ -232,6 +233,14 @@ def word_primes(count):
         if len(primes) >= count:
             return tuple(int(p) for p in primes[:count])
         width *= 2
+
+
+def matmul_mod(x, y, p):
+    """x @ y mod p for integer code arrays, through Python ints where an
+    int64 dot product could overflow."""
+    if x.shape[-1] * (p - 1) ** 2 < 1 << 63:
+        return x @ y % p
+    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
 
 
 def _primes_below(n):
@@ -493,6 +502,7 @@ def interpolate_at_nodes(values, nodes, field):
     p = field.char
     vre, vim = _inverse_vandermonde(tuple(nodes), field)
     yre, yim = values % p, values // p
-    w2 = field.nonresidue if field.degree == 2 else 0
-    re = yre @ vre.T + w2 * (yim @ vim.T)
+    if field.degree == 1:
+        return matmul_mod(yre, vre.T, p), np.zeros_like(yre)
+    re = yre @ vre.T + field.nonresidue * (yim @ vim.T)
     return re % p, (yre @ vim.T + yim @ vre.T) % p

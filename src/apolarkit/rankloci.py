@@ -3,7 +3,8 @@
 Three instruments over finite fields:
 
 * drop_degree_on_line measures the degree of the rank-drop divisor of a
-  matrix along a line, through gcds of random maximal-minor restrictions;
+  matrix along a line, through the gcd of random compressions det(L M R),
+  each a random combination of all maximal minors (Cauchy-Binet);
 * interpolate_drop_curve recovers the defining polynomial of the drop
   locus of a 3-variable matrix by sampling ranks over an extension field
   and solving for the coefficients;
@@ -12,9 +13,10 @@ Three instruments over finite fields:
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
-per stack: the points of a plane scan, and every minor of a gcd round at
-every interpolation node.  Randomness is always driven by an explicit
-seed and the outputs are deterministic functions of (input, seed).
+per stack: the points of a plane scan, and every compression of a gcd
+round at every interpolation node.  Randomness is always driven by an
+explicit seed and the outputs are deterministic functions of (input,
+seed).
 """
 
 from __future__ import annotations
@@ -50,44 +52,46 @@ def _line_arrays(M, line):
     if proportional(a, b, p):
         raise PreconditionError("degenerate line: points are proportional")
     arrays = M.integer_coefficient_arrays()
-    A = sum(int(av) * arr for av, arr in zip(a, arrays)) % p
-    B = sum(int(bv) * arr for bv, arr in zip(b, arrays)) % p
-    return A.astype(np.int64), B.astype(np.int64)
+    return modular.matmul_mod(np.array([a, b]), arrays.reshape(M.nvars, -1),
+                              p).reshape(2, M.nrows, M.ncols)
 
 
-def _stable_minor_gcd(M, size, rng, minor_polys, p, subsets_per_round,
+def _stable_minor_gcd(M, size, rng, minor_polys, p, compressions_per_round,
                       max_rounds):
-    """Stabilized gcd of random size x size minors of M restricted to a line.
+    """Stabilized gcd of the size x size minors of M restricted to a line.
 
-    minor_polys(subsets) returns the restriction of each (rows, cols)
-    minor as a polynomial over F_p in the line parameter, empty when it
-    vanishes.  Each round folds subsets_per_round nonzero restrictions
-    into the gcd and into the multiplicity at infinity (size minus the
-    degree); two consecutive rounds without change is the stabilization
-    contract.  A round draws the subsets it still misses at once, and
-    again for those that vanished: the draws and folds of taking one at
-    a time.  Returns (gcd, multiplicity at infinity).  Raises
-    UnstableComputationError when almost all minors vanish or the gcd
-    does not settle within max_rounds, instead of guessing.
+    Each draw is a compression (L, R): L of shape size x nrows and, when
+    ncols > size, R of shape ncols x size (else None), with entries
+    uniform over F_p.  By Cauchy-Binet, det(L M R) is a random F_p-
+    combination of all size x size minors of M, so their gcd divides it
+    (Kaltofen-Saunders, AAECC-9, 1991).  minor_polys(draws) returns the
+    restriction of each det(L M R) as a polynomial over F_p in the line
+    parameter, empty when it vanishes.  Each round folds
+    compressions_per_round nonzero restrictions into the gcd and into
+    the multiplicity at infinity (size minus the degree); two consecutive
+    rounds without change is the stabilization contract.  A round draws
+    the compressions it still misses at once, and again for those that
+    vanished.  Returns (gcd, multiplicity at infinity).  Raises
+    UnstableComputationError when 40 * compressions_per_round draws of a
+    round leave it short, or the gcd does not settle within max_rounds,
+    instead of guessing.
     """
-    cap = 40 * subsets_per_round
+    cap = 40 * compressions_per_round
+    uniform = np.random.default_rng(rng.getrandbits(64)).integers
     gcd_acc = None
     inf_acc = None
     for _ in range(max_rounds):
         before = (gcd_acc, inf_acc)
         produced = 0
         attempts = 0
-        while produced < subsets_per_round:
-            subsets = []
-            for _ in range(min(subsets_per_round - produced, cap - attempts)):
-                rows = sorted(rng.sample(range(M.nrows), size))
-                if M.ncols == size:
-                    cols = list(range(size))
-                else:
-                    cols = sorted(rng.sample(range(M.ncols), size))
-                subsets.append((rows, cols))
-            attempts += len(subsets)
-            for poly in minor_polys(subsets):
+        while produced < compressions_per_round:
+            draws = [(uniform(p, size=(size, M.nrows)),
+                      uniform(p, size=(M.ncols, size)) if M.ncols > size
+                      else None)
+                     for _ in range(min(compressions_per_round - produced,
+                                        cap - attempts))]
+            attempts += len(draws)
+            for poly in minor_polys(draws):
                 if not poly:
                     continue
                 produced += 1
@@ -95,43 +99,67 @@ def _stable_minor_gcd(M, size, rng, minor_polys, p, subsets_per_round,
                     else modular.poly_gcd(gcd_acc, poly, p)
                 inf_mult = size - modular.poly_degree(poly)
                 inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
-            if produced < subsets_per_round and attempts == cap:
+            if produced < compressions_per_round and attempts == cap:
                 raise UnstableComputationError(
-                    "almost all random %dx%d minors vanish on the line"
-                    % (size, size))
+                    "almost all random %dx%d compressed minors vanish on the "
+                    "line" % (size, size))
         if gcd_acc is not None and (gcd_acc, inf_acc) == before:
             return gcd_acc, inf_acc
     raise UnstableComputationError(
         "minor gcd did not stabilize within %d rounds" % max_rounds)
 
 
-def _minor_values(mats, subsets, det):
-    """det of every (rows, cols) minor of every node matrix, one row per
-    subset, taken in stacks of at most modular.CHUNK_ENTRIES entries."""
-    rows, cols = (np.array(x) for x in zip(*subsets))
+def _compressed_minor_polys(A, B, params, field, det, draws):
+    """Restrictions det(L (A + sB) R) of a batch of compressions.
+
+    params are the interpolation nodes in field (GF(p) or GF(p^2)), det
+    takes a stack of packed codes (a + p*b).  L A R and L B R are formed
+    once per draw; their node stack is taken through det in chunks of at
+    most modular.CHUNK_ENTRIES entries.  L, R, A and B are F_p-rational,
+    so every restriction must interpolate into F_p.
+    """
+    p = field.char
+    size = len(draws[0][0])
+    nodes_re, nodes_im = _pairs(params, field)
+    compressed = []
+    for L, R in draws:
+        pair = [modular.matmul_mod(L, X, p) for X in (A, B)]
+        if R is not None:
+            pair = [modular.matmul_mod(X, R, p) for X in pair]
+        compressed.append(pair)
+    compressed = np.array(compressed)
     vals = []
-    for chunk in modular.chunked(np.ndindex(len(subsets), len(mats)),
-                                 rows.shape[1] ** 2):
-        s, n = np.array(chunk).T
-        vals.append(det(mats[n[:, None, None], rows[s][:, :, None],
-                             cols[s][:, None, :]]))
-    return np.concatenate(vals).reshape(len(subsets), -1)
+    for chunk in modular.chunked(np.ndindex(len(draws), len(params)),
+                                 size * size):
+        d, n = np.array(chunk).T
+        lar, lbr = compressed[d, 0], compressed[d, 1]
+        vals.append(det((lar + nodes_re[n, None, None] * lbr) % p
+                        + p * (nodes_im[n, None, None] * lbr % p)))
+    re, im = modular.interpolate_at_nodes(
+        np.concatenate(vals).reshape(len(draws), -1), params, field)
+    if im.any():
+        raise PreconditionError(
+            "minor restriction interpolated outside GF(%d)" % p)
+    return [modular.poly_trim(c, p) for c in re.tolist()]
 
 
-def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
+def drop_degree_on_line(M, line, t, seed=0, compressions_per_round=4,
+                        max_rounds=6):
     """Degree of the squarefree rank-drop divisor of M along a line.
 
     The line through the two given points is parametrized, every entry of
     M becomes a univariate polynomial of degree at most 1, and random
-    (t+1) x (t+1) submatrices contribute their determinant restricted to
-    the line.  The stabilized gcd of those determinants cuts out the
-    locus where the rank falls to t or below; its squarefree degree is
-    returned, counting the chart's point at infinity once if the gcd
-    vanishes there.
+    compressions L M R of M to (t+1) x (t+1) contribute their determinant
+    restricted to the line.  Each is a random combination of all
+    (t+1) x (t+1) minors (Cauchy-Binet), and the stabilized gcd of a few
+    of them cuts out the locus where the rank falls to t or below; its
+    squarefree degree is returned, counting the chart's point at
+    infinity once if the gcd vanishes there.
 
-    The subset gcd only equals the full-minor gcd when enough random
-    subsets agree; see _stable_minor_gcd for the stabilization contract
-    and the UnstableComputationError raised when it fails.
+    The gcd of the compressions only equals the full-minor gcd when
+    enough random ones agree; see _stable_minor_gcd for the
+    stabilization contract and the UnstableComputationError raised when
+    it fails.
     """
     field = M.field
     if not isinstance(field, PrimeField):
@@ -162,16 +190,10 @@ def drop_degree_on_line(M, line, t, seed=0, subsets_per_round=8, max_rounds=6):
         raise PreconditionError("line inside drop locus: rank <= %d at "
                                 "3 random parameters" % t)
 
-    params = list(range(size + 1))
-    mats = np.array([(A + s * B) % p for s in params])
-
-    def minor_polys(subsets):
-        vals = _minor_values(mats, subsets, partial(modular.det_mod_p, p=p))
-        coeffs, _ = modular.interpolate_at_nodes(vals, params, field)
-        return [modular.poly_trim(c, p) for c in coeffs.tolist()]
-
+    minor_polys = partial(_compressed_minor_polys, A, B, list(range(size + 1)),
+                          field, partial(modular.det_mod_p, p=p))
     gcd_acc, inf_acc = _stable_minor_gcd(M, size, rng, minor_polys, p,
-                                         subsets_per_round, max_rounds)
+                                         compressions_per_round, max_rounds)
     squarefree = modular.poly_squarefree_part(gcd_acc, p)
     degree = max(modular.poly_degree(squarefree), 0)
     if inf_acc >= 1:
@@ -199,41 +221,14 @@ def plane_drop_points(M, t, extension_degree=1):
     tables = modular.quadratic_tables(ext) if extension_degree == 2 else None
     out = []
     for chunk in modular.chunked(projective_points(ext, 3), arrays[0].size):
-        # (re, im) coordinates of each point, im = 0 over F_p
-        q = np.array(chunk, dtype=np.int64).reshape(len(chunk), 3, -1)
-        stack = np.einsum("kv,vij->kij", q[:, :, 0], arrays) % p
+        q_re, q_im = _pairs(chunk, ext)
+        stack = np.einsum("kv,vij->kij", q_re, arrays) % p
         if extension_degree == 2:
-            stack += p * (np.einsum("kv,vij->kij", q[:, :, 1], arrays) % p)
+            stack += p * (np.einsum("kv,vij->kij", q_im, arrays) % p)
         ranks = (tables.batch_rank(stack) if tables
                  else modular.rank_mod_p(stack, p))
         out.extend(chunk[i] for i in np.flatnonzero(ranks <= t))
     return out
-
-
-def _monomial_value(field, exps, point):
-    v = field.one
-    for e, c in zip(exps, point):
-        if e:
-            v = field.mul(v, scalar_pow(field, c, e))
-    return v
-
-
-def _point_condition_rows(field, point, degree, p):
-    """F_p rows expressing F(point) = 0 for an unknown degree-d form.
-
-    A base-field point contributes one row; an F_{p^2} point splits into
-    its two coordinate rows.
-    """
-    exps = monomial_exponents(3, degree)
-    if isinstance(field, PrimeField):
-        return [[_monomial_value(field, e, point) % p for e in exps]]
-    row_re = []
-    row_im = []
-    for e in exps:
-        val = _monomial_value(field, e, point)
-        row_re.append(val[0])
-        row_im.append(val[1])
-    return [row_re, row_im]
 
 
 def _binary_restriction_weights(a, b, degree, p):
@@ -269,44 +264,34 @@ def _binary_restriction_weights(a, b, degree, p):
     return weights
 
 
-def _line_gcd_binary(M, line, t, rng, subsets_per_round, max_rounds):
+def _line_gcd_binary(M, line, t, rng, compressions_per_round, max_rounds):
     """Stabilized gcd of maximal minors on a line, as a binary form.
 
     Works over F_{p^2} sample parameters so small primes still give
-    enough interpolation nodes, then projects the coefficients back to
-    F_p (they must land there when both M and the line are F_p-rational).
-    Returns the degree-(t+1)-homogenized coefficient list [G_0..G_d] with
-    G_k the coefficient of s^k u^(d-k), d = affine degree + infinity
-    multiplicity.  Raises UnstableComputationError when the gcd never
-    stabilized or the line lies inside the drop locus.
+    enough interpolation nodes; the compressions are drawn over F_p, so
+    the coefficients must land back in F_p when both M and the line are
+    F_p-rational.  Returns the degree-(t+1)-homogenized coefficient list
+    [G_0..G_d] with G_k the coefficient of s^k u^(d-k), d = affine degree
+    + infinity multiplicity.  Raises UnstableComputationError when the
+    gcd never stabilized or the line lies inside the drop locus.
     """
     p = M.field.char
     size = t + 1
     ext = GF(p, 2)
-    tables = modular.quadratic_tables(ext)
     A, B = _line_arrays(M, line)
     elems = list(ext.elements())
     if len(elems) < size + 1:
         raise PreconditionError("p^2=%d too small to interpolate degree %d"
                                 % (p * p, size))
-    params = elems[:size + 1]
-    packed = np.array([(A + s[0] * B) % p + p * (s[1] * B % p) for s in params])
-
-    def minor_polys(subsets):
-        vals = _minor_values(packed, subsets, tables.det)
-        re, im = modular.interpolate_at_nodes(vals, params, ext)
-        if im.any():
-            raise PreconditionError(
-                "minor restriction interpolated outside GF(%d)" % p)
-        return [modular.poly_trim(c, p) for c in re.tolist()]
-
+    minor_polys = partial(_compressed_minor_polys, A, B, elems[:size + 1],
+                          ext, modular.quadratic_tables(ext).det)
     affine, inf_mult = _stable_minor_gcd(M, size, rng, minor_polys, p,
-                                         subsets_per_round, max_rounds)
+                                         compressions_per_round, max_rounds)
     return affine + [0] * inf_mult
 
 
 def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
-                           subsets_per_round=8, max_rounds=6):
+                           compressions_per_round=4, max_rounds=6):
     """The plane curve where a 3-variable linear-form matrix drops rank.
 
     Scans the projective plane over F_p (or F_{p^2}), collects every
@@ -336,8 +321,11 @@ def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
     drop = plane_drop_points(M, t, extension_degree)
     sample_field = field if extension_degree == 1 else GF(p, 2)
     conditions = []
-    for q in drop:
-        conditions.extend(_point_condition_rows(sample_field, q, target_degree, p))
+    if drop:
+        # F(q) = 0 for an unknown form F: one F_p row per base-field point,
+        # its (re, im) pair of rows per F_{p^2} point
+        re, im = _monomials_at_points(drop, target_degree, sample_field)
+        conditions = re.tolist() + (im.tolist() if extension_degree == 2 else [])
 
     def corank_and_kernel():
         if not conditions:
@@ -362,8 +350,8 @@ def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
         rng.shuffle(lines)
         for a, b in lines:
             try:
-                G = _line_gcd_binary(M, (a, b), t, rng, subsets_per_round,
-                                     max_rounds)
+                G = _line_gcd_binary(M, (a, b), t, rng,
+                                     compressions_per_round, max_rounds)
             except UnstableComputationError:
                 continue
             if len(G) - 1 != target_degree:
@@ -399,7 +387,9 @@ def singular_points_plane_curve(F, search_extension=1):
     """All singular points of a plane curve within P^2(F_{p^k}), k <= 2.
 
     A point is reported when F and all three partial derivatives vanish
-    there; the scan is exhaustive over the requested field.
+    there; the scan is exhaustive over the requested field, in
+    projective_points order, and evaluates the four forms at a chunk of
+    points at once: monomial values times coefficient vectors.
     """
     if F.nvars != 3:
         raise PreconditionError("singular-point scan wants a ternary form")
@@ -416,15 +406,54 @@ def singular_points_plane_curve(F, search_extension=1):
         G = F.lift_to(field)
     else:
         raise PreconditionError("search extension must be 1 or 2")
-    partials = [G.derivative(i) for i in range(3)]
+    p = field.char
+    w2 = field.nonresidue if field.degree == 2 else 0
+    forms = [G] + [G.derivative(i) for i in range(3)]
     out = []
-    for q in projective_points(field, 3):
-        pt = list(q)
-        if not field.is_zero(G.evaluate(pt)):
-            continue
-        if all(field.is_zero(d.evaluate(pt)) for d in partials):
-            out.append(tuple(q))
+    for chunk in modular.chunked(projective_points(field, 3),
+                                 monomial_count(3, G.degree)):
+        monomials = {g.degree: _monomials_at_points(chunk, g.degree, field)
+                     for g in forms}
+        vanish = np.ones(len(chunk), dtype=bool)
+        for g in forms:
+            m_re, m_im = monomials[g.degree]
+            c_re, c_im = _pairs(g.coeffs, field)
+            vanish &= (m_re @ c_re + w2 * (m_im @ c_im)) % p == 0
+            vanish &= (m_re @ c_im + m_im @ c_re) % p == 0
+        out.extend(chunk[i] for i in np.flatnonzero(vanish))
     return out
+
+
+def _pairs(scalars, field):
+    """(re, im) int64 arrays of a nested list of field scalars, im = 0
+    over F_p."""
+    a = np.array(scalars, dtype=np.int64)
+    return (a[..., 0], a[..., 1]) if field.degree == 2 else (a, 0 * a)
+
+
+def _monomials_at_points(points, degree, field):
+    """(re, im) int64 arrays [point, monomial]: every degree-d monomial,
+    in monomial_exponents order, at every point of P^2 over field, by
+    products of (re, im) pairs with w^2 = nonresidue."""
+    p = field.char
+    w2 = field.nonresidue if field.degree == 2 else 0
+
+    def mul(x, y):
+        return ((x[0] * y[0] + w2 * x[1] * y[1]) % p,
+                (x[0] * y[1] + x[1] * y[0]) % p)
+
+    coord = _pairs(points, field)
+    powers = [(np.ones_like(coord[0]), np.zeros_like(coord[0]))]
+    for _ in range(degree):
+        powers.append(mul(powers[-1], coord))
+    tables = [np.stack([pw[part] for pw in powers], axis=-1) for part in (0, 1)]
+    exps = np.array(monomial_exponents(3, degree))
+    # factors[part][point, monomial, variable]: coordinate ** exponent
+    factors = [t[:, np.arange(3), exps] for t in tables]
+    mono = (factors[0][..., 0], factors[1][..., 0])
+    for v in (1, 2):
+        mono = mul(mono, (factors[0][..., v], factors[1][..., v]))
+    return mono
 
 
 def classify_singularity(F, point):

@@ -555,7 +555,31 @@ class LinearFormMatrix:
         return self._coefficient_lists
 
     def substitute(self, substituents):
-        return LinearFormMatrix([[e.substitute(substituents) for e in row]
+        """Entrywise linear substitution: each entry's coefficient vector
+        times the nvars x k matrix of the substituents' coefficients, the
+        same forms HomogeneousForm.substitute expands term by term."""
+        F = self.field
+        if len(substituents) != self.nvars:
+            raise PreconditionError("need %d substituents, got %d"
+                                    % (self.nvars, len(substituents)))
+        for g in substituents:
+            if g.degree != 1:
+                raise PreconditionError(
+                    "substitute wants degree-1 forms, got degree %d" % g.degree)
+            if g.nvars != substituents[0].nvars or g.field != F:
+                raise PreconditionError(
+                    "substituents must share degree, arity, and the form's field")
+        k, alphabet = substituents[0].nvars, substituents[0].alphabet
+        images = [g.coeffs for g in substituents]
+
+        def image(e):
+            out = [F.zero] * k
+            for c, row in zip(e.coeffs, images):
+                if not F.is_zero(c):
+                    out = [F.add(o, F.mul(c, s)) for o, s in zip(out, row)]
+            return HomogeneousForm(k, 1, out, F, alphabet)
+
+        return LinearFormMatrix([[image(e) for e in row]
                                  for row in self.entries])
 
     def reduce_mod_p(self, p):

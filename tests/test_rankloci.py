@@ -1,6 +1,9 @@
 import random
+from functools import lru_cache, partial
+from itertools import combinations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from apolarkit import catalog, modular, rankloci
@@ -59,6 +62,21 @@ def test_drop_degree_on_synthetic_diagonals():
     # at threshold 0 the two diagonal entries have no common zero on a
     # generic line, so the divisor is empty
     assert drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 0) == 0
+
+
+def test_drop_degree_on_line_over_a_31_bit_prime():
+    # diag(l, c*l) drops along l = 0 alone, once the products of residues
+    # near 2^31 (line arrays, compressions, interpolation) do not wrap in
+    # int64; wrapped, the two entries stop being proportional
+    p = 2147483629
+    F = GF(p)
+    c = p // 2 + 7
+    coeffs = [p - 1, p - 2, p - 3]
+    M = LinearFormMatrix([[lf(coeffs, F), lf([0, 0, 0], F)],
+                          [lf([0, 0, 0], F), lf([c * v % p for v in coeffs], F)]])
+    line = ((p - 1, p - 2, p - 3), (p - 4, p - 5, p - 7))
+    assert drop_degree_on_line(M, line, 1) == 1
+    assert drop_degree_on_line(M, line, 0) == 1
 
 
 def test_plane_drop_points_of_diagonal_matrix():
@@ -169,91 +187,103 @@ def test_drop_report_structure():
     assert report3["curve"] is None
 
 
-def _one_at_a_time_gcd(M, size, rng, minor_poly, p, subsets_per_round,
-                       max_rounds):
-    """The stabilized minor gcd evaluating one subset per draw: the loop
-    _stable_minor_gcd batches, kept here as the reference draw order."""
-    gcd_acc = inf_acc = None
-    for _ in range(max_rounds):
-        before = (gcd_acc, inf_acc)
-        produced = attempts = 0
-        while produced < subsets_per_round:
-            attempts += 1
-            if attempts > 40 * subsets_per_round:
-                raise UnstableComputationError("cap")
-            rows = sorted(rng.sample(range(M.nrows), size))
-            cols = list(range(size)) if M.ncols == size \
-                else sorted(rng.sample(range(M.ncols), size))
-            poly = minor_poly(rows, cols)
-            if not poly:
-                continue
-            produced += 1
-            gcd_acc = modular.poly_monic(poly, p) if gcd_acc is None \
-                else modular.poly_gcd(gcd_acc, poly, p)
-            inf_mult = size - modular.poly_degree(poly)
-            inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
-        if gcd_acc is not None and (gcd_acc, inf_acc) == before:
-            return gcd_acc, inf_acc
-    raise UnstableComputationError("rounds")
+def _det7(rows):
+    return int(modular.det_mod_p(rows, 7))
 
 
-def _stub_minor(rows, cols):
-    """A made-up restriction: zero for about a third of the subsets, else
-    a linear polynomial that depends on the subset."""
-    if (sum(rows) + cols[-1]) % 3 == 0:
-        return []
-    return modular.poly_trim([sum(rows) + 3 * cols[0], 1 + sum(rows)], 101)
-
-
-@pytest.mark.parametrize("shape", [(35, 21, 21), (10, 8, 4)])
-@pytest.mark.parametrize("seed", [0, 1, 7])
-def test_batched_minor_gcd_draws_the_one_at_a_time_sequence(shape, seed):
-    nrows, ncols, size = shape
-    M = SimpleNamespace(nrows=nrows, ncols=ncols)
-    want = []
-
-    def minor_poly(rows, cols):
-        want.append((rows, cols))
-        return _stub_minor(rows, cols)
-
-    got = []
-    batches = []
-
-    def minor_polys(subsets):
-        got.extend(subsets)
-        batches.append(len(subsets))
-        return [_stub_minor(r, c) for r, c in subsets]
-
-    ref_rng, rng = random.Random(seed), random.Random(seed)
-    expect = _one_at_a_time_gcd(M, size, ref_rng, minor_poly, 101, 8, 6)
-    assert rankloci._stable_minor_gcd(M, size, rng, minor_polys, 101, 8, 6) \
-        == expect
-    assert got == want and len(got) > 16
-    assert batches[0] == 8 and max(batches) <= 8 and len(batches) > 2
-    assert rng.random() == ref_rng.random()
+def test_compressed_minor_is_the_cauchy_binet_combination():
+    # det(L M(s) R) = sum over row sets S and column sets T of
+    # det(L_S) det(M(s)_{S,T}) det(R_T), for M(s) = A + sB of shape 6x4
+    # compressed to 3x3 from both sides; the interpolated restriction
+    # agrees with it at every s in F_7
+    rng = np.random.default_rng(7)
+    A, B = rng.integers(0, 7, (2, 6, 4))
+    L, R = rng.integers(0, 7, (3, 6)), rng.integers(0, 7, (4, 3))
+    [poly] = rankloci._compressed_minor_polys(
+        A, B, list(range(4)), GF(7), partial(modular.det_mod_p, p=7),
+        [(L, R)])
+    assert poly and len(poly) <= 4
+    for s in range(7):
+        Ms = (A + s * B) % 7
+        binet = sum(_det7(L[:, S]) * _det7(Ms[np.ix_(S, T)]) * _det7(R[T, :])
+                    for S in combinations(range(6), 3)
+                    for T in combinations(range(4), 3)) % 7
+        assert _det7(L @ Ms @ R % 7) == binet
+        assert sum(c * s ** k for k, c in enumerate(poly)) % 7 == binet
 
 
 def test_batched_minor_gcd_keeps_the_attempt_cap():
-    M = SimpleNamespace(nrows=35, ncols=21)
-    requested = []
+    # every compressed minor vanishes: a round stops after exactly
+    # 40 * compressions_per_round draws, R only where ncols > size
+    for nrows, ncols, size in [(35, 21, 21), (10, 8, 4)]:
+        M = SimpleNamespace(nrows=nrows, ncols=ncols)
+        draws = []
 
-    def minor_polys(subsets):
-        requested.extend(subsets)
-        # only the 5th draw survives, so the round never fills
-        return [[1, 1] if len(requested) - len(subsets) + i == 4 else []
-                for i in range(len(subsets))]
+        def minor_polys(batch):
+            draws.extend(batch)
+            return [[] for _ in batch]
 
-    rng, ref_rng = random.Random(3), random.Random(3)
-    with pytest.raises(UnstableComputationError, match="almost all random"):
-        rankloci._stable_minor_gcd(M, 21, rng, minor_polys, 101, 8, 6)
-    assert len(requested) == 40 * 8
-    # the rng stops where the one-at-a-time loop stops: before draw 321
-    count = [0]
+        with pytest.raises(UnstableComputationError, match="almost all random"):
+            rankloci._stable_minor_gcd(M, size, random.Random(3), minor_polys,
+                                       101, 4, 6)
+        assert len(draws) == 40 * 4
+        for L, R in draws:
+            assert L.shape == (size, nrows) and 0 <= L.min() <= L.max() < 101
+            if ncols == size:
+                assert R is None
+            else:
+                assert R.shape == (ncols, size) and 0 <= R.min() <= R.max() < 101
 
-    def minor_poly(rows, cols):
-        count[0] += 1
-        return [1, 1] if count[0] == 5 else []
 
-    with pytest.raises(UnstableComputationError):
-        _one_at_a_time_gcd(M, 21, ref_rng, minor_poly, 101, 8, 6)
-    assert rng.random() == ref_rng.random()
+@lru_cache(maxsize=None)
+def _paper_plane_mod5():
+    """The paper member's plane matrix over GF(5) and its drop curve."""
+    F = GF(5)
+    R = restrict_linear_matrix(
+        m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
+        catalog.plane_substitution(F))
+    return R, interpolate_drop_curve(R, 20)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_line_gcds_on_every_f5_line_restrict_the_curve(seed):
+    # each stabilized gcd over GF(25) nodes is the curve's restriction to
+    # the line, up to scale, never a spurious common factor of too few
+    # minors
+    R, curve = _paper_plane_mod5()
+    lines = [modular.kernel_mod_p([list(dual)], 5).tolist()
+             for dual in projective_points(GF(5), 3)]
+    assert len(lines) == 31
+    for a, b in lines:
+        G = rankloci._line_gcd_binary(R, (a, b), 20, random.Random(seed), 4, 6)
+        weights = rankloci._binary_restriction_weights(a, b, 9, 5)
+        restriction = [sum(w * c for w, c in zip(row, curve.coeffs)) % 5
+                       for row in weights]
+        assert any(restriction) and len(G) == 10
+        assert rankloci.proportional(G, restriction, 5), (a, b)
+
+
+def _pointwise_singular_points(F, field):
+    G = F.lift_to(field)
+    forms = [G] + [G.derivative(i) for i in range(3)]
+    return [q for q in projective_points(field, 3)
+            if all(field.is_zero(g.evaluate(list(q))) for g in forms)]
+
+
+@pytest.mark.parametrize("text", ["z0*z1", "z0*z1*z2"])
+@pytest.mark.parametrize("p", [5, 7])
+def test_stacked_singular_scan_matches_the_pointwise_scan(text, p):
+    F = parse_form(text, field=GF(p))
+    for k in (1, 2):
+        got = singular_points_plane_curve(F, search_extension=k)
+        assert got == _pointwise_singular_points(F, GF(p, k))
+    assert singular_points_plane_curve(F) != []
+
+
+def test_stacked_singular_scan_of_the_paper_curve_over_gf25():
+    _, curve = _paper_plane_mod5()
+    got = singular_points_plane_curve(curve, search_extension=2)
+    assert got == _pointwise_singular_points(curve, GF(5, 2))
+    assert len(got) == 1
+
+

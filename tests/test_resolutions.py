@@ -541,6 +541,23 @@ def test_linear_form_matrix_substitution_commutes_with_evaluation():
         assert restricted.evaluate_at(p).rows == M.evaluate_at(images).rows
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)], ids=str)
+def test_linear_form_matrix_substitute_matches_compose(field):
+    # the paper member's plane restriction, entry by entry against the
+    # term-by-term expansion of HomogeneousForm.compose
+    M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
+    subs = catalog.plane_substitution(field)
+    restricted = restrict_linear_matrix(M, subs)
+    assert type(restricted) is LinearFormMatrix
+    assert (restricted.nrows, restricted.ncols, restricted.nvars) == (35, 21, 3)
+    for row, got_row in zip(M.entries, restricted.entries):
+        for entry, got in zip(row, got_row):
+            want = entry.compose(subs)
+            assert type(got) is type(want) and got == want
+            assert [type(c) for c in got.coeffs] == \
+                [type(c) for c in want.coeffs]
+
+
 def test_linear_form_matrix_coefficient_slices_and_reduction():
     M = _small_linear_matrix()
     assert M.coefficient_matrix(0).rows == ((1, 0), (7, 0))
