@@ -121,13 +121,12 @@ def _compressed_minor_polys(A, B, params, field, det, draws):
     p = field.char
     size = len(draws[0][0])
     nodes_re, nodes_im = _pairs(params, field)
-    compressed = []
-    for L, R in draws:
-        pair = [modular.matmul_mod(L, X, p) for X in (A, B)]
-        if R is not None:
-            pair = [modular.matmul_mod(X, R, p) for X in pair]
-        compressed.append(pair)
-    compressed = np.array(compressed)
+    # compressed[draw] = (L A R, L B R)
+    compressed = modular.matmul_mod(np.array([L for L, _ in draws])[:, None],
+                                    np.array([A, B]), p)
+    if draws[0][1] is not None:
+        compressed = modular.matmul_mod(
+            compressed, np.array([R for _, R in draws])[:, None], p)
     vals = []
     for chunk in modular.chunked(np.ndindex(len(draws), len(params)),
                                  size * size):

@@ -558,17 +558,9 @@ class LinearFormMatrix:
         """Entrywise linear substitution: each entry's coefficient vector
         times the nvars x k matrix of the substituents' coefficients, the
         same forms HomogeneousForm.substitute expands term by term."""
+        # one entry's own substitution checks the substituents
+        self.entries[0][0].substitute(substituents)
         F = self.field
-        if len(substituents) != self.nvars:
-            raise PreconditionError("need %d substituents, got %d"
-                                    % (self.nvars, len(substituents)))
-        for g in substituents:
-            if g.degree != 1:
-                raise PreconditionError(
-                    "substitute wants degree-1 forms, got degree %d" % g.degree)
-            if g.nvars != substituents[0].nvars or g.field != F:
-                raise PreconditionError(
-                    "substituents must share degree, arity, and the form's field")
         k, alphabet = substituents[0].nvars, substituents[0].alphabet
         images = [g.coeffs for g in substituents]
 
