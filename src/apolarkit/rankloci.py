@@ -77,7 +77,12 @@ def _stable_minor_gcd(M, size, rng, minor_polys, p, compressions_per_round,
     instead of guessing.
     """
     cap = 40 * compressions_per_round
-    uniform = np.random.default_rng(rng.getrandbits(64)).integers
+
+    def uniform(rows, cols):
+        # 64 random bits per entry, reduced mod p < 2^31: bias below 2^-33
+        bits = np.frombuffer(rng.randbytes(8 * rows * cols), dtype=np.uint64)
+        return (bits % p).astype(np.int64).reshape(rows, cols)
+
     gcd_acc = None
     inf_acc = None
     for _ in range(max_rounds):
@@ -85,9 +90,8 @@ def _stable_minor_gcd(M, size, rng, minor_polys, p, compressions_per_round,
         produced = 0
         attempts = 0
         while produced < compressions_per_round:
-            draws = [(uniform(p, size=(size, M.nrows)),
-                      uniform(p, size=(M.ncols, size)) if M.ncols > size
-                      else None)
+            draws = [(uniform(size, M.nrows),
+                      uniform(M.ncols, size) if M.ncols > size else None)
                      for _ in range(min(compressions_per_round - produced,
                                         cap - attempts))]
             attempts += len(draws)
@@ -409,8 +413,10 @@ def singular_points_plane_curve(F, search_extension=1):
     w2 = field.nonresidue if field.degree == 2 else 0
     forms = [G] + [G.derivative(i) for i in range(3)]
     out = []
+    # a chunk's monomial values and their products: some 16 arrays of
+    # (points x monomials) entries at once
     for chunk in modular.chunked(projective_points(field, 3),
-                                 monomial_count(3, G.degree)):
+                                 16 * monomial_count(3, G.degree)):
         monomials = {g.degree: _monomials_at_points(chunk, g.degree, field)
                      for g in forms}
         vanish = np.ones(len(chunk), dtype=bool)
@@ -445,13 +451,13 @@ def _monomials_at_points(points, degree, field):
     powers = [(np.ones_like(coord[0]), np.zeros_like(coord[0]))]
     for _ in range(degree):
         powers.append(mul(powers[-1], coord))
+    # tables[part][point, variable, exponent]
     tables = [np.stack([pw[part] for pw in powers], axis=-1) for part in (0, 1)]
     exps = np.array(monomial_exponents(3, degree))
-    # factors[part][point, monomial, variable]: coordinate ** exponent
-    factors = [t[:, np.arange(3), exps] for t in tables]
-    mono = (factors[0][..., 0], factors[1][..., 0])
+    mono = (tables[0][:, 0, exps[:, 0]], tables[1][:, 0, exps[:, 0]])
     for v in (1, 2):
-        mono = mul(mono, (factors[0][..., v], factors[1][..., v]))
+        mono = mul(mono, (tables[0][:, v, exps[:, v]],
+                          tables[1][:, v, exps[:, v]]))
     return mono
 
 
