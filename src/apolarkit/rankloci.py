@@ -131,13 +131,23 @@ def _compressed_minor_polys(A, B, params, field, det, draws):
     if draws[0][1] is not None:
         compressed = modular.matmul_mod(
             compressed, np.array([R for _, R in draws])[:, None], p)
-    vals = []
-    for chunk in modular.chunked(np.ndindex(len(draws), len(params)),
-                                 size * size):
-        d, n = np.array(chunk).T
-        lar, lbr = compressed[d, 0], compressed[d, 1]
-        vals.append(det((lar + nodes_re[n, None, None] * lbr) % p
-                        + p * (nodes_im[n, None, None] * lbr % p)))
+
+    def node_stack(d, n):
+        # packed codes of L A R + s L B R for each (draw d, node n), built
+        # in place so that no temporary outlives the stack
+        lbr = compressed[d, 1]
+        stack = lbr * nodes_re[n, None, None]
+        stack += compressed[d, 0]
+        stack %= p
+        if field.degree == 2:
+            lbr *= nodes_im[n, None, None]
+            lbr %= p
+            stack += p * lbr
+        return stack
+
+    vals = [det(node_stack(*np.array(chunk).T))
+            for chunk in modular.chunked(np.ndindex(len(draws), len(params)),
+                                         size * size)]
     re, im = modular.interpolate_at_nodes(
         np.concatenate(vals).reshape(len(draws), -1), params, field)
     if im.any():
