@@ -26,9 +26,10 @@ nodes by one product with the inverse Vandermonde matrix, built once per
 Primes stay below 2^31, so a product of two residues stays below 2^62
 and fits in int64; the core only ever forms one product per entry
 before it reduces.  matmul_mod, whose dot products sum many of them,
-takes Python ints wherever int64 could overflow.  word_primes lists the largest of them, the primes
-of the multimodular rational kernels.  Fields GF(p) take the core only
-for p < 2^16, where a stack may invert through a table of every code.
+takes Python ints wherever int64 could overflow.  word_primes lists
+the largest of them, the primes of the multimodular rational kernels.
+Fields GF(p) take the core only for p < 2^16, where a stack may invert
+through a table of every code.
 """
 
 from __future__ import annotations

@@ -406,7 +406,8 @@ def test_stacked_gf25_rank_and_det_match_one_matrix_at_a_time(shape):
 
 
 def test_stacked_det_of_a_large_gf25_batch():
-    # the shape of one round of drop-curve minors: 8 subsets x 22 nodes
+    # two rounds of drop-curve compressions (4 draws x 22 nodes each), more
+    # than one chunk of 21x21 GF(25) matrices
     tabs = modular.quadratic_tables(GF(5, 2))
     a = _special_stack(np.random.default_rng(176), 25, 176, 21, 21)
     a[100:120, 20] = a[100:120, 3]
