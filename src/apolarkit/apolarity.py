@@ -23,6 +23,7 @@ the graded piece I_f(k) of the apolar ideal is the LEFT kernel.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import PreconditionError
 from .fields import QQ
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
                     monomial_exponents, monomial_index)
-from .linalg import ExactMatrix, Subspace
+from .linalg import ExactMatrix, Subspace, _primitive_integer_row
 
 
 def _require_char(field, degree):
@@ -199,24 +200,30 @@ def subspace_forms(space, nvars=None):
             for row in space.basis_matrix().rows]
 
 
-def evaluation_matrix(Z, k):
-    """One row per point of Z, one column per degree-k dual monomial."""
+def evaluation_matrix(Z, k, integral=False):
+    """One row per point of Z, one column per degree-k dual monomial;
+    integral evaluates a rational Z at its points scaled to coprime
+    integers, which scales rows and leaves the kernel I_Z(k) alone."""
     F = Z.field
     exps = monomial_exponents(Z.nvars, k)
+    points, mul, one = Z.points, F.mul, F.one
+    if integral and F == QQ:
+        points = map(_primitive_integer_row, points)
+        mul, one = operator.mul, 1
     rows = []
-    for p in Z.points:
+    for p in points:
         pows = []
         for v in p:
-            row = [F.one]
+            row = [one]
             for _ in range(k):
-                row.append(F.mul(row[-1], v))
+                row.append(mul(row[-1], v))
             pows.append(row)
         r = []
         for e in exps:
-            t = F.one
+            t = one
             for i, ei in enumerate(e):
                 if ei:
-                    t = F.mul(t, pows[i][ei])
+                    t = mul(t, pows[i][ei])
             r.append(t)
         rows.append(r)
     return ExactMatrix(rows, F, len(exps))
@@ -237,13 +244,20 @@ def is_apolar_pointset(Z, f):
     catalecticant(f, 3) must vanish.  Containment in degree 3 forces
     containment in degrees 1 and 2 as well: if D has degree 2 and y_i*D
     kills f for every i, the partials of the linear form D(f) all vanish,
-    so D(f) = 0.  Hence the single degree suffices for a cubic.
+    so D(f) = 0.  Hence the single degree suffices for a cubic.  Over QQ
+    the basis and the catalecticant column are scaled to integers.
     """
     if f.degree != 3:
         raise PreconditionError("apolarity certificate is for cubics")
     if Z.nvars != f.nvars or Z.field != f.field:
         raise PreconditionError("point set and form must share arity and field")
-    return _annihilates(ideal_of_points_component(Z, 3).basis, f, 3)
+    if f.field != QQ:
+        return _annihilates(ideal_of_points_component(Z, 3).basis, f, 3)
+    if Z.allow_duplicates:
+        raise PreconditionError("ideal of a non-reduced point multiset")
+    basis = evaluation_matrix(Z, 3, integral=True).kernel_basis(primitive=True)
+    column = _primitive_integer_row([r[0] for r in catalecticant(f, 3).rows])
+    return not any(sum(map(operator.mul, v, column)) for v in basis.rows)
 
 
 def cube_span_contains(Z, f):

@@ -16,8 +16,11 @@ apolarity.py deliberately pairs y-forms against x-forms positionally.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from functools import lru_cache
+from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import accumulate
 
 from .errors import ParseError, PreconditionError
 from .fields import QQ, GF, coerce_scalar
@@ -176,13 +179,33 @@ class HomogeneousForm:
         return HomogeneousForm(self.nvars, deg, coeffs, F, self.alphabet)
 
     def power(self, n):
+        """self^n.  A linear form expands by the multinomial theorem, over
+        QQ on integer coefficients over one common denominator D, each
+        coefficient taken once as a Fraction over D^n; other forms
+        multiply repeatedly."""
         if n < 0:
             raise ValueError("negative power")
-        result = HomogeneousForm.monomial(self.nvars, (0,) * self.nvars,
-                                          self.field, self.alphabet)
-        for _ in range(n):
-            result = result.multiply(self)
-        return result
+        F = self.field
+        if self.degree != 1:
+            one = HomogeneousForm.monomial(self.nvars, (0,) * self.nvars, F,
+                                           self.alphabet)
+            return reduce(HomogeneousForm.multiply, [self] * n, one)
+        if F == QQ:
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            base = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            mul, lift = operator.mul, int
+        else:
+            base, mul, lift = self.coeffs, F.mul, F.from_int
+        # pows[i][k] = c_i^k
+        pows = [list(accumulate([c] * n, mul, initial=lift(1)))
+                for c in base]
+        coeffs = [reduce(mul, (row[k] for row, k in zip(pows, e) if k),
+                         lift(math.factorial(n)
+                              // math.prod(map(math.factorial, e))))
+                  for e in monomial_exponents(self.nvars, n)]
+        if F == QQ:
+            coeffs = [Fraction(c, den ** n) for c in coeffs]
+        return HomogeneousForm(self.nvars, n, coeffs, F, self.alphabet)
 
     __add__ = add
     __sub__ = sub

@@ -5,15 +5,17 @@ echelon form (leading entries 1, pivot columns cleared), kernel bases are
 derived from the rref free columns, so two computations of the same space
 produce identical bases regardless of the path that built the matrix.
 
-Rational matrices are ranked by one fraction-free integer echelon.  Every
-rational kernel is multimodular: the canonical kernel is computed mod
-primes below 2^31 on the numpy core, joined by CRT and rational
-reconstruction, and accepted only once A K = 0 holds exactly, which
-proves it is the rational one.  Fraction elimination is the one exact
-fallback, for a kernel whose proof does not close before KERNEL_PRIMES
-run out, and it takes all rational rrefs.  Over GF(p) and small GF(p^2)
-every rank, rref and kernel runs on the numpy elimination core in
-modular.py.
+A rational matrix is ranked on coprime integer rows mod the first
+certificate prime; rank over QQ lies between that and min(nrows, ncols),
+so only a lower mod-p rank is redone by the fraction-free integer
+echelon.  Every rational kernel is multimodular: the canonical kernel is
+computed mod primes below 2^31 on the numpy core, joined by CRT and
+rational reconstruction, and accepted only once A K = 0 holds exactly,
+which proves it is the rational one.  Fraction elimination is the one
+exact fallback, for a kernel whose proof does not close before
+KERNEL_PRIMES run out, and it takes all rational rrefs.  Over GF(p),
+p < 2^31, and small GF(p^2) every rank, rref and kernel runs on the
+numpy elimination core in modular.py.
 """
 
 from __future__ import annotations
@@ -159,23 +161,29 @@ class ExactMatrix:
 
     def rank(self):
         if self.field == QQ:
-            return len(_integer_echelon(self.rows)[1])
+            rows = [_primitive_integer_row(r) for r in self.rows]
+            p = CERTIFICATE_PRIMES[0]
+            rank = modular.rank_mod_p([[a % p for a in r] for r in rows], p)
+            if rank == min(self.nrows, self.ncols):
+                return rank
+            return len(_integer_echelon(rows)[1])
         arith = modular.field_arithmetic(self.field)
         if arith is not None:
             return len(modular.eliminate(self._codes(arith), arith)[0])
         return len(_rref(list(map(list, self.rows)), self.field)[1])
 
-    def kernel_basis(self):
+    def kernel_basis(self, primitive=False):
         """Canonical basis of the right kernel {v : M v = 0}, as rows.
 
         The basis is the standard one with a 1 in each free column, so it
         does not depend on the elimination route; rational matrices take
         a multimodular path that proves it gives the identical answer and
-        falls back to Fraction elimination when it cannot.
+        falls back to Fraction elimination when it cannot.  primitive
+        asks, over QQ, for each row times the lcm of its denominators.
         """
         F = self.field
         if F == QQ:
-            basis = _multimodular_kernel(self.rows, self.ncols)
+            basis = _multimodular_kernel(self.rows, self.ncols, primitive)
             if basis is not None:
                 return ExactMatrix(basis, QQ, self.ncols)
         arith = modular.field_arithmetic(F)
@@ -191,7 +199,8 @@ class ExactMatrix:
             v[f] = F.one
             for r, pc in enumerate(pivots):
                 v[pc] = F.neg(rows[r][f])
-            basis.append(v)
+            basis.append(_primitive_integer_row(v) if primitive and F == QQ
+                         else v)
         return ExactMatrix(basis, F, self.ncols)
 
     def row_space_basis(self):
@@ -236,18 +245,13 @@ def _rref(rows, field):
 
 
 def _integer_echelon(rows):
-    """Fraction-free integer echelon form of a rational matrix.
+    """Fraction-free echelon form of an integer matrix.
 
-    Rows are scaled to integers, then eliminated by cross-multiplication
-    with a gcd division per row to keep growth in check.  Returns the
-    nonzero echelon rows and their pivot columns; the rank is the number
-    of pivots.
+    Rows are eliminated by cross-multiplication with a gcd division per
+    row to keep growth in check.  Returns the nonzero echelon rows and
+    their pivot columns; the rank is the number of pivots.
     """
-    work = []
-    for r in rows:
-        ints = _primitive_integer_row(r)
-        if any(ints):
-            work.append(list(ints))
+    work = [list(r) for r in rows if any(r)]
     ncols = len(rows[0]) if rows else 0
     pivots = []
     for c in range(ncols):
@@ -280,7 +284,7 @@ def _integer_echelon(rows):
     return work[:len(pivots)], pivots
 
 
-def _multimodular_kernel(rows, ncols):
+def _multimodular_kernel(rows, ncols, primitive=False):
     """Canonical rational kernel basis by elimination mod word primes.
 
     Each prime's reduced echelon form gives the kernel mod p; the prime of
@@ -295,7 +299,9 @@ def _multimodular_kernel(rows, ncols):
     kernel dimension the number of free columns, and each free column
     lies in the span of the columns before it, so the rational pivots are
     the mod-p ones and K is the canonical basis.  Returns the basis rows,
-    or None when KERNEL_PRIMES run out before the proof closes.
+    as Fractions or, with primitive, as coprime integers (each canonical
+    row times the lcm of its denominators), or None when KERNEL_PRIMES
+    run out before the proof closes.  Rows may hold ints or Fractions.
     """
     # per column: (row, integer entry) of its nonzero entries
     columns = [[] for _ in range(ncols)]
@@ -345,23 +351,26 @@ def _multimodular_kernel(rows, ncols):
             # a later prime tries again, probing a vector that failed
             probe, probe_at = None, lifted.index(None)
             continue
-        # each vector as its nonzero (column, entry) pairs
-        vectors = [[(f, Fraction(1))]
-                   + [(pc, -x) for pc, x in zip(pivots, column) if pc < f and x]
-                   for f, column in zip(free, lifted)]
+        # each vector times the lcm of its denominators, as its nonzero
+        # (column, integer entry) pairs
+        vectors = [[(f, den)]
+                   + [(pc, -x) for pc, x in zip(pivots, nums) if pc < f and x]
+                   for f, (nums, den) in zip(free, lifted)]
         if _annihilates(columns, len(rows), vectors):
             basis = []
             for vector in vectors:
-                v = [Fraction(0)] * ncols
+                v = [0 if primitive else Fraction(0)] * ncols
                 for j, x in vector:
-                    v[j] = x
+                    v[j] = x if primitive else Fraction(x, vector[0][1])
                 basis.append(v)
             return basis
     return None
 
 
 def _reconstruct(residues, modulus):
-    """Rational reconstruction of each residue, or None if one fails.
+    """Rational reconstruction of the residues as integer numerators over
+    their least common denominator, (numerators, den), or None if one
+    fails.
 
     Each residue, times the common denominator of the entries before it,
     is taken as an integer if it lies within sqrt(modulus / 2) of zero;
@@ -377,35 +386,32 @@ def _reconstruct(residues, modulus):
         w = u * den % modulus
         if w > bound:
             w -= modulus
-        if -bound <= w:
-            out.append(Fraction(w, den))
-            continue
-        r0, r1, t0, t1 = modulus, w % modulus, 0, 1
-        while r1 > bound:
-            q = r0 // r1
-            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-        if t1 < 0:
-            r1, t1 = -r1, -t1
-        if t1 > bound or gcd(r1, t1) != 1:
-            return None
-        out.append(Fraction(r1, t1 * den))
-        den *= t1
-    return out
+        if w < -bound:
+            r0, r1, t0, t1 = modulus, w % modulus, 0, 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if t1 < 0:
+                r1, t1 = -r1, -t1
+            if t1 > bound or gcd(r1, t1) != 1:
+                return None
+            out = [a * t1 for a in out]
+            w, den = r1, den * t1
+        out.append(w)
+    return out, den
 
 
 def _annihilates(columns, nrows, vectors):
-    """Is A v = 0 exactly for every vector?  A is given by the nonzero
-    (row, entry) pairs of its integer columns and each v by its nonzero
-    (column, entry) pairs; v is scaled to integers, and only the columns
-    of A in its support are read.
+    """Is A v = 0 exactly for every integer vector?  A is given by the
+    nonzero (row, entry) pairs of its integer columns and each v by its
+    nonzero (column, entry) pairs; only the columns of A in the support
+    of v are read.
     """
     for vector in vectors:
-        den = lcm(*(x.denominator for _, x in vector))
         image = [0] * nrows
         for j, x in vector:
-            scaled = x.numerator * (den // x.denominator)
             for i, a in columns[j]:
-                image[i] += a * scaled
+                image[i] += a * x
         if any(image):
             return False
     return True
@@ -420,17 +426,6 @@ def _primitive_integer_row(row):
         ints = [a // g for a in ints]
     return tuple(ints)
 
-
-def primitive_integer_matrix(mat):
-    """Rowwise primitive-integer rescaling of a rational matrix.
-
-    Used to fix clean integer representatives of syzygy bases; row scaling
-    never changes the span, so downstream rank questions are unaffected.
-    """
-    if mat.field != QQ:
-        raise PreconditionError("primitive scaling is for rational matrices")
-    return ExactMatrix([[Fraction(v) for v in _primitive_integer_row(r)]
-                        for r in mat.rows], QQ, mat.ncols)
 
 
 class Subspace:

@@ -28,8 +28,8 @@ and fits in int64; the core only ever forms one product per entry
 before it reduces.  matmul_mod, whose dot products sum many of them,
 takes Python ints wherever int64 could overflow.  word_primes lists
 the largest of them, the primes of the multimodular rational kernels.
-Fields GF(p) take the core only for p < 2^16, where a stack may invert
-through a table of every code.
+Every field GF(p) with p < 2^31 takes the core; below 2^16 a stack
+inverts through a table of every code, above it each distinct code once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 from .errors import PreconditionError
 
 _MAX_PRIME = 1 << 31
-_TABLE_PRIME = 1 << 16  # GF(p) fields, and inverse tables, below this
+_TABLE_PRIME = 1 << 16  # inverse tables below this
 CHUNK_ENTRIES = 1 << 15  # matrix entries per stack chunk in eliminate
 
 
@@ -258,7 +258,7 @@ def field_arithmetic(field):
     if field.char == 0:
         return None
     if field.degree == 1:
-        return prime_arithmetic(field.p) if field.p < _TABLE_PRIME else None
+        return prime_arithmetic(field.p) if field.p < _MAX_PRIME else None
     return quadratic_tables(field) if field.char <= 11 else None
 
 

@@ -47,7 +47,6 @@ from .linalg import (
     _integer_echelon,
     _primitive_integer_row,
     _rref,
-    primitive_integer_matrix,
 )
 
 
@@ -235,17 +234,8 @@ def points_quotient_module(Z, max_degree):
     """
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
-    if Z.field != QQ:
-        return GradedModule(Z.nvars, Z.field, [
-            evaluation_matrix(Z, j) for j in range(max_degree + 1)])
-    points = np.array([_primitive_integer_row(p) for p in Z.points],
-                      dtype=object)
-    presentations = []
-    for j in range(max_degree + 1):
-        exps = np.array(monomial_exponents(Z.nvars, j), dtype=object)
-        values = np.prod(points[:, None, :] ** exps[None, :, :], axis=2)
-        presentations.append(ExactMatrix(values.tolist(), QQ, len(exps)))
-    return GradedModule(Z.nvars, QQ, presentations)
+    return GradedModule(Z.nvars, Z.field, [
+        evaluation_matrix(Z, j, integral=True) for j in range(max_degree + 1)])
 
 
 def quadric_ideal_module(Q, max_degree):
@@ -429,9 +419,7 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
     if order == 1:
         # (l_i) -> sum l_i Q_i, from (S^c V*)^q to S^{2+c} V*
         syz1 = ideal_span(qforms, 2 + coefficient_degree).transpose() \
-            .kernel_basis()
-        if basis_matrix.field == QQ:
-            syz1 = primitive_integer_matrix(syz1)
+            .kernel_basis(primitive=True)
         return Subspace(syz1, degree=coefficient_degree, alphabet="y",
                         already_independent=True)
 
@@ -461,9 +449,7 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
                     col[i * cdim2 + k] = v
             cols.append(col)
     phi2 = ExactMatrix(zip(*cols), field, len(cols))
-    syz2 = phi2.kernel_basis()
-    if field == QQ:
-        syz2 = primitive_integer_matrix(syz2)
+    syz2 = phi2.kernel_basis(primitive=True)
     return Subspace(syz2, degree=coefficient_degree, alphabet="y",
                     already_independent=True)
 
@@ -658,7 +644,8 @@ def m2_matrix(f):
             "apolar ideal has non-generic Betti table %s" % table.nonzero())
     qbasis = Q.reduced_basis()
     if f.field == QQ:
-        qbasis = primitive_integer_matrix(qbasis)
+        qbasis = ExactMatrix(map(_primitive_integer_row, qbasis.rows), QQ,
+                             qbasis.ncols)
     Qint = Subspace(qbasis, degree=2, alphabet="y", already_independent=True)
     syz1 = linear_syzygies(Qint, 1, guard=False)
     syz2 = linear_syzygies(Qint, 2, guard=False)

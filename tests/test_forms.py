@@ -112,6 +112,49 @@ def test_power_matches_repeated_multiplication():
     assert l.power(1) == l
 
 
+def _repeated_product(f, n):
+    out = HomogeneousForm.monomial(f.nvars, (0,) * f.nvars, f.field,
+                                   f.alphabet)
+    for _ in range(n):
+        out = out.multiply(f)
+    return out
+
+
+POWER_CASES = {
+    "QQ": (QQ, [Fraction(1, 2), 0, Fraction(-3, 4), 5, 0, Fraction(7, 3)]),
+    "QQ-ints": (QQ, [1, -2, 0, 3, 0, 0]),
+    "GF(7)": (GF(7), [3, 0, 6, 9, 0, 2]),
+    "GF(25)": (GF(5, 2), [(1, 2), (0, 0), (3, 0), (4, 4), (0, 1), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_CASES))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
+def test_multinomial_power_matches_repeated_multiply(name, n):
+    # zero coefficients, fractions over QQ and an unreduced GF(7) entry
+    field, coeffs = POWER_CASES[name]
+    l = HomogeneousForm.linear(coeffs, field, "x")
+    got, want = l.power(n), _repeated_product(l, n)
+    assert got == want
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert got.to_text() == want.to_text()
+
+
+def test_power_of_a_quadratic_form_multiplies(monkeypatch):
+    q = parse_form("x0^2-1/2*x1*x5+3*x4^2")
+    calls = []
+    real = HomogeneousForm.multiply
+
+    def counting(self, other):
+        calls.append(other.degree)
+        return real(self, other)
+
+    monkeypatch.setattr(HomogeneousForm, "multiply", counting)
+    cube = q.power(3)
+    assert calls == [2, 2, 2]
+    assert cube == q * q * q and cube.to_text() == (q * q * q).to_text()
+
+
 def test_reduce_and_lift_between_fields():
     f = parse_form("3*z0^2-7*z0*z1+z1^2")
     g = f.reduce_mod_p(5)

@@ -10,7 +10,7 @@ import numpy as np
 from apolarkit import linalg, modular
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ, is_prime
-from apolarkit.linalg import ExactMatrix, primitive_integer_matrix
+from apolarkit.linalg import ExactMatrix
 
 
 def _random_int_matrix(rng, nrows, ncols, spread=6):
@@ -254,10 +254,11 @@ def test_multimodular_kernel_discards_unlucky_primes(monkeypatch):
     assert modular.kernel_mod_p(ints("unlucky-pivots"), P1).tolist() \
         == [[1, 0, 0]]
     assert modular.rank_mod_p(ints("unlucky-rank"), P1) == 2
-    # the false probe reconstructs to 1 on one prime and on two
+    # the false probe reconstructs to 1 (numerator 1 over 1) on one prime
+    # and on two
     entry = 1 + P1 * P2
-    assert linalg._reconstruct([entry % P1], P1) == [1]
-    assert linalg._reconstruct([entry % (P1 * P2)], P1 * P2) == [1]
+    assert linalg._reconstruct([entry % P1], P1) == ([1], 1)
+    assert linalg._reconstruct([entry % (P1 * P2)], P1 * P2) == ([1], 1)
     # P3, the third prime, is unlucky here; restarting from it would leave
     # too few primes for the denominator P3 among the first five
     rows = [[Fraction(P3), Fraction(1), Fraction(0)],
@@ -301,14 +302,65 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     assert rref_calls == [10000]
 
 
-def test_primitive_integer_matrix_scales_rows():
-    M = ExactMatrix([[Fraction(1, 2), Fraction(3, 4)],
-                     [Fraction(0), Fraction(5)]], QQ, 2)
-    P = primitive_integer_matrix(M)
-    assert P.rows[0] == (Fraction(2), Fraction(3))
-    assert P.rows[1] == (Fraction(0), Fraction(1))
-    with pytest.raises(PreconditionError):
-        primitive_integer_matrix(ExactMatrix([[1, 2]], GF(5), 2))
+def _count_echelons(monkeypatch):
+    calls = []
+    real = linalg._integer_echelon
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "_integer_echelon", counting)
+    return calls
+
+
+def test_rational_rank_of_full_rank_mod_p_needs_no_echelon(monkeypatch):
+    calls = _count_echelons(monkeypatch)
+    rng = random.Random(5)
+    tall = _random_rational_matrix(rng, 7, 4, 4, den=6)
+    wide = _random_rational_matrix(rng, 3, 8, 3, spread=10 ** 20)
+    assert ExactMatrix(tall, QQ, 4).rank() == 4
+    assert ExactMatrix(wide, QQ, 8).rank() == 3
+    assert ExactMatrix([], QQ, 3).rank() == 0
+    assert calls == []
+    # a rank below min(nrows, ncols) proves nothing mod p
+    deficient = _random_rational_matrix(rng, 5, 6, 3)
+    assert ExactMatrix(deficient, QQ, 6).rank() == 3
+    assert calls == [5]
+
+
+def test_rational_rank_falls_back_when_p_divides_a_minor(monkeypatch):
+    calls = _count_echelons(monkeypatch)
+    rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + P1)]]
+    assert linalg.CERTIFICATE_PRIMES[0] == P1
+    assert modular.rank_mod_p([[1, 1], [1, 1 + P1]], P1) == 1
+    assert ExactMatrix(rows, QQ, 2).rank() == 2
+    assert calls == [2]
+
+
+def test_negative_power_sum_certificate_takes_no_echelon(monkeypatch):
+    # a criterion-11 negative instance: f + l^3 is not in the span of the
+    # cubes, so both ranks of in_row_span are full mod p
+    from apolarkit import catalog
+    from apolarkit.apolarity import PointSet, cube_span_contains
+    from apolarkit.forms import HomogeneousForm
+
+    forms, _, f = catalog.random_power_sum(7, seed=105)
+    Z = PointSet([g.coeffs for g in forms], QQ)
+    l = HomogeneousForm.linear([Fraction(v) for v in (3, -1, 2, 5, -7, 1)],
+                               QQ, "x")
+    calls = _count_echelons(monkeypatch)
+    assert not cube_span_contains(Z, f + l.power(3))
+    assert calls == []
+    assert cube_span_contains(Z, f)
+
+
+def test_reconstruction_shares_one_denominator():
+    # 1/2, 3/4 and -5/6 come back as numerators over their lcm 12
+    modulus = P1 * P2
+    residues = [pow(2, -1, modulus), 3 * pow(4, -1, modulus) % modulus,
+                -5 * pow(6, -1, modulus) % modulus]
+    assert linalg._reconstruct(residues, modulus) == ([6, 9, -10], 12)
 
 
 def _horner(coeffs, x, field):

@@ -31,7 +31,7 @@ from apolarkit.linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
     Subspace,
-    primitive_integer_matrix,
+    _primitive_integer_row,
 )
 from apolarkit.resolutions import (
     GENERIC_CUBIC_APOLAR_BETTI,
@@ -470,7 +470,8 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
     # both syzygy kernels of m2_matrix close on the multimodular route
     f = catalog.scroll_apolar_cubic() if params == "scroll" \
         else catalog.cubic_family(*params)
-    qbasis = primitive_integer_matrix(q_f(f).reduced_basis())
+    qbasis = ExactMatrix(map(_primitive_integer_row,
+                             q_f(f).reduced_basis().rows), QQ, 21)
     Q = Subspace(qbasis, degree=2, alphabet="y", already_independent=True)
     calls = []
     real_rref = linalg._rref
@@ -485,6 +486,30 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
     dims = [linear_syzygies(Q, order, guard=False).dim for order in (1, 2)]
     assert dims == [35, 21]
     assert calls == []
+
+
+CROSS_BACKEND_FIELDS = [QQ, GF(101), GF(linalg.KERNEL_PRIMES[0])]
+
+
+@pytest.mark.parametrize("params", [(1, -1, 1, -1, 1), (3, 3, 1, -2, 4),
+                                    (1, 4, 2, 3, 3)], ids=str)
+def test_betti_table_and_m2_ranks_agree_across_backends(params):
+    # exact QQ (certified mod-p ranks and multimodular kernels), the
+    # GF(101) core and the GF(p) core at the first kernel prime, p near
+    # 2^31; (1, 4, 2, 3, 3) is a rank-20 member of the syzygy-qq pool
+    rng = random.Random(23)
+    points = [[rng.randint(-30, 30) for _ in range(6)] for _ in range(3)]
+    seen = []
+    for field in CROSS_BACKEND_FIELDS:
+        f = catalog.cubic_family(*params, field=field)
+        table = graded_betti(apolar_quotient_module(f, 9), 6, 9, max_row=3)
+        M = m2_matrix(f)
+        ranks = [M.evaluate_at([field.from_int(v) for v in point]).rank()
+                 for point in points]
+        seen.append((table.nonzero(), ranks))
+    assert seen[0][0] == GENERIC_CUBIC_APOLAR_BETTI
+    assert seen[0][1] == [20 if params == (1, 4, 2, 3, 3) else 21] * 3
+    assert seen == [seen[0]] * len(CROSS_BACKEND_FIELDS)
 
 
 @pytest.mark.parametrize("name", ["family(1,-1,1,-1,1)", "scroll-cubic"])
