@@ -200,14 +200,16 @@ def subspace_forms(space, nvars=None):
             for row in space.basis_matrix().rows]
 
 
-def evaluation_matrix(Z, k, integral=False):
-    """One row per point of Z, one column per degree-k dual monomial;
-    integral evaluates a rational Z at its points scaled to coprime
-    integers, which scales rows and leaves the kernel I_Z(k) alone."""
+def evaluation_matrix(Z, k):
+    """One row per point of Z, one column per degree-k dual monomial.
+
+    A rational Z is evaluated in integers at its points scaled to coprime
+    integers, which scales rows and leaves the kernel I_Z(k) alone.
+    """
     F = Z.field
     exps = monomial_exponents(Z.nvars, k)
     points, mul, one = Z.points, F.mul, F.one
-    if integral and F == QQ:
+    if F == QQ:
         points = map(_primitive_integer_row, points)
         mul, one = operator.mul, 1
     rows = []
@@ -245,17 +247,17 @@ def is_apolar_pointset(Z, f):
     containment in degrees 1 and 2 as well: if D has degree 2 and y_i*D
     kills f for every i, the partials of the linear form D(f) all vanish,
     so D(f) = 0.  Hence the single degree suffices for a cubic.  Over QQ
-    the basis and the catalecticant column are scaled to integers.
+    the basis and the catalecticant column are taken in integers.
     """
     if f.degree != 3:
         raise PreconditionError("apolarity certificate is for cubics")
     if Z.nvars != f.nvars or Z.field != f.field:
         raise PreconditionError("point set and form must share arity and field")
-    if f.field != QQ:
-        return _annihilates(ideal_of_points_component(Z, 3).basis, f, 3)
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
-    basis = evaluation_matrix(Z, 3, integral=True).kernel_basis(primitive=True)
+    basis = evaluation_matrix(Z, 3).kernel_basis(primitive=True)
+    if f.field != QQ:
+        return _annihilates(basis, f, 3)
     column = _primitive_integer_row([r[0] for r in catalecticant(f, 3).rows])
     return not any(sum(map(operator.mul, v, column)) for v in basis.rows)
 

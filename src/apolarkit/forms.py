@@ -4,7 +4,9 @@ A form of degree d in n variables is a dense coefficient vector indexed by
 the exponent vectors of total degree d in graded-lex descending order, so
 x0^d comes first and xn^d last.  All degrees in the toolkit are small
 (at most 9 in at most 6 variables), which keeps the dense representation
-comfortable and the indexing O(1).
+comfortable and the indexing O(1).  Products multiply term by term,
+except the power of a linear form, which the multinomial theorem expands
+in one pass, over QQ on integers over one common denominator.
 
 Three print alphabets exist: x0..x5 for primal forms, y0..y5 for dual
 (differential operator) forms, z0..z2 for ternary forms.  The alphabet is
@@ -180,9 +182,8 @@ class HomogeneousForm:
 
     def power(self, n):
         """self^n.  A linear form expands by the multinomial theorem, over
-        QQ on integer coefficients over one common denominator D, each
-        coefficient taken once as a Fraction over D^n; other forms
-        multiply repeatedly."""
+        QQ on integer coefficients over their common denominator D, each
+        coefficient made a Fraction over D^n once."""
         if n < 0:
             raise ValueError("negative power")
         F = self.field

@@ -359,9 +359,10 @@ def _multimodular_kernel(rows, ncols, primitive=False):
         if _annihilates(columns, len(rows), vectors):
             basis = []
             for vector in vectors:
+                den = vector[0][1]
                 v = [0 if primitive else Fraction(0)] * ncols
                 for j, x in vector:
-                    v[j] = x if primitive else Fraction(x, vector[0][1])
+                    v[j] = x if primitive else Fraction(x, den)
                 basis.append(v)
             return basis
     return None

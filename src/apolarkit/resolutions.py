@@ -227,15 +227,13 @@ def apolar_quotient_module(f, max_degree):
 def points_quotient_module(Z, max_degree):
     """S / I_Z as a graded module, pieces 0..max_degree.
 
-    M_j is presented by evaluation at Z, whose kernel is I_Z(j).
-    Rescaling a point scales its row, which leaves the kernel alone, so
-    over QQ the points are scaled to coprime integers and evaluated in
-    integers.
+    M_j is presented by evaluation at Z, whose kernel is I_Z(j); over QQ
+    at the points scaled to coprime integers, so in integers.
     """
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
     return GradedModule(Z.nvars, Z.field, [
-        evaluation_matrix(Z, j, integral=True) for j in range(max_degree + 1)])
+        evaluation_matrix(Z, j) for j in range(max_degree + 1)])
 
 
 def quadric_ideal_module(Q, max_degree):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -300,6 +301,27 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     assert ExactMatrix(rows, QQ, 2).kernel_basis() \
         == ExactMatrix(expected, QQ, 2)
     assert rref_calls == [10000]
+
+
+@pytest.mark.parametrize("kernel_primes", [128, 2])
+def test_primitive_kernel_rows_scale_the_canonical_rows(kernel_primes,
+                                                        monkeypatch):
+    # each row is the canonical row times the lcm of its denominators, on
+    # the multimodular route and, with two primes, on the Fraction fallback
+    monkeypatch.setattr(linalg, "KERNEL_PRIMES",
+                        linalg.KERNEL_PRIMES[:kernel_primes])
+    for name, rows in sorted(_multimodular_cases().items()):
+        ncols = len(rows[0]) if rows else 5
+        got = ExactMatrix(rows, QQ, ncols).kernel_basis(primitive=True)
+        want = []
+        for v in _fraction_kernel(rows, ncols):
+            den = math.lcm(*(x.denominator for x in v))
+            want.append(tuple(int(x * den) for x in v))
+        assert got.rows == tuple(want), name
+        assert all(type(x) is int for v in got.rows for x in v), name
+        assert all(math.gcd(*v) == 1 for v in got.rows), name
+    assert ExactMatrix([[1, 2]], GF(5), 2).kernel_basis(primitive=True) \
+        == ExactMatrix([[3, 1]], GF(5), 2)
 
 
 def _count_echelons(monkeypatch):
