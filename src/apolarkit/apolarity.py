@@ -208,24 +208,26 @@ def evaluation_matrix(Z, k):
     """
     F = Z.field
     exps = monomial_exponents(Z.nvars, k)
-    points, mul, one = Z.points, F.mul, F.one
     if F == QQ:
-        points = map(_primitive_integer_row, points)
-        mul, one = operator.mul, 1
+        points = np.array([_primitive_integer_row(p) for p in Z.points],
+                          dtype=object)
+        values = np.prod(points[:, None, :] ** np.array(exps, dtype=object),
+                         axis=2)
+        return ExactMatrix(values.tolist(), QQ, len(exps))
     rows = []
-    for p in points:
+    for p in Z.points:
         pows = []
         for v in p:
-            row = [one]
+            row = [F.one]
             for _ in range(k):
-                row.append(mul(row[-1], v))
+                row.append(F.mul(row[-1], v))
             pows.append(row)
         r = []
         for e in exps:
-            t = one
+            t = F.one
             for i, ei in enumerate(e):
                 if ei:
-                    t = mul(t, pows[i][ei])
+                    t = F.mul(t, pows[i][ei])
             r.append(t)
         rows.append(r)
     return ExactMatrix(rows, F, len(exps))
