@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from apolarkit import linalg, modular
+from apolarkit import catalog, linalg, modular
+from apolarkit.apolarity import PointSet, cube_span_contains
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ, is_prime
+from apolarkit.forms import HomogeneousForm
 from apolarkit.linalg import ExactMatrix
 
 
@@ -361,16 +363,13 @@ def test_rational_rank_falls_back_when_p_divides_a_minor(monkeypatch):
 
 
 def test_negative_power_sum_certificate_takes_no_echelon(monkeypatch):
-    # a criterion-11 negative instance: f + l^3 is not in the span of the
-    # cubes, so both ranks of in_row_span are full mod p
-    from apolarkit import catalog
-    from apolarkit.apolarity import PointSet, cube_span_contains
-    from apolarkit.forms import HomogeneousForm
-
-    forms, _, f = catalog.random_power_sum(7, seed=105)
+    # criterion 11's negative instance i = 2: f + l^3 is not in the span of
+    # the cubes, so both ranks of in_row_span are full mod p
+    forms, _, f = catalog.random_power_sum(7, seed=102)
     Z = PointSet([g.coeffs for g in forms], QQ)
-    l = HomogeneousForm.linear([Fraction(v) for v in (3, -1, 2, 5, -7, 1)],
-                               QQ, "x")
+    rng = random.Random(502)
+    l = HomogeneousForm.linear(
+        [Fraction(rng.randint(-7, 7) or 1) for _ in range(6)], QQ, "x")
     calls = _count_echelons(monkeypatch)
     assert not cube_span_contains(Z, f + l.power(3))
     assert calls == []
