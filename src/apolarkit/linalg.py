@@ -5,17 +5,21 @@ echelon form (leading entries 1, pivot columns cleared), kernel bases are
 derived from the rref free columns, so two computations of the same space
 produce identical bases regardless of the path that built the matrix.
 
-A rational matrix is ranked on coprime integer rows mod the first
-certificate prime; rank over QQ lies between that and min(nrows, ncols),
-so only a lower mod-p rank is redone by the fraction-free integer
-echelon.  Every rational kernel is multimodular: the canonical kernel is
-computed mod primes below 2^31 on the numpy core, joined by CRT and
-rational reconstruction, and accepted only once A K = 0 holds exactly,
-which proves it is the rational one.  Fraction elimination is the one
-exact fallback, for a kernel whose proof does not close before
-KERNEL_PRIMES run out, and it takes all rational rrefs.  Over GF(p),
-p < 2^31, and small GF(p^2) every rank, rref and kernel runs on the
-numpy elimination core in modular.py.
+Every rational kernel is multimodular: the canonical kernel is computed
+mod primes below 2^31 on the numpy core, joined by CRT and rational
+reconstruction, and accepted only once A K = 0 holds exactly, which
+proves it is the rational one.  That one verified (pivots, kernel)
+result gives every exact rational answer: kernel_basis is K, rref is
+read off K, and pivot_columns, which decides the proved pivots of a
+matrix over any field, keeps the pivots mod the first certificate prime
+when that rank reaches min(nrows, ncols) and otherwise takes the
+complement of K's free columns.  A rank is proved the same way, lower
+bound mod p, upper bound ncols - dim K, on the narrower side of the
+matrix.  Fraction elimination is the one exact fallback, for a kernel
+whose proof does not close before KERNEL_PRIMES run out and for the
+fields with no numpy arithmetic (GF(p) with p >= 2^31, GF(p^2) with
+p > 11).  Over GF(p), p < 2^31, and small GF(p^2) every rank, rref and
+kernel runs on the numpy elimination core in modular.py.
 """
 
 from __future__ import annotations
@@ -143,65 +147,73 @@ class ExactMatrix:
 
     # ---- elimination --------------------------------------------------
 
-    def _codes(self, arith):
-        return arith.encode(self.rows).reshape(self.nrows, self.ncols)
+    def codes(self):
+        """The matrix as an array: over QQ its rows scaled to coprime
+        integers, which leaves kernel, rank and pivots alone, otherwise
+        field codes (GF(p^2) elements packed as a + p*b).  int64 where
+        every entry fits, Python ints otherwise."""
+        F = self.field
+        if F == QQ:
+            rows = [_primitive_integer_row(r) for r in self.rows]
+        elif F.degree == 2:
+            rows = [[F.encode(a) for a in r] for r in self.rows]
+        else:
+            rows = self.rows
+        if not rows:
+            return np.zeros((0, self.ncols), dtype=np.int64)
+        try:
+            codes = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            codes = np.array(rows, dtype=object)
+        else:
+            if codes.size and codes.min() == np.iinfo(np.int64).min:
+                codes = codes.astype(object)  # its negative overflows
+        return codes % F.p if F.char and F.degree == 1 else codes
 
     def _decoded(self, codes, arith):
         return ExactMatrix([[arith.decode(v) for v in row]
                             for row in codes.tolist()], self.field, self.ncols)
 
     def rref(self):
-        arith = modular.field_arithmetic(self.field)
+        """Canonical reduced row echelon form.  Away from the numpy core
+        it is read off the canonical kernel K: pivot row r has a 1 at its
+        pivot column pc and -K_f[pc] at each free column f."""
+        F = self.field
+        arith = modular.field_arithmetic(F)
         if arith is not None:
-            codes = self._codes(arith)
+            codes = self.codes()
             modular.eliminate(codes, arith, reduced=True)
             return self._decoded(codes, arith)
-        rows, _ = _rref(list(map(list, self.rows)), self.field)
-        return ExactMatrix(rows, self.field, self.ncols)
+        pivots, basis = _pivots_and_kernel(self.rows, self.ncols, F)
+        free = _free_columns(pivots, self.ncols)
+        rows = [[F.zero] * self.ncols for _ in range(self.nrows)]
+        for r, pc in enumerate(pivots):
+            rows[r][pc] = F.one
+            for f, v in zip(free, basis):
+                rows[r][f] = F.neg(v[pc])
+        return ExactMatrix(rows, F, self.ncols)
 
     def rank(self):
-        if self.field == QQ:
-            rows = [_primitive_integer_row(r) for r in self.rows]
-            p = CERTIFICATE_PRIMES[0]
-            rank = modular.rank_mod_p([[a % p for a in r] for r in rows], p)
-            if rank == min(self.nrows, self.ncols):
-                return rank
-            return len(_integer_echelon(rows)[1])
-        arith = modular.field_arithmetic(self.field)
-        if arith is not None:
-            return len(modular.eliminate(self._codes(arith), arith)[0])
-        return len(_rref(list(map(list, self.rows)), self.field)[1])
+        codes = self.codes()
+        if self.field == QQ and self.nrows < self.ncols:
+            # rank is the same on both sides, and the certificate of the
+            # narrower one is the smaller kernel
+            codes = codes.T
+        return len(pivot_columns(codes, self.field))
 
     def kernel_basis(self, primitive=False):
         """Canonical basis of the right kernel {v : M v = 0}, as rows.
 
         The basis is the standard one with a 1 in each free column, so it
-        does not depend on the elimination route; rational matrices take
-        a multimodular path that proves it gives the identical answer and
-        falls back to Fraction elimination when it cannot.  primitive
-        asks, over QQ, for each row times the lcm of its denominators.
+        does not depend on the elimination route.  primitive asks, over
+        QQ, for each row times the lcm of its denominators.
         """
-        F = self.field
-        if F == QQ:
-            basis = _multimodular_kernel(self.rows, self.ncols, primitive)
-            if basis is not None:
-                return ExactMatrix(basis, QQ, self.ncols)
-        arith = modular.field_arithmetic(F)
+        arith = modular.field_arithmetic(self.field)
         if arith is not None:
-            return self._decoded(modular.kernel(self._codes(arith), arith),
-                                 arith)
-        rows, pivots = _rref(list(map(list, self.rows)), self.field)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [F.zero] * self.ncols
-            v[f] = F.one
-            for r, pc in enumerate(pivots):
-                v[pc] = F.neg(rows[r][f])
-            basis.append(_primitive_integer_row(v) if primitive and F == QQ
-                         else v)
-        return ExactMatrix(basis, F, self.ncols)
+            return self._decoded(modular.kernel(self.codes(), arith), arith)
+        _, basis = _pivots_and_kernel(self.rows, self.ncols, self.field,
+                                      primitive)
+        return ExactMatrix(basis, self.field, self.ncols)
 
     def row_space_basis(self):
         r = self.rref()
@@ -213,6 +225,60 @@ class ExactMatrix:
         """Does the vector lie in the span of the matrix rows?"""
         stacked = self.vstack(ExactMatrix([vector], self.field, self.ncols))
         return stacked.rank() == self.rank()
+
+
+def pivot_columns(codes, field):
+    """The pivot columns of a matrix over the field, given as codes (see
+    ExactMatrix.codes; the array is left alone), each proved.
+
+    A field with numpy arithmetic takes the elimination core.  Over QQ
+    the columns independent mod CERTIFICATE_PRIMES[0] are independent
+    over QQ, and they span once the mod-p rank reaches min(rows, cols),
+    which bounds the rational rank; below that the pivots are the
+    complement of the free columns of the verified multimodular kernel.
+    """
+    arith = modular.field_arithmetic(field)
+    if arith is not None:
+        return modular.eliminate(codes.astype(np.int64), arith)[0]
+    if field == QQ:
+        p = CERTIFICATE_PRIMES[0]
+        residues = (codes % p).astype(np.int64, copy=False)
+        pivots, _ = modular.eliminate(residues, modular.prime_arithmetic(p))
+        if len(pivots) == min(codes.shape):
+            return pivots
+        rows = codes.tolist()
+    elif field.degree == 2:
+        rows = [[field.decode(int(c)) for c in r] for r in codes]
+    else:
+        rows = codes.tolist()
+    return _pivots_and_kernel(rows, codes.shape[1], field, True)[0]
+
+
+def _pivots_and_kernel(rows, ncols, field, primitive=False):
+    """(pivot columns, canonical kernel basis rows) of a matrix with no
+    numpy arithmetic: over QQ by the multimodular kernel, and by Fraction
+    elimination, the one exact fallback, when its primes run out or the
+    field is GF(p) with p >= 2^31 or GF(p^2) with p > 11.  primitive
+    scales each rational kernel row to coprime integers."""
+    if field == QQ:
+        solved = _multimodular_kernel(rows, ncols, primitive)
+        if solved is not None:
+            return solved
+    ref, pivots = _rref([list(r) for r in rows], field)
+    basis = []
+    for f in _free_columns(pivots, ncols):
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for r, pc in enumerate(pivots):
+            v[pc] = field.neg(ref[r][f])
+        basis.append(_primitive_integer_row(v) if primitive and field == QQ
+                     else v)
+    return pivots, basis
+
+
+def _free_columns(pivots, ncols):
+    pivot_set = set(pivots)
+    return [j for j in range(ncols) if j not in pivot_set]
 
 
 def _rref(rows, field):
@@ -244,46 +310,6 @@ def _rref(rows, field):
     return rows, pivots
 
 
-def _integer_echelon(rows):
-    """Fraction-free echelon form of an integer matrix.
-
-    Rows are eliminated by cross-multiplication with a gcd division per
-    row to keep growth in check.  Returns the nonzero echelon rows and
-    their pivot columns; the rank is the number of pivots.
-    """
-    work = [list(r) for r in rows if any(r)]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    for c in range(ncols):
-        rank = len(pivots)
-        if rank == len(work):
-            break
-        pivot = None
-        for i in range(rank, len(work)):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        prow = work[rank]
-        pv = prow[c]
-        for i in range(rank + 1, len(work)):
-            if work[i][c]:
-                f = work[i][c]
-                row = [pv * a - f * b for a, b in zip(work[i], prow)]
-                g = 0
-                for a in row:
-                    g = gcd(g, a)
-                    if g == 1:
-                        break
-                if g > 1:
-                    row = [a // g for a in row]
-                work[i] = row
-        pivots.append(c)
-    return work[:len(pivots)], pivots
-
-
 def _multimodular_kernel(rows, ncols, primitive=False):
     """Canonical rational kernel basis by elimination mod word primes.
 
@@ -298,10 +324,11 @@ def _multimodular_kernel(rows, ncols, primitive=False):
     construction.  Since rank over QQ >= rank mod p, A K = 0 makes the
     kernel dimension the number of free columns, and each free column
     lies in the span of the columns before it, so the rational pivots are
-    the mod-p ones and K is the canonical basis.  Returns the basis rows,
-    as Fractions or, with primitive, as coprime integers (each canonical
-    row times the lcm of its denominators), or None when KERNEL_PRIMES
-    run out before the proof closes.  Rows may hold ints or Fractions.
+    the mod-p ones and K is the canonical basis.  Returns the pivot
+    columns and the basis rows, as Fractions or, with primitive, as
+    coprime integers (each canonical row times the lcm of its
+    denominators), or None when KERNEL_PRIMES run out before the proof
+    closes.  Rows may hold ints or Fractions.
     """
     # per column: (row, integer entry) of its nonzero entries
     columns = [[] for _ in range(ncols)]
@@ -326,11 +353,10 @@ def _multimodular_kernel(rows, ncols, primitive=False):
         key = (-len(pivots), pivots)
         if best is not None and key > best:
             continue
-        pivot_set = set(pivots)
-        free = [j for j in range(ncols) if j not in pivot_set]
+        free = _free_columns(pivots, ncols)
         if not free:
             # rank over QQ is at least rank mod p = ncols
-            return []
+            return pivots, []
         # the rref entries of each free column, one list per column
         block = a[:len(pivots), free].T.tolist()
         if key != best:
@@ -364,7 +390,7 @@ def _multimodular_kernel(rows, ncols, primitive=False):
                 for j, x in vector:
                     v[j] = x if primitive else Fraction(x, den)
                 basis.append(v)
-            return basis
+            return pivots, basis
     return None
 
 

@@ -14,8 +14,11 @@ field's arithmetic as an object:
 
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 .batch_rank are thin entry points over the core (all but kernel_mod_p
-take stacks too), and ExactMatrix sends its finite-field ranks, rrefs
-and kernels through it as well.
+take stacks too).  ExactMatrix and linalg.pivot_columns send their
+finite-field ranks, pivots, rrefs and kernels through it, and every
+rational rank, pivot set, rref and kernel as well: the mod-p rank that
+bounds a rational rank from below and each prime of the multimodular
+kernel are eliminations of the core.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
 evaluation, gcd, squarefree part.  lagrange_interpolate works over any
@@ -319,10 +322,6 @@ class QuadraticTables:
         self.inv_table = np.array(
             [0] + [field.encode(field.inv(field.decode(x)))
                    for x in range(1, self.q)], dtype=np.int64)
-
-    def encode(self, matrix):
-        return np.array([[self.field.encode(v) for v in row] for row in matrix],
-                        dtype=np.int64)
 
     def decode(self, code):
         return self.field.decode(int(code))

@@ -15,8 +15,9 @@ finite field E_j holds field codes.  E_{j+1} embeds M_{j+1}, so each
 differential is written by gathering columns of E_{j+1}, with no
 coordinates to solve for.  Over QQ the differentials are ranked modulo a
 word-sized prime and every mod-p rank is kept only where semicontinuity
-proves it equal to the rational rank; the rest are ranked exactly by
-ExactMatrix.rank, so the tables stay exact (see graded_betti).
+proves it equal to the rational rank; the rest are ranked by
+ExactMatrix.rank, which proves a rational rank with a verified
+multimodular kernel, so the tables stay exact (see graded_betti).
 
 A cell (i, j) only consumes the module in degrees j-i-1 .. j-i+1, so a
 module built up to degree 3 already settles the full three-row tables of
@@ -34,19 +35,17 @@ from operator import mul
 
 import numpy as np
 
-from . import modular
 from .apolarity import (catalecticant, evaluation_matrix, ideal_span,
                         subspace_forms)
 from .errors import PreconditionError
-from .fields import QQ
+from .fields import GF, QQ
 from .forms import HomogeneousForm, monomial_count, monomial_exponents, monomial_index
 from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
     Subspace,
-    _integer_echelon,
     _primitive_integer_row,
-    _rref,
+    pivot_columns,
 )
 
 
@@ -122,10 +121,9 @@ class GradedModule:
     column space, the class of a monomial to its column, and the pivot
     monomials B_j of E_j are a basis of M_j.
 
-    Over QQ the pivots are taken mod the Betti prime: columns independent
-    mod p are independent over QQ, and they span once the mod-p rank
-    reaches min(rows, columns), which bounds the rational rank.  Any
-    other piece takes its pivots from the exact integer echelon.
+    The pivots are the proved ones of linalg.pivot_columns: over QQ the
+    pivots mod the Betti prime where that rank reaches min(rows,
+    columns), and otherwise those of the verified multimodular kernel.
     """
 
     def __init__(self, nvars, field, presentations):
@@ -139,11 +137,8 @@ class GradedModule:
                 raise PreconditionError(
                     "presentation %d has %d columns, expected %d"
                     % (j, mat.ncols, expected))
-            codes = _presentation_codes(mat, field)
-            pivots = _pivots(codes.copy(), field)
-            if field == QQ and len(pivots) < min(codes.shape):
-                pivots = _integer_echelon(codes.tolist())[1]
-            self._pieces.append((codes, tuple(pivots)))
+            codes = mat.codes()
+            self._pieces.append((codes, tuple(pivot_columns(codes, field))))
 
     def piece(self, j):
         """(E_j, B_j): the integer presentation of M_j and the monomial
@@ -157,44 +152,6 @@ class GradedModule:
 
     def piece_dim(self, j):
         return len(self.piece(j)[1])
-
-
-def _presentation_codes(mat, field):
-    """mat as an array: coprime integer rows over QQ, codes otherwise
-    (GF(p^2) elements packed as a + p*b).  int64 where every entry fits,
-    Python ints otherwise."""
-    if field == QQ:
-        rows = [_primitive_integer_row(r) for r in mat.rows]
-    elif field.degree == 2:
-        rows = [[field.encode(a) for a in r] for r in mat.rows]
-    else:
-        rows = mat.rows
-    if not rows:
-        return np.zeros((0, mat.ncols), dtype=np.int64)
-    try:
-        codes = np.array(rows, dtype=np.int64)
-    except OverflowError:
-        return np.array(rows, dtype=object)
-    if codes.min() == np.iinfo(np.int64).min:  # its negative overflows
-        return np.array(rows, dtype=object)
-    return codes
-
-
-def _pivots(codes, field):
-    """Pivot columns of a code array over a finite field (the array is
-    consumed), or of an integer array mod the Betti prime over QQ."""
-    if field == QQ:
-        codes = (codes % _BETTI_PRIME).astype(np.int64)
-        arith = modular.prime_arithmetic(_BETTI_PRIME)
-    else:
-        arith = modular.field_arithmetic(field)
-        if arith is None:
-            if field.degree == 2:
-                rows = [[field.decode(int(c)) for c in r] for r in codes]
-            else:
-                rows = codes.tolist()
-            return _rref(rows, field)[1]
-    return modular.eliminate(codes, arith)[0]
 
 
 def _negated(codes, field):
@@ -319,8 +276,10 @@ def graded_betti(module, max_i, max_j, max_row=None):
     ranks.  The cells of the strand row just past the window are ranked
     mod p too, when the module is built that high, only to close proofs;
     they are never reported.  Every other differential of the window is
-    ranked exactly by ExactMatrix.rank, so the table is always exact.
-    Over other fields the differentials are ranked directly.
+    ranked by ExactMatrix.rank, which matches the mod-p lower bound with
+    the upper bound ncols - dim K of a verified kernel K of the narrower
+    side, so the table is always exact.  Over other fields the
+    differentials are ranked directly, by linalg.pivot_columns.
     """
     def required(i, j):
         return j - i if i == 0 else j - i + 1
@@ -342,6 +301,8 @@ def graded_betti(module, max_i, max_j, max_row=None):
     exact = {key for i, j in cells for key in ((i, j), (i + 1, j))}
     n = module.nvars
     over_qq = module.field == QQ
+    # over QQ each differential is first ranked over GF(p) on its reduction
+    rank_field = GF(_BETTI_PRIME) if over_qq else module.field
 
     def cell_dim(i, j):
         return comb(n, i) * module.piece_dim(j - i)
@@ -354,7 +315,8 @@ def graded_betti(module, max_i, max_j, max_row=None):
             ranks[key] = 0
             continue
         mat = koszul_differential(module, i, j)
-        ranks[key] = len(_pivots(mat, module.field))
+        ranks[key] = len(pivot_columns(mat % _BETTI_PRIME if over_qq else mat,
+                                       rank_field))
         bound = min(mat.shape[1], comb(n, i - 1) * module.piece_dim(j - i + 1))
         if over_qq and ranks[key] < bound and key in exact:
             pending[key] = mat

@@ -174,6 +174,29 @@ def test_prime_field_fast_paths_match_generic_elimination():
                     assert tabs.batch_rank(np.array(codes)) == len(pivots)
 
 
+@pytest.mark.parametrize("F", [GF(13, 2), GF(2147483659)], ids=str)
+def test_fields_without_numpy_arithmetic_take_the_fraction_fallback(F):
+    # GF(p^2) with p > 11 and GF(p) with p >= 2^31 have no core
+    # arithmetic: rank, rref and kernel fall back to _rref
+    assert modular.field_arithmetic(F) is None
+    rng = random.Random(13)
+    for nrows, ncols in [(3, 5), (5, 3), (4, 4), (0, 3)]:
+        rows = [[F.random_element(rng) for _ in range(ncols)]
+                for _ in range(nrows)]
+        if nrows > 2:
+            rows[-1] = [F.add(a, b) for a, b in zip(rows[0], rows[1])]
+        M = ExactMatrix(rows, F, ncols)
+        ref, pivots = linalg._rref([list(r) for r in rows], F)
+        assert M.rank() == len(pivots)
+        assert linalg.pivot_columns(M.codes(), F) == pivots
+        assert M.rref() == ExactMatrix(ref, F, ncols)
+        K = M.kernel_basis()
+        assert K.nrows == ncols - len(pivots)
+        if nrows and K.nrows:
+            assert M.matmul(K.transpose()) \
+                == ExactMatrix.zeros(nrows, K.nrows, F)
+
+
 def _fraction_kernel(rows, ncols):
     # the reference: the canonical basis read off the Fraction rref, which
     # shares nothing with the multimodular route of kernel_basis
@@ -234,8 +257,9 @@ def _multimodular_cases():
 def test_multimodular_kernel_matches_fraction_kernel(name):
     rows = _multimodular_cases()[name]
     ncols = len(rows[0]) if rows else 5
-    basis = linalg._multimodular_kernel(rows, ncols)
+    pivots, basis = linalg._multimodular_kernel(rows, ncols)
     assert basis == _fraction_kernel(rows, ncols)
+    assert pivots == linalg._rref([list(r) for r in rows], QQ)[1]
     assert all(type(x) is Fraction for v in basis for x in v)
 
 
@@ -269,7 +293,8 @@ def test_multimodular_kernel_discards_unlucky_primes(monkeypatch):
     assert modular.kernel_mod_p([[int(x) for x in r] for r in rows],
                                 P3).tolist() == [[1, 0, 0]]
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:5])
-    assert linalg._multimodular_kernel(rows, 3) == _fraction_kernel(rows, 3)
+    assert linalg._multimodular_kernel(rows, 3)[1] \
+        == _fraction_kernel(rows, 3)
 
 
 def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
@@ -279,7 +304,7 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     a, b = 3 ** 50, 2 ** 80 + 1
     rows = [[Fraction(k * a), Fraction(k * b)] for k in range(1, 10001)]
     expected = [[Fraction(-b, a), Fraction(1)]]
-    assert linalg._multimodular_kernel(rows, 2) == expected
+    assert linalg._multimodular_kernel(rows, 2) == ([0], expected)
 
     rref_calls = []
     real_rref = linalg._rref
@@ -299,10 +324,14 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
 
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:2])
     assert linalg._multimodular_kernel(rows, 2) is None
-    assert linalg._multimodular_kernel(small, 4) == small_kernel
+    assert linalg._multimodular_kernel(small, 4) == ([0, 1], small_kernel)
     assert ExactMatrix(rows, QQ, 2).kernel_basis() \
         == ExactMatrix(expected, QQ, 2)
     assert rref_calls == [10000]
+    # the rank is deficient mod P1, and its kernel certificate cannot
+    # close on two primes either
+    assert ExactMatrix(rows, QQ, 2).rank() == 1
+    assert rref_calls == [10000, 10000]
 
 
 @pytest.mark.parametrize("kernel_primes", [128, 2])
@@ -326,20 +355,24 @@ def test_primitive_kernel_rows_scale_the_canonical_rows(kernel_primes,
         == ExactMatrix([[3, 1]], GF(5), 2)
 
 
-def _count_echelons(monkeypatch):
+def _count_exact_work(monkeypatch):
+    """Record the shape of every multimodular kernel and Fraction rref."""
     calls = []
-    real = linalg._integer_echelon
 
-    def counting(rows):
-        calls.append(len(rows))
-        return real(rows)
+    def counting(name, real):
+        def wrapper(rows, *args):
+            calls.append((name, len(rows), len(rows[0]) if rows else 0))
+            return real(rows, *args)
+        return wrapper
 
-    monkeypatch.setattr(linalg, "_integer_echelon", counting)
+    for name in ("_multimodular_kernel", "_rref"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
     return calls
 
 
 def test_rational_rank_of_full_rank_mod_p_needs_no_echelon(monkeypatch):
-    calls = _count_echelons(monkeypatch)
+    # full rank mod p proves the rational rank with no kernel at all
+    calls = _count_exact_work(monkeypatch)
     rng = random.Random(5)
     tall = _random_rational_matrix(rng, 7, 4, 4, den=6)
     wide = _random_rational_matrix(rng, 3, 8, 3, spread=10 ** 20)
@@ -347,19 +380,24 @@ def test_rational_rank_of_full_rank_mod_p_needs_no_echelon(monkeypatch):
     assert ExactMatrix(wide, QQ, 8).rank() == 3
     assert ExactMatrix([], QQ, 3).rank() == 0
     assert calls == []
-    # a rank below min(nrows, ncols) proves nothing mod p
+    # a rank below min(nrows, ncols) takes one verified kernel, of the
+    # narrower side: the transpose of a wide matrix
     deficient = _random_rational_matrix(rng, 5, 6, 3)
     assert ExactMatrix(deficient, QQ, 6).rank() == 3
-    assert calls == [5]
+    assert calls == [("_multimodular_kernel", 6, 5)]
+    calls.clear()
+    tall_deficient = _random_rational_matrix(rng, 8, 5, 2)
+    assert ExactMatrix(tall_deficient, QQ, 5).rank() == 2
+    assert calls == [("_multimodular_kernel", 8, 5)]
 
 
 def test_rational_rank_falls_back_when_p_divides_a_minor(monkeypatch):
-    calls = _count_echelons(monkeypatch)
+    calls = _count_exact_work(monkeypatch)
     rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + P1)]]
     assert linalg.CERTIFICATE_PRIMES[0] == P1
     assert modular.rank_mod_p([[1, 1], [1, 1 + P1]], P1) == 1
     assert ExactMatrix(rows, QQ, 2).rank() == 2
-    assert calls == [2]
+    assert calls == [("_multimodular_kernel", 2, 2)]
 
 
 def test_negative_power_sum_certificate_takes_no_echelon(monkeypatch):
@@ -370,10 +408,72 @@ def test_negative_power_sum_certificate_takes_no_echelon(monkeypatch):
     rng = random.Random(502)
     l = HomogeneousForm.linear(
         [Fraction(rng.randint(-7, 7) or 1) for _ in range(6)], QQ, "x")
-    calls = _count_echelons(monkeypatch)
+    calls = _count_exact_work(monkeypatch)
     assert not cube_span_contains(Z, f + l.power(3))
     assert calls == []
+    # f is in the span: the 8 x 56 stack ranks by the kernel of its
+    # 56 x 8 transpose
     assert cube_span_contains(Z, f)
+    assert calls == [("_multimodular_kernel", 56, 8)]
+
+
+def _rational_rref_cases():
+    return {
+        "zero-matrix": [[Fraction(0)] * 4 for _ in range(3)],
+        "zero-rows": [],
+        "zero-column": [[Fraction(v) for v in r] for r in
+                        [[1, 0, 2, 3], [2, 0, 4, 7], [1, 0, 2, 3]]],
+        "minor-divisible-by-P1": [[Fraction(v) for v in r] for r in
+                                  [[1, 1, 3], [1, 1 + P1, 5], [2, 2, 6]]],
+        "unlucky-rank": _multimodular_cases()["unlucky-rank"],
+        "denominators": _multimodular_cases()["denominators"],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_rational_rref_cases()))
+def test_rational_rref_is_read_off_the_kernel(name, monkeypatch):
+    rows = _rational_rref_cases()[name]
+    ncols = len(rows[0]) if rows else 4
+    ref, _ = linalg._rref([list(r) for r in rows], QQ)
+    calls = _count_exact_work(monkeypatch)
+    assert ExactMatrix(rows, QQ, ncols).rref() == ExactMatrix(ref, QQ, ncols)
+    assert [name for name, _, _ in calls] == ["_multimodular_kernel"]
+
+
+@st.composite
+def _integer_products(draw):
+    # an integer matrix of rank at most r, the product of an n x r and an
+    # r x m factor, some entries then moved by a multiple of P1
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    r = draw(st.integers(0, min(nrows, ncols)))
+    entries = st.integers(-9, 9)
+    left = draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                         min_size=nrows, max_size=nrows))
+    right = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=r, max_size=r))
+    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            if r else [0] * ncols for row in left]
+    shifts = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                     st.integers(0, ncols - 1),
+                                     st.integers(-2, 2)), max_size=3))
+    for i, j, k in shifts:
+        rows[i][j] += k * P1
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_integer_products())
+def test_rational_rank_rref_and_kernel_match_fraction_elimination(rows):
+    ncols = len(rows[0])
+    M = ExactMatrix([[Fraction(a) for a in r] for r in rows], QQ, ncols)
+    ref, pivots = linalg._rref([[Fraction(a) for a in r] for r in rows], QQ)
+    assert M.rank() == len(pivots)
+    assert M.rref() == ExactMatrix(ref, QQ, ncols)
+    assert M.kernel_basis().rows == tuple(map(tuple,
+                                              _fraction_kernel(rows, ncols)))
+    # semicontinuity: a rank mod p never exceeds the rational rank
+    assert ExactMatrix([[a % 101 for a in r] for r in rows], GF(101),
+                       ncols).rank() <= len(pivots)
 
 
 def test_reconstruction_shares_one_denominator():

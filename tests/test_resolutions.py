@@ -243,7 +243,7 @@ def test_points_betti_matches_exact_cells(name, scale, monkeypatch):
 
 
 def _count_exact_work(monkeypatch):
-    """Record every Fraction rref, exact rank and integer echelon."""
+    """Record every Fraction rref, multimodular kernel and exact rank."""
     calls = []
 
     def counting(name, real):
@@ -252,24 +252,48 @@ def _count_exact_work(monkeypatch):
             return real(*args)
         return wrapper
 
-    for module in (linalg, resolutions):
-        for name in ("_rref", "_integer_echelon"):
-            monkeypatch.setattr(module, name,
-                                counting(name, getattr(linalg, name)))
+    for name in ("_rref", "_multimodular_kernel"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
     monkeypatch.setattr(linalg.ExactMatrix, "rank",
                         counting("rank", linalg.ExactMatrix.rank))
     return calls
 
 
-@pytest.mark.parametrize("count", [5, 6, 7, 8, 9, 10, 11, 12, 30])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                   30])
 def test_generic_points_betti_takes_no_exact_elimination(count, monkeypatch):
     # the mod-p ranks, with the strand row past the window, prove every
-    # cell; the module is built one degree past the window, as `betti` does
+    # cell from 5 points on; the module is built one degree past the
+    # window, as `betti` does.  Below 5 points some ranks are left to
+    # ExactMatrix.rank, which proves them by a verified kernel, never by
+    # Fraction elimination.
     Z = PointSet(random_rational_points(count, seed=0), QQ)
     calls = _count_exact_work(monkeypatch)
     table = graded_betti(points_quotient_module(Z, 5), 6, 9, max_row=3)
-    assert calls == []
+    assert "_rref" not in calls
+    if count >= 5:
+        assert calls == []
     assert table.entry(0, 0) == 1
+
+
+@pytest.mark.parametrize("name", ["seeded-2", "seeded-3", "seeded-4",
+                                  "congruent-pair"])
+def test_module_pivots_match_fraction_pivots(name, monkeypatch):
+    if name == "congruent-pair":
+        points = POINT_CONFIGURATIONS[name][0]
+    else:
+        points = random_rational_points(int(name[-1]), seed=0)
+    Z = PointSet(points, QQ)
+    want = [tuple(linalg._rref([[Fraction(a) for a in r]
+                                for r in evaluation_matrix(Z, j).rows], QQ)[1])
+            for j in range(5)]
+    calls = _count_exact_work(monkeypatch)
+    module = points_quotient_module(Z, 4)
+    assert [module.piece(j)[1] for j in range(5)] == want
+    assert "_rref" not in calls
+    if name == "congruent-pair":
+        # the two points agree mod p, so degrees 1 to 4 take the kernel
+        assert calls.count("_multimodular_kernel") == 4
 
 
 def test_paper_member_betti_takes_no_exact_elimination(monkeypatch):
@@ -481,11 +505,22 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
         return real_rref(rows, field)
 
     monkeypatch.setattr(linalg, "_rref", counting_rref)
-    monkeypatch.setattr(resolutions, "_rref", counting_rref)
     resolutions._linear_syzygies_cached.cache_clear()
     dims = [linear_syzygies(Q, order, guard=False).dim for order in (1, 2)]
     assert dims == [35, 21]
     assert calls == []
+
+
+@pytest.mark.parametrize("params", SYZYGY_QQ_CUBICS, ids=str)
+def test_q_f_rref_matches_fraction_rref(params, monkeypatch):
+    # the 15 x 21 basis m2_matrix reduces, read off its verified kernel
+    f = catalog.scroll_apolar_cubic() if params == "scroll" \
+        else catalog.cubic_family(*params)
+    basis = q_f(f).basis
+    ref, _ = linalg._rref([list(r) for r in basis.rows], QQ)
+    calls = _count_exact_work(monkeypatch)
+    assert basis.rref() == ExactMatrix(ref, QQ, 21)
+    assert calls == ["_multimodular_kernel"]
 
 
 CROSS_BACKEND_FIELDS = [QQ, GF(101), GF(linalg.KERNEL_PRIMES[0])]
