@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .fields import QQ, GF
 from .forms import HomogeneousForm, parse_form
-from .linalg import ExactMatrix, Subspace
+from .linalg import ExactMatrix
 from .apolarity import (
     PointSet,
     apolar_action,
@@ -51,7 +51,7 @@ from .catalog import (
 )
 
 __all__ = [
-    "QQ", "GF", "HomogeneousForm", "parse_form", "ExactMatrix", "Subspace",
+    "QQ", "GF", "HomogeneousForm", "parse_form", "ExactMatrix",
     "PointSet", "apolar_action", "apolar_ideal_component", "catalecticant",
     "cube_span_contains", "is_apolar_pointset", "is_apolar_variety",
     "min_partial_rank_scan", "q_f", "BettiTable", "GradedModule",

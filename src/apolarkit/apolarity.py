@@ -31,7 +31,7 @@ from .errors import PreconditionError
 from .fields import QQ
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
                     monomial_exponents, monomial_index)
-from .linalg import ExactMatrix, Subspace, _primitive_integer_row
+from .linalg import ExactMatrix, _primitive_integer_row
 
 
 def _require_char(field, degree):
@@ -159,45 +159,15 @@ def _annihilates(operators, f, k):
 
 
 def apolar_ideal_component(f, k):
-    """The graded piece I_f(k) of the apolar ideal, as a subspace of S^kV*."""
-    if k < 0:
-        raise PreconditionError("negative degree")
-    alphabet = DUAL_ALPHABET[f.alphabet]
-    if k > f.degree:
-        return Subspace.full_space(monomial_count(f.nvars, k), f.field,
-                                   degree=k, alphabet=alphabet)
-    cat = catalecticant(f, k)
-    basis = cat.transpose().kernel_basis()
-    return Subspace(basis, degree=k, alphabet=alphabet, already_independent=True)
-
-
-def partial_space(f):
-    """P(f): the span of the first partial derivatives inside S^{d-1}V."""
-    cat = catalecticant(f, 1)
-    return Subspace(cat.row_space_basis(), degree=f.degree - 1,
-                    alphabet=f.alphabet, already_independent=True)
+    """The graded piece I_f(k) of the apolar ideal, 0 <= k <= deg f, as
+    the canonical basis rows of the left kernel of catalecticant(f, k),
+    one column per degree-k dual monomial."""
+    return catalecticant(f, k).transpose().kernel_basis()
 
 
 def q_f(f):
-    """Q_f = I_f(2), the quadrics apolar to f."""
+    """Q_f = I_f(2), the quadrics apolar to f, as basis rows."""
     return apolar_ideal_component(f, 2)
-
-
-def subspace_forms(space, nvars=None):
-    """Materialize the basis rows of a graded subspace as forms."""
-    if space.degree is None:
-        raise PreconditionError("subspace has no degree label")
-    n = nvars
-    if n is None:
-        # recover the variable count from the ambient dimension and degree
-        for cand in range(1, 8):
-            if monomial_count(cand, space.degree) == space.ambient_dim:
-                n = cand
-                break
-        else:
-            raise PreconditionError("ambient dimension fits no variable count")
-    return [HomogeneousForm(n, space.degree, row, space.field, space.alphabet)
-            for row in space.basis_matrix().rows]
 
 
 def evaluation_matrix(Z, k):
@@ -234,11 +204,11 @@ def evaluation_matrix(Z, k):
 
 
 def ideal_of_points_component(Z, k):
-    """I_Z(k): degree-k dual forms vanishing at every point of Z."""
+    """I_Z(k): degree-k dual forms vanishing at every point of Z, as
+    canonical basis rows."""
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
-    basis = evaluation_matrix(Z, k).kernel_basis()
-    return Subspace(basis, degree=k, alphabet="y", already_independent=True)
+    return evaluation_matrix(Z, k).kernel_basis()
 
 
 def is_apolar_pointset(Z, f):
@@ -271,13 +241,10 @@ def cube_span_contains(Z, f):
     no linear algebra beyond the matrix class.
     """
     F = f.field
-    fidx = monomial_index(f.nvars, 3)
-    cols = []
-    for p in Z.points:
-        l = HomogeneousForm.linear(p, F, f.alphabet)
-        cols.append(l.power(3).coeffs)
-    span = ExactMatrix(cols, F, monomial_count(f.nvars, 3))
-    return span.in_row_span(f.coeffs)
+    cubes = [HomogeneousForm.linear(p, F, f.alphabet).power(3).coeffs
+             for p in Z.points]
+    stacked = ExactMatrix(cubes + [f.coeffs], F)
+    return stacked.rank() == ExactMatrix(cubes, F, stacked.ncols).rank()
 
 
 def ideal_span(generators, degree):
@@ -363,29 +330,23 @@ def exists_cubic_singular_along(Z):
 
     Stacks the gradient-evaluation conditions (n per point) on the
     coefficient space of dual cubics; Euler's relation makes the value
-    condition redundant in characteristic coprime to 3.
+    condition redundant in characteristic coprime to 3.  The gradient
+    entries are read off evaluation_matrix(Z, 2): d(y^e)/dy_i is
+    e_i y^(e - u_i).  Over QQ that evaluates each point scaled to
+    integers, which scales its n rows and leaves the rank alone.
     """
     F = Z.field
     _require_char(F, 3)
     n = Z.nvars
+    at = monomial_index(n, 2)
     exps = monomial_exponents(n, 3)
-    rows = []
-    for point in Z.points:
-        pows = []
-        for v in point:
-            pows.append([F.one, v, F.mul(v, v), F.mul(F.mul(v, v), v)])
-        for i in range(n):
-            row = []
-            for e in exps:
-                if e[i] == 0:
-                    row.append(F.zero)
-                    continue
-                t = F.from_int(e[i])
-                for j, ej in enumerate(e):
-                    exp = ej - 1 if j == i else ej
-                    if exp:
-                        t = F.mul(t, pows[j][exp])
-                row.append(t)
-            rows.append(row)
-    conditions = ExactMatrix(rows, F, len(exps))
-    return conditions.rank() < len(exps)
+
+    def partial(values, i, e):
+        if not e[i]:
+            return F.zero
+        lower = e[:i] + (e[i] - 1,) + e[i + 1:]
+        return F.mul(F.from_int(e[i]), values[at[lower]])
+
+    rows = [[partial(values, i, e) for e in exps]
+            for values in evaluation_matrix(Z, 2).rows for i in range(n)]
+    return ExactMatrix(rows, F, len(exps)).rank() < len(exps)

@@ -26,13 +26,11 @@ from .apolarity import (
     is_apolar_pointset,
     is_apolar_variety,
     min_partial_rank_scan,
-    partial_space,
     q_f,
-    subspace_forms,
 )
 from .errors import ParseError, PreconditionError, ReferenceMismatch
 from .fields import GF, QQ
-from .forms import monomial_count, parse_form
+from .forms import HomogeneousForm, monomial_count, parse_form
 from .resolutions import (
     apolar_quotient_module,
     graded_betti,
@@ -164,9 +162,11 @@ def run_apolar(args, field, seed):
         "catalecticant_ranks": ranks,
         "apolar_ideal_dims": ideal_dims,
     }
-    payload["partial_space_dim"] = partial_space(f).dim
+    payload["partial_space_dim"] = catalecticant(f, 1).rank()
     if f.degree == 3:
-        payload["qf_basis"] = [g.to_text() for g in subspace_forms(q_f(f))]
+        payload["qf_basis"] = [
+            HomogeneousForm(f.nvars, 2, row, f.field, "y").to_text()
+            for row in q_f(f).rows]
     return payload, True
 
 

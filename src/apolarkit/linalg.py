@@ -1,9 +1,12 @@
-"""Exact dense matrices and subspaces over the package's field descriptors.
+"""Exact dense matrices over the package's field descriptors.
 
 Everything here is deterministic.  rref is the canonical reduced row
 echelon form (leading entries 1, pivot columns cleared), kernel bases are
 derived from the rref free columns, so two computations of the same space
 produce identical bases regardless of the path that built the matrix.
+A space of forms, such as a graded piece of an ideal or a syzygy space,
+is the ExactMatrix of its canonical basis rows; its degree and alphabet
+are the caller's.
 
 Every rational kernel is multimodular: the canonical kernel is computed
 mod primes below 2^31 on the numpy core, joined by CRT and rational
@@ -79,17 +82,9 @@ class ExactMatrix:
     def row(self, i):
         return self.rows[i]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self):
         return ExactMatrix(zip(*self.rows), self.field, self.nrows) if self.nrows \
             else ExactMatrix([() for _ in range(self.ncols)], self.field, 0)
-
-    def vstack(self, other):
-        if self.ncols != other.ncols or self.field != other.field:
-            raise PreconditionError("vstack shape or field mismatch")
-        return ExactMatrix(self.rows + other.rows, self.field, self.ncols)
 
     def submatrix(self, row_indices, col_indices=None):
         if col_indices is None:
@@ -97,20 +92,6 @@ class ExactMatrix:
                                self.field, self.ncols)
         return ExactMatrix([[self.rows[i][j] for j in col_indices]
                             for i in row_indices], self.field, len(col_indices))
-
-    def add(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols) \
-                or self.field != other.field:
-            raise PreconditionError("matrix add mismatch")
-        F = self.field
-        return ExactMatrix([[F.add(a, b) for a, b in zip(ra, rb)]
-                            for ra, rb in zip(self.rows, other.rows)],
-                           F, self.ncols)
-
-    def scale(self, scalar):
-        F = self.field
-        return ExactMatrix([[F.mul(scalar, a) for a in r] for r in self.rows],
-                           F, self.ncols)
 
     def matmul(self, other):
         if self.ncols != other.nrows or self.field != other.field:
@@ -214,17 +195,6 @@ class ExactMatrix:
         _, basis = _pivots_and_kernel(self.rows, self.ncols, self.field,
                                       primitive)
         return ExactMatrix(basis, self.field, self.ncols)
-
-    def row_space_basis(self):
-        r = self.rref()
-        keep = [i for i in range(r.nrows)
-                if any(not self.field.is_zero(c) for c in r.rows[i])]
-        return r.submatrix(keep)
-
-    def in_row_span(self, vector):
-        """Does the vector lie in the span of the matrix rows?"""
-        stacked = self.vstack(ExactMatrix([vector], self.field, self.ncols))
-        return stacked.rank() == self.rank()
 
 
 def pivot_columns(codes, field):
@@ -453,66 +423,3 @@ def _primitive_integer_row(row):
         ints = [a // g for a in ints]
     return tuple(ints)
 
-
-
-class Subspace:
-    """A subspace of a graded piece, stored as independent basis rows.
-
-    The ambient space (S^degree V*, or a direct sum of copies of it) is
-    identified by the row width; `full_space` marks the whole ambient
-    piece without materializing an identity basis, which
-    apolar_ideal_component uses for the pieces of I_f above deg f.
-    """
-
-    __slots__ = ("basis", "field", "ambient_dim", "degree", "alphabet",
-                 "is_full", "_rref_cache")
-
-    def __init__(self, basis, degree=None, alphabet="y",
-                 already_independent=False):
-        if basis.nrows and not already_independent:
-            if basis.rank() != basis.nrows:
-                raise PreconditionError("basis rows are dependent")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "field", basis.field)
-        object.__setattr__(self, "ambient_dim", basis.ncols)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "is_full", False)
-        object.__setattr__(self, "_rref_cache", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def full_space(cls, ambient_dim, field=QQ, degree=None, alphabet="y"):
-        self = cls.__new__(cls)
-        object.__setattr__(self, "basis", None)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "is_full", True)
-        object.__setattr__(self, "_rref_cache", None)
-        return self
-
-    @property
-    def dim(self):
-        return self.ambient_dim if self.is_full else self.basis.nrows
-
-    def basis_matrix(self):
-        if self.is_full:
-            return ExactMatrix.identity(self.ambient_dim, self.field)
-        return self.basis
-
-    def reduced_basis(self):
-        """Canonical rref basis; cached because membership tests reuse it."""
-        if self.is_full:
-            return ExactMatrix.identity(self.ambient_dim, self.field)
-        if self._rref_cache is None:
-            object.__setattr__(self, "_rref_cache", self.basis.rref())
-        return self._rref_cache
-
-    def __repr__(self):
-        tag = "full " if self.is_full else ""
-        return "<Subspace %sdim=%d ambient=%d over %s>" % (
-            tag, self.dim, self.ambient_dim, self.field.describe())

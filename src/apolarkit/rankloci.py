@@ -21,6 +21,7 @@ seed).
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import partial
 from math import comb
@@ -247,34 +248,17 @@ def plane_drop_points(M, t, extension_degree=1):
 def _binary_restriction_weights(a, b, degree, p):
     """weights[k][i]: coefficient of s^k u^(d-k) in monomial_i(u*a + s*b).
 
-    Both line points are integer vectors mod p, so the weights are plain
-    ints mod p.
+    Every monomial is evaluated at a + s*b for the first d+1 nodes s of
+    GF(p^2) and interpolated there.  Both line points are integer vectors
+    mod p, so the weights are plain ints mod p.
     """
-    exps = monomial_exponents(3, degree)
-    weights = [[0] * len(exps) for _ in range(degree + 1)]
-    factor_cache = {}
-    for i, e in enumerate(exps):
-        conv = [1]
-        for v in range(3):
-            ev = e[v]
-            if ev == 0:
-                continue
-            key = (v, ev)
-            if key not in factor_cache:
-                av, bv = a[v] % p, b[v] % p
-                fac = [comb(ev, j) * pow(bv, j, p) % p
-                       * pow(av, ev - j, p) % p for j in range(ev + 1)]
-                factor_cache[key] = fac
-            fac = factor_cache[key]
-            new = [0] * (len(conv) + ev)
-            for x, cx in enumerate(conv):
-                if cx:
-                    for y, cy in enumerate(fac):
-                        new[x + y] = (new[x + y] + cx * cy) % p
-            conv = new
-        for k, c in enumerate(conv):
-            weights[k][i] = c
-    return weights
+    ext = GF(p, 2)
+    nodes = list(itertools.islice(ext.elements(), degree + 1))
+    points = [[((x + s * y) % p, t * y % p) for x, y in zip(a, b)]
+              for s, t in nodes]
+    re, im = _monomials_at_points(points, degree, ext)
+    weights, _ = modular.interpolate_at_nodes((re + p * im).T, nodes, ext)
+    return weights.T.tolist()
 
 
 def _line_gcd_binary(M, line, t, rng, compressions_per_round, max_rounds):
@@ -292,11 +276,11 @@ def _line_gcd_binary(M, line, t, rng, compressions_per_round, max_rounds):
     size = t + 1
     ext = GF(p, 2)
     A, B = _line_arrays(M, line)
-    elems = list(ext.elements())
-    if len(elems) < size + 1:
+    nodes = list(itertools.islice(ext.elements(), size + 1))
+    if len(nodes) < size + 1:
         raise PreconditionError("p^2=%d too small to interpolate degree %d"
                                 % (p * p, size))
-    minor_polys = partial(_compressed_minor_polys, A, B, elems[:size + 1],
+    minor_polys = partial(_compressed_minor_polys, A, B, nodes,
                           ext, modular.quadratic_tables(ext).det)
     affine, inf_mult = _stable_minor_gcd(M, size, rng, minor_polys, p,
                                          compressions_per_round, max_rounds)

@@ -35,15 +35,13 @@ from operator import mul
 
 import numpy as np
 
-from .apolarity import (catalecticant, evaluation_matrix, ideal_span,
-                        subspace_forms)
+from .apolarity import catalecticant, evaluation_matrix, ideal_span
 from .errors import PreconditionError
 from .fields import GF, QQ
 from .forms import HomogeneousForm, monomial_count, monomial_exponents, monomial_index
 from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
-    Subspace,
     _primitive_integer_row,
     pivot_columns,
 )
@@ -193,17 +191,17 @@ def points_quotient_module(Z, max_degree):
         evaluation_matrix(Z, j) for j in range(max_degree + 1)])
 
 
-def quadric_ideal_module(Q, max_degree):
-    """S / (ideal generated by the quadrics Q), pieces 0..max_degree.
+def quadric_ideal_module(quadrics, max_degree):
+    """S / (ideal generated by the quadric forms), pieces 0..max_degree.
 
     M_j is presented by the annihilator of the span of Q*S_{j-2}: the
     kernel of that annihilator is the span itself.
     """
-    forms = subspace_forms(Q)
-    if not forms:
+    if not quadrics:
         raise PreconditionError("empty quadric system")
-    return GradedModule(forms[0].nvars, forms[0].field, [
-        ideal_span(forms, j).kernel_basis() for j in range(max_degree + 1)])
+    return GradedModule(quadrics[0].nvars, quadrics[0].field, [
+        ideal_span(quadrics, j).kernel_basis()
+        for j in range(max_degree + 1)])
 
 
 # ---- Koszul homology --------------------------------------------------
@@ -340,7 +338,7 @@ def graded_betti(module, max_i, max_j, max_row=None):
 # ---- linear syzygies and M2 -------------------------------------------
 
 
-def _betti_guard(Q, order):
+def _betti_guard(quadrics, order):
     """Check the strand next to the linear one is empty, else refuse.
 
     Order 1 needs no cubic generators (b_{1,3} = 0); order 2 additionally
@@ -349,7 +347,7 @@ def _betti_guard(Q, order):
     silently wrong count.  Both cells come from the smallest window
     holding them.
     """
-    table = graded_betti(quadric_ideal_module(Q, 3), order, order + 2,
+    table = graded_betti(quadric_ideal_module(quadrics, 3), order, order + 2,
                          max_row=2)
     b13 = table.entry(1, 3)
     if b13 != 0:
@@ -365,31 +363,26 @@ def _betti_guard(Q, order):
 
 
 @lru_cache(maxsize=32)
-def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
-    qforms = subspace_forms(Subspace(basis_matrix, degree=2, alphabet="y",
-                                     already_independent=True))
-    if not qforms:
+def _linear_syzygies_cached(quadrics, order, coefficient_degree, guard):
+    if not quadrics:
         raise PreconditionError("empty quadric system")
+    field = quadrics[0].field
     if guard:
-        span = Subspace(basis_matrix, degree=2, alphabet="y")
-        if span.dim != len(qforms):
+        if ExactMatrix([g.coeffs for g in quadrics], field).rank() \
+                != len(quadrics):
             raise PreconditionError("quadric basis is linearly dependent")
-        _betti_guard(span, order)
+        _betti_guard(quadrics, order)
 
     if order == 1:
         # (l_i) -> sum l_i Q_i, from (S^c V*)^q to S^{2+c} V*
-        syz1 = ideal_span(qforms, 2 + coefficient_degree).transpose() \
+        return ideal_span(quadrics, 2 + coefficient_degree).transpose() \
             .kernel_basis(primitive=True)
-        return Subspace(syz1, degree=coefficient_degree, alphabet="y",
-                        already_independent=True)
 
     # order 2: kernel of (V*)^{s1} -> (S^2 V*)^q, (m_j) -> sum m_j s_j,
     # written over the cached order-1 basis
-    syz1 = _linear_syzygies_cached(basis_matrix, 1, coefficient_degree,
-                                   False).basis_matrix()
-    nvars = qforms[0].nvars
-    field = basis_matrix.field
-    q = len(qforms)
+    syz1 = _linear_syzygies_cached(quadrics, 1, coefficient_degree, False)
+    nvars = quadrics[0].nvars
+    q = len(quadrics)
     exps = monomial_exponents(nvars, coefficient_degree)
     cdim1 = len(exps)
     idx = monomial_index(nvars, 2 * coefficient_degree)
@@ -409,21 +402,22 @@ def _linear_syzygies_cached(basis_matrix, order, coefficient_degree, guard):
                     col[i * cdim2 + k] = v
             cols.append(col)
     phi2 = ExactMatrix(zip(*cols), field, len(cols))
-    syz2 = phi2.kernel_basis(primitive=True)
-    return Subspace(syz2, degree=coefficient_degree, alphabet="y",
-                    already_independent=True)
+    return phi2.kernel_basis(primitive=True)
 
 
-def linear_syzygies(Q, order, coefficient_degree=1, guard=True):
-    """Basis of the (first or second) syzygies with the given coefficient
-    degree among a basis of the quadric system Q.
+def linear_syzygies(quadrics, order, coefficient_degree=1, guard=True):
+    """The (first or second) syzygies with the given coefficient degree
+    among independent quadric forms, as the ExactMatrix of their
+    canonical basis rows: a first syzygy is q blocks of coefficient
+    forms, one per quadric, a second syzygy one block per first syzygy.
 
     With the default coefficient degree 1 these are the linear-strand
     syzygies and their count is the Betti number b_{order+1, order+2} of
-    the ideal generated by Q; the guard enforces the Betti-shape condition
-    that makes that identification valid.  An explicit coefficient_degree
-    (for example 2 to see the Koszul syzygy of two coprime squares)
-    bypasses the strand bookkeeping, and the guard with it.
+    the ideal generated by the quadrics; the guard refuses dependent
+    quadrics and enforces the Betti-shape condition that makes that
+    identification valid.  An explicit coefficient_degree (for example 2
+    to see the Koszul syzygy of two coprime squares) bypasses the strand
+    bookkeeping, and the guard with it.
     """
     if order not in (1, 2):
         raise PreconditionError("order must be 1 or 2")
@@ -431,7 +425,7 @@ def linear_syzygies(Q, order, coefficient_degree=1, guard=True):
         raise PreconditionError("coefficient degree must be at least 1")
     if coefficient_degree != 1:
         guard = False
-    return _linear_syzygies_cached(Q.basis_matrix(), order,
+    return _linear_syzygies_cached(tuple(quadrics), order,
                                    coefficient_degree, guard)
 
 
@@ -595,31 +589,30 @@ def m2_matrix(f):
     if f.degree != 3:
         raise PreconditionError("m2_matrix expects a cubic")
     Q = q_f(f)
-    if Q.dim != 15:
-        raise PreconditionError("dim I_f(2) = %d, expected 15" % Q.dim)
+    if Q.nrows != 15:
+        raise PreconditionError("dim I_f(2) = %d, expected 15" % Q.nrows)
     module = apolar_quotient_module(f, 9)
     table = graded_betti(module, 6, 9, max_row=3)
     if table.nonzero() != GENERIC_CUBIC_APOLAR_BETTI:
         raise PreconditionError(
             "apolar ideal has non-generic Betti table %s" % table.nonzero())
-    qbasis = Q.reduced_basis()
+    rows = Q.rref().rows
     if f.field == QQ:
-        qbasis = ExactMatrix(map(_primitive_integer_row, qbasis.rows), QQ,
-                             qbasis.ncols)
-    Qint = Subspace(qbasis, degree=2, alphabet="y", already_independent=True)
-    syz1 = linear_syzygies(Qint, 1, guard=False)
-    syz2 = linear_syzygies(Qint, 2, guard=False)
-    if syz1.dim != 35 or syz2.dim != 21:
+        rows = map(_primitive_integer_row, rows)
+    quadrics = [HomogeneousForm(f.nvars, 2, row, f.field, "y") for row in rows]
+    syz1 = linear_syzygies(quadrics, 1, guard=False)
+    syz2 = linear_syzygies(quadrics, 2, guard=False)
+    if syz1.nrows != 35 or syz2.nrows != 21:
         raise PreconditionError(
             "syzygy dimensions (%d, %d) off the generic (35, 21)"
-            % (syz1.dim, syz2.dim))
+            % (syz1.nrows, syz2.nrows))
     nvars = f.nvars
     field = f.field
     entries = []
     for jrow in range(35):
         row = []
         for c in range(21):
-            vec = syz2.basis.rows[c][jrow * nvars:(jrow + 1) * nvars]
+            vec = syz2.rows[c][jrow * nvars:(jrow + 1) * nvars]
             row.append(HomogeneousForm.linear(vec, field, "y"))
         entries.append(row)
     return LinearFormMatrix(entries)

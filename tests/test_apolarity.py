@@ -18,14 +18,13 @@ from apolarkit.apolarity import (
     is_apolar_pointset,
     is_apolar_variety,
     min_partial_rank_scan,
-    partial_space,
     q_f,
-    subspace_forms,
 )
 from apolarkit.cli import random_rational_points
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ
 from apolarkit.forms import HomogeneousForm, monomial_count, parse_form
+from apolarkit.linalg import _primitive_integer_row
 
 
 def _random_linear(rng, spread=5):
@@ -101,15 +100,17 @@ def test_fermat_catalecticant_profile():
     f = catalog.fermat_cubic()
     ranks = [catalecticant(f, k).rank() for k in range(4)]
     assert ranks == [1, 6, 6, 1]
-    assert apolar_ideal_component(f, 2).dim == 15
-    assert q_f(f).dim == 15
-    assert partial_space(f).dim == 6
+    assert apolar_ideal_component(f, 2).nrows == 15
+    assert q_f(f).nrows == 15
+    with pytest.raises(PreconditionError, match="out of range"):
+        apolar_ideal_component(f, 4)
 
 
 def test_apolar_ideal_annihilates():
     f = catalog.cubic_family(1, -1, 1, -1, 1)
     for k in (1, 2, 3):
-        for g in subspace_forms(apolar_ideal_component(f, k)):
+        for row in apolar_ideal_component(f, k).rows:
+            g = HomogeneousForm(6, k, row, QQ, "y")
             assert apolar_action(g, f).is_zero()
 
 
@@ -147,8 +148,8 @@ def test_points_ideal_dimensions():
     Z = PointSet(random_rational_points(9, seed=0), QQ)
     # 9 generic points impose independent conditions on quadrics and cubics
     assert evaluation_matrix(Z, 2).rank() == 9
-    assert ideal_of_points_component(Z, 2).dim == 21 - 9
-    assert ideal_of_points_component(Z, 3).dim == 56 - 9
+    assert ideal_of_points_component(Z, 2).nrows == 21 - 9
+    assert ideal_of_points_component(Z, 3).nrows == 56 - 9
     assert evaluation_matrix(Z, 3).rank() == 9
 
 
@@ -221,6 +222,12 @@ def test_exists_cubic_singular_along_dimension_count():
     three = PointSet([(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0),
                       (0, 0, 1, 0, 0, 0)], QQ)
     assert exists_cubic_singular_along(three)
+    # the same points, scaled to integers and reduced mod a large prime
+    F = GF(10007)
+    reduced = [[F.from_int(c) for c in _primitive_integer_row(p)]
+               for p in random_rational_points(10, seed=1)]
+    assert exists_cubic_singular_along(PointSet(reduced[:9], F))
+    assert not exists_cubic_singular_along(PointSet(reduced, F))
 
 
 def test_ten_veronese_points_still_admit_a_singular_cubic():

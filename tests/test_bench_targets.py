@@ -1,29 +1,34 @@
-"""The benchmark's span targets must name functions the package still has.
+"""The public names and the benchmark's span targets must exist.
 
 perfbench/spans.py wraps each entry of its TARGETS tuple by module and
-attribute path.  Reading that tuple here makes a rename in src/ fail the
-test suite, not only a traced benchmark run.
+attribute path.  Reading that tuple here makes a rename or deletion in
+src/ fail the test suite, not only a traced benchmark run.
 """
 
-import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+import apolarkit
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def _targets():
-    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "TARGETS"
-                for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError("no TARGETS tuple in %s" % SPANS)
+def _spans_module():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_public_name_resolves():
+    assert apolarkit.__all__
+    for name in apolarkit.__all__:
+        assert hasattr(apolarkit, name), name
 
 
 def test_every_span_target_resolves():
-    targets = _targets()
+    targets = _spans_module().TARGETS
     assert targets
     for metric, module_name, path in targets:
         owner = importlib.import_module(module_name)

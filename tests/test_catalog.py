@@ -144,7 +144,7 @@ def test_scroll_minors_annihilate_configuration_and_cubic():
     # the scroll quadrics are only part of the 15-dimensional I_f(2)
     span = ExactMatrix([list(m.coeffs) for m in minors], QQ)
     assert span.rank() == 6
-    assert q_f(cubic).dim == 15
+    assert q_f(cubic).nrows == 15
 
 
 def test_reference_betti_tables_are_frozen():

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -57,6 +58,35 @@ def test_apolar_family_report(capsys):
     assert report["apolar_ideal_dims"]["2"] == 15
     assert report["partial_space_dim"] == 6
     assert len(report["qf_basis"]) == 15
+
+
+# sha256 of the stdout of `apolar` at seed 0, qf_basis included; the
+# canonical bases of Q_f must not change
+APOLAR_STDOUT_SHA256 = {
+    ("apolar", "--family", "1,-1,1,-1,1"):
+        "ec9d4a00c9238121757435ef4eee3162a7f0ddeedbf16ba7960e772d768c82cc",
+    ("--field", "fp:7", "apolar", "--family", "1,-1,1,-1,1"):
+        "4996d6e662a6974134f690caf32e98b8988a7922f29144ccebaaf4f8c4f5e68d",
+    ("apolar", "x0^3+x1*x2*x3"):
+        "1219e47e2f31137ef2a78faa1f37e362e9bcab5c628033b925e14e83dd08a066",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(APOLAR_STDOUT_SHA256))
+def test_apolar_report_bytes_are_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == APOLAR_STDOUT_SHA256[argv]
+
+
+def test_apolar_of_a_constant_exits_3(capsys):
+    assert main(["apolar", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("precondition violated: catalecticant degree "
+                            "k=1 out of range\n")
 
 
 def test_missing_input_and_bad_field_exit_2(capsys):

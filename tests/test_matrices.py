@@ -402,7 +402,7 @@ def test_rational_rank_falls_back_when_p_divides_a_minor(monkeypatch):
 
 def test_negative_power_sum_certificate_takes_no_echelon(monkeypatch):
     # criterion 11's negative instance i = 2: f + l^3 is not in the span of
-    # the cubes, so both ranks of in_row_span are full mod p
+    # the cubes, so both ranks of cube_span_contains are full mod p
     forms, _, f = catalog.random_power_sum(7, seed=102)
     Z = PointSet([g.coeffs for g in forms], QQ)
     rng = random.Random(502)

@@ -9,7 +9,7 @@ import pytest
 from apolarkit import catalog, modular, rankloci
 from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
-from apolarkit.forms import HomogeneousForm, parse_form
+from apolarkit.forms import HomogeneousForm, monomial_exponents, parse_form
 from apolarkit.rankloci import (
     classify_singularity,
     drop_degree_on_line,
@@ -261,6 +261,22 @@ def test_line_gcds_on_every_f5_line_restrict_the_curve(seed):
                        for row in weights]
         assert any(restriction) and len(G) == 10
         assert rankloci.proportional(G, restriction, 5), (a, b)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_binary_restriction_weights_match_substitution(p):
+    F = GF(p)
+    rng = random.Random(p)
+    for _ in range(4):
+        a = [rng.randrange(p) for _ in range(3)]
+        b = [rng.randrange(p) for _ in range(3)]
+        weights = rankloci._binary_restriction_weights(a, b, 9, p)
+        # z_v -> a_v*u + b_v*s
+        line = [HomogeneousForm.linear([av, bv], F) for av, bv in zip(a, b)]
+        for i, e in enumerate(monomial_exponents(3, 9)):
+            image = HomogeneousForm.monomial(3, e, F, "z").substitute(line)
+            assert [row[i] for row in weights] == [
+                image.coefficient((9 - k, k)) for k in range(10)]
 
 
 def _pointwise_singular_points(F, field):

@@ -30,7 +30,6 @@ from apolarkit.forms import (
 from apolarkit.linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
-    Subspace,
     _primitive_integer_row,
 )
 from apolarkit.resolutions import (
@@ -50,11 +49,6 @@ from apolarkit.resolutions import (
 )
 
 
-def span_of(forms):
-    return Subspace(ExactMatrix([list(g.coeffs) for g in forms], QQ),
-                    degree=2, alphabet="y")
-
-
 def _three_point_module():
     return points_quotient_module(
         PointSet(random_rational_points(3, seed=7), QQ), 3)
@@ -65,7 +59,7 @@ def _paper_member_module():
 
 
 def _veronese_quadric_module():
-    return quadric_ideal_module(span_of(catalog.veronese_ideal_quadrics()), 3)
+    return quadric_ideal_module(catalog.veronese_ideal_quadrics(), 3)
 
 
 def _module_coordinates(module, k, ambient):
@@ -312,7 +306,7 @@ def test_evaluation_module_matches_ideal_quotient_dims(name):
     dims = [module.piece_dim(j) for j in range(5)]
     assert dims == hilbert
     assert dims[:4] == [monomial_count(6, j)
-                        - ideal_of_points_component(Z, j).dim
+                        - ideal_of_points_component(Z, j).nrows
                         for j in range(4)]
 
 
@@ -326,10 +320,12 @@ def test_catalecticant_module_matches_apolar_ideal_dims(name, field):
         f = catalog.cubic_family(1, -1, 1, -1, 1, field=field)
     else:
         f = parse_form(name, field, "x")
-    module = apolar_quotient_module(f, 9)
-    assert [module.piece_dim(j) for j in range(10)] == [
-        monomial_count(6, j) - apolar_ideal_component(f, j).dim
-        for j in range(10)]
+    dims = [apolar_quotient_module(f, 9).piece_dim(j) for j in range(10)]
+    assert dims[:4] == [
+        monomial_count(6, j) - apolar_ideal_component(f, j).nrows
+        for j in range(4)]
+    # I_f holds every form above deg f
+    assert dims[4:] == [0] * 6
 
 
 def test_graded_module_refuses_presentation_of_wrong_width():
@@ -388,14 +384,12 @@ def test_graded_betti_refuses_cells_beyond_built_degree():
 
 
 def test_veronese_quadric_module_betti_cells():
-    Q = span_of(catalog.veronese_ideal_quadrics())
-    assert Q.dim == 6
-    module = quadric_ideal_module(Q, 3)
+    forms = catalog.veronese_ideal_quadrics()
+    module = quadric_ideal_module(forms, 3)
     assert [module.piece_dim(j) for j in range(4)] == [1, 6, 15, 28]
     table = graded_betti(module, 2, 3, max_row=1)
     assert table.entry(1, 2) == 6
     assert table.entry(2, 3) == 8
-    forms = [HomogeneousForm(6, 2, row, QQ, "y") for row in Q.basis.rows]
     reference = _fraction_betti_cells(
         6, [ideal_span(forms, j).kernel_basis() for j in range(4)],
         [(1, 2), (2, 3)])
@@ -403,21 +397,27 @@ def test_veronese_quadric_module_betti_cells():
 
 
 def test_veronese_linear_syzygies_both_orders():
-    Q = span_of(catalog.veronese_ideal_quadrics())
-    assert linear_syzygies(Q, 1).dim == 8
-    assert linear_syzygies(Q, 2).dim == 3
+    Q = catalog.veronese_ideal_quadrics()
+    assert linear_syzygies(Q, 1).nrows == 8
+    assert linear_syzygies(Q, 2).nrows == 3
     with pytest.raises(PreconditionError):
         linear_syzygies(Q, 3)
 
 
 def test_two_coprime_squares_guard_and_koszul_syzygy():
-    Q = span_of([parse_form("y0^2"), parse_form("y1^2")])
+    Q = [parse_form("y0^2"), parse_form("y1^2")]
     # the only first syzygy is the degree-2-coefficient Koszul relation,
     # so the order-2 linear strand is not minimal and must be refused
     with pytest.raises(PreconditionError):
         linear_syzygies(Q, 2)
-    assert linear_syzygies(Q, 1).dim == 0
-    assert linear_syzygies(Q, 1, coefficient_degree=2).dim == 1
+    assert linear_syzygies(Q, 1).nrows == 0
+    assert linear_syzygies(Q, 1, coefficient_degree=2).nrows == 1
+
+
+def test_linear_syzygies_refuse_dependent_quadrics():
+    q1, q2 = parse_form("y0^2"), parse_form("y1^2")
+    with pytest.raises(PreconditionError, match="linearly dependent"):
+        linear_syzygies([q1, q2, q1 + q2], 1)
 
 
 def test_betti_table_json_round_trip_and_render():
@@ -494,9 +494,8 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
     # both syzygy kernels of m2_matrix close on the multimodular route
     f = catalog.scroll_apolar_cubic() if params == "scroll" \
         else catalog.cubic_family(*params)
-    qbasis = ExactMatrix(map(_primitive_integer_row,
-                             q_f(f).reduced_basis().rows), QQ, 21)
-    Q = Subspace(qbasis, degree=2, alphabet="y", already_independent=True)
+    Q = [HomogeneousForm(6, 2, _primitive_integer_row(row), QQ, "y")
+         for row in q_f(f).rref().rows]
     calls = []
     real_rref = linalg._rref
 
@@ -506,7 +505,7 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
 
     monkeypatch.setattr(linalg, "_rref", counting_rref)
     resolutions._linear_syzygies_cached.cache_clear()
-    dims = [linear_syzygies(Q, order, guard=False).dim for order in (1, 2)]
+    dims = [linear_syzygies(Q, order, guard=False).nrows for order in (1, 2)]
     assert dims == [35, 21]
     assert calls == []
 
@@ -516,7 +515,7 @@ def test_q_f_rref_matches_fraction_rref(params, monkeypatch):
     # the 15 x 21 basis m2_matrix reduces, read off its verified kernel
     f = catalog.scroll_apolar_cubic() if params == "scroll" \
         else catalog.cubic_family(*params)
-    basis = q_f(f).basis
+    basis = q_f(f)
     ref, _ = linalg._rref([list(r) for r in basis.rows], QQ)
     calls = _count_exact_work(monkeypatch)
     assert basis.rref() == ExactMatrix(ref, QQ, 21)
