@@ -146,6 +146,9 @@ def _family_or_form(args, field):
 
 def run_apolar(args, field, seed):
     f, label = _family_or_form(args, field)
+    if f.degree < 1:
+        raise PreconditionError("apolar needs a form of positive degree, "
+                                "got degree %d" % f.degree)
     ranks = {}
     ideal_dims = {}
     hilbert = []
@@ -161,8 +164,8 @@ def run_apolar(args, field, seed):
         "hilbert_function": hilbert,
         "catalecticant_ranks": ranks,
         "apolar_ideal_dims": ideal_dims,
+        "partial_space_dim": ranks[1],
     }
-    payload["partial_space_dim"] = catalecticant(f, 1).rank()
     if f.degree == 3:
         payload["qf_basis"] = [
             HomogeneousForm(f.nvars, 2, row, f.field, "y").to_text()
@@ -358,7 +361,7 @@ def _repro_drop_curve(field, seed, checks):
     _check(checks, "curve-degree", 9, curve.degree)
     ref = catalog.reference_drop_curve_mod5()
     _check_true(checks, "matches-stored-reference",
-                _proportional_mod_p(curve, ref, field.char),
+                rankloci.proportional(curve.coeffs, ref.coeffs, field.char),
                 detail={"computed": curve.to_text(), "reference": ref.to_text()})
     ext = GF(field.char, 2)
     lifted = curve.lift_to(ext)
@@ -369,19 +372,6 @@ def _repro_drop_curve(field, seed, checks):
         _check(checks, "singular-point-location", ["0", "1", "0"], pt)
         _check(checks, "node-classification", "node",
                rankloci.classify_singularity(lifted, list(singulars[0])))
-
-
-def _proportional_mod_p(f, g, p):
-    fc = [int(c) for c in f.coeffs]
-    gc = [int(c) for c in g.coeffs]
-    if len(fc) != len(gc):
-        return False
-    lead_f = next((c for c in fc if c % p), None)
-    lead_g = next((c for c in gc if c % p), None)
-    if lead_f is None or lead_g is None:
-        return lead_f is lead_g
-    scale = lead_g * pow(lead_f, p - 2, p)
-    return all((c * scale - d) % p == 0 for c, d in zip(fc, gc))
 
 
 def _repro_scroll_example(field, seed, checks):

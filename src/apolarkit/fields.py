@@ -312,20 +312,6 @@ def coerce_scalar(value, src, dst):
     raise PreconditionError("no coercion from %r to %r" % (src, dst))
 
 
-def scalar_pow(field, a, n):
-    """a**n by repeated squaring, n >= 0."""
-    if n < 0:
-        raise ValueError("negative exponent")
-    result = field.one
-    base = a
-    while n:
-        if n & 1:
-            result = field.mul(result, base)
-        base = field.mul(base, base)
-        n >>= 1
-    return result
-
-
 def projective_points(field, n):
     """Canonical representatives of P^{n-1} over a finite field.
 

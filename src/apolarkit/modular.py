@@ -21,7 +21,7 @@ bounds a rational rank from below and each prime of the multimodular
 kernel are eliminations of the core.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
-evaluation, gcd, squarefree part.  lagrange_interpolate works over any
+evaluation, gcd, derivative.  lagrange_interpolate works over any
 field object; interpolate_at_nodes interpolates many value rows at fixed
 nodes by one product with the inverse Vandermonde matrix, built once per
 (nodes, field) from lagrange_interpolate of the unit vectors and cached.
@@ -411,33 +411,6 @@ def poly_gcd(f, g, p):
 
 def poly_derivative(f, p):
     return poly_trim([(i * c) % p for i, c in enumerate(f)][1:], p)
-
-
-def poly_squarefree_part(f, p):
-    """Squarefree part of f over F_p.
-
-    The usual f / gcd(f, f') step can leave p-th power factors whose
-    derivative vanished, so iterate until the cofactor is coprime to its
-    derivative.  Degrees here are far below p in every caller, but the
-    loop keeps the helper honest.
-    """
-    f = poly_monic(f, p)
-    if poly_degree(f) <= 0:
-        return f
-    result = f
-    for _ in range(poly_degree(f)):
-        d = poly_derivative(result, p)
-        if not d:
-            # result is a polynomial in x^p; callers never get here with
-            # degree < p, but strip one p-th root to make progress
-            root = poly_trim([result[i] for i in range(0, len(result), p)], p)
-            result = poly_monic(root, p)
-            continue
-        g = poly_gcd(result, d, p)
-        if poly_degree(g) == 0:
-            return result
-        result = poly_divmod(result, g, p)[0]
-    return poly_monic(result, p)
 
 
 def lagrange_interpolate(xs, ys, field):

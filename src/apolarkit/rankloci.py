@@ -24,14 +24,14 @@ from __future__ import annotations
 import itertools
 import random
 from functools import partial
-from math import comb
 
 import numpy as np
 
 from . import modular
 from .errors import PreconditionError, UnstableComputationError
-from .fields import GF, PrimeField, projective_points, scalar_pow
+from .fields import GF, PrimeField, projective_points
 from .forms import HomogeneousForm, monomial_count, monomial_exponents
+from .linalg import ExactMatrix
 
 
 def proportional(a, b, p):
@@ -57,27 +57,39 @@ def _line_arrays(M, line):
                               p).reshape(2, M.nrows, M.ncols)
 
 
-def _stable_minor_gcd(M, size, rng, minor_polys, p, compressions_per_round,
-                      max_rounds):
-    """Stabilized gcd of the size x size minors of M restricted to a line.
+COMPRESSIONS_PER_ROUND = 4
+MAX_ROUNDS = 6
 
-    Each draw is a compression (L, R): L of shape size x nrows and, when
-    ncols > size, R of shape ncols x size (else None), with entries
-    uniform over F_p.  By Cauchy-Binet, det(L M R) is a random F_p-
-    combination of all size x size minors of M, so their gcd divides it
-    (Kaltofen-Saunders, AAECC-9, 1991).  minor_polys(draws) returns the
-    restriction of each det(L M R) as a polynomial over F_p in the line
-    parameter, empty when it vanishes.  Each round folds
-    compressions_per_round nonzero restrictions into the gcd and into
-    the multiplicity at infinity (size minus the degree); two consecutive
-    rounds without change is the stabilization contract.  A round draws
-    the compressions it still misses at once, and again for those that
-    vanished.  Returns (gcd, multiplicity at infinity).  Raises
-    UnstableComputationError when 40 * compressions_per_round draws of a
-    round leave it short, or the gcd does not settle within max_rounds,
-    instead of guessing.
+
+def _line_minor_gcd(A, B, size, p, rng):
+    """Stabilized gcd of the size x size minors of M = A + sB over F_p.
+
+    A and B are the coefficient arrays of a matrix along a line (see
+    _line_arrays).  Each draw is a compression (L, R): L of shape
+    size x nrows and, when ncols > size, R of shape ncols x size (else
+    None), with entries uniform over F_p.  By Cauchy-Binet, det(L M R) is
+    a random F_p-combination of all size x size minors of M, so their gcd
+    divides it (Kaltofen-Saunders, AAECC-9, 1991).  Each restriction is
+    interpolated at the first size+1 elements of GF(p) when p > size and
+    of GF(p^2) otherwise, so small primes still have enough nodes.  Each
+    round folds COMPRESSIONS_PER_ROUND nonzero restrictions into the gcd
+    and into the multiplicity at infinity (size minus the degree); two
+    consecutive rounds without change is the stabilization contract.  A
+    round draws the compressions it still misses at once, and again for
+    those that vanished.  Returns (gcd, multiplicity at infinity).
+    Raises UnstableComputationError when 40 * COMPRESSIONS_PER_ROUND
+    draws of a round leave it short, or the gcd does not settle within
+    MAX_ROUNDS, instead of guessing.
     """
-    cap = 40 * compressions_per_round
+    nrows, ncols = A.shape
+    field = GF(p) if p > size else GF(p, 2)
+    nodes = list(itertools.islice(field.elements(), size + 1))
+    if len(nodes) < size + 1:
+        raise PreconditionError("p^2=%d too small to interpolate degree %d"
+                                % (p * p, size))
+    det = (partial(modular.det_mod_p, p=p) if field.degree == 1
+           else modular.quadratic_tables(field).det)
+    cap = 40 * COMPRESSIONS_PER_ROUND
 
     def uniform(rows, cols):
         # 64 random bits per entry, reduced mod p < 2^31: bias below 2^-33
@@ -86,17 +98,17 @@ def _stable_minor_gcd(M, size, rng, minor_polys, p, compressions_per_round,
 
     gcd_acc = None
     inf_acc = None
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         before = (gcd_acc, inf_acc)
         produced = 0
         attempts = 0
-        while produced < compressions_per_round:
-            draws = [(uniform(size, M.nrows),
-                      uniform(M.ncols, size) if M.ncols > size else None)
-                     for _ in range(min(compressions_per_round - produced,
+        while produced < COMPRESSIONS_PER_ROUND:
+            draws = [(uniform(size, nrows),
+                      uniform(ncols, size) if ncols > size else None)
+                     for _ in range(min(COMPRESSIONS_PER_ROUND - produced,
                                         cap - attempts))]
             attempts += len(draws)
-            for poly in minor_polys(draws):
+            for poly in _compressed_minor_polys(A, B, nodes, field, det, draws):
                 if not poly:
                     continue
                 produced += 1
@@ -104,14 +116,14 @@ def _stable_minor_gcd(M, size, rng, minor_polys, p, compressions_per_round,
                     else modular.poly_gcd(gcd_acc, poly, p)
                 inf_mult = size - modular.poly_degree(poly)
                 inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
-            if produced < compressions_per_round and attempts == cap:
+            if produced < COMPRESSIONS_PER_ROUND and attempts == cap:
                 raise UnstableComputationError(
                     "almost all random %dx%d compressed minors vanish on the "
                     "line" % (size, size))
         if gcd_acc is not None and (gcd_acc, inf_acc) == before:
             return gcd_acc, inf_acc
     raise UnstableComputationError(
-        "minor gcd did not stabilize within %d rounds" % max_rounds)
+        "minor gcd did not stabilize within %d rounds" % MAX_ROUNDS)
 
 
 def _compressed_minor_polys(A, B, params, field, det, draws):
@@ -157,8 +169,7 @@ def _compressed_minor_polys(A, B, params, field, det, draws):
     return [modular.poly_trim(c, p) for c in re.tolist()]
 
 
-def drop_degree_on_line(M, line, t, seed=0, compressions_per_round=4,
-                        max_rounds=6):
+def drop_degree_on_line(M, line, t, seed=0):
     """Degree of the squarefree rank-drop divisor of M along a line.
 
     The line through the two given points is parametrized, every entry of
@@ -168,12 +179,14 @@ def drop_degree_on_line(M, line, t, seed=0, compressions_per_round=4,
     (t+1) x (t+1) minors (Cauchy-Binet), and the stabilized gcd of a few
     of them cuts out the locus where the rank falls to t or below; its
     squarefree degree is returned, counting the chart's point at
-    infinity once if the gcd vanishes there.
+    infinity once if the gcd vanishes there.  Since p > t + 2 exceeds
+    the degree of the gcd g, each repeated root of g appears in
+    gcd(g, g') once fewer times, so the squarefree degree is
+    deg g - deg gcd(g, g').
 
     The gcd of the compressions only equals the full-minor gcd when
-    enough random ones agree; see _stable_minor_gcd for the
-    stabilization contract and the UnstableComputationError raised when
-    it fails.
+    enough random ones agree; see _line_minor_gcd for the stabilization
+    contract and the UnstableComputationError raised when it fails.
     """
     field = M.field
     if not isinstance(field, PrimeField):
@@ -204,12 +217,9 @@ def drop_degree_on_line(M, line, t, seed=0, compressions_per_round=4,
         raise PreconditionError("line inside drop locus: rank <= %d at "
                                 "3 random parameters" % t)
 
-    minor_polys = partial(_compressed_minor_polys, A, B, list(range(size + 1)),
-                          field, partial(modular.det_mod_p, p=p))
-    gcd_acc, inf_acc = _stable_minor_gcd(M, size, rng, minor_polys, p,
-                                         compressions_per_round, max_rounds)
-    squarefree = modular.poly_squarefree_part(gcd_acc, p)
-    degree = max(modular.poly_degree(squarefree), 0)
+    gcd_acc, inf_acc = _line_minor_gcd(A, B, size, p, rng)
+    repeated = modular.poly_gcd(gcd_acc, modular.poly_derivative(gcd_acc, p), p)
+    degree = modular.poly_degree(gcd_acc) - modular.poly_degree(repeated)
     if inf_acc >= 1:
         degree += 1
     return degree
@@ -261,34 +271,7 @@ def _binary_restriction_weights(a, b, degree, p):
     return weights.T.tolist()
 
 
-def _line_gcd_binary(M, line, t, rng, compressions_per_round, max_rounds):
-    """Stabilized gcd of maximal minors on a line, as a binary form.
-
-    Works over F_{p^2} sample parameters so small primes still give
-    enough interpolation nodes; the compressions are drawn over F_p, so
-    the coefficients must land back in F_p when both M and the line are
-    F_p-rational.  Returns the degree-(t+1)-homogenized coefficient list
-    [G_0..G_d] with G_k the coefficient of s^k u^(d-k), d = affine degree
-    + infinity multiplicity.  Raises UnstableComputationError when the
-    gcd never stabilized or the line lies inside the drop locus.
-    """
-    p = M.field.char
-    size = t + 1
-    ext = GF(p, 2)
-    A, B = _line_arrays(M, line)
-    nodes = list(itertools.islice(ext.elements(), size + 1))
-    if len(nodes) < size + 1:
-        raise PreconditionError("p^2=%d too small to interpolate degree %d"
-                                % (p * p, size))
-    minor_polys = partial(_compressed_minor_polys, A, B, nodes,
-                          ext, modular.quadratic_tables(ext).det)
-    affine, inf_mult = _stable_minor_gcd(M, size, rng, minor_polys, p,
-                                         compressions_per_round, max_rounds)
-    return affine + [0] * inf_mult
-
-
-def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
-                           compressions_per_round=4, max_rounds=6):
+def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9):
     """The plane curve where a 3-variable linear-form matrix drops rank.
 
     Scans the projective plane over F_p (or F_{p^2}), collects every
@@ -347,10 +330,12 @@ def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9,
         rng.shuffle(lines)
         for a, b in lines:
             try:
-                G = _line_gcd_binary(M, (a, b), t, rng,
-                                     compressions_per_round, max_rounds)
+                affine, inf_mult = _line_minor_gcd(*_line_arrays(M, (a, b)),
+                                                   t + 1, p, rng)
             except UnstableComputationError:
                 continue
+            # homogenized: G[k] is the coefficient of s^k u^(d-k)
+            G = affine + [0] * inf_mult
             if len(G) - 1 != target_degree:
                 continue
             pivot = next(k for k in range(len(G)) if G[k])
@@ -458,11 +443,13 @@ def _monomials_at_points(points, degree, field):
 def classify_singularity(F, point):
     """Grade a point of a plane curve: "smooth", "node", or "worse".
 
-    Dehomogenizes at the point, expands to second order, and applies the
-    binary discriminant test: an ordinary node is a vanishing gradient
-    with a nondegenerate quadratic term.  The discriminant criterion
-    sees tangent cones that only split over F_{p^2} just as well, since
-    nondegeneracy is insensitive to the splitting field.
+    A singular point is an ordinary node exactly when the 3x3 matrix H
+    of second partials there has rank 2.  Euler's relation gives
+    H(P) P = 0 at a singular point P, so rank H is the rank of the 2x2
+    block on the two axes off a nonzero coordinate of P: the Hessian of
+    the affine second-order jet a u^2 + b uv + c v^2, with determinant
+    4ac - b^2.  Rank 2 is the nonzero binary discriminant; tangent cones
+    that only split over F_{p^2} count as nodes just as well.
     """
     field = F.field
     if F.nvars != 3:
@@ -474,30 +461,15 @@ def classify_singularity(F, point):
         raise PreconditionError("point must have 3 coordinates")
     if not field.is_zero(F.evaluate(pt)):
         raise PreconditionError("point is not on the curve")
-    if any(not field.is_zero(F.derivative(i).evaluate(pt)) for i in range(3)):
+    gradient = [F.derivative(i) for i in range(3)]
+    if any(not field.is_zero(g.evaluate(pt)) for g in gradient):
         return "smooth"
-    chart = next(i for i in range(3) if not field.is_zero(pt[i]))
-    others = [i for i in range(3) if i != chart]
-    ia, ib = others
-    # second-order jet of F(pt + u e_a + v e_b) via binomial expansion
-    jet = {(2, 0): field.zero, (1, 1): field.zero, (0, 2): field.zero}
-    for c, e in F.terms():
-        ea, eb = e[ia], e[ib]
-        for du, dv in jet:
-            if ea < du or eb < dv:
-                continue
-            scale = field.from_int(comb(ea, du) * comb(eb, dv))
-            val = field.mul(c, scale)
-            val = field.mul(val, scalar_pow(field, pt[ia], ea - du))
-            val = field.mul(val, scalar_pow(field, pt[ib], eb - dv))
-            val = field.mul(val, scalar_pow(field, pt[chart], e[chart]))
-            jet[(du, dv)] = field.add(jet[(du, dv)], val)
-    alpha, beta, gamma = jet[(2, 0)], jet[(1, 1)], jet[(0, 2)]
-    if all(field.is_zero(v) for v in (alpha, beta, gamma)):
+    if F.degree < 2:
+        # the zero linear form: no second-order term at all
         return "worse"
-    disc = field.sub(field.mul(beta, beta),
-                     field.mul(field.from_int(4), field.mul(alpha, gamma)))
-    return "node" if not field.is_zero(disc) else "worse"
+    hessian = [[g.derivative(j).evaluate(pt) for j in range(3)]
+               for g in gradient]
+    return "node" if ExactMatrix(hessian, field).rank() == 2 else "worse"
 
 
 def drop_report(matrix_ref, threshold, line_degrees, curve, singular_points,

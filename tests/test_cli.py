@@ -85,8 +85,8 @@ def test_apolar_of_a_constant_exits_3(capsys):
     assert main(["apolar", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("precondition violated: catalecticant degree "
-                            "k=1 out of range\n")
+    assert captured.err == ("precondition violated: apolar needs a form of "
+                            "positive degree, got degree 0\n")
 
 
 def test_missing_input_and_bad_field_exit_2(capsys):
@@ -209,6 +209,34 @@ def test_ranklocus_interpolation_over_gf5(capsys):
     assert report["curve"] is not None
     assert len(report["singular_points"]) == 1
     assert report["classification"] == "node"
+
+
+# sha256 of the stdout of `ranklocus --family 1,-1,1,-1,1`, all exiting 0;
+# the rng draws of the line gcds and their interpolation nodes must not
+# change
+RANKLOCUS_STDOUT_SHA256 = {
+    ("--field", "fp:101", "--seed", "0", "ranklocus", "--family",
+     "1,-1,1,-1,1", "--threshold", "20"):
+        "74afd60559d7a10992245a9b3e03f13a6bbfe40939683c09bb200de5a8f784be",
+    ("--field", "fp:101", "--seed", "3", "ranklocus", "--family",
+     "1,-1,1,-1,1", "--threshold", "19"):
+        "9e6b842e3b0d094004a08b499c46ae90f54767540cd909b6c2923eec501e34e9",
+    ("--field", "fp:5", "--seed", "0", "ranklocus", "--family",
+     "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
+        "b1b9a4eb1d4825cb840763e0472099fa5fb67c12d1d41dff0d32be380ed27ad5",
+    ("--field", "fp:7", "--seed", "3", "ranklocus", "--family",
+     "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
+        "57923a66d425d91fea9db4eb042d6ace06e0ba0b1b09b87473076e49f332c427",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(RANKLOCUS_STDOUT_SHA256))
+def test_ranklocus_report_bytes_are_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == RANKLOCUS_STDOUT_SHA256[argv]
 
 
 def test_catalog_listing_and_lookup(capsys):

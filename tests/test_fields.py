@@ -11,7 +11,6 @@ from apolarkit.fields import (
     QQ,
     coerce_scalar,
     projective_points,
-    scalar_pow,
     smallest_nonresidue,
 )
 
@@ -87,18 +86,6 @@ def test_coerce_scalar_paths():
         coerce_scalar(3, GF(5), GF(7, 2))
     with pytest.raises(PreconditionError):
         coerce_scalar(3, GF(5), QQ)
-
-
-def test_scalar_pow():
-    F = GF(101)
-    assert scalar_pow(F, 2, 10) == 1024 % 101
-    assert scalar_pow(F, 5, 0) == 1
-    E = GF(5, 2)
-    x = (2, 3)
-    acc = E.one
-    for _ in range(7):
-        acc = E.mul(acc, x)
-    assert scalar_pow(E, x, 7) == acc
 
 
 def test_projective_points_count_and_normalization():

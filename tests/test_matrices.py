@@ -496,14 +496,23 @@ def test_polynomial_helpers_mod_p():
     # (x - 1)^2 * (x - 3)
     f = [(-1 * -1 * -3) % p, (1 * 1 + 2 * 3) % p, (-2 - 3) % p, 1]
     assert modular.poly_degree(f) == 3
-    sq = modular.poly_squarefree_part(f, p)
-    # squarefree part is (x - 1)(x - 3) up to scale
-    assert modular.poly_degree(sq) == 2
-    assert _horner(sq, 1, GF(p)) == 0
-    assert _horner(sq, 3, GF(p)) == 0
     g = modular.poly_gcd(f, modular.poly_derivative(f, p), p)
     assert modular.poly_degree(g) == 1
     assert _horner(g, 1, GF(p)) == 0
+    # below p, gcd(g, g') keeps each repeated root once fewer times, so
+    # deg g - deg gcd(g, g') counts the distinct roots
+    p = 101
+    rng = random.Random(5)
+    for _ in range(20):
+        roots = rng.sample(range(p), rng.randrange(1, 6))
+        g = [rng.randrange(1, p)]
+        for r in roots:
+            for _ in range(rng.randrange(1, 5)):
+                g = modular.poly_trim(
+                    [(a - r * b) % p for a, b in zip([0] + g, g + [0])], p)
+        repeated = modular.poly_gcd(g, modular.poly_derivative(g, p), p)
+        assert modular.poly_degree(g) - modular.poly_degree(repeated) \
+            == len(roots)
 
 
 def test_lagrange_interpolation_round_trip():

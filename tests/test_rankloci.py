@@ -1,7 +1,7 @@
 import random
 from functools import lru_cache, partial
 from itertools import combinations
-from types import SimpleNamespace
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,7 +9,12 @@ import pytest
 from apolarkit import catalog, modular, rankloci
 from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
-from apolarkit.forms import HomogeneousForm, monomial_exponents, parse_form
+from apolarkit.forms import (
+    HomogeneousForm,
+    monomial_count,
+    monomial_exponents,
+    parse_form,
+)
 from apolarkit.rankloci import (
     classify_singularity,
     drop_degree_on_line,
@@ -122,23 +127,32 @@ def test_interpolate_recovers_full_diagonal_product():
     assert cubic == parse_form("z0*z1*z2", field=F)
 
 
-def test_unstable_minor_gcd_raises_and_interpolation_skips_the_line():
+def test_unstable_minor_gcd_raises_and_interpolation_skips_the_line(
+        monkeypatch):
     # one round can never show two equal rounds, so the gcd never settles
     M = diag_matrix(GF(101))
     assert drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 1) == 2
-    with pytest.raises(UnstableComputationError):
-        drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 1, max_rounds=1)
-    # det = z0^2 - 2*z1^2 is a conic with the single F_5 point (0:0:1), so
-    # the point conditions leave corank 5 and only line gcds pin it down
-    F = GF(5)
-    conic = LinearFormMatrix([[lf([1, 0, 0], F), lf([0, 2, 0], F)],
-                              [lf([0, 1, 0], F), lf([1, 0, 0], F)]])
-    assert interpolate_drop_curve(conic, 1, extension_degree=1,
-                                  target_degree=2) \
-        == parse_form("z0^2+3*z1^2", field=F)
-    with pytest.raises(UnstableComputationError, match="corank 5"):
-        interpolate_drop_curve(conic, 1, extension_degree=1, target_degree=2,
-                               max_rounds=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(rankloci, "MAX_ROUNDS", 1)
+        with pytest.raises(UnstableComputationError):
+            drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 1)
+    # det = z0^2 - 2*z1^2 is a conic with the single F_p point (0:0:1) for
+    # p = 5 and 13, where 2 is a nonresidue, so the point conditions leave
+    # corank 5 and only line gcds pin it down; over GF(13) these take
+    # GF(13) nodes, past the F_{p^2} table guard
+    conics = {}
+    for p, text in ((5, "z0^2+3*z1^2"), (13, "z0^2+11*z1^2")):
+        F = GF(p)
+        conics[p] = LinearFormMatrix([[lf([1, 0, 0], F), lf([0, 2, 0], F)],
+                                      [lf([0, 1, 0], F), lf([1, 0, 0], F)]])
+        assert interpolate_drop_curve(conics[p], 1, extension_degree=1,
+                                      target_degree=2) \
+            == parse_form(text, field=F)
+    monkeypatch.setattr(rankloci, "MAX_ROUNDS", 1)
+    for conic in conics.values():
+        with pytest.raises(UnstableComputationError, match="corank 5"):
+            interpolate_drop_curve(conic, 1, extension_degree=1,
+                                   target_degree=2)
 
 
 def test_singular_point_scan_and_classification():
@@ -160,6 +174,75 @@ def test_singular_point_scan_and_classification():
     triangle = parse_form("z0*z1*z2", field=F7)
     assert singular_points_plane_curve(triangle) == [
         (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _power(field, a, n):
+    acc = field.one
+    for _ in range(n):
+        acc = field.mul(acc, a)
+    return acc
+
+
+def _jet_discriminant_grade(F, pt):
+    """Reference grading of a singular point: expand F(pt + u e_a + v e_b)
+    off a nonzero coordinate of pt to second order, a u^2 + b uv + c v^2,
+    and call it a node when b^2 - 4ac is nonzero."""
+    field = F.field
+    chart = next(i for i in range(3) if not field.is_zero(pt[i]))
+    ia, ib = [i for i in range(3) if i != chart]
+    jet = {(2, 0): field.zero, (1, 1): field.zero, (0, 2): field.zero}
+    for c, e in F.terms():
+        for du, dv in jet:
+            if e[ia] < du or e[ib] < dv:
+                continue
+            val = field.mul(c, field.from_int(comb(e[ia], du) * comb(e[ib], dv)))
+            val = field.mul(val, _power(field, pt[ia], e[ia] - du))
+            val = field.mul(val, _power(field, pt[ib], e[ib] - dv))
+            val = field.mul(val, _power(field, pt[chart], e[chart]))
+            jet[(du, dv)] = field.add(jet[(du, dv)], val)
+    alpha, beta, gamma = jet[(2, 0)], jet[(1, 1)], jet[(0, 2)]
+    if all(field.is_zero(v) for v in (alpha, beta, gamma)):
+        return "worse"
+    disc = field.sub(field.mul(beta, beta),
+                     field.mul(field.from_int(4), field.mul(alpha, gamma)))
+    return "node" if not field.is_zero(disc) else "worse"
+
+
+def _random_ternary(rng, field, degree, density=1.0):
+    return HomogeneousForm(
+        3, degree, [rng.randrange(field.char) if rng.random() < density else 0
+                    for _ in range(monomial_count(3, degree))], field, "z")
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_hessian_rank_grading_matches_the_jet_discriminant(p):
+    # sparse forms and products of random forms have singular points, at
+    # crossings (mostly nodes) and along repeated factors (worse)
+    F = GF(p)
+    rng = random.Random(p)
+    grades = []
+    for degree in range(2, 6):
+        for _ in range(6):
+            low = rng.randrange(1, degree)
+            forms = [_random_ternary(rng, F, degree, density=0.4),
+                     _random_ternary(rng, F, low).multiply(
+                         _random_ternary(rng, F, degree - low)),
+                     _random_ternary(rng, F, 1).power(2).multiply(
+                         _random_ternary(rng, F, degree - 2))]
+            for form in forms:
+                if form.is_zero():
+                    continue
+                for k in (1, 2):
+                    G = form.lift_to(GF(p, k))
+                    for pt in singular_points_plane_curve(form,
+                                                          search_extension=k):
+                        grade = classify_singularity(G, pt)
+                        assert grade == _jet_discriminant_grade(G, pt), (G, pt)
+                        grades.append(grade)
+    assert grades.count("node") >= 20 and grades.count("worse") >= 20
+    zero_line = lf([0, 0, 0], F)
+    assert classify_singularity(zero_line, (1, 2, 3)) == "worse"
+    assert _jet_discriminant_grade(zero_line, (1, 2, 3)) == "worse"
 
 
 def test_restricted_family_matrix_has_degree_nine_plane_divisor():
@@ -212,21 +295,22 @@ def test_compressed_minor_is_the_cauchy_binet_combination():
         assert sum(c * s ** k for k, c in enumerate(poly)) % 7 == binet
 
 
-def test_batched_minor_gcd_keeps_the_attempt_cap():
-    # every compressed minor vanishes: a round stops after exactly
-    # 40 * compressions_per_round draws, R only where ncols > size
+def test_batched_minor_gcd_keeps_the_attempt_cap(monkeypatch):
+    # every compressed minor of a zero matrix vanishes: a round stops after
+    # exactly 40 * COMPRESSIONS_PER_ROUND draws, R only where ncols > size
+    compressed_minor_polys = rankloci._compressed_minor_polys
     for nrows, ncols, size in [(35, 21, 21), (10, 8, 4)]:
-        M = SimpleNamespace(nrows=nrows, ncols=ncols)
         draws = []
 
-        def minor_polys(batch):
+        def counting(A, B, params, field, det, batch):
             draws.extend(batch)
-            return [[] for _ in batch]
+            return compressed_minor_polys(A, B, params, field, det, batch)
 
+        monkeypatch.setattr(rankloci, "_compressed_minor_polys", counting)
+        zero = np.zeros((nrows, ncols), dtype=np.int64)
         with pytest.raises(UnstableComputationError, match="almost all random"):
-            rankloci._stable_minor_gcd(M, size, random.Random(3), minor_polys,
-                                       101, 4, 6)
-        assert len(draws) == 40 * 4
+            rankloci._line_minor_gcd(zero, zero, size, 101, random.Random(3))
+        assert len(draws) == 40 * rankloci.COMPRESSIONS_PER_ROUND
         for L, R in draws:
             assert L.shape == (size, nrows) and 0 <= L.min() <= L.max() < 101
             if ncols == size:
@@ -255,7 +339,9 @@ def test_line_gcds_on_every_f5_line_restrict_the_curve(seed):
              for dual in projective_points(GF(5), 3)]
     assert len(lines) == 31
     for a, b in lines:
-        G = rankloci._line_gcd_binary(R, (a, b), 20, random.Random(seed), 4, 6)
+        affine, inf_mult = rankloci._line_minor_gcd(
+            *rankloci._line_arrays(R, (a, b)), 21, 5, random.Random(seed))
+        G = affine + [0] * inf_mult
         weights = rankloci._binary_restriction_weights(a, b, 9, 5)
         restriction = [sum(w * c for w, c in zip(row, curve.coeffs)) % 5
                        for row in weights]
