@@ -369,8 +369,6 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
         for _ in range(k - len(forms)):
             forms.append(_random_linear(6, field, rng))
         lams = [field.random_element(rng, nonzero=True) for _ in range(k)]
-        f = HomogeneousForm.zero(6, 3, field, "x")
-        for lam, l in zip(lams, forms):
-            f = f + l.power(3).scale(lam)
+        f = HomogeneousForm.power_sum(lams, forms, 3)
         if not f.is_zero():
             return forms, lams, f

@@ -181,32 +181,44 @@ class HomogeneousForm:
         return HomogeneousForm(self.nvars, deg, coeffs, F, self.alphabet)
 
     def power(self, n):
-        """self^n.  A linear form expands by the multinomial theorem, over
-        QQ on integer coefficients over their common denominator D, each
-        coefficient made a Fraction over D^n once."""
+        """self^n; a linear form expands as power_sum([1], [self], n)."""
         if n < 0:
             raise ValueError("negative power")
-        F = self.field
         if self.degree != 1:
-            one = HomogeneousForm.monomial(self.nvars, (0,) * self.nvars, F,
-                                           self.alphabet)
+            one = HomogeneousForm.monomial(self.nvars, (0,) * self.nvars,
+                                           self.field, self.alphabet)
             return reduce(HomogeneousForm.multiply, [self] * n, one)
+        return HomogeneousForm.power_sum([self.field.one], [self], n)
+
+    @staticmethod
+    def power_sum(scalars, forms, n):
+        """The sum of scalar * form^n over linear forms of one field, by the
+        multinomial theorem; over QQ on integer numerators over one common
+        denominator, with one Fraction per monomial."""
+        F, nvars, alphabet = forms[0].field, forms[0].nvars, forms[0].alphabet
         if F == QQ:
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            base = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            mul, lift = operator.mul, int
+            dens = [math.lcm(*(c.denominator for c in l.coeffs)) for l in forms]
+            den = math.lcm(*(s.denominator * d ** n for s, d in zip(scalars, dens)))
+            bases = [[c.numerator * (d // c.denominator) for c in l.coeffs]
+                     for l, d in zip(forms, dens)]
+            scalars = [s.numerator * (den // (s.denominator * d ** n))
+                       for s, d in zip(scalars, dens)]
+            mul, add, lift = operator.mul, operator.add, int
         else:
-            base, mul, lift = self.coeffs, F.mul, F.from_int
-        # pows[i][k] = c_i^k
-        pows = [list(accumulate([c] * n, mul, initial=lift(1)))
-                for c in base]
-        coeffs = [reduce(mul, (row[k] for row, k in zip(pows, e) if k),
-                         lift(math.factorial(n)
-                              // math.prod(map(math.factorial, e))))
-                  for e in monomial_exponents(self.nvars, n)]
+            bases = [l.coeffs for l in forms]
+            mul, add, lift = F.mul, F.add, F.from_int
+        # pows[t][i][k] = c_i^k for the coefficients c_i of form t
+        pows = [[list(accumulate([c] * n, mul, initial=lift(1))) for c in base]
+                for base in bases]
+        coeffs = []
+        for e in monomial_exponents(nvars, n):
+            terms = (reduce(mul, (row[k] for row, k in zip(p, e) if k), s)
+                     for p, s in zip(pows, scalars))
+            multinomial = math.factorial(n) // math.prod(map(math.factorial, e))
+            coeffs.append(mul(lift(multinomial), reduce(add, terms)))
         if F == QQ:
-            coeffs = [Fraction(c, den ** n) for c in coeffs]
-        return HomogeneousForm(self.nvars, n, coeffs, F, self.alphabet)
+            coeffs = [Fraction(c, den) for c in coeffs]
+        return HomogeneousForm(nvars, n, coeffs, F, alphabet)
 
     __add__ = add
     __sub__ = sub

@@ -8,21 +8,21 @@ A space of forms, such as a graded piece of an ideal or a syzygy space,
 is the ExactMatrix of its canonical basis rows; its degree and alphabet
 are the caller's.
 
-Every rational kernel is multimodular: the canonical kernel is computed
-mod primes below 2^31 on the numpy core, joined by CRT and rational
-reconstruction, and accepted only once A K = 0 holds exactly, which
-proves it is the rational one.  That one verified (pivots, kernel)
-result gives every exact rational answer: kernel_basis is K, rref is
-read off K, and pivot_columns, which decides the proved pivots of a
-matrix over any field, keeps the pivots mod the first certificate prime
-when that rank reaches min(nrows, ncols) and otherwise takes the
-complement of K's free columns.  A rank is proved the same way, lower
-bound mod p, upper bound ncols - dim K, on the narrower side of the
-matrix.  Fraction elimination is the one exact fallback, for a kernel
-whose proof does not close before KERNEL_PRIMES run out and for the
-fields with no numpy arithmetic (GF(p) with p >= 2^31, GF(p^2) with
-p > 11).  Over GF(p), p < 2^31, and small GF(p^2) every rank, rref and
-kernel runs on the numpy elimination core in modular.py.
+Every rational kernel is p-adic: one elimination mod a prime below 2^31
+on the numpy core, then lifting steps (Dixon) and rational
+reconstruction, accepted only once A K = 0 holds exactly, which proves
+it is the rational one.  That one verified (pivots, kernel) result gives
+every exact rational answer: kernel_basis is K, rref is read off K, and
+pivot_columns, which decides the proved pivots of a matrix over any
+field, keeps the pivots mod the first kernel prime when that rank
+reaches min(nrows, ncols) and otherwise lifts K from the same
+elimination.  A rank is proved the same way, lower bound mod p, upper
+bound ncols - dim K, on the narrower side of the matrix.  Fraction
+elimination is the one exact fallback, for a kernel whose proof does not
+close within len(KERNEL_PRIMES) digits and for the fields with no numpy
+arithmetic (GF(p) with p >= 2^31, GF(p^2) with p > 11).  Over GF(p),
+p < 2^31, and small GF(p^2) every rank, rref and kernel runs on the
+numpy elimination core in modular.py.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from . import modular
 from .errors import PreconditionError
 from .fields import QQ
 
-# the largest primes below 2^31, largest first: the multimodular kernel
-# draws from them in order, and rational ranks are taken mod the first
+# the largest primes below 2^31, largest first: the p-adic kernel lifts
+# mod the first, and mod the next after an unlucky one; rational ranks
+# are taken mod the first
 KERNEL_PRIMES = modular.word_primes(128)
 CERTIFICATE_PRIMES = KERNEL_PRIMES[:4]
 
@@ -151,10 +152,6 @@ class ExactMatrix:
                 codes = codes.astype(object)  # its negative overflows
         return codes % F.p if F.char and F.degree == 1 else codes
 
-    def _decoded(self, codes, arith):
-        return ExactMatrix([[arith.decode(v) for v in row]
-                            for row in codes.tolist()], self.field, self.ncols)
-
     def rref(self):
         """Canonical reduced row echelon form.  Away from the numpy core
         it is read off the canonical kernel K: pivot row r has a 1 at its
@@ -164,8 +161,9 @@ class ExactMatrix:
         if arith is not None:
             codes = self.codes()
             modular.eliminate(codes, arith, reduced=True)
-            return self._decoded(codes, arith)
-        pivots, basis = _pivots_and_kernel(self.rows, self.ncols, F)
+            return ExactMatrix([[arith.decode(v) for v in row]
+                                for row in codes.tolist()], F, self.ncols)
+        pivots, basis = _pivots_and_kernel(self.codes(), F)
         free = _free_columns(pivots, self.ncols)
         rows = [[F.zero] * self.ncols for _ in range(self.nrows)]
         for r, pc in enumerate(pivots):
@@ -183,18 +181,20 @@ class ExactMatrix:
         return len(pivot_columns(codes, self.field))
 
     def kernel_basis(self, primitive=False):
-        """Canonical basis of the right kernel {v : M v = 0}, as rows.
+        """Canonical basis of the right kernel {v : M v = 0}: kernel_rows."""
+        return ExactMatrix(kernel_rows(self.codes(), self.field, primitive),
+                           self.field, self.ncols)
 
-        The basis is the standard one with a 1 in each free column, so it
-        does not depend on the elimination route.  primitive asks, over
-        QQ, for each row times the lcm of its denominators.
-        """
-        arith = modular.field_arithmetic(self.field)
-        if arith is not None:
-            return self._decoded(modular.kernel(self.codes(), arith), arith)
-        _, basis = _pivots_and_kernel(self.rows, self.ncols, self.field,
-                                      primitive)
-        return ExactMatrix(basis, self.field, self.ncols)
+
+def kernel_rows(codes, field, primitive=False):
+    """Canonical basis rows of the right kernel of a matrix given as codes
+    (see ExactMatrix.codes; left alone), a 1 in each free column; with
+    primitive, over QQ, each row times the lcm of its denominators."""
+    arith = modular.field_arithmetic(field)
+    if arith is None:
+        return _pivots_and_kernel(codes, field, primitive)[1]
+    basis = modular.kernel(codes.astype(np.int64), arith)
+    return [[arith.decode(v) for v in row] for row in basis.tolist()]
 
 
 def pivot_columns(codes, field):
@@ -202,39 +202,40 @@ def pivot_columns(codes, field):
     ExactMatrix.codes; the array is left alone), each proved.
 
     A field with numpy arithmetic takes the elimination core.  Over QQ
-    the columns independent mod CERTIFICATE_PRIMES[0] are independent
-    over QQ, and they span once the mod-p rank reaches min(rows, cols),
-    which bounds the rational rank; below that the pivots are the
-    complement of the free columns of the verified multimodular kernel.
+    the columns independent mod KERNEL_PRIMES[0] are independent over QQ,
+    and they span once the mod-p rank reaches min(rows, cols), which
+    bounds the rational rank; below that they are the complement of the
+    free columns of the verified kernel lifted from that elimination.
     """
     arith = modular.field_arithmetic(field)
     if arith is not None:
         return modular.eliminate(codes.astype(np.int64), arith)[0]
-    if field == QQ:
-        p = CERTIFICATE_PRIMES[0]
-        residues = (codes % p).astype(np.int64, copy=False)
-        pivots, _ = modular.eliminate(residues, modular.prime_arithmetic(p))
-        if len(pivots) == min(codes.shape):
-            return pivots
-        rows = codes.tolist()
-    elif field.degree == 2:
-        rows = [[field.decode(int(c)) for c in r] for r in codes]
-    else:
-        rows = codes.tolist()
-    return _pivots_and_kernel(rows, codes.shape[1], field, True)[0]
+    factored = _lu(codes, KERNEL_PRIMES[0]) if field == QQ else None
+    if factored and len(factored[2]) == min(codes.shape):
+        return factored[2]
+    return _pivots_and_kernel(codes, field, True, factored)[0]
 
 
-def _pivots_and_kernel(rows, ncols, field, primitive=False):
-    """(pivot columns, canonical kernel basis rows) of a matrix with no
-    numpy arithmetic: over QQ by the multimodular kernel, and by Fraction
-    elimination, the one exact fallback, when its primes run out or the
-    field is GF(p) with p >= 2^31 or GF(p^2) with p > 11.  primitive
-    scales each rational kernel row to coprime integers."""
+def _lu(codes, p):
+    """(lu, perm, pivots) of integer codes mod p, as eliminate leaves them."""
+    lu, perm = (codes % p).astype(np.int64, copy=False), np.arange(len(codes))
+    pivots, _ = modular.eliminate(lu, modular.prime_arithmetic(p), perm=perm)
+    return lu, perm, pivots
+
+
+def _pivots_and_kernel(codes, field, primitive=False, factored=None):
+    """(pivot columns, canonical kernel basis rows) of a matrix given as
+    codes, with no numpy arithmetic: over QQ by the p-adic kernel, and by
+    Fraction elimination, the one exact fallback, when its digits run
+    out or the field is GF(p) with p >= 2^31 or GF(p^2) with p > 11."""
+    ncols = codes.shape[1]
     if field == QQ:
-        solved = _multimodular_kernel(rows, ncols, primitive)
+        solved = _multimodular_kernel(codes, ncols, primitive, factored)
         if solved is not None:
             return solved
-    ref, pivots = _rref([list(r) for r in rows], field)
+    rows = [[field.decode(int(c)) for c in r] for r in codes] \
+        if field.degree == 2 else codes.tolist()
+    ref, pivots = _rref(rows, field)
     basis = []
     for f in _free_columns(pivots, ncols):
         v = [field.zero] * ncols
@@ -280,88 +281,110 @@ def _rref(rows, field):
     return rows, pivots
 
 
-def _multimodular_kernel(rows, ncols, primitive=False):
-    """Canonical rational kernel basis by elimination mod word primes.
+def _multimodular_kernel(matrix, ncols, primitive=False, factored=None):
+    """Canonical rational kernel basis by p-adic lifting from one
+    elimination mod a word prime (Dixon, "Exact solution of linear
+    equations using p-adic expansions", Numer. Math. 40, 1982).
 
-    Each prime's reduced echelon form gives the kernel mod p; the prime of
-    highest rank, and among those the lexicographically smallest pivot
-    list, is kept and any other prime is discarded as unlucky.  The
-    free-column blocks of the kept primes are joined by CRT and, once one
-    probe vector reconstructs to the same rationals on two consecutive
-    primes, every entry is rationally reconstructed.  The result K is
-    accepted only if A K = 0 exactly.  K has a 1 in its own free column f
-    and zeros in the other free columns and the pivot columns after f, by
-    construction.  Since rank over QQ >= rank mod p, A K = 0 makes the
-    kernel dimension the number of free columns, and each free column
-    lies in the span of the columns before it, so the rational pivots are
-    the mod-p ones and K is the canonical basis.  Returns the pivot
-    columns and the basis rows, as Fractions or, with primitive, as
-    coprime integers (each canonical row times the lcm of its
-    denominators), or None when KERNEL_PRIMES run out before the proof
-    closes.  Rows may hold ints or Fractions.
+    matrix is an integer array (see ExactMatrix.codes) or rows of ints
+    and Fractions.  The LU of A mod p (factored: _lu mod KERNEL_PRIMES[0])
+    gives the pivots P and the rows R behind them, and _lift the rational
+    A_RP^-1 A_RF.  The result K is accepted only if A K = 0 exactly.  K
+    has a 1 in its own free column f and zeros in the other free columns
+    and the pivot columns after f, by construction.  Since rank over QQ
+    >= rank mod p, A K = 0 makes the kernel dimension the number of free
+    columns, and each free column lies in the span of the columns before
+    it, so the rational pivots are the mod-p ones and K is the canonical
+    basis.  A prime whose pivots are wrong over QQ fails A K = 0, and the
+    next prime starts again.  Returns the pivot columns and the basis
+    rows, as Fractions or, with primitive, as coprime integers (each
+    canonical row times the lcm of its denominators), or None once the
+    primes together have taken len(KERNEL_PRIMES) digits.
     """
+    if not isinstance(matrix, np.ndarray):
+        matrix = ExactMatrix(matrix, QQ, ncols).codes()
+    nrows = len(matrix)
     # per column: (row, integer entry) of its nonzero entries
-    columns = [[] for _ in range(ncols)]
-    for i, r in enumerate(rows):
-        for j, a in enumerate(_primitive_integer_row(r)):
-            if a:
-                columns[j].append((i, a))
-    at = (np.array([i for col in columns for i, _ in col], dtype=int),
-          np.array([j for j, col in enumerate(columns) for _ in col],
-                   dtype=int))
-    values = [a for col in columns for _, a in col]
-    try:
-        values = np.array(values, dtype=np.int64)
-    except OverflowError:
-        values = np.array(values, dtype=object)  # reduced entry by entry
-    best = None
+    columns = [[(i, a) for i, a in enumerate(col.tolist()) if a]
+               for col in matrix.T]
+    budget = len(KERNEL_PRIMES)
     for p in KERNEL_PRIMES:
-        arith = modular.prime_arithmetic(p)
-        a = np.zeros((len(rows), ncols), dtype=np.int64)
-        a[at] = values % p
-        pivots, _ = modular.eliminate(a, arith, reduced=True)
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
+        lu, perm, pivots = factored or _lu(matrix, p)
+        factored = None
         free = _free_columns(pivots, ncols)
         if not free:
             # rank over QQ is at least rank mod p = ncols
             return pivots, []
-        # the rref entries of each free column, one list per column
-        block = a[:len(pivots), free].T.tolist()
-        if key != best:
-            best, residues, modulus, probe = key, block, p, None
-            probe_at = len(free) - 1
-        else:
-            inv = pow(modulus, -1, p)
-            residues = [[r + modulus * ((b - r) * inv % p)
-                         for r, b in zip(rcol, bcol)]
-                        for rcol, bcol in zip(residues, block)]
-            modulus *= p
-        guess = _reconstruct(residues[probe_at], modulus)
-        if guess is None or guess != probe:
-            probe = guess
-            continue
-        lifted = [_reconstruct(column, modulus) for column in residues]
-        if None in lifted:
-            # a later prime tries again, probing a vector that failed
-            probe, probe_at = None, lifted.index(None)
-            continue
+        used, lifted = _lift(matrix[perm[:len(pivots)]], lu, pivots, free,
+                             p, budget)
+        budget -= used
+        if lifted is None:
+            return None
         # each vector times the lcm of its denominators, as its nonzero
         # (column, integer entry) pairs
         vectors = [[(f, den)]
                    + [(pc, -x) for pc, x in zip(pivots, nums) if pc < f and x]
                    for f, (nums, den) in zip(free, lifted)]
-        if _annihilates(columns, len(rows), vectors):
-            basis = []
-            for vector in vectors:
-                den = vector[0][1]
-                v = [0 if primitive else Fraction(0)] * ncols
+        if _annihilates(columns, nrows, vectors):
+            basis = [[0 if primitive else Fraction(0)] * ncols for _ in vectors]
+            for v, vector in zip(basis, vectors):
                 for j, x in vector:
-                    v[j] = x if primitive else Fraction(x, den)
-                basis.append(v)
+                    v[j] = x if primitive else Fraction(x, vector[0][1])
             return pivots, basis
     return None
+
+
+def _lift(rows, lu, pivots, free, p, budget):
+    """(digits taken, columns as _reconstruct gives them or None if the
+    budget runs out) of A_RP^-1 A_RF, from the rows of A behind the pivots
+    (in pivot order) and the LU of A mod p.  Digit y_k solves A_RP y_k =
+    res_k mod p, from res_0 = A_RF and res_(k+1) = (res_k - A_RP y_k) / p;
+    once one probe column reconstructs alike from two digit counts in a
+    row, all are.  A_RP y is exact in int64 limbs of s bits (r 2^s p <= 2^62).
+    """
+    r = len(pivots)
+    arith = modular.prime_arithmetic(p)
+    t = lu[:r, pivots]  # multipliers below the diagonal, pivots on it, U above
+    inv_lead = arith.inv(t.diagonal().copy())
+    # A_RP = L1 D U with L1 unit lower triangular and D the pivots
+    lower, upper = ([(j, at, m[at, j]) for j in order
+                     for at in [np.flatnonzero(m[:, j])] if at.size]
+                    for m, order in [(np.tril(t * inv_lead % p, -1), range(r)),
+                                     (np.triu(t, 1), range(r - 1, -1, -1))])
+    a, s = rows[:, pivots], 31 - r.bit_length()
+    top = int(np.abs(rows).max(initial=0)).bit_length() // s  # signed limb
+    limbs = [(a >> (s * k) if k == top else a >> (s * k) & ((1 << s) - 1))
+             .astype(np.int64) for k in range(top + 1)]
+    res = rows[:, free].astype(object if len(limbs) > 1 else rows.dtype)
+    z = lu[:r, free]  # the first digit is half solved: (L1 D)^-1 A_RF mod p
+    digits, probe, probe_at, acc = [], None, len(free) - 1, [0] * r
+    while len(digits) < budget:
+        if digits:
+            z = (res % p).astype(np.int64)
+            for j, at, m in lower:
+                z[at] = arith.sub_mul(z[at], m, z[j])
+            z = z * inv_lead[:, None] % p
+        for j, at, m in upper:
+            z[at] = arith.sub_mul(z[at], m, z[j])
+        acc = [u + v * p ** len(digits)
+               for u, v in zip(acc, z[:, probe_at].tolist())]
+        digits.append(z)
+        guess = _reconstruct(acc, p ** len(digits))
+        if guess is not None and guess == probe:
+            x = digits[-1].astype(object)
+            for y in reversed(digits[:-1]):
+                x = x * p + y
+            lifted = [_reconstruct(col, p ** len(digits)) for col in x.T.tolist()]
+            if None not in lifted:
+                return len(digits), lifted
+            # later digits probe a vector that failed
+            probe_at, guess = lifted.index(None), None
+            acc = x[:, probe_at].tolist()
+        probe = guess
+        res = (res - sum((limb @ z).astype(object) << (s * k)
+                         for k, limb in enumerate(limbs))
+               if len(limbs) > 1 else res - limbs[0] @ z) // p
+    return len(digits), None
 
 
 def _reconstruct(residues, modulus):

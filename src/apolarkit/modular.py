@@ -17,8 +17,8 @@ rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 take stacks too).  ExactMatrix and linalg.pivot_columns send their
 finite-field ranks, pivots, rrefs and kernels through it, and every
 rational rank, pivot set, rref and kernel as well: the mod-p rank that
-bounds a rational rank from below and each prime of the multimodular
-kernel are eliminations of the core.
+bounds a rational rank from below is an elimination of the core, whose
+LU the p-adic rational kernel then lifts from.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
 evaluation, gcd, derivative.  lagrange_interpolate works over any
@@ -50,18 +50,21 @@ _TABLE_PRIME = 1 << 16  # inverse tables below this
 CHUNK_ENTRIES = 1 << 15  # matrix entries per stack chunk in eliminate
 
 
-def eliminate(a, arith, reduced=False):
+def eliminate(a, arith, reduced=False, perm=None):
     """Gaussian elimination, in place, of one (n, m) code array or of a
     C-contiguous (batch, n, m) stack, CHUNK_ENTRIES entries at a time.
 
     Each pivot row is scaled to lead with 1 and cleared from the rows
     below it, or from every other row when reduced, which leaves the
-    canonical rref.  Returns (pivot columns, det) for a matrix and int64
+    canonical rref.  perm, for a matrix eliminated without reduced, is an
+    index array swapped with its rows, and the LU is left in place: a
+    pivot keeps its value and each entry below it the multiplier that
+    cleared it.  Returns (pivot columns, det) for a matrix and int64
     arrays (ranks, dets) for a stack, det being the signed product of the
     pivots: the determinant of a square matrix with full rank.
     """
     if a.ndim == 2:
-        pivots, _, det = _eliminate_rows(a, 1, arith, reduced)
+        pivots, _, det = _eliminate_rows(a, 1, arith, reduced, perm)
         return pivots, int(det[0])
     batch, nrows, ncols = a.shape
     ranks, dets = np.zeros(batch, dtype=np.int64), np.ones(batch, dtype=np.int64)
@@ -82,7 +85,7 @@ def chunked(items, entries):
         yield chunk
 
 
-def _eliminate_rows(rows, batch, arith, reduced):
+def _eliminate_rows(rows, batch, arith, reduced, perm=None):
     """The elimination loop over `batch` matrices stacked in rows.
 
     Returns (pivot columns, ranks, dets).  A batch of one keeps its pivot
@@ -103,6 +106,8 @@ def _eliminate_rows(rows, batch, arith, reduced):
                 continue
             if below[0]:
                 rows[[r, r + below[0]]] = rows[[r + below[0], r]]
+                if perm is not None:
+                    perm[[r, r + below[0]]] = perm[[r + below[0], r]]
                 det[0] = arith.neg(det[0])
             # after the swap the nonzero entries below the pivot sit at
             # below[1:]: the row swapped down was zero in this column
@@ -142,6 +147,10 @@ def _eliminate_rows(rows, batch, arith, reduced):
             block = rows[targets, c:]
             rows[targets, c:] = arith.sub_mul(block, block[:, 0],
                                               rows[pivot_of_target, c:])
+            if perm is not None:
+                rows[targets, c] = block[:, 0]  # the LU keeps the multipliers
+        if perm is not None:
+            rows[dst, c] = lead  # and the pivots
     return pivots, rank, np.asarray(det, dtype=np.int64)
 
 

@@ -43,6 +43,7 @@ from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
     _primitive_integer_row,
+    kernel_rows,
     pivot_columns,
 )
 
@@ -390,19 +391,16 @@ def _linear_syzygies_cached(quadrics, order, coefficient_degree, guard):
     # column (s, e) holds y^e * s block by block; y^e times distinct
     # monomials gives distinct monomials, so each block is a scatter of
     # the block of s to the positions of y^e * y^k
-    at = [[idx[tuple(a + b for a, b in zip(e, k))] for k in exps]
-          for e in exps]
-    cols = []
-    for jrow in syz1.rows:
-        for positions in at:
-            col = [field.zero] * (q * cdim2)
-            for i in range(q):
-                block = jrow[i * cdim1:(i + 1) * cdim1]
-                for k, v in zip(positions, block):
-                    col[i * cdim2 + k] = v
-            cols.append(col)
-    phi2 = ExactMatrix(zip(*cols), field, len(cols))
-    return phi2.kernel_basis(primitive=True)
+    at = np.array([[idx[tuple(a + b for a, b in zip(e, k))] for k in exps]
+                   for e in exps])
+    syz = syz1.codes().reshape(syz1.nrows, q, cdim1)
+    i, s, e, k = np.ix_(range(q), range(syz1.nrows), range(cdim1),
+                        range(cdim1))
+    phi2 = np.zeros((q, cdim2, syz1.nrows, cdim1), dtype=syz.dtype)
+    phi2[i, at[e, k], s, e] = syz[s, i, k]
+    ncols = syz1.nrows * cdim1
+    return ExactMatrix(kernel_rows(phi2.reshape(q * cdim2, ncols), field,
+                                   primitive=True), field, ncols)
 
 
 def linear_syzygies(quadrics, order, coefficient_degree=1, guard=True):

@@ -166,6 +166,21 @@ def test_reference_drop_curve_shape():
     assert lead == GF(5).one
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_random_power_sum_matches_the_running_sum(field):
+    # f is summed as integer expansions over one common denominator; the
+    # reference adds lam * l^3 one summand at a time
+    for seed in range(20):
+        for k in range(5, 11):
+            for coplanar in (False, True):
+                forms, lams, f = catalog.random_power_sum(
+                    k, field, seed, coplanar=coplanar)
+                running = HomogeneousForm.zero(6, 3, field, "x")
+                for lam, l in zip(lams, forms):
+                    running = running + l.power(3).scale(lam)
+                assert f.to_text() == running.to_text()
+
+
 def test_random_power_sum_options():
     forms, lams, f = catalog.random_power_sum(10, seed=5)
     assert len(forms) == 10 and len(lams) == 10 and not f.is_zero()

@@ -250,6 +250,19 @@ def _multimodular_cases():
         cases["random-%dx%d" % (nrows, ncols)] = [
             [Fraction(rng.randint(-20, 20), rng.randint(1, 5))
              for _ in range(ncols)] for _ in range(nrows)]
+    # the p-adic lifting: entries of about 2^140 of both signs take the
+    # limb products in Python ints; the kernel of a product of 100-bit
+    # factors has 200-bit minors and takes 14 digits; column 0 vanishes
+    # mod P1 only, so the pivots mod P1 are [1, 2, 3], wrong over QQ, on
+    # an invertible block
+    lifting = random.Random(43)
+    cases["huge-mixed-signs"] = _random_rational_matrix(
+        lifting, 5, 7, 4, spread=2 ** 70)
+    cases["many-digits"] = _random_rational_matrix(lifting, 2, 4, 2,
+                                                   spread=2 ** 100)
+    cases["unlucky-lifted"] = [
+        [Fraction(P1 * a), Fraction(b), Fraction(c), Fraction(d)]
+        for a, b, c, d in [(1, 2, -1, 3), (2, 0, 1, -1), (-1, 1, 1, 1)]]
     return cases
 
 
@@ -295,6 +308,45 @@ def test_multimodular_kernel_discards_unlucky_primes(monkeypatch):
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:5])
     assert linalg._multimodular_kernel(rows, 3)[1] \
         == _fraction_kernel(rows, 3)
+
+
+def _count_eliminations(monkeypatch):
+    """Record the shape of every modular.eliminate call."""
+    shapes = []
+    real = modular.eliminate
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(modular, "eliminate", counting)
+    return shapes
+
+
+def test_lifting_restarts_after_an_unlucky_prime(monkeypatch):
+    cases = _multimodular_cases()
+    rows = cases["unlucky-lifted"]
+    ints = [[int(x) for x in r] for r in rows]
+    assert modular.kernel_mod_p(ints, P1).tolist() == [[1, 0, 0, 0]]
+    assert modular.rank_mod_p(ints, P2) == 3
+    shapes = _count_eliminations(monkeypatch)
+    assert linalg._multimodular_kernel(rows, 4) \
+        == ([0, 1, 2], _fraction_kernel(rows, 4))
+    # the lifted vector e_0 - A_RP^-1 A_R0 of P1 fails A K = 0, and P2
+    # starts again with an elimination of its own
+    assert shapes == [(3, 4), (3, 4)]
+
+
+def test_lifting_digits_share_one_budget(monkeypatch):
+    # the many-digits kernel needs more than 10 digits of 31 bits; the
+    # digits of all primes together may number len(KERNEL_PRIMES)
+    rows = _multimodular_cases()["many-digits"]
+    primes = linalg.KERNEL_PRIMES
+    monkeypatch.setattr(linalg, "KERNEL_PRIMES", primes[:10])
+    assert linalg._multimodular_kernel(rows, 4) is None
+    monkeypatch.setattr(linalg, "KERNEL_PRIMES", primes[:20])
+    assert linalg._multimodular_kernel(rows, 4)[1] \
+        == _fraction_kernel(rows, 4)
 
 
 def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
@@ -361,7 +413,7 @@ def _count_exact_work(monkeypatch):
 
     def counting(name, real):
         def wrapper(rows, *args):
-            calls.append((name, len(rows), len(rows[0]) if rows else 0))
+            calls.append((name, len(rows), len(rows[0]) if len(rows) else 0))
             return real(rows, *args)
         return wrapper
 
@@ -415,6 +467,16 @@ def test_negative_power_sum_certificate_takes_no_echelon(monkeypatch):
     # 56 x 8 transpose
     assert cube_span_contains(Z, f)
     assert calls == [("_multimodular_kernel", 56, 8)]
+
+
+def test_positive_power_sum_certificate_eliminates_once(monkeypatch):
+    # the 56 x 8 transpose of the stack is short of full rank mod P1, and
+    # its kernel goes on from that same elimination
+    forms, _, f = catalog.random_power_sum(7, seed=102)
+    Z = PointSet([g.coeffs for g in forms], QQ)
+    shapes = _count_eliminations(monkeypatch)
+    assert cube_span_contains(Z, f)
+    assert shapes.count((56, 8)) == 1
 
 
 def _rational_rref_cases():

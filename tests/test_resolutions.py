@@ -511,6 +511,28 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
 
 
 @pytest.mark.parametrize("params", SYZYGY_QQ_CUBICS, ids=str)
+def test_order_2_syzygy_kernel_takes_one_elimination(params, monkeypatch):
+    # the 315 x 210 kernel lifts p-adically from one elimination mod the
+    # first kernel prime; a per-prime loop would eliminate it 5 to 10 times
+    f = catalog.scroll_apolar_cubic() if params == "scroll" \
+        else catalog.cubic_family(*params)
+    Q = [HomogeneousForm(6, 2, _primitive_integer_row(row), QQ, "y")
+         for row in q_f(f).rref().rows]
+    resolutions._linear_syzygies_cached.cache_clear()
+    linear_syzygies(Q, 1, guard=False)
+    shapes = []
+    real_eliminate = linalg.modular.eliminate
+
+    def counting_eliminate(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return real_eliminate(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.modular, "eliminate", counting_eliminate)
+    assert linear_syzygies(Q, 2, guard=False).nrows == 21
+    assert shapes.count((315, 210)) == 1
+
+
+@pytest.mark.parametrize("params", SYZYGY_QQ_CUBICS, ids=str)
 def test_q_f_rref_matches_fraction_rref(params, monkeypatch):
     # the 15 x 21 basis m2_matrix reduces, read off its verified kernel
     f = catalog.scroll_apolar_cubic() if params == "scroll" \
