@@ -253,20 +253,25 @@ def run_ranklocus(args, field, seed):
         if M.nvars != 3:
             raise PreconditionError(
                 "interpolation needs a 3-variable matrix; use --restrict-plane")
-        curve = rankloci.interpolate_drop_curve(
-            M, args.threshold, extension_degree=2, seed=seed)
-        ext = GF(field.char, 2)
-        lifted = curve.lift_to(ext)
-        singulars = rankloci.singular_points_plane_curve(curve, search_extension=2)
-        classification = None
-        if len(singulars) == 1:
-            classification = rankloci.classify_singularity(
-                lifted, list(singulars[0]))
-        point_field = ext
+        curve, singulars, classification = _drop_curve_and_node(
+            M, args.threshold, seed)
+        point_field = GF(field.char, 2)
     payload = rankloci.drop_report(matrix_ref, args.threshold, degrees,
                                    curve, singulars, classification,
                                    point_field=point_field)
     return payload, True
+
+
+def _drop_curve_and_node(M, threshold, seed):
+    """The drop curve of a 3-variable matrix over GF(p), its singular
+    points in P^2(F_{p^2}), and the grade of a lone one (else None)."""
+    curve = rankloci.interpolate_drop_curve(M, threshold, seed=seed)
+    singulars = rankloci.singular_points_plane_curve(curve, search_extension=2)
+    grade = None
+    if len(singulars) == 1:
+        grade = rankloci.classify_singularity(
+            curve.lift_to(GF(curve.field.char, 2)), list(singulars[0]))
+    return curve, singulars, grade
 
 
 def run_catalog(args, field, seed):
@@ -357,21 +362,18 @@ def _repro_thom_porteous(field, seed, checks):
 def _repro_drop_curve(field, seed, checks):
     M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
     R = restrict_linear_matrix(M, catalog.plane_substitution(field))
-    curve = rankloci.interpolate_drop_curve(R, 20, extension_degree=2, seed=seed)
+    curve, singulars, grade = _drop_curve_and_node(R, 20, seed)
     _check(checks, "curve-degree", 9, curve.degree)
     ref = catalog.reference_drop_curve_mod5()
     _check_true(checks, "matches-stored-reference",
                 rankloci.proportional(curve.coeffs, ref.coeffs, field.char),
                 detail={"computed": curve.to_text(), "reference": ref.to_text()})
-    ext = GF(field.char, 2)
-    lifted = curve.lift_to(ext)
-    singulars = rankloci.singular_points_plane_curve(curve, search_extension=2)
     _check(checks, "singular-point-count", 1, len(singulars))
     if len(singulars) == 1:
+        ext = GF(field.char, 2)
         pt = [ext.format_scalar(c) for c in singulars[0]]
         _check(checks, "singular-point-location", ["0", "1", "0"], pt)
-        _check(checks, "node-classification", "node",
-               rankloci.classify_singularity(lifted, list(singulars[0])))
+        _check(checks, "node-classification", "node", grade)
 
 
 def _repro_scroll_example(field, seed, checks):

@@ -48,6 +48,7 @@ from .errors import PreconditionError
 _MAX_PRIME = 1 << 31
 _TABLE_PRIME = 1 << 16  # inverse tables below this
 CHUNK_ENTRIES = 1 << 15  # matrix entries per stack chunk in eliminate
+TABLE_MAX_PRIME = 11  # largest p with F_{p^2} lookup tables
 
 
 def eliminate(a, arith, reduced=False, perm=None):
@@ -271,7 +272,7 @@ def field_arithmetic(field):
         return None
     if field.degree == 1:
         return prime_arithmetic(field.p) if field.p < _MAX_PRIME else None
-    return quadratic_tables(field) if field.char <= 11 else None
+    return quadratic_tables(field) if field.char <= TABLE_MAX_PRIME else None
 
 
 def _rank(a, arith):
@@ -307,13 +308,14 @@ class QuadraticTables:
 
     Elements are ints a + p*b for (a, b) coordinates over F_p.  The
     addition and multiplication tables have p^2 * p^2 entries, which is
-    tiny for the scan primes this package allows (p <= 11).
+    tiny for the primes this package allows (p <= TABLE_MAX_PRIME).
     """
 
     def __init__(self, field):
         p = field.char
-        if p > 11:
-            raise PreconditionError("table arithmetic guard: p=%d > 11" % p)
+        if p > TABLE_MAX_PRIME:
+            raise PreconditionError("table arithmetic guard: p=%d > %d"
+                                    % (p, TABLE_MAX_PRIME))
         self.field = field
         self.p = p
         self.q = p * p

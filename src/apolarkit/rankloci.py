@@ -5,17 +5,17 @@ Three instruments over finite fields:
 * drop_degree_on_line measures the degree of the rank-drop divisor of a
   matrix along a line, through the gcd of random compressions det(L M R),
   each a random combination of all maximal minors (Cauchy-Binet);
-* interpolate_drop_curve recovers the defining polynomial of the drop
-  locus of a 3-variable matrix by sampling ranks over an extension field
-  and solving for the coefficients;
+* interpolate_drop_curve recovers the drop curve of a 3-variable matrix
+  from those gcds along F_p-rational lines (plane_drop_points is a
+  separate exhaustive scan for drop points);
 * singular_points_plane_curve and classify_singularity locate and grade
-  the singularities of the resulting plane curves.
+  the singularities of plane curves.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
-per stack: the points of a plane scan, and every compression of a gcd
-round at every interpolation node.  Randomness is always driven by an
-explicit seed and the outputs are deterministic functions of (input,
+per stack: every compression of a gcd round at every interpolation
+node, and the points of a plane scan.  Randomness is always driven by
+an explicit seed and the outputs are deterministic functions of (input,
 seed).
 """
 
@@ -59,6 +59,7 @@ def _line_arrays(M, line):
 
 COMPRESSIONS_PER_ROUND = 4
 MAX_ROUNDS = 6
+SCAN_FIELD_MAX = 121  # singular scans stop at P^2(F_121): 14,763 points
 
 
 def _line_minor_gcd(A, B, size, p, rng):
@@ -228,9 +229,10 @@ def drop_degree_on_line(M, line, t, seed=0):
 def plane_drop_points(M, t, extension_degree=1):
     """All points of P^2 over F_p or F_{p^2} where rank(M) <= t.
 
-    M must be a linear-form matrix in 3 variables over a prime field.
-    The scan is exhaustive, so the extension degree is capped at 2 and
-    the table-arithmetic guard caps p at 11 for the quadratic case.
+    A standalone scan; interpolate_drop_curve does not use it.  M must be
+    a linear-form matrix in 3 variables over a prime field.  The scan is
+    exhaustive, so the extension degree is capped at 2 and p at
+    modular.TABLE_MAX_PRIME for the quadratic case.
     """
     field = M.field
     if M.nvars != 3:
@@ -271,22 +273,20 @@ def _binary_restriction_weights(a, b, degree, p):
     return weights.T.tolist()
 
 
-def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9):
+def interpolate_drop_curve(M, t, seed=0, target_degree=9):
     """The plane curve where a 3-variable linear-form matrix drops rank.
 
-    Scans the projective plane over F_p (or F_{p^2}), collects every
-    point with rank <= t, and solves the linear system asking a degree-
-    target_degree ternary form to vanish at all of them.  When the point
-    conditions leave more than a line of solutions, the system is
-    augmented with line restrictions: along F_p-rational lines the
-    stabilized gcd of maximal minors pins the restriction of the curve
-    up to scale, which is nine more linear conditions per line.
-
-    The solution space must end up exactly one-dimensional; corank 0
-    means no such curve exists and corank >= 2 after the line budget
-    means the sampling field is too small.  The returned form has
-    coefficients in F_p, normalized so its first nonzero coefficient
-    (in the monomial order) is 1.
+    Along the lines of P^2(F_p), in a seeded shuffle, the homogenized
+    stabilized gcd of the (t+1)-minors is the curve's restriction up to
+    scale: target_degree linear conditions on the unknown form when its
+    degree is target_degree.  Other lines, and unstable gcds, are
+    skipped.  The gcd sees the determinantal scheme: a doubled component
+    comes back squared.  Forms divisible by the product of k <=
+    target_degree lines meet those lines' conditions, so the system is
+    solved from target_degree + 1 lines on, until it has corank 1.
+    Corank 0 means no such curve exists; corank >= 2 after every line
+    means F_p is too small.  The form returned has coefficients in F_p,
+    its first nonzero one (in the monomial order) 1.
     """
 
     field = M.field
@@ -298,65 +298,44 @@ def interpolate_drop_curve(M, t, extension_degree=2, seed=0, target_degree=9):
     if target_degree < 1:
         raise PreconditionError("target degree must be positive")
     ncoef = monomial_count(3, target_degree)
-    drop = plane_drop_points(M, t, extension_degree)
-    sample_field = field if extension_degree == 1 else GF(p, 2)
+    rng = random.Random(seed)
+    duals = list(projective_points(field, 3))
+    rng.shuffle(duals)
     conditions = []
-    if drop:
-        # F(q) = 0 for an unknown form F: one F_p row per base-field point,
-        # its (re, im) pair of rows per F_{p^2} point
-        re, im = _monomials_at_points(drop, target_degree, sample_field)
-        conditions = re.tolist() + (im.tolist() if extension_degree == 2 else [])
-
-    def corank_and_kernel():
-        if not conditions:
-            return ncoef, None
-        kern = modular.kernel_mod_p(conditions, p)
-        return kern.shape[0], kern
-
-    corank, kern = corank_and_kernel()
+    used = 0
+    for dual in duals:
+        a, b = modular.kernel_mod_p([list(dual)], p).tolist()
+        try:
+            affine, inf_mult = _line_minor_gcd(*_line_arrays(M, (a, b)),
+                                               t + 1, p, rng)
+        except UnstableComputationError:
+            continue
+        # homogenized: G[k] is the coefficient of s^k u^(d-k)
+        G = affine + [0] * inf_mult
+        if len(G) - 1 != target_degree:
+            continue
+        pivot = next(k for k in range(len(G)) if G[k])
+        weights = _binary_restriction_weights(a, b, target_degree, p)
+        conditions.extend(
+            [(G[pivot] * weights[k][i] - G[k] * weights[pivot][i]) % p
+             for i in range(ncoef)]
+            for k in range(target_degree + 1) if k != pivot)
+        used += 1
+        if used > target_degree:
+            kern = modular.kernel_mod_p(conditions, p)
+            if kern.shape[0] <= 1:
+                break
+    if used <= target_degree:  # never solved; a zero row when no line
+        kern = modular.kernel_mod_p(conditions or [[0] * ncoef], p)
+    corank = kern.shape[0]
     if corank == 0:
         raise PreconditionError(
-            "no degree-%d curve passes through the %d sampled drop points"
-            % (target_degree, len(drop)))
-
+            "no degree-%d curve has the restrictions of %d line gcds"
+            % (target_degree, used))
     if corank > 1:
-        rng = random.Random(seed)
-        lines = []
-        for dual in projective_points(field, 3):
-            basis = modular.kernel_mod_p([list(dual)], p)
-            if basis.shape[0] == 2:
-                lines.append((tuple(int(c) for c in basis[0]),
-                              tuple(int(c) for c in basis[1])))
-        rng.shuffle(lines)
-        for a, b in lines:
-            try:
-                affine, inf_mult = _line_minor_gcd(*_line_arrays(M, (a, b)),
-                                                   t + 1, p, rng)
-            except UnstableComputationError:
-                continue
-            # homogenized: G[k] is the coefficient of s^k u^(d-k)
-            G = affine + [0] * inf_mult
-            if len(G) - 1 != target_degree:
-                continue
-            pivot = next(k for k in range(len(G)) if G[k])
-            weights = _binary_restriction_weights(a, b, target_degree, p)
-            for k in range(target_degree + 1):
-                if k == pivot:
-                    continue
-                row = [(G[pivot] * weights[k][i] - G[k] * weights[pivot][i]) % p
-                       for i in range(ncoef)]
-                if any(row):
-                    conditions.append(row)
-            corank, kern = corank_and_kernel()
-            if corank <= 1:
-                break
-        if corank == 0:
-            raise PreconditionError(
-                "line conditions contradict the sampled drop points")
-        if corank > 1:
-            raise UnstableComputationError(
-                "drop-curve system still has corank %d after the line "
-                "budget; sample over a larger field" % corank)
+        raise UnstableComputationError(
+            "drop-curve system still has corank %d after every line of "
+            "P^2(F_%d); sample over a larger field" % (corank, p))
 
     coeffs = [int(c) % p for c in kern[0]]
     lead = next(i for i, c in enumerate(coeffs) if c)
@@ -371,7 +350,8 @@ def singular_points_plane_curve(F, search_extension=1):
     A point is reported when F and all three partial derivatives vanish
     there; the scan is exhaustive over the requested field, in
     projective_points order, and evaluates the four forms at a chunk of
-    points at once: monomial values times coefficient vectors.
+    points at once: monomial values times coefficient vectors.  A search
+    field of more than SCAN_FIELD_MAX elements is refused.
     """
     if F.nvars != 3:
         raise PreconditionError("singular-point scan wants a ternary form")
@@ -389,6 +369,9 @@ def singular_points_plane_curve(F, search_extension=1):
     else:
         raise PreconditionError("search extension must be 1 or 2")
     p = field.char
+    if p ** field.degree > SCAN_FIELD_MAX:
+        raise PreconditionError("singular scan over F_%d: more than %d "
+                                "elements" % (p ** field.degree, SCAN_FIELD_MAX))
     w2 = field.nonresidue if field.degree == 2 else 0
     forms = [G] + [G.derivative(i) for i in range(3)]
     out = []

@@ -72,7 +72,7 @@ def _elapsed_ok(criterion, t0):
 def _family_plane_curve_mod5():
     M = m2_matrix(catalog.cubic_family(*FAMILY, field=GF(5)))
     R = restrict_linear_matrix(M, catalog.plane_substitution(GF(5)))
-    return interpolate_drop_curve(R, 20, extension_degree=2, seed=0)
+    return interpolate_drop_curve(R, 20, seed=0)
 
 
 def test_criterion_01_family_cubic_has_generic_betti_table():

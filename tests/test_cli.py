@@ -160,6 +160,22 @@ def test_interpolation_without_plane_exits_3(capsys):
     capsys.readouterr()
 
 
+def test_interpolation_past_the_singular_scan_cap_exits_3():
+    # the curve interpolates over GF(23), but its singular scan would
+    # cover the 280,371 points of P^2(F_529)
+    src = os.path.dirname(os.path.dirname(apolarkit.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "apolarkit", "--field", "fp:23", "ranklocus",
+         "--family", "1,-1,1,-1,1", "--restrict-plane", "--interpolate"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("precondition violated: ")
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
 def test_betti_family_matches_reference(capsys):
     rc = main(["--format", "text", "betti", "--family", "1,-1,1,-1,1"])
     out = capsys.readouterr().out
@@ -227,6 +243,9 @@ RANKLOCUS_STDOUT_SHA256 = {
     ("--field", "fp:7", "--seed", "3", "ranklocus", "--family",
      "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
         "57923a66d425d91fea9db4eb042d6ace06e0ba0b1b09b87473076e49f332c427",
+    ("--field", "fp:11", "--seed", "0", "ranklocus", "--family",
+     "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
+        "8768bc78aba0aa6a6ebe620fd24c0ac4ebbdae0e8151d5410f664f996751097e",
 }
 
 

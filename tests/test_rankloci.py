@@ -102,10 +102,14 @@ def test_interpolate_drop_curve_synthetic_cases():
     M = diag_matrix(GF(5))
     conic = interpolate_drop_curve(M, 1, target_degree=2)
     assert conic == parse_form("z0*z1", field=GF(5))
-    # doubled entry drops along a single line; interpolation sees it reduced
-    line = interpolate_drop_curve(diag_matrix(GF(5), repeat=True), 1,
-                                  target_degree=1)
-    assert line == parse_form("z0", field=GF(5))
+    # the doubled entry drops along a single line, and every line gcd
+    # sees the determinant z0^2 there: the curve is that double line, and
+    # no line gives a degree-1 restriction
+    repeat = diag_matrix(GF(5), repeat=True)
+    assert interpolate_drop_curve(repeat, 1, target_degree=2) \
+        == parse_form("z0^2", field=GF(5))
+    with pytest.raises(UnstableComputationError, match="corank 3"):
+        interpolate_drop_curve(repeat, 1, target_degree=1)
     with pytest.raises(PreconditionError):
         interpolate_drop_curve(M, 1, target_degree=1)
     with pytest.raises(PreconditionError):
@@ -137,22 +141,20 @@ def test_unstable_minor_gcd_raises_and_interpolation_skips_the_line(
         with pytest.raises(UnstableComputationError):
             drop_degree_on_line(M, ((1, 2, 3), (4, 5, 6)), 1)
     # det = z0^2 - 2*z1^2 is a conic with the single F_p point (0:0:1) for
-    # p = 5 and 13, where 2 is a nonresidue, so the point conditions leave
-    # corank 5 and only line gcds pin it down; over GF(13) these take
-    # GF(13) nodes, past the F_{p^2} table guard
+    # p = 5 and 13, where 2 is a nonresidue, so only line gcds pin it
+    # down; over GF(13) these take GF(13) nodes, past the F_{p^2} table
+    # guard.  With every gcd unstable no line is used: corank 6
     conics = {}
     for p, text in ((5, "z0^2+3*z1^2"), (13, "z0^2+11*z1^2")):
         F = GF(p)
         conics[p] = LinearFormMatrix([[lf([1, 0, 0], F), lf([0, 2, 0], F)],
                                       [lf([0, 1, 0], F), lf([1, 0, 0], F)]])
-        assert interpolate_drop_curve(conics[p], 1, extension_degree=1,
-                                      target_degree=2) \
+        assert interpolate_drop_curve(conics[p], 1, target_degree=2) \
             == parse_form(text, field=F)
     monkeypatch.setattr(rankloci, "MAX_ROUNDS", 1)
     for conic in conics.values():
-        with pytest.raises(UnstableComputationError, match="corank 5"):
-            interpolate_drop_curve(conic, 1, extension_degree=1,
-                                   target_degree=2)
+        with pytest.raises(UnstableComputationError, match="corank 6"):
+            interpolate_drop_curve(conic, 1, target_degree=2)
 
 
 def test_singular_point_scan_and_classification():
@@ -327,6 +329,45 @@ def _paper_plane_mod5():
         m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
         catalog.plane_substitution(F))
     return R, interpolate_drop_curve(R, 20)
+
+
+# the paper member's plane drop curve over GF(23), as the point-and-line
+# interpolation with F_p points gave it
+GF23_PAPER_CURVE = (
+    "z0^9+5*z0^8*z1+8*z0^8*z2+22*z0^7*z1^2+17*z0^7*z1*z2+3*z0^6*z1^3"
+    "+z0^6*z1^2*z2+2*z0^6*z1*z2^2+21*z0^6*z2^3+19*z0^5*z1^4"
+    "+15*z0^5*z1^3*z2+8*z0^5*z1^2*z2^2+15*z0^5*z1*z2^3+7*z0^5*z2^4"
+    "+21*z0^4*z1^5+9*z0^4*z1^4*z2+18*z0^4*z1^3*z2^2+8*z0^4*z1^2*z2^3"
+    "+17*z0^4*z1*z2^4+21*z0^4*z2^5+2*z0^3*z1^6+14*z0^3*z1^5*z2"
+    "+15*z0^3*z1^4*z2^2+2*z0^3*z1^3*z2^3+18*z0^3*z1^2*z2^4"
+    "+22*z0^3*z1*z2^5+5*z0^3*z2^6+10*z0^2*z1^7+7*z0^2*z1^6*z2"
+    "+9*z0^2*z1^5*z2^2+5*z0^2*z1^4*z2^3+10*z0^2*z1^3*z2^4"
+    "+5*z0^2*z1^2*z2^5+20*z0^2*z1*z2^6+17*z0^2*z2^7+22*z0*z1^8"
+    "+7*z0*z1^7*z2+5*z0*z1^6*z2^2+18*z0*z1^5*z2^3+20*z0*z1^4*z2^4"
+    "+20*z0*z1^3*z2^5+13*z0*z1^2*z2^6+16*z0*z1*z2^7+14*z0*z2^8+22*z1^9"
+    "+14*z1^8*z2+11*z1^7*z2^2+5*z1^6*z2^3+10*z1^5*z2^4+21*z1^4*z2^5"
+    "+14*z1^3*z2^6+17*z1^2*z2^7+8*z1*z2^8+8*z2^9")
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_gf23_paper_plane_curve_is_pinned(seed):
+    F = GF(23)
+    R = restrict_linear_matrix(
+        m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
+        catalog.plane_substitution(F))
+    assert interpolate_drop_curve(R, 20, seed=seed).to_text() \
+        == GF23_PAPER_CURVE
+
+
+def test_singular_scan_refuses_fields_past_121_elements():
+    F = parse_form("z0*z1", field=GF(23))
+    assert singular_points_plane_curve(F) == [(0, 0, 1)]
+    with pytest.raises(PreconditionError, match="F_529"):
+        singular_points_plane_curve(F, search_extension=2)
+    with pytest.raises(PreconditionError, match="F_127"):
+        singular_points_plane_curve(parse_form("z0*z1", field=GF(127)))
+    assert len(singular_points_plane_curve(
+        parse_form("z0*z1", field=GF(11)), search_extension=2)) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
