@@ -238,17 +238,7 @@ def run_ranklocus(args, field, seed):
     if args.restrict_plane:
         M = restrict_linear_matrix(M, catalog.plane_substitution(field))
         matrix_ref += "|plane"
-    rng = random.Random(seed)
-    degrees = []
-    if field.char > 50 and field.degree == 1:
-        for _ in range(args.lines):
-            line = _random_line(field, rng, M.nvars)
-            degrees.append(rankloci.drop_degree_on_line(
-                M, line, args.threshold, seed=rng.randrange(1 << 30)))
-    curve = None
-    singulars = []
-    classification = None
-    point_field = field
+    curve, singulars, classification, point_field = None, [], None, field
     if args.interpolate:
         if M.nvars != 3:
             raise PreconditionError(
@@ -256,6 +246,13 @@ def run_ranklocus(args, field, seed):
         curve, singulars, classification = _drop_curve_and_node(
             M, args.threshold, seed)
         point_field = GF(field.char, 2)
+    rng = random.Random(seed)
+    degrees = []
+    if field.char > 50 and field.degree == 1:
+        for _ in range(args.lines):
+            line = _random_line(field, rng, M.nvars)
+            degrees.append(rankloci.drop_degree_on_line(
+                M, line, args.threshold, seed=rng.randrange(1 << 30)))
     payload = rankloci.drop_report(matrix_ref, args.threshold, degrees,
                                    curve, singulars, classification,
                                    point_field=point_field)
@@ -264,7 +261,9 @@ def run_ranklocus(args, field, seed):
 
 def _drop_curve_and_node(M, threshold, seed):
     """The drop curve of a 3-variable matrix over GF(p), its singular
-    points in P^2(F_{p^2}), and the grade of a lone one (else None)."""
+    points in P^2(F_{p^2}) (a field too large to scan is refused first),
+    and the grade of a lone one (else None)."""
+    rankloci.require_scannable(M.field.char ** 2)
     curve = rankloci.interpolate_drop_curve(M, threshold, seed=seed)
     singulars = rankloci.singular_points_plane_curve(curve, search_extension=2)
     grade = None

@@ -208,13 +208,8 @@ def drop_degree_on_line(M, line, t, seed=0):
     rng = random.Random(seed)
 
     # the line must leave the drop locus somewhere: probe 3 parameters
-    generic_ok = False
-    for _ in range(3):
-        s = rng.randrange(p)
-        if modular.rank_mod_p((A + s * B) % p, p) >= size:
-            generic_ok = True
-            break
-    if not generic_ok:
+    if all(modular.rank_mod_p((A + rng.randrange(p) * B) % p, p) < size
+           for _ in range(3)):
         raise PreconditionError("line inside drop locus: rank <= %d at "
                                 "3 random parameters" % t)
 
@@ -229,10 +224,9 @@ def drop_degree_on_line(M, line, t, seed=0):
 def plane_drop_points(M, t, extension_degree=1):
     """All points of P^2 over F_p or F_{p^2} where rank(M) <= t.
 
-    A standalone scan; interpolate_drop_curve does not use it.  M must be
-    a linear-form matrix in 3 variables over a prime field.  The scan is
-    exhaustive, so the extension degree is capped at 2 and p at
-    modular.TABLE_MAX_PRIME for the quadratic case.
+    A standalone scan, for a linear-form matrix in 3 variables over a
+    prime field.  It is exhaustive, so the extension degree is capped at
+    2 and p at modular.TABLE_MAX_PRIME for the quadratic case.
     """
     field = M.field
     if M.nvars != 3:
@@ -273,20 +267,33 @@ def _binary_restriction_weights(a, b, degree, p):
     return weights.T.tolist()
 
 
+def _shuffled_plane_points(p, rng):
+    """The points of P^2(F_p), as projective_points gives them, in a
+    seeded Fisher-Yates shuffle of their indices drawn one at a time."""
+    n = p * p + p + 1
+    moved = {}  # position -> index, where the shuffle has swapped
+    for i in range(n):
+        j = rng.randrange(i, n)
+        index = moved.get(j, j)
+        moved[j] = moved.pop(i, i)
+        yield ((1, index // p, index % p) if index < p * p
+               else (0, 1, index - p * p) if index < n - 1 else (0, 0, 1))
+
+
 def interpolate_drop_curve(M, t, seed=0, target_degree=9):
     """The plane curve where a 3-variable linear-form matrix drops rank.
 
-    Along the lines of P^2(F_p), in a seeded shuffle, the homogenized
-    stabilized gcd of the (t+1)-minors is the curve's restriction up to
-    scale: target_degree linear conditions on the unknown form when its
-    degree is target_degree.  Other lines, and unstable gcds, are
+    Along the lines of P^2(F_p), drawn one at a time in a seeded shuffle,
+    the homogenized stabilized gcd of the (t+1)-minors is the curve's
+    restriction up to scale: target_degree linear conditions on the form
+    when its degree is target_degree.  Other lines and unstable gcds are
     skipped.  The gcd sees the determinantal scheme: a doubled component
     comes back squared.  Forms divisible by the product of k <=
     target_degree lines meet those lines' conditions, so the system is
-    solved from target_degree + 1 lines on, until it has corank 1.
-    Corank 0 means no such curve exists; corank >= 2 after every line
-    means F_p is too small.  The form returned has coefficients in F_p,
-    its first nonzero one (in the monomial order) 1.
+    solved from target_degree + 1 lines on, until it has corank 1.  No
+    stable gcd of degree target_degree, or corank 0, refuses the input;
+    too few lines or corank >= 2 mean F_p is too small.  The form has
+    coefficients in F_p, its first nonzero one (monomial order) 1.
     """
 
     field = M.field
@@ -299,11 +306,10 @@ def interpolate_drop_curve(M, t, seed=0, target_degree=9):
         raise PreconditionError("target degree must be positive")
     ncoef = monomial_count(3, target_degree)
     rng = random.Random(seed)
-    duals = list(projective_points(field, 3))
-    rng.shuffle(duals)
     conditions = []
     used = 0
-    for dual in duals:
+    other_degrees = set()  # of stable gcds that are not target_degree
+    for dual in _shuffled_plane_points(p, rng):
         a, b = modular.kernel_mod_p([list(dual)], p).tolist()
         try:
             affine, inf_mult = _line_minor_gcd(*_line_arrays(M, (a, b)),
@@ -313,6 +319,7 @@ def interpolate_drop_curve(M, t, seed=0, target_degree=9):
         # homogenized: G[k] is the coefficient of s^k u^(d-k)
         G = affine + [0] * inf_mult
         if len(G) - 1 != target_degree:
+            other_degrees.add(len(G) - 1)
             continue
         pivot = next(k for k in range(len(G)) if G[k])
         weights = _binary_restriction_weights(a, b, target_degree, p)
@@ -325,23 +332,33 @@ def interpolate_drop_curve(M, t, seed=0, target_degree=9):
             kern = modular.kernel_mod_p(conditions, p)
             if kern.shape[0] <= 1:
                 break
-    if used <= target_degree:  # never solved; a zero row when no line
-        kern = modular.kernel_mod_p(conditions or [[0] * ncoef], p)
-    corank = kern.shape[0]
+    if not used and other_degrees:
+        raise PreconditionError(
+            "no degree-%d curve: every stable line gcd has degree %s"
+            % (target_degree, " or ".join(map(str, sorted(other_degrees)))))
+    corank = (len(kern) if used > target_degree else
+              len(modular.kernel_mod_p(conditions, p)) if used else ncoef)
+    if used <= target_degree or corank > 1:
+        raise UnstableComputationError(
+            "drop-curve system still has corank %d after %d usable lines of "
+            "P^2(F_%d); sample over a larger field" % (corank, used, p))
     if corank == 0:
         raise PreconditionError(
             "no degree-%d curve has the restrictions of %d line gcds"
             % (target_degree, used))
-    if corank > 1:
-        raise UnstableComputationError(
-            "drop-curve system still has corank %d after every line of "
-            "P^2(F_%d); sample over a larger field" % (corank, p))
 
     coeffs = [int(c) % p for c in kern[0]]
     lead = next(i for i, c in enumerate(coeffs) if c)
     inv = pow(coeffs[lead], p - 2, p)
     coeffs = [c * inv % p for c in coeffs]
     return HomogeneousForm(3, target_degree, coeffs, field, M.alphabet)
+
+
+def require_scannable(order):
+    """Refuse a singular scan over more than SCAN_FIELD_MAX elements."""
+    if order > SCAN_FIELD_MAX:
+        raise PreconditionError("singular scan over F_%d: more than %d "
+                                "elements" % (order, SCAN_FIELD_MAX))
 
 
 def singular_points_plane_curve(F, search_extension=1):
@@ -358,20 +375,14 @@ def singular_points_plane_curve(F, search_extension=1):
     base = F.field
     if base.char == 0:
         raise PreconditionError("singular-point scan needs a finite field")
-    if search_extension == 1:
-        field = base
-        G = F
-    elif search_extension == 2:
-        if not isinstance(base, PrimeField):
-            raise PreconditionError("extension scan starts from GF(p)")
-        field = GF(base.char, 2)
-        G = F.lift_to(field)
-    else:
+    if search_extension not in (1, 2):
         raise PreconditionError("search extension must be 1 or 2")
+    if search_extension == 2 and not isinstance(base, PrimeField):
+        raise PreconditionError("extension scan starts from GF(p)")
+    field = base if search_extension == 1 else GF(base.char, 2)
+    G = F if search_extension == 1 else F.lift_to(field)
     p = field.char
-    if p ** field.degree > SCAN_FIELD_MAX:
-        raise PreconditionError("singular scan over F_%d: more than %d "
-                                "elements" % (p ** field.degree, SCAN_FIELD_MAX))
+    require_scannable(p ** field.degree)
     w2 = field.nonresidue if field.degree == 2 else 0
     forms = [G] + [G.derivative(i) for i in range(3)]
     out = []
