@@ -238,14 +238,13 @@ def run_ranklocus(args, field, seed):
     if args.restrict_plane:
         M = restrict_linear_matrix(M, catalog.plane_substitution(field))
         matrix_ref += "|plane"
-    curve, singulars, classification, point_field = None, [], None, field
+    curve, singulars, classification = None, [], None
     if args.interpolate:
         if M.nvars != 3:
             raise PreconditionError(
                 "interpolation needs a 3-variable matrix; use --restrict-plane")
         curve, singulars, classification = _drop_curve_and_node(
             M, args.threshold, seed)
-        point_field = GF(field.char, 2)
     rng = random.Random(seed)
     degrees = []
     if field.char > 50 and field.degree == 1:
@@ -253,24 +252,31 @@ def run_ranklocus(args, field, seed):
             line = _random_line(field, rng, M.nvars)
             degrees.append(rankloci.drop_degree_on_line(
                 M, line, args.threshold, seed=rng.randrange(1 << 30)))
-    payload = rankloci.drop_report(matrix_ref, args.threshold, degrees,
-                                   curve, singulars, classification,
-                                   point_field=point_field)
+    payload = {
+        "matrix": matrix_ref,
+        "threshold": args.threshold,
+        "line_degrees": degrees,
+        "curve": curve.to_text() if curve is not None else None,
+        "singular_points": singulars,
+        "classification": classification,
+    }
     return payload, True
 
 
 def _drop_curve_and_node(M, threshold, seed):
     """The drop curve of a 3-variable matrix over GF(p), its singular
-    points in P^2(F_{p^2}) (a field too large to scan is refused first),
-    and the grade of a lone one (else None)."""
+    points in P^2(F_{p^2}) as scalar text (a field too large to scan is
+    refused first), and the grade of a lone one (else None)."""
     rankloci.require_scannable(M.field.char ** 2)
     curve = rankloci.interpolate_drop_curve(M, threshold, seed=seed)
-    singulars = rankloci.singular_points_plane_curve(curve, search_extension=2)
+    ext = GF(curve.field.char, 2)
+    lifted = curve.lift_to(ext)
+    singulars = rankloci.singular_points_plane_curve(lifted)
     grade = None
     if len(singulars) == 1:
-        grade = rankloci.classify_singularity(
-            curve.lift_to(GF(curve.field.char, 2)), list(singulars[0]))
-    return curve, singulars, grade
+        grade = rankloci.classify_singularity(lifted, list(singulars[0]))
+    points = [[ext.format_scalar(c) for c in pt] for pt in singulars]
+    return curve, points, grade
 
 
 def run_catalog(args, field, seed):
@@ -369,9 +375,8 @@ def _repro_drop_curve(field, seed, checks):
                 detail={"computed": curve.to_text(), "reference": ref.to_text()})
     _check(checks, "singular-point-count", 1, len(singulars))
     if len(singulars) == 1:
-        ext = GF(field.char, 2)
-        pt = [ext.format_scalar(c) for c in singulars[0]]
-        _check(checks, "singular-point-location", ["0", "1", "0"], pt)
+        _check(checks, "singular-point-location", ["0", "1", "0"],
+               singulars[0])
         _check(checks, "node-classification", "node", grade)
 
 

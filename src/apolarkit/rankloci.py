@@ -6,10 +6,17 @@ Three instruments over finite fields:
   matrix along a line, through the gcd of random compressions det(L M R),
   each a random combination of all maximal minors (Cauchy-Binet);
 * interpolate_drop_curve recovers the drop curve of a 3-variable matrix
-  from those gcds along F_p-rational lines (plane_drop_points is a
-  separate exhaustive scan for drop points);
+  from those gcds along F_p-rational lines, each matched against the
+  curve's restriction weights, which are taken over F_p;
 * singular_points_plane_curve and classify_singularity locate and grade
   the singularities of plane curves.
+
+Each function works over the one field it is given: a caller who wants
+the singular points over F_{p^2} lifts the curve first.  GF(p^2) enters
+the curve computation only as interpolation nodes of the line gcds when
+p <= t + 1.  plane_drop_points, an exhaustive scan of P^2(F_p) for drop
+points, has no caller in the curve pipeline; it stays as a benchmark
+span target and as a test reference.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
@@ -221,32 +228,23 @@ def drop_degree_on_line(M, line, t, seed=0):
     return degree
 
 
-def plane_drop_points(M, t, extension_degree=1):
-    """All points of P^2 over F_p or F_{p^2} where rank(M) <= t.
+def plane_drop_points(M, t):
+    """All points of P^2(F_p) where rank(M) <= t.
 
-    A standalone scan, for a linear-form matrix in 3 variables over a
-    prime field.  It is exhaustive, so the extension degree is capped at
-    2 and p at modular.TABLE_MAX_PRIME for the quadratic case.
+    A standalone exhaustive scan, for a linear-form matrix in 3 variables
+    over a prime field; no curve computation calls it.
     """
     field = M.field
     if M.nvars != 3:
         raise PreconditionError("plane scan wants a matrix in 3 variables")
     if not isinstance(field, PrimeField):
         raise PreconditionError("plane scan works over GF(p)")
-    if extension_degree not in (1, 2):
-        raise PreconditionError("extension degree must be 1 or 2")
     p = field.char
     arrays = M.integer_coefficient_arrays()
-    ext = field if extension_degree == 1 else GF(p, 2)
-    tables = modular.quadratic_tables(ext) if extension_degree == 2 else None
     out = []
-    for chunk in modular.chunked(projective_points(ext, 3), arrays[0].size):
-        q_re, q_im = _pairs(chunk, ext)
-        stack = np.einsum("kv,vij->kij", q_re, arrays) % p
-        if extension_degree == 2:
-            stack += p * (np.einsum("kv,vij->kij", q_im, arrays) % p)
-        ranks = (tables.batch_rank(stack) if tables
-                 else modular.rank_mod_p(stack, p))
+    for chunk in modular.chunked(projective_points(field, 3), arrays[0].size):
+        stack = modular.matmul_mod(np.array(chunk), arrays.reshape(3, -1), p)
+        ranks = modular.rank_mod_p(stack.reshape(-1, M.nrows, M.ncols), p)
         out.extend(chunk[i] for i in np.flatnonzero(ranks <= t))
     return out
 
@@ -254,17 +252,26 @@ def plane_drop_points(M, t, extension_degree=1):
 def _binary_restriction_weights(a, b, degree, p):
     """weights[k][i]: coefficient of s^k u^(d-k) in monomial_i(u*a + s*b).
 
-    Every monomial is evaluated at a + s*b for the first d+1 nodes s of
-    GF(p^2) and interpolated there.  Both line points are integer vectors
-    mod p, so the weights are plain ints mod p.
+    Each monomial prod_v z_v^e_v restricts to prod_v (a_v u + b_v s)^e_v,
+    multiplied out in Python integers mod p.
     """
-    ext = GF(p, 2)
-    nodes = list(itertools.islice(ext.elements(), degree + 1))
-    points = [[((x + s * y) % p, t * y % p) for x, y in zip(a, b)]
-              for s, t in nodes]
-    re, im = _monomials_at_points(points, degree, ext)
-    weights, _ = modular.interpolate_at_nodes((re + p * im).T, nodes, ext)
-    return weights.T.tolist()
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return [c % p for c in out]
+
+    # powers[v][e]: coefficients of (a_v u + b_v s)^e, by the power of s
+    powers = []
+    for x, y in zip(a, b):
+        row = [[1]]
+        for _ in range(degree):
+            row.append(times(row[-1], [x % p, y % p]))
+        powers.append(row)
+    columns = [times(times(powers[0][e0], powers[1][e1]), powers[2][e2])
+               for e0, e1, e2 in monomial_exponents(3, degree)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _shuffled_plane_points(p, rng):
@@ -361,35 +368,29 @@ def require_scannable(order):
                                 "elements" % (order, SCAN_FIELD_MAX))
 
 
-def singular_points_plane_curve(F, search_extension=1):
-    """All singular points of a plane curve within P^2(F_{p^k}), k <= 2.
+def singular_points_plane_curve(F):
+    """All singular points of a plane curve within P^2 over its own field.
 
     A point is reported when F and all three partial derivatives vanish
-    there; the scan is exhaustive over the requested field, in
+    there; the scan is exhaustive over F.field (GF(p) or GF(p^2)), in
     projective_points order, and evaluates the four forms at a chunk of
-    points at once: monomial values times coefficient vectors.  A search
-    field of more than SCAN_FIELD_MAX elements is refused.
+    points at once: monomial values times coefficient vectors.  A field
+    of more than SCAN_FIELD_MAX elements is refused.
     """
     if F.nvars != 3:
         raise PreconditionError("singular-point scan wants a ternary form")
-    base = F.field
-    if base.char == 0:
+    field = F.field
+    if field.char == 0:
         raise PreconditionError("singular-point scan needs a finite field")
-    if search_extension not in (1, 2):
-        raise PreconditionError("search extension must be 1 or 2")
-    if search_extension == 2 and not isinstance(base, PrimeField):
-        raise PreconditionError("extension scan starts from GF(p)")
-    field = base if search_extension == 1 else GF(base.char, 2)
-    G = F if search_extension == 1 else F.lift_to(field)
     p = field.char
     require_scannable(p ** field.degree)
     w2 = field.nonresidue if field.degree == 2 else 0
-    forms = [G] + [G.derivative(i) for i in range(3)]
+    forms = [F] + [F.derivative(i) for i in range(3)]
     out = []
     # a chunk's monomial values and their products: some 16 arrays of
     # (points x monomials) entries at once
     for chunk in modular.chunked(projective_points(field, 3),
-                                 16 * monomial_count(3, G.degree)):
+                                 16 * monomial_count(3, F.degree)):
         monomials = {g.degree: _monomials_at_points(chunk, g.degree, field)
                      for g in forms}
         vanish = np.ones(len(chunk), dtype=bool)
@@ -465,21 +466,3 @@ def classify_singularity(F, point):
                for g in gradient]
     return "node" if ExactMatrix(hessian, field).rank() == 2 else "worse"
 
-
-def drop_report(matrix_ref, threshold, line_degrees, curve, singular_points,
-                classification, point_field=None):
-    """Assemble the JSON-ready report for one drop-locus investigation.
-
-    point_field covers the case of singular points found in a quadratic
-    extension of the curve's own field; it defaults to the curve field.
-    """
-    field = point_field or (curve.field if curve is not None else None)
-    return {
-        "matrix": matrix_ref,
-        "threshold": threshold,
-        "line_degrees": list(line_degrees),
-        "curve": curve.to_text() if curve is not None else None,
-        "singular_points": [[field.format_scalar(c) for c in pt]
-                            for pt in singular_points],
-        "classification": classification,
-    }

@@ -155,7 +155,7 @@ def test_criterion_06_drop_curve_singular_point_is_the_stored_node():
     t0 = time.perf_counter()
     curve = _family_plane_curve_mod5()
     ext = GF(5, 2)
-    singulars = singular_points_plane_curve(curve, search_extension=2)
+    singulars = singular_points_plane_curve(curve.lift_to(ext))
     assert len(singulars) == 1, singulars
     grade = classify_singularity(curve.lift_to(ext), list(singulars[0]))
     location = [ext.format_scalar(c) for c in singulars[0]]

@@ -222,7 +222,7 @@ def test_stored_curve_comes_from_the_shifted_parameters():
     ref = catalog.reference_drop_curve_mod5()
     assert curve == ref
     F25 = GF(5, 2)
-    sing = singular_points_plane_curve(curve, search_extension=2)
+    sing = singular_points_plane_curve(curve.lift_to(F25))
     assert sing == [(F25.zero, F25.one, F25.zero)]
     assert classify_singularity(curve.lift_to(F25), sing[0]) == "node"
 
@@ -247,6 +247,6 @@ def test_displayed_parameters_give_a_different_curve():
     F25 = GF(5, 2)
     assert point_count(curve.lift_to(F25)) == 29
     assert point_count(ref.lift_to(F25)) == 27
-    sing = singular_points_plane_curve(curve, search_extension=2)
+    sing = singular_points_plane_curve(curve.lift_to(F25))
     assert sing == [(F25.one, F25.zero, F25.zero)]
     assert classify_singularity(curve.lift_to(F25), sing[0]) == "node"

@@ -160,7 +160,7 @@ def test_interpolation_without_plane_exits_3(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("p", [23, 10007])
+@pytest.mark.parametrize("p", [13, 19, 23, 10007])
 def test_interpolation_past_the_singular_scan_cap_exits_3(p):
     # the singular scan would cover P^2(F_{p^2}), 280,371 points at p = 23,
     # so the field is refused before any line of P^2(F_p) is drawn
@@ -247,6 +247,14 @@ RANKLOCUS_STDOUT_SHA256 = {
     ("--field", "fp:11", "--seed", "0", "ranklocus", "--family",
      "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
         "8768bc78aba0aa6a6ebe620fd24c0ac4ebbdae0e8151d5410f664f996751097e",
+    # the text renderer prints the payload keys in the order the report
+    # builds them
+    ("--format", "text", "--field", "fp:5", "--seed", "0", "ranklocus",
+     "--family", "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
+        "20f621b6e714d73ff74b9615cfad74587757aff294cbea039855c964a966ce0b",
+    ("--format", "text", "--field", "fp:5", "--seed", "3", "ranklocus",
+     "--family", "1,-1,1,-1,1", "--restrict-plane", "--interpolate"):
+        "4daa6bcb19fbac7aee9d66b61d2aabc7b62fca372ed7984a21f6ca9ce00e0538",
 }
 
 

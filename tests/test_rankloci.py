@@ -18,7 +18,6 @@ from apolarkit.forms import (
 from apolarkit.rankloci import (
     classify_singularity,
     drop_degree_on_line,
-    drop_report,
     interpolate_drop_curve,
     plane_drop_points,
     singular_points_plane_curve,
@@ -90,10 +89,6 @@ def test_plane_drop_points_of_diagonal_matrix():
     # two lines with 6 points each, sharing one point
     assert len(base) == 11
     assert all(q[0] == 0 or q[1] == 0 for q in base)
-    ext = plane_drop_points(M, 1, extension_degree=2)
-    assert len(ext) == 2 * 26 - 1
-    with pytest.raises(PreconditionError):
-        plane_drop_points(M, 1, extension_degree=3)
     with pytest.raises(PreconditionError):
         plane_drop_points(diag_matrix(QQ), 1)
 
@@ -172,10 +167,8 @@ def test_singular_point_scan_and_classification():
     assert classify_singularity(nodal, (1, 0, 6)) == "smooth"
     with pytest.raises(PreconditionError):
         classify_singularity(nodal, (1, 1, 1))  # not on the curve
-    with pytest.raises(PreconditionError):
-        singular_points_plane_curve(nodal.lift_to(GF(7, 2)), search_extension=2)
     smooth_conic = parse_form("z0^2+z1^2+z2^2", field=GF(7))
-    assert singular_points_plane_curve(smooth_conic, search_extension=2) == []
+    assert singular_points_plane_curve(smooth_conic.lift_to(GF(7, 2))) == []
     triangle = parse_form("z0*z1*z2", field=F7)
     assert singular_points_plane_curve(triangle) == [
         (1, 0, 0), (0, 1, 0), (0, 0, 1)]
@@ -239,8 +232,7 @@ def test_hessian_rank_grading_matches_the_jet_discriminant(p):
                     continue
                 for k in (1, 2):
                     G = form.lift_to(GF(p, k))
-                    for pt in singular_points_plane_curve(form,
-                                                          search_extension=k):
+                    for pt in singular_points_plane_curve(G):
                         grade = classify_singularity(G, pt)
                         assert grade == _jet_discriminant_grade(G, pt), (G, pt)
                         grades.append(grade)
@@ -258,21 +250,6 @@ def test_restricted_family_matrix_has_degree_nine_plane_divisor():
     assert (R.nrows, R.ncols, R.nvars) == (35, 21, 3)
     assert drop_degree_on_line(R, ((1, 2, 3), (4, 5, 6)), 20) == 9
     assert drop_degree_on_line(R, ((1, 0, 0), (0, 1, 1)), 20, seed=3) == 9
-
-
-def test_drop_report_structure():
-    curve = parse_form("z0*z1", field=GF(5))
-    pts = plane_drop_points(diag_matrix(GF(5)), 1)[:2]
-    report = drop_report("diag", 1, [2, 2], curve, pts, "node")
-    assert report["curve"] == "z0*z1"
-    assert report["line_degrees"] == [2, 2]
-    assert len(report["singular_points"]) == 2
-    ext_pt = [(GF(5, 2).one, GF(5, 2).zero, GF(5, 2).zero)]
-    report2 = drop_report("diag", 1, [], curve.lift_to(GF(5, 2)), ext_pt,
-                          "node", point_field=GF(5, 2))
-    assert report2["singular_points"][0][0] == GF(5, 2).format_scalar(GF(5, 2).one)
-    report3 = drop_report("diag", 1, [9], None, [], None)
-    assert report3["curve"] is None
 
 
 def _det7(rows):
@@ -362,15 +339,39 @@ def test_gf23_paper_plane_curve_is_pinned(seed):
         == GF23_PAPER_CURVE
 
 
+def test_interpolate_drop_curve_over_a_31_bit_prime():
+    # the restriction weights multiply residues near 2^31 without wrapping
+    # in int64, so the paper member's curve comes back, and it restricts
+    # to the line gcd on fresh lines the interpolation never drew
+    p = 2147483647
+    F = GF(p)
+    R = restrict_linear_matrix(
+        m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
+        catalog.plane_substitution(F))
+    curve = interpolate_drop_curve(R, 20)
+    assert curve.degree == 9
+    rng = random.Random(31)
+    for _ in range(3):
+        a, b = ([rng.randrange(p) for _ in range(3)] for _ in range(2))
+        affine, inf_mult = rankloci._line_minor_gcd(
+            *rankloci._line_arrays(R, (a, b)), 21, p, rng)
+        G = affine + [0] * inf_mult
+        line = [HomogeneousForm.linear([av, bv], F) for av, bv in zip(a, b)]
+        image = curve.substitute(line)
+        restriction = [image.coefficient((9 - k, k)) for k in range(10)]
+        assert any(restriction) and len(G) == 10
+        assert rankloci.proportional(G, restriction, p), (a, b)
+
+
 def test_singular_scan_refuses_fields_past_121_elements():
     F = parse_form("z0*z1", field=GF(23))
     assert singular_points_plane_curve(F) == [(0, 0, 1)]
     with pytest.raises(PreconditionError, match="F_529"):
-        singular_points_plane_curve(F, search_extension=2)
+        singular_points_plane_curve(F.lift_to(GF(23, 2)))
     with pytest.raises(PreconditionError, match="F_127"):
         singular_points_plane_curve(parse_form("z0*z1", field=GF(127)))
     assert len(singular_points_plane_curve(
-        parse_form("z0*z1", field=GF(11)), search_extension=2)) == 1
+        parse_form("z0*z1", field=GF(11)).lift_to(GF(11, 2)))) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -393,7 +394,7 @@ def test_line_gcds_on_every_f5_line_restrict_the_curve(seed):
         assert rankloci.proportional(G, restriction, 5), (a, b)
 
 
-@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("p", [5, 7, 2147483647, 2147483629])
 def test_binary_restriction_weights_match_substitution(p):
     F = GF(p)
     rng = random.Random(p)
@@ -421,14 +422,14 @@ def _pointwise_singular_points(F, field):
 def test_stacked_singular_scan_matches_the_pointwise_scan(text, p):
     F = parse_form(text, field=GF(p))
     for k in (1, 2):
-        got = singular_points_plane_curve(F, search_extension=k)
+        got = singular_points_plane_curve(F.lift_to(GF(p, k)))
         assert got == _pointwise_singular_points(F, GF(p, k))
     assert singular_points_plane_curve(F) != []
 
 
 def test_stacked_singular_scan_of_the_paper_curve_over_gf25():
     _, curve = _paper_plane_mod5()
-    got = singular_points_plane_curve(curve, search_extension=2)
+    got = singular_points_plane_curve(curve.lift_to(GF(5, 2)))
     assert got == _pointwise_singular_points(curve, GF(5, 2))
     assert len(got) == 1
 
