@@ -15,11 +15,12 @@ field's arithmetic as an object:
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 .batch_rank are thin entry points over the core (all but kernel_mod_p
 take stacks too); no library code calls .batch_rank, which stays as a
-benchmark span target and a test reference.  ExactMatrix and linalg.pivot_columns send their
-finite-field ranks, pivots, rrefs and kernels through it, and every
-rational rank, pivot set, rref and kernel as well: the mod-p rank that
-bounds a rational rank from below is an elimination of the core, whose
-LU the p-adic rational kernel then lifts from.
+benchmark span target and a test reference.  ExactMatrix and
+linalg.pivot_columns send their finite-field ranks, pivots, rrefs and
+kernels through it, and every rational rank, pivot set, rref and kernel
+as well: the mod-p rank that bounds a rational rank from below is an
+elimination of the core, whose LU the p-adic rational kernel then lifts
+from.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
 evaluation, gcd, derivative.  lagrange_interpolate works over any
