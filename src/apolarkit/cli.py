@@ -487,15 +487,16 @@ def build_parser():
     parser.add_argument("--out", default=None, help="write the report here")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    family_help = "a,b,c,d,e; join a negative a with =: --family=-5,3,3,2,-3"
 
     p = sub.add_parser("apolar", help="apolar ideal summary of a form")
     p.add_argument("form", nargs="?", default=None)
-    p.add_argument("--family", default=None, help="a,b,c,d,e family parameters")
+    p.add_argument("--family", default=None, help=family_help)
     p.set_defaults(runner=run_apolar, fields=("q", "fp"))
 
     p = sub.add_parser("betti", help="graded Betti table")
     p.add_argument("form", nargs="?", default=None)
-    p.add_argument("--family", default=None)
+    p.add_argument("--family", default=None, help=family_help)
     p.add_argument("--points", type=int, default=None,
                    help="use this many seeded random rational points instead")
     p.add_argument("--max-i", type=int, default=6)
@@ -505,7 +506,7 @@ def build_parser():
 
     p = sub.add_parser("m2", help="second-syzygy matrix of a cubic")
     p.add_argument("form", nargs="?", default=None)
-    p.add_argument("--family", default=None)
+    p.add_argument("--family", default=None, help=family_help)
     p.add_argument("--samples", type=int, default=3,
                    help="random points to sample the rank at")
     p.add_argument("--dump", action="store_true", help="include all entries")
@@ -513,7 +514,7 @@ def build_parser():
 
     p = sub.add_parser("ranklocus", help="rank-drop loci of the syzygy matrix")
     p.add_argument("form", nargs="?", default=None)
-    p.add_argument("--family", default=None)
+    p.add_argument("--family", default=None, help=family_help)
     p.add_argument("--threshold", type=int, default=20)
     p.add_argument("--lines", type=int, default=5,
                    help="random lines for degree measurement (needs p > 50)")

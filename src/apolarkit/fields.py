@@ -168,6 +168,9 @@ class PrimeField:
     def elements(self):
         return range(self.p)
 
+    def encode(self, a):
+        return a % self.p
+
     def random_element(self, rng, nonzero=False):
         lo = 1 if nonzero else 0
         return rng.randrange(lo, self.p)

@@ -10,7 +10,8 @@ field's arithmetic as an object:
 
 * PrimeArithmetic reduces mod a prime p < 2^31, codes in range(p);
 * QuadraticTables looks F_{p^2} sums, products and inverses up in tables
-  for small p, elements packed as the int a + p*b.
+  for small p, elements packed as the int a + p*b, the one array form of
+  F_{p^2}.  Only it knows how w multiplies, in its tables and its matmul.
 
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 .batch_rank are thin entry points over the core (all but kernel_mod_p
@@ -24,9 +25,10 @@ from.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
 evaluation, gcd, derivative.  lagrange_interpolate works over any
-field object; interpolate_at_nodes interpolates many value rows at fixed
-nodes by one product with the inverse Vandermonde matrix, built once per
-(nodes, field) from lagrange_interpolate of the unit vectors and cached.
+field object; interpolate_at_nodes interpolates many code rows at fixed
+node codes by one matmul with the inverse Vandermonde code matrix, built
+once per (nodes, field) from lagrange_interpolate of the unit vectors and
+cached.
 
 Primes stay below 2^31, so a product of two residues stays below 2^62
 and fits in int64; the core only ever forms one product per entry
@@ -225,6 +227,9 @@ class PrimeArithmetic:
         np.subtract(block, out, out=out)
         return np.mod(out, self.p, out=out)
 
+    def matmul(self, x, y):
+        return matmul_mod(x, y, self.p)
+
 
 prime_arithmetic = lru_cache(maxsize=None)(PrimeArithmetic)
 
@@ -308,9 +313,10 @@ def kernel_mod_p(matrix, p):
 class QuadraticTables:
     """Packed-int arithmetic tables for F_{p^2}, p small and odd.
 
-    Elements are ints a + p*b for (a, b) coordinates over F_p.  The
-    addition and multiplication tables have p^2 * p^2 entries, which is
-    tiny for the primes this package allows (p <= TABLE_MAX_PRIME).
+    Elements are ints a + p*b for a + b*w over F_p, w^2 = nonresidue: the
+    base field is exactly the codes below p.  The addition and
+    multiplication tables have p^2 * p^2 entries, which is tiny for the
+    primes this package allows (p <= TABLE_MAX_PRIME).
     """
 
     def __init__(self, field):
@@ -321,20 +327,14 @@ class QuadraticTables:
         self.field = field
         self.p = p
         self.q = p * p
-        n = field.nonresidue
         codes = np.arange(self.q)
-        a = codes % p
-        b = codes // p
+        a, b = codes % p, codes // p
         self.add_table = (np.add.outer(a, a) % p
                           + p * (np.add.outer(b, b) % p)).astype(np.int64)
-        # mul[x, y] via the (a + bw)(c + dw) expansion with w^2 = n
-        re = (np.outer(a, a) + n * np.outer(b, b)) % p
-        im = (np.outer(a, b) + np.outer(b, a)) % p
-        self.mul_table = (re + p * im).astype(np.int64)
-        self.neg_table = ((p - a) % p + p * ((p - b) % p)).astype(np.int64)
-        self.inv_table = np.array(
-            [0] + [field.encode(field.inv(field.decode(x)))
-                   for x in range(1, self.q)], dtype=np.int64)
+        self.mul_table = self.matmul(codes[:, None], codes[None, :])
+        self.neg_table = self.mul_table[:, p - 1].copy()  # times -1
+        # the y with x * y = 1, and 0 for x = 0, whose row holds no 1
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1)
 
     def decode(self, code):
         return self.field.decode(int(code))
@@ -347,6 +347,15 @@ class QuadraticTables:
 
     def inv(self, x):
         return self.inv_table[x]
+
+    def matmul(self, x, y):
+        """x @ y of packed code arrays, on their (re, im) integer parts:
+        (a + bw)(c + dw) = ac + n bd + (ad + bc)w.  Every part is below
+        p <= 11, so no int64 dot product comes near overflow."""
+        p = self.p
+        xre, xim, yre, yim = x % p, x // p, y % p, y // p
+        re = xre @ yre + self.field.nonresidue * (xim @ yim)
+        return re % p + p * ((xre @ yim + xim @ yre) % p)
 
     def sub_mul(self, block, factors, row):
         """block minus the outer product of factors and row."""
@@ -465,30 +474,26 @@ def lagrange_interpolate(xs, ys, field):
 
 @lru_cache(maxsize=None)
 def _inverse_vandermonde(nodes, field):
-    """(re, im) int64 arrays whose column i holds the coefficients of the
-    Lagrange basis polynomial of nodes[i]: lagrange_interpolate of the
-    i-th unit vector."""
+    """The (n, n) code array whose column i holds the coefficients of the
+    Lagrange basis polynomial of the node with code nodes[i]:
+    lagrange_interpolate of the i-th unit vector."""
+    xs = [field_arithmetic(field).decode(x) for x in nodes]
     n = len(nodes)
-    out = np.zeros((2, n, n), dtype=np.int64)
+    out = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         unit = [field.one if j == i else field.zero for j in range(n)]
-        for k, c in enumerate(lagrange_interpolate(nodes, unit, field)):
-            out[:, k, i] = c if field.degree == 2 else (c, 0)
+        for k, c in enumerate(lagrange_interpolate(xs, unit, field)):
+            out[k, i] = field.encode(c)
     return out
 
 
 def interpolate_at_nodes(values, nodes, field):
     """lagrange_interpolate of every row of an int64 code array at once.
 
-    values has one row of codes per polynomial (a + p*b over GF(p^2)),
-    one column per node.  Returns the (re, im) coefficient arrays, low
+    values has one row of codes per polynomial, one column per node;
+    nodes are the codes of the nodes.  Returns the coefficient codes, low
     degree first and untrimmed, from one product with the inverse
-    Vandermonde matrix of (nodes, field), cached; w^2 = nonresidue.
+    Vandermonde matrix of (nodes, field), cached.
     """
-    p = field.char
-    vre, vim = _inverse_vandermonde(tuple(nodes), field)
-    yre, yim = values % p, values // p
-    if field.degree == 1:
-        return matmul_mod(yre, vre.T, p), np.zeros_like(yre)
-    re = yre @ vre.T + field.nonresidue * (yim @ vim.T)
-    return re % p, (yre @ vim.T + yim @ vre.T) % p
+    arith = field_arithmetic(field)
+    return arith.matmul(values, _inverse_vandermonde(tuple(nodes), field).T)

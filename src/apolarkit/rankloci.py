@@ -14,9 +14,10 @@ Three instruments over finite fields:
 Each function works over the one field it is given: a caller who wants
 the singular points over F_{p^2} lifts the curve first.  GF(p^2) enters
 the curve computation only as interpolation nodes of the line gcds when
-p <= t + 1.  plane_drop_points, an exhaustive scan of P^2(F_p) for drop
-points, has no caller in the curve pipeline; it stays as a benchmark
-span target and as a test reference.
+p <= t + 1.  Field elements are modular.py code arrays, multiplied by
+the field's arithmetic object.  plane_drop_points, an exhaustive scan
+of P^2(F_p) for drop points, has no caller in the curve pipeline; it
+stays as a benchmark span target and as a test reference.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
@@ -28,9 +29,9 @@ seed).
 
 from __future__ import annotations
 
-import itertools
 import random
-from functools import partial
+from functools import partial, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -91,10 +92,10 @@ def _line_minor_gcd(A, B, size, p, rng):
     """
     nrows, ncols = A.shape
     field = GF(p) if p > size else GF(p, 2)
-    nodes = list(itertools.islice(field.elements(), size + 1))
-    if len(nodes) < size + 1:
+    if p * p < size + 1:
         raise PreconditionError("p^2=%d too small to interpolate degree %d"
                                 % (p * p, size))
+    nodes = range(size + 1)  # the codes of the first size + 1 elements
     det = (partial(modular.det_mod_p, p=p) if field.degree == 1
            else modular.quadratic_tables(field).det)
     cap = 40 * COMPRESSIONS_PER_ROUND
@@ -134,47 +135,40 @@ def _line_minor_gcd(A, B, size, p, rng):
         "minor gcd did not stabilize within %d rounds" % MAX_ROUNDS)
 
 
-def _compressed_minor_polys(A, B, params, field, det, draws):
+def _compressed_minor_polys(A, B, nodes, field, det, draws):
     """Restrictions det(L (A + sB) R) of a batch of compressions.
 
-    params are the interpolation nodes in field (GF(p) or GF(p^2)), det
-    takes a stack of packed codes (a + p*b).  L A R and L B R are formed
+    nodes are the codes of the interpolation nodes in field (GF(p) or
+    GF(p^2)), det takes a stack of codes.  L A R and L B R are formed
     once per draw; their node stack is taken through det in chunks of at
     most modular.CHUNK_ENTRIES entries.  L, R, A and B are F_p-rational,
-    so every restriction must interpolate into F_p.
+    so every restriction must interpolate into F_p: the codes below p.
     """
     p = field.char
+    arith = modular.field_arithmetic(field)
     size = len(draws[0][0])
-    nodes_re, nodes_im = _pairs(params, field)
-    # compressed[draw] = (L A R, L B R)
+    minus_s = arith.neg(np.array(nodes))  # -s at each node
+    # compressed[draw] = (L A R, L B R), flattened
     compressed = modular.matmul_mod(np.array([L for L, _ in draws])[:, None],
                                     np.array([A, B]), p)
     if draws[0][1] is not None:
         compressed = modular.matmul_mod(
             compressed, np.array([R for _, R in draws])[:, None], p)
+    compressed = compressed.reshape(len(draws), 2, -1)
 
-    def node_stack(d, n):
-        # packed codes of L A R + s L B R for each (draw d, node n), built
-        # in place so that no temporary outlives the stack
-        lbr = compressed[d, 1]
-        stack = lbr * nodes_re[n, None, None]
-        stack += compressed[d, 0]
-        stack %= p
-        if field.degree == 2:
-            lbr *= nodes_im[n, None, None]
-            lbr %= p
-            stack += p * lbr
-        return stack
-
-    vals = [det(node_stack(*np.array(chunk).T))
-            for chunk in modular.chunked(np.ndindex(len(draws), len(params)),
-                                         size * size)]
-    re, im = modular.interpolate_at_nodes(
-        np.concatenate(vals).reshape(len(draws), -1), params, field)
-    if im.any():
+    vals = []
+    for chunk in modular.chunked(np.ndindex(len(draws), len(nodes)),
+                                 size * size):
+        d, n = np.array(chunk).T
+        # L A R + s L B R for each (draw d, node s)
+        stack = arith.sub_mul(compressed[d, 0], minus_s[n], compressed[d, 1])
+        vals.append(det(stack.reshape(-1, size, size)))
+    coeffs = modular.interpolate_at_nodes(
+        np.concatenate(vals).reshape(len(draws), -1), nodes, field)
+    if (coeffs >= p).any():
         raise PreconditionError(
             "minor restriction interpolated outside GF(%d)" % p)
-    return [modular.poly_trim(c, p) for c in re.tolist()]
+    return [modular.poly_trim(c, p) for c in coeffs.tolist()]
 
 
 def drop_degree_on_line(M, line, t, seed=0):
@@ -374,65 +368,37 @@ def singular_points_plane_curve(F):
     A point is reported when F and all three partial derivatives vanish
     there; the scan is exhaustive over F.field (GF(p) or GF(p^2)), in
     projective_points order, and evaluates the four forms at a chunk of
-    points at once: monomial values times coefficient vectors.  A field
-    of more than SCAN_FIELD_MAX elements is refused.
+    points at once: the codes of the monomial values times the
+    coefficient columns, one matmul for F and one for its gradient.  A
+    field of more than SCAN_FIELD_MAX elements is refused.
     """
     if F.nvars != 3:
         raise PreconditionError("singular-point scan wants a ternary form")
     field = F.field
     if field.char == 0:
         raise PreconditionError("singular-point scan needs a finite field")
-    p = field.char
-    require_scannable(p ** field.degree)
-    w2 = field.nonresidue if field.degree == 2 else 0
-    forms = [F] + [F.derivative(i) for i in range(3)]
+    require_scannable(field.char ** field.degree)
+    arith = modular.field_arithmetic(field)
+    # (monomial exponents, coefficient columns) of F and of its gradient
+    systems = [(np.array(monomial_exponents(3, forms[0].degree)),
+                ExactMatrix([g.coeffs for g in forms], field).codes().T)
+               for forms in ([F], [F.derivative(i) for i in range(3)])]
     out = []
     # a chunk's monomial values and their products: some 16 arrays of
     # (points x monomials) entries at once
     for chunk in modular.chunked(projective_points(field, 3),
                                  16 * monomial_count(3, F.degree)):
-        monomials = {g.degree: _monomials_at_points(chunk, g.degree, field)
-                     for g in forms}
+        coords = ExactMatrix(chunk, field).codes()
+        # powers[point, variable, exponent]
+        powers = np.stack(list(accumulate([coords] * F.degree, arith.mul,
+                                          initial=np.ones_like(coords))), -1)
         vanish = np.ones(len(chunk), dtype=bool)
-        for g in forms:
-            m_re, m_im = monomials[g.degree]
-            c_re, c_im = _pairs(g.coeffs, field)
-            vanish &= (m_re @ c_re + w2 * (m_im @ c_im)) % p == 0
-            vanish &= (m_re @ c_im + m_im @ c_re) % p == 0
+        for exps, cols in systems:
+            monomials = reduce(arith.mul, (powers[:, v, exps[:, v]]
+                                           for v in range(3)))
+            vanish &= ~arith.matmul(monomials, cols).any(axis=1)
         out.extend(chunk[i] for i in np.flatnonzero(vanish))
     return out
-
-
-def _pairs(scalars, field):
-    """(re, im) int64 arrays of a nested list of field scalars, im = 0
-    over F_p."""
-    a = np.array(scalars, dtype=np.int64)
-    return (a[..., 0], a[..., 1]) if field.degree == 2 else (a, 0 * a)
-
-
-def _monomials_at_points(points, degree, field):
-    """(re, im) int64 arrays [point, monomial]: every degree-d monomial,
-    in monomial_exponents order, at every point of P^2 over field, by
-    products of (re, im) pairs with w^2 = nonresidue."""
-    p = field.char
-    w2 = field.nonresidue if field.degree == 2 else 0
-
-    def mul(x, y):
-        return ((x[0] * y[0] + w2 * x[1] * y[1]) % p,
-                (x[0] * y[1] + x[1] * y[0]) % p)
-
-    coord = _pairs(points, field)
-    powers = [(np.ones_like(coord[0]), np.zeros_like(coord[0]))]
-    for _ in range(degree):
-        powers.append(mul(powers[-1], coord))
-    # tables[part][point, variable, exponent]
-    tables = [np.stack([pw[part] for pw in powers], axis=-1) for part in (0, 1)]
-    exps = np.array(monomial_exponents(3, degree))
-    mono = (tables[0][:, 0, exps[:, 0]], tables[1][:, 0, exps[:, 0]])
-    for v in (1, 2):
-        mono = mul(mono, (tables[0][:, v, exps[:, v]],
-                          tables[1][:, v, exps[:, v]]))
-    return mono
 
 
 def classify_singularity(F, point):

@@ -105,6 +105,20 @@ def test_argparse_rejections_exit_2():
     assert exc.value.code == 2
 
 
+def test_negative_first_family_value_joins_the_flag_with_equals(capsys):
+    # a bare "-5,..." reads as an option, so --family is left without a
+    # value; "--family=-5,..." parses and reaches the member, whose
+    # Betti table is not the generic one
+    head = ["--field", "fp:5", "ranklocus"]
+    tail = ["--restrict-plane", "--interpolate"]
+    with pytest.raises(SystemExit) as exc:
+        main(head + ["--family", "-5,3,3,2,-3"] + tail)
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert main(head + ["--family=-5,3,3,2,-3"] + tail) == 3
+    assert "precondition violated" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["m2", "--family", "1,-1,1,-1,1", "--samples", "-1"],
     ["ranklocus", "--family", "1,-1,1,-1,1", "--lines", "-1"],

@@ -660,6 +660,29 @@ def test_stacked_det_of_a_large_gf25_batch():
     assert not dets[:4].any() and not dets[100:120].any() and dets[4:].any()
 
 
+@pytest.mark.parametrize("field", [GF(5, 2), GF(7, 2), GF(11, 2), GF(101),
+                                   GF(2 ** 31 - 1)], ids=repr)
+def test_arithmetic_matmul_matches_exact_matmul(field):
+    # packed GF(p^2) codes and GF(p) residues multiply as the field
+    # scalars do, empty shapes included; over GF(2^31 - 1) an inner
+    # dimension of 3 sums past int64 and takes matmul_mod's Python ints
+    arith = modular.field_arithmetic(field)
+    q = field.char ** field.degree
+    assert 3 * (2 ** 31 - 2) ** 2 >= 1 << 63
+    rng = np.random.default_rng(q % 1009)
+
+    def exact(codes, ncols):
+        return ExactMatrix([[arith.decode(c) for c in row]
+                            for row in codes.tolist()], field, ncols)
+
+    for n, k, m in [(4, 3, 5), (1, 7, 2), (0, 3, 2), (2, 3, 0), (2, 0, 3)]:
+        x, y = rng.integers(0, q, (n, k)), rng.integers(0, q, (k, m))
+        x[:, :1] = q - 1  # the largest code in every row
+        got = arith.matmul(x, y)
+        assert got.shape == (n, m) and got.dtype == np.int64
+        assert got.tolist() == exact(x, k).matmul(exact(y, m)).codes().tolist()
+
+
 def test_reduced_elimination_keeps_the_canonical_rref():
     # kernel, ExactMatrix.rref and _multimodular_kernel read the rref of a
     # 2-d array left in place by eliminate(..., reduced=True)

@@ -277,6 +277,26 @@ def test_compressed_minor_is_the_cauchy_binet_combination():
         assert sum(c * s ** k for k, c in enumerate(poly)) % 7 == binet
 
 
+def test_restriction_outside_the_base_field_is_refused():
+    # over GF(25) the base field is the codes below 5: a det that gives w
+    # (code 5) at the node 0 interpolates to the constant term w
+    zero, L = np.zeros((3, 3), dtype=np.int64), np.eye(3, dtype=np.int64)
+
+    def det_with(value):
+        return lambda stack: np.array([value] + [0] * (len(stack) - 1))
+
+    def polys(value):
+        return rankloci._compressed_minor_polys(
+            zero, zero, range(4), GF(5, 2), det_with(value), [(L, None)])
+
+    with pytest.raises(PreconditionError, match=r"outside GF\(5\)"):
+        polys(5)
+    # code 4 is the base-field 4: the polynomial 4 (1 - s)(2 - s)(3 - s)/6
+    [poly] = polys(4)
+    assert [sum(c * s ** k for k, c in enumerate(poly)) % 5
+            for s in range(4)] == [4, 0, 0, 0]
+
+
 def test_batched_minor_gcd_keeps_the_attempt_cap(monkeypatch):
     # every compressed minor of a zero matrix vanishes: a round stops after
     # exactly 40 * COMPRESSIONS_PER_ROUND draws, R only where ncols > size
