@@ -25,8 +25,6 @@ from .resolutions import (
     linear_syzygies,
     m2_matrix,
     points_quotient_module,
-    rank_at_point,
-    restrict_linear_matrix,
 )
 from .rankloci import (
     classify_singularity,
@@ -56,8 +54,8 @@ __all__ = [
     "cube_span_contains", "is_apolar_pointset", "is_apolar_variety",
     "min_partial_rank_scan", "q_f", "BettiTable", "GradedModule",
     "LinearFormMatrix", "apolar_quotient_module", "graded_betti",
-    "linear_syzygies", "m2_matrix", "points_quotient_module", "rank_at_point",
-    "restrict_linear_matrix", "classify_singularity", "drop_degree_on_line",
+    "linear_syzygies", "m2_matrix", "points_quotient_module",
+    "classify_singularity", "drop_degree_on_line",
     "interpolate_drop_curve", "plane_drop_points",
     "singular_points_plane_curve", "cubic_family",
     "fermat_cubic", "m_star", "plane_substitution", "random_power_sum",

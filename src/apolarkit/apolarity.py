@@ -84,21 +84,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def to_json(self):
-        if self.field == QQ:
-            return [[str(c) for c in p] for p in self.points]
-        return [[c if isinstance(c, int) else list(c) for c in p]
-                for p in self.points]
-
-    @classmethod
-    def from_json(cls, data, field=QQ, allow_duplicates=False):
-        if field == QQ:
-            pts = [[field.parse_scalar(str(c)) for c in p] for p in data]
-        else:
-            pts = [[field.from_int(c) if isinstance(c, int) else tuple(c)
-                    for c in p] for p in data]
-        return cls(pts, field, allow_duplicates)
-
     def __repr__(self):
         return "<PointSet %d points in P^%d over %s>" % (
             len(self.points), self.nvars - 1, self.field.describe())
@@ -303,6 +288,7 @@ def min_partial_rank_scan(f):
     """
     from . import modular
     from .fields import projective_points
+    from .resolutions import LinearFormMatrix
 
     if f.degree != 3:
         raise PreconditionError("partial-rank scan is for cubics")
@@ -312,14 +298,14 @@ def min_partial_rank_scan(f):
     if p < 5 or p > 11:
         raise PreconditionError("scan guard: need 5 <= p <= 11, got %d" % p)
     n = f.nvars
-    # the Hessian of d_i f: second partials are the degree-1 action
-    hessians = np.array([catalecticant(f.derivative(i), 1).rows
-                         for i in range(n)], dtype=np.int64)
+    # the Hessian of d_u f, linear in u: layer i holds the second partials
+    # of d_i f, which are its degree-1 action
+    hessian = LinearFormMatrix(
+        [catalecticant(f.derivative(i), 1).rows for i in range(n)], f.field,
+        DUAL_ALPHABET[f.alphabet])
     best = n + 1
     for chunk in modular.chunked(projective_points(f.field, n), n * n):
-        stack = np.einsum("ki,irc->krc", np.array(chunk, dtype=np.int64),
-                          hessians)
-        best = min(best, int(modular.rank_mod_p(stack, p).min()))
+        best = min(best, int(modular.rank_mod_p(hessian.at(chunk), p).min()))
         if best == 0:
             break
     return best

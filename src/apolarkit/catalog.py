@@ -332,11 +332,13 @@ def fermat_cubic(field=QQ):
                for j in range(6)], field, "x")
 
 
-def _random_linear(nvars, field, rng, alphabet="x"):
+def random_nonzero_vector(nvars, field, rng):
+    """A seeded draw of field.random_element per coordinate, repeated
+    until some coordinate is nonzero."""
     while True:
-        coeffs = [field.random_element(rng) for _ in range(nvars)]
-        if any(not field.is_zero(c) for c in coeffs):
-            return HomogeneousForm.linear(coeffs, field, alphabet)
+        vec = [field.random_element(rng) for _ in range(nvars)]
+        if any(not field.is_zero(c) for c in vec):
+            return vec
 
 
 def random_power_sum(k, field=QQ, seed=0, coplanar=False):
@@ -354,7 +356,8 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
     while True:
         forms = []
         if coplanar:
-            span = [_random_linear(6, field, rng) for _ in range(3)]
+            span = [HomogeneousForm.linear(random_nonzero_vector(6, field, rng),
+                                           field) for _ in range(3)]
             for _ in range(4):
                 while True:
                     cand = HomogeneousForm.zero(6, 1, field, "x")
@@ -367,7 +370,8 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
             if mat.rank() != 3:
                 continue
         for _ in range(k - len(forms)):
-            forms.append(_random_linear(6, field, rng))
+            forms.append(HomogeneousForm.linear(
+                random_nonzero_vector(6, field, rng), field))
         lams = [field.random_element(rng, nonzero=True) for _ in range(k)]
         f = HomogeneousForm.power_sum(lams, forms, 3)
         if not f.is_zero():

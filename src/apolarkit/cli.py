@@ -36,7 +36,6 @@ from .resolutions import (
     graded_betti,
     m2_matrix,
     points_quotient_module,
-    restrict_linear_matrix,
 )
 
 def parse_field_flag(text):
@@ -90,17 +89,10 @@ def random_rational_points(count, seed, nvars=6, spread=9):
     return points
 
 
-def _random_field_point(field, rng, nvars):
-    while True:
-        pt = [field.random_element(rng) for _ in range(nvars)]
-        if any(not field.is_zero(c) for c in pt):
-            return pt
-
-
 def _random_line(field, rng, nvars):
     while True:
-        a = _random_field_point(field, rng, nvars)
-        b = _random_field_point(field, rng, nvars)
+        a = catalog.random_nonzero_vector(nvars, field, rng)
+        b = catalog.random_nonzero_vector(nvars, field, rng)
         if not rankloci.proportional(a, b, field.char):
             return (a, b)
 
@@ -213,7 +205,7 @@ def run_m2(args, field, seed):
     rng = random.Random(seed)
     samples = []
     for _ in range(args.samples):
-        pt = _random_field_point(field, rng, M.nvars)
+        pt = catalog.random_nonzero_vector(M.nvars, field, rng)
         samples.append({
             "point": [field.format_scalar(c) for c in pt],
             "rank": M.evaluate_at(pt).rank(),
@@ -236,7 +228,7 @@ def run_ranklocus(args, field, seed):
     M = m2_matrix(f)
     matrix_ref = "m2(%s)" % label
     if args.restrict_plane:
-        M = restrict_linear_matrix(M, catalog.plane_substitution(field))
+        M = M.substitute(catalog.plane_substitution(field))
         matrix_ref += "|plane"
     curve, singulars, classification = None, [], None
     if args.interpolate:
@@ -366,7 +358,7 @@ def _repro_thom_porteous(field, seed, checks):
 
 def _repro_drop_curve(field, seed, checks):
     M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
-    R = restrict_linear_matrix(M, catalog.plane_substitution(field))
+    R = M.substitute(catalog.plane_substitution(field))
     curve, singulars, grade = _drop_curve_and_node(R, 20, seed)
     _check(checks, "curve-degree", 9, curve.degree)
     ref = catalog.reference_drop_curve_mod5()
@@ -392,10 +384,10 @@ def _repro_scroll_example(field, seed, checks):
     zero = parse_form("0", field, alphabet="z", degree=1)
     sub = [parse_form("z0", field, "z"), parse_form("z1", field, "z"),
            parse_form("z2", field, "z"), zero, zero, zero]
-    R = restrict_linear_matrix(M, sub)
+    R = M.substitute(sub)
     rng = random.Random(seed)
-    ranks = [R.evaluate_at(_random_field_point(field, rng, 3)).rank()
-             for _ in range(5)]
+    ranks = [R.evaluate_at(catalog.random_nonzero_vector(3, field, rng))
+             .rank() for _ in range(5)]
     _check(checks, "restricted-ranks", [21] * 5, ranks)
 
 

@@ -87,13 +87,6 @@ class ExactMatrix:
         return ExactMatrix(zip(*self.rows), self.field, self.nrows) if self.nrows \
             else ExactMatrix([() for _ in range(self.ncols)], self.field, 0)
 
-    def submatrix(self, row_indices, col_indices=None):
-        if col_indices is None:
-            return ExactMatrix([self.rows[i] for i in row_indices],
-                               self.field, self.ncols)
-        return ExactMatrix([[self.rows[i][j] for j in col_indices]
-                            for i in row_indices], self.field, len(col_indices))
-
     def matmul(self, other):
         if self.ncols != other.nrows or self.field != other.field:
             raise PreconditionError("matmul shape or field mismatch")

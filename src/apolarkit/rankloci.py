@@ -15,9 +15,11 @@ Each function works over the one field it is given: a caller who wants
 the singular points over F_{p^2} lifts the curve first.  GF(p^2) enters
 the curve computation only as interpolation nodes of the line gcds when
 p <= t + 1.  Field elements are modular.py code arrays, multiplied by
-the field's arithmetic object.  plane_drop_points, an exhaustive scan
-of P^2(F_p) for drop points, has no caller in the curve pipeline; it
-stays as a benchmark span target and as a test reference.
+the field's arithmetic object.  The matrix enters only through
+LinearFormMatrix.at: at the two points spanning a line, or at a chunk of
+points of the plane.  plane_drop_points, an exhaustive scan of P^2(F_p)
+for drop points, has no caller in the curve pipeline; it stays as a
+benchmark span target and as a test reference.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
@@ -49,7 +51,7 @@ def proportional(a, b, p):
 
 
 def _line_arrays(M, line):
-    """Numpy coefficient matrices (A, B) with M(a + s*b) = A + s*B mod p."""
+    """The code arrays (A, B) = M.at([a, b]), so M(a + s*b) = A + s*B."""
     a, b = line
     if len(a) != M.nvars or len(b) != M.nvars:
         raise PreconditionError("line points must have %d coordinates" % M.nvars)
@@ -60,9 +62,7 @@ def _line_arrays(M, line):
         raise PreconditionError("zero vector cannot span a line")
     if proportional(a, b, p):
         raise PreconditionError("degenerate line: points are proportional")
-    arrays = M.integer_coefficient_arrays()
-    return modular.matmul_mod(np.array([a, b]), arrays.reshape(M.nvars, -1),
-                              p).reshape(2, M.nrows, M.ncols)
+    return M.at([a, b])
 
 
 COMPRESSIONS_PER_ROUND = 4
@@ -234,11 +234,10 @@ def plane_drop_points(M, t):
     if not isinstance(field, PrimeField):
         raise PreconditionError("plane scan works over GF(p)")
     p = field.char
-    arrays = M.integer_coefficient_arrays()
     out = []
-    for chunk in modular.chunked(projective_points(field, 3), arrays[0].size):
-        stack = modular.matmul_mod(np.array(chunk), arrays.reshape(3, -1), p)
-        ranks = modular.rank_mod_p(stack.reshape(-1, M.nrows, M.ncols), p)
+    for chunk in modular.chunked(projective_points(field, 3),
+                                 M.nrows * M.ncols):
+        ranks = modular.rank_mod_p(M.at(chunk), p)
         out.extend(chunk[i] for i in np.flatnonzero(ranks <= t))
     return out
 

@@ -23,6 +23,11 @@ A cell (i, j) only consumes the module in degrees j-i-1 .. j-i+1, so a
 module built up to degree 3 already settles the full three-row tables of
 point ideals; one degree more lets the mod-p ranks of the next strand
 row close proofs.
+
+m2_matrix(f) is a LinearFormMatrix, stored as one coefficient array with
+a layer per variable, read straight off the second-syzygy rows.  Its
+at() gives the matrix at a stack of points; evaluation, substitution and
+the line and plane scans of rankloci are all that one product.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
-from operator import mul
+from math import comb, gcd, lcm
 
 import numpy as np
 
+from . import modular
 from .apolarity import catalecticant, evaluation_matrix, ideal_span
 from .errors import PreconditionError
 from .fields import GF, QQ
@@ -85,10 +90,6 @@ class BettiTable:
 
     def to_json(self):
         return {"entries": [[i, j, b] for (i, j), b in sorted(self.entries.items())]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls({(i, j): b for i, j, b in data["entries"]})
 
     def render_text(self):
         """Rows are strands r = j - i, columns the homological index i."""
@@ -427,126 +428,127 @@ def linear_syzygies(quadrics, order, coefficient_degree=1, guard=True):
                                    coefficient_degree, guard)
 
 
+def _codes(values, field):
+    """Scalars as codes over a denominator: over QQ integers over their
+    common denominator, otherwise field codes over 1."""
+    if field != QQ:
+        return [field.encode(v) for v in values], 1
+    values = [Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 class LinearFormMatrix:
-    """Matrix whose entries are degree-1 forms (or zero) in shared variables."""
+    """Matrix whose entries are degree-1 forms (or zero) in shared variables.
 
-    __slots__ = ("entries", "nrows", "ncols", "nvars", "field", "alphabet",
-                 "_coefficient_arrays", "_coefficient_lists")
+    It is stored as one read-only (nvars, nrows, ncols) array whose layer
+    t holds the coefficient of variable t in every entry: over QQ Python
+    integers over the common denominator den, in lowest terms, otherwise
+    field codes.  Every reading of the matrix goes through at().
+    """
 
-    def __init__(self, entries):
-        entries = tuple(tuple(row) for row in entries)
-        if not entries or not entries[0]:
-            raise ValueError("empty LinearFormMatrix")
-        first = entries[0][0]
-        for row in entries:
-            if len(row) != len(entries[0]):
-                raise ValueError("ragged rows")
-            for e in row:
-                if e.degree != 1:
-                    raise ValueError("entries must be degree-1 forms")
-                if e.nvars != first.nvars or e.field != first.field:
-                    raise ValueError("entries must share arity and field")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "nrows", len(entries))
-        object.__setattr__(self, "ncols", len(entries[0]))
-        object.__setattr__(self, "nvars", first.nvars)
-        object.__setattr__(self, "field", first.field)
-        object.__setattr__(self, "alphabet", first.alphabet)
-        object.__setattr__(self, "_coefficient_arrays", None)
-        object.__setattr__(self, "_coefficient_lists", None)
+    __slots__ = ("coefficients", "den", "field", "alphabet")
+
+    def __init__(self, coefficients, field, alphabet="y", den=1):
+        if field.degree == 2 and field.char > modular.TABLE_MAX_PRIME:
+            raise PreconditionError("no table arithmetic for GF(%d^2)"
+                                    % field.char)
+        coefficients = np.array(coefficients,
+                                dtype=object if field == QQ else np.int64)
+        g = gcd(den, *coefficients.flat) if den != 1 else 1
+        coefficients //= g
+        coefficients.flags.writeable = False
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "alphabet", alphabet)
+
+    @classmethod
+    def from_entries(cls, entries):
+        """The matrix of rows of degree-1 forms sharing arity and field."""
+        rows = [list(row) for row in entries]
+        forms = [e for row in rows for e in row]
+        if not forms or any(len(row) != len(rows[0]) for row in rows):
+            raise ValueError("empty or ragged LinearFormMatrix")
+        first = forms[0]
+        if any(e.degree != 1 or e.nvars != first.nvars
+               or e.field != first.field for e in forms):
+            raise ValueError("entries must be degree-1 forms sharing arity "
+                             "and field")
+        codes, den = _codes([c for e in forms for c in e.coeffs], first.field)
+        return cls(np.array(codes, dtype=object).reshape(
+            len(rows), -1, first.nvars).transpose(2, 0, 1),
+            first.field, first.alphabet, den)
 
     def __setattr__(self, *args):
         raise AttributeError("LinearFormMatrix is immutable")
 
-    def evaluate_at(self, point):
+    nvars = property(lambda self: self.coefficients.shape[0])
+    nrows = property(lambda self: self.coefficients.shape[1])
+    ncols = property(lambda self: self.coefficients.shape[2])
+
+    def at(self, points):
+        """The matrix at each of k points, as a (k, nrows, ncols) array of
+        codes; points is a (k, nvars) array of codes, over QQ integers,
+        where the values are den times the matrix's."""
+        F, flat = self.field, self.coefficients.reshape(self.nvars, -1)
+        if F == QQ:
+            values = np.array(points, dtype=object) @ flat
+        elif F.degree == 1:
+            values = modular.matmul_mod(np.array(points, dtype=np.int64),
+                                        flat, F.p)
+        else:
+            values = modular.quadratic_tables(F).matmul(
+                np.array(points, dtype=np.int64), flat)
+        return values.reshape(-1, self.nrows, self.ncols)
+
+    def _scalars(self, codes, den):
+        """Nested lists of the field scalars of a code array, over QQ
+        divided by den."""
         F = self.field
-        if F != QQ:
-            return ExactMatrix([[e.evaluate(point) for e in row]
-                                for row in self.entries], F, self.ncols)
+        decode = (lambda v: Fraction(v, den)) if F == QQ \
+            else F.decode if F.degree == 2 else int
+        return np.frompyfunc(decode, 1, 1)(codes).tolist()
+
+    def evaluate_at(self, point):
+        """The scalar ExactMatrix at one point."""
         if len(point) != self.nvars:
             raise PreconditionError(
                 "point length %d, expected %d" % (len(point), self.nvars))
-        # one integer dot product per entry, over the point's common
-        # denominator times the entry's
-        den = lcm(*(v.denominator for v in point))
-        ints = [v.numerator * (den // v.denominator) for v in point]
-        return ExactMatrix([[Fraction(sum(map(mul, coeffs, ints)), d * den)
-                             for coeffs, d in row]
-                            for row in self._integer_coefficients()],
-                           F, self.ncols)
-
-    def _integer_coefficients(self):
-        """Per entry over QQ: (integer coefficients, denominator), the
-        coefficients over their common denominator.  Built once, since
-        every sampled point reads them."""
-        if self._coefficient_lists is None:
-            lists = []
-            for row in self.entries:
-                out = []
-                for e in row:
-                    coeffs = [Fraction(c) for c in e.coeffs]
-                    d = lcm(*(c.denominator for c in coeffs))
-                    out.append((tuple(c.numerator * (d // c.denominator)
-                                      for c in coeffs), d))
-                lists.append(out)
-            object.__setattr__(self, "_coefficient_lists", lists)
-        return self._coefficient_lists
+        codes, den = _codes(point, self.field)
+        return ExactMatrix(self._scalars(self.at([codes])[0], self.den * den),
+                           self.field, self.ncols)
 
     def substitute(self, substituents):
-        """Entrywise linear substitution: each entry's coefficient vector
-        times the nvars x k matrix of the substituents' coefficients, the
-        same forms HomogeneousForm.substitute expands term by term."""
-        # one entry's own substitution checks the substituents
-        self.entries[0][0].substitute(substituents)
-        F = self.field
-        k, alphabet = substituents[0].nvars, substituents[0].alphabet
-        images = [g.coeffs for g in substituents]
-
-        def image(e):
-            out = [F.zero] * k
-            for c, row in zip(e.coeffs, images):
-                if not F.is_zero(c):
-                    out = [F.add(o, F.mul(c, s)) for o, s in zip(out, row)]
-            return HomogeneousForm(k, 1, out, F, alphabet)
-
-        return LinearFormMatrix([[image(e) for e in row]
-                                 for row in self.entries])
+        """Substitution of substituents[t] for variable t in every entry,
+        the forms HomogeneousForm.substitute expands term by term: layer k
+        of the image is the matrix at the substituents' z_k coefficients."""
+        # a form's own substitution checks the substituents
+        HomogeneousForm.zero(self.nvars, 1, self.field,
+                             self.alphabet).substitute(substituents)
+        codes, den = _codes([c for g in substituents for c in g.coeffs],
+                            self.field)
+        columns = np.array(codes, dtype=object).reshape(self.nvars, -1).T
+        return LinearFormMatrix(self.at(columns), self.field,
+                                substituents[0].alphabet, self.den * den)
 
     def reduce_mod_p(self, p):
-        return LinearFormMatrix([[e.reduce_mod_p(p) for e in row]
-                                 for row in self.entries])
+        """Coefficientwise reduction of a matrix over QQ into GF(p).  den
+        is in lowest terms, so p divides it just when it divides the
+        denominator of some entry's coefficient."""
+        if self.field != QQ:
+            raise PreconditionError("reduce_mod_p expects a matrix over QQ")
+        scale = GF(p).from_fraction(Fraction(1, self.den))
+        return LinearFormMatrix(self.coefficients * scale % p, GF(p),
+                                self.alphabet)
 
-    def coefficient_matrix(self, t):
-        """ExactMatrix of the coefficient of variable t across all entries."""
-        F = self.field
-        sel = [0] * self.nvars
-        sel[t] = 1
-        idx = monomial_index(self.nvars, 1)[tuple(sel)]
-        return ExactMatrix([[e.coeffs[idx] for e in row] for row in self.entries],
-                           F, self.ncols)
-
-    def integer_coefficient_arrays(self):
-        """Read-only int64 array of shape (nvars, nrows, ncols), the
-        coefficients of each variable; requires integer entries.  Built
-        once per matrix, since every sampled line reads it."""
-        if self._coefficient_arrays is None:
-            out = []
-            for t in range(self.nvars):
-                rows = []
-                for r in self.coefficient_matrix(t).rows:
-                    ints = []
-                    for v in r:
-                        fr = Fraction(v)
-                        if fr.denominator != 1:
-                            raise PreconditionError(
-                                "entry coefficient %s is not an integer" % v)
-                        ints.append(fr.numerator)
-                    rows.append(ints)
-                out.append(rows)
-            arrays = np.array(out, dtype=np.int64)
-            arrays.flags.writeable = False
-            object.__setattr__(self, "_coefficient_arrays", arrays)
-        return self._coefficient_arrays
+    @property
+    def entries(self):
+        """Rows of HomogeneousForm entries, read off the array."""
+        return tuple(tuple(HomogeneousForm(self.nvars, 1, c, self.field,
+                                           self.alphabet) for c in row)
+                     for row in self._scalars(
+                         self.coefficients.transpose(1, 2, 0), self.den))
 
     def to_json(self):
         return {
@@ -559,16 +561,6 @@ class LinearFormMatrix:
     def __repr__(self):
         return "<LinearFormMatrix %dx%d in %d vars over %s>" % (
             self.nrows, self.ncols, self.nvars, self.field.describe())
-
-
-def restrict_linear_matrix(M, substituents):
-    """Entrywise linear substitution; evaluation commutes with it."""
-    return M.substitute(substituents)
-
-
-def rank_at_point(M, point):
-    """Rank of the scalar matrix obtained by evaluating every entry."""
-    return M.evaluate_at(point).rank()
 
 
 @lru_cache(maxsize=8)
@@ -604,13 +596,7 @@ def m2_matrix(f):
         raise PreconditionError(
             "syzygy dimensions (%d, %d) off the generic (35, 21)"
             % (syz1.nrows, syz2.nrows))
-    nvars = f.nvars
-    field = f.field
-    entries = []
-    for jrow in range(35):
-        row = []
-        for c in range(21):
-            vec = syz2.rows[c][jrow * nvars:(jrow + 1) * nvars]
-            row.append(HomogeneousForm.linear(vec, field, "y"))
-        entries.append(row)
-    return LinearFormMatrix(entries)
+    # column c of the matrix is the second syzygy c, its 35 blocks the
+    # rows; the rows are already coprime integers, so den stays 1
+    coefficients = syz2.codes().reshape(21, 35, f.nvars).transpose(2, 1, 0)
+    return LinearFormMatrix(coefficients, f.field)

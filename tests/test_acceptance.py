@@ -38,7 +38,6 @@ from apolarkit.resolutions import (
     graded_betti,
     m2_matrix,
     points_quotient_module,
-    restrict_linear_matrix,
 )
 
 BUDGET_SECONDS = {
@@ -71,7 +70,7 @@ def _elapsed_ok(criterion, t0):
 @lru_cache(maxsize=1)
 def _family_plane_curve_mod5():
     M = m2_matrix(catalog.cubic_family(*FAMILY, field=GF(5)))
-    R = restrict_linear_matrix(M, catalog.plane_substitution(GF(5)))
+    R = M.substitute(catalog.plane_substitution(GF(5)))
     return interpolate_drop_curve(R, 20, seed=0)
 
 
@@ -219,7 +218,7 @@ def test_criterion_09_scroll_cubic_checks_out():
     zero = parse_form("0", QQ, alphabet="z", degree=1)
     subs = [parse_form("z0", QQ, "z"), parse_form("z1", QQ, "z"),
             parse_form("z2", QQ, "z"), zero, zero, zero]
-    R = restrict_linear_matrix(M, subs)
+    R = M.substitute(subs)
     rng = random.Random(9)
     for _ in range(5):
         pt = [Fraction(rng.randint(-9, 9)) for _ in range(3)]

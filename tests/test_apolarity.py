@@ -137,13 +137,6 @@ def test_pointset_rejects_projective_duplicates():
     assert len(Z) == 2
 
 
-def test_pointset_json_round_trip():
-    pts = random_rational_points(5, seed=3)
-    Z = PointSet(pts, QQ)
-    back = PointSet.from_json(Z.to_json(), QQ)
-    assert list(back) == list(Z)
-
-
 def test_points_ideal_dimensions():
     Z = PointSet(random_rational_points(9, seed=0), QQ)
     # 9 generic points impose independent conditions on quadrics and cubics

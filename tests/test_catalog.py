@@ -14,7 +14,7 @@ from apolarkit.rankloci import (
     interpolate_drop_curve,
     singular_points_plane_curve,
 )
-from apolarkit.resolutions import m2_matrix, restrict_linear_matrix
+from apolarkit.resolutions import m2_matrix
 
 
 def random_ternary_sextic(field, rng):
@@ -197,7 +197,7 @@ def test_random_power_sum_options():
 
 def _plane_curve_mod5(params):
     M = m2_matrix(catalog.cubic_family(*params, field=GF(5)))
-    R = restrict_linear_matrix(M, catalog.plane_substitution(GF(5)))
+    R = M.substitute(catalog.plane_substitution(GF(5)))
     return interpolate_drop_curve(R, 20)
 
 

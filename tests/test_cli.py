@@ -222,6 +222,22 @@ def test_m2_rank_samples(capsys):
     assert [s["rank"] for s in report["samples"]] == [21, 21]
 
 
+# sha256 of the stdout of `m2` over a prime past 2^31, which has no numpy
+# field arithmetic: the sampled rank is taken by Fraction elimination
+M2_PAST_WORD_PRIME_ARGV = ["--field", "fp:2147483659", "m2",
+                           "--family=1,-1,1,-1,1", "--samples", "1"]
+M2_PAST_WORD_PRIME_SHA256 = \
+    "887df4328989797b682305cb2750f5a4bbf0a7f17da5ad44f71efa3ac9bad309"
+
+
+def test_m2_over_a_prime_past_2_31_is_pinned(capsys):
+    assert main(list(M2_PAST_WORD_PRIME_ARGV)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() \
+        == M2_PAST_WORD_PRIME_SHA256
+
+
 def test_ranklocus_line_degrees_over_big_prime(capsys):
     rc, env = run_json(capsys, ["--field", "fp:101", "--seed", "1",
                                 "ranklocus", "--family", "1,-1,1,-1,1",

@@ -161,7 +161,8 @@ def test_prime_field_fast_paths_match_generic_elimination():
                     == ExactMatrix.zeros(M.nrows, K.nrows, F)
             # the canonical basis: 1 in its free column, 0 in the others
             free = [j for j in range(ncols) if j not in pivots]
-            assert K.submatrix(range(K.nrows), free) \
+            assert ExactMatrix([[row[j] for j in free] for row in K.rows],
+                               F, len(free)) \
                 == ExactMatrix.identity(len(free), F)
             if len(rows) == ncols and rows:
                 want = _generic_det(rows, F)

@@ -22,7 +22,7 @@ from apolarkit.rankloci import (
     plane_drop_points,
     singular_points_plane_curve,
 )
-from apolarkit.resolutions import LinearFormMatrix, m2_matrix, restrict_linear_matrix
+from apolarkit.resolutions import LinearFormMatrix, m2_matrix
 
 
 def lf(vec, field):
@@ -33,7 +33,7 @@ def diag_matrix(field, repeat=False):
     z0 = lf([1, 0, 0], field)
     z1 = z0 if repeat else lf([0, 1, 0], field)
     zero = lf([0, 0, 0], field)
-    return LinearFormMatrix([[z0, zero], [zero, z1]])
+    return LinearFormMatrix.from_entries([[z0, zero], [zero, z1]])
 
 
 def test_drop_degree_guards():
@@ -61,7 +61,7 @@ def test_drop_degree_on_synthetic_diagonals():
     # the doubled entry gives determinant z0^2; the divisor is squarefree
     Mrep = diag_matrix(GF(101), repeat=True)
     assert drop_degree_on_line(Mrep, ((1, 2, 3), (4, 5, 6)), 1) == 1
-    single = LinearFormMatrix([[lf([1, 0, 0], GF(101))]])
+    single = LinearFormMatrix.from_entries([[lf([1, 0, 0], GF(101))]])
     assert drop_degree_on_line(single, ((1, 2, 3), (4, 5, 6)), 0) == 1
     # at threshold 0 the two diagonal entries have no common zero on a
     # generic line, so the divisor is empty
@@ -76,7 +76,7 @@ def test_drop_degree_on_line_over_a_31_bit_prime():
     F = GF(p)
     c = p // 2 + 7
     coeffs = [p - 1, p - 2, p - 3]
-    M = LinearFormMatrix([[lf(coeffs, F), lf([0, 0, 0], F)],
+    M = LinearFormMatrix.from_entries([[lf(coeffs, F), lf([0, 0, 0], F)],
                           [lf([0, 0, 0], F), lf([c * v % p for v in coeffs], F)]])
     line = ((p - 1, p - 2, p - 3), (p - 4, p - 5, p - 7))
     assert drop_degree_on_line(M, line, 1) == 1
@@ -124,7 +124,7 @@ def test_interpolate_recovers_full_diagonal_product():
         vec = [0, 0, 0]
         vec[i] = 1
         rows[i][i] = lf(vec, F)
-    M = LinearFormMatrix(rows)
+    M = LinearFormMatrix.from_entries(rows)
     cubic = interpolate_drop_curve(M, 2, target_degree=3)
     assert cubic == parse_form("z0*z1*z2", field=F)
 
@@ -145,8 +145,9 @@ def test_unstable_minor_gcd_raises_and_interpolation_skips_the_line(
     conics = {}
     for p, text in ((5, "z0^2+3*z1^2"), (13, "z0^2+11*z1^2")):
         F = GF(p)
-        conics[p] = LinearFormMatrix([[lf([1, 0, 0], F), lf([0, 2, 0], F)],
-                                      [lf([0, 1, 0], F), lf([1, 0, 0], F)]])
+        conics[p] = LinearFormMatrix.from_entries(
+            [[lf([1, 0, 0], F), lf([0, 2, 0], F)],
+             [lf([0, 1, 0], F), lf([1, 0, 0], F)]])
         assert interpolate_drop_curve(conics[p], 1, target_degree=2) \
             == parse_form(text, field=F)
     monkeypatch.setattr(rankloci, "MAX_ROUNDS", 1)
@@ -246,7 +247,7 @@ def test_restricted_family_matrix_has_degree_nine_plane_divisor():
     # the full-space line measurement and the plane interpolation both see
     # degree 9; here the line lives inside the distinguished plane
     m2 = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=GF(101)))
-    R = restrict_linear_matrix(m2, catalog.plane_substitution(GF(101)))
+    R = m2.substitute(catalog.plane_substitution(GF(101)))
     assert (R.nrows, R.ncols, R.nvars) == (35, 21, 3)
     assert drop_degree_on_line(R, ((1, 2, 3), (4, 5, 6)), 20) == 9
     assert drop_degree_on_line(R, ((1, 0, 0), (0, 1, 1)), 20, seed=3) == 9
@@ -325,9 +326,8 @@ def test_batched_minor_gcd_keeps_the_attempt_cap(monkeypatch):
 def _paper_plane_mod5():
     """The paper member's plane matrix over GF(5) and its drop curve."""
     F = GF(5)
-    R = restrict_linear_matrix(
-        m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
-        catalog.plane_substitution(F))
+    R = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)) \
+        .substitute(catalog.plane_substitution(F))
     return R, interpolate_drop_curve(R, 20)
 
 
@@ -352,9 +352,8 @@ GF23_PAPER_CURVE = (
 @pytest.mark.parametrize("seed", [0, 3])
 def test_gf23_paper_plane_curve_is_pinned(seed):
     F = GF(23)
-    R = restrict_linear_matrix(
-        m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
-        catalog.plane_substitution(F))
+    R = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)) \
+        .substitute(catalog.plane_substitution(F))
     assert interpolate_drop_curve(R, 20, seed=seed).to_text() \
         == GF23_PAPER_CURVE
 
@@ -365,9 +364,8 @@ def test_interpolate_drop_curve_over_a_31_bit_prime():
     # to the line gcd on fresh lines the interpolation never drew
     p = 2147483647
     F = GF(p)
-    R = restrict_linear_matrix(
-        m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)),
-        catalog.plane_substitution(F))
+    R = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)) \
+        .substitute(catalog.plane_substitution(F))
     curve = interpolate_drop_curve(R, 20)
     assert curve.degree == 9
     rng = random.Random(31)

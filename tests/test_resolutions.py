@@ -44,8 +44,6 @@ from apolarkit.resolutions import (
     m2_matrix,
     points_quotient_module,
     quadric_ideal_module,
-    rank_at_point,
-    restrict_linear_matrix,
 )
 
 
@@ -422,8 +420,8 @@ def test_linear_syzygies_refuse_dependent_quadrics():
 
 def test_betti_table_json_round_trip_and_render():
     table = BettiTable(GENERIC_CUBIC_APOLAR_BETTI)
-    again = BettiTable.from_json(table.to_json())
-    assert again == table
+    assert table.to_json()["entries"] == [
+        [i, j, b] for (i, j), b in sorted(GENERIC_CUBIC_APOLAR_BETTI.items())]
     assert table.entry(2, 3) == 35
     assert table.entry(2, 4) == 0
     text = table.render_text()
@@ -437,7 +435,7 @@ def test_m2_matrix_shape_and_generic_rank():
     M = m2_matrix(f)
     assert (M.nrows, M.ncols) == (35, 21)
     for point in random_rational_points(2, seed=11):
-        assert rank_at_point(M, point) == 21
+        assert M.evaluate_at(point).rank() == 21
 
 
 def test_m2_rank_is_invariant_under_basis_changes():
@@ -568,19 +566,52 @@ def test_betti_table_and_m2_ranks_agree_across_backends(params):
     assert seen == [seen[0]] * len(CROSS_BACKEND_FIELDS)
 
 
-@pytest.mark.parametrize("name", ["family(1,-1,1,-1,1)", "scroll-cubic"])
+# linear-form matrices over every field LinearFormMatrix.at multiplies in:
+# m2 of the paper member over a named field (QQ also by the member's
+# name), GF(p) on both sides of 2^31 and GF(5^2); m2 of the scroll cubic
+# (43-digit coefficients); and a QQ matrix whose entries have fractional
+# coefficients, so den != 1
+BIG_FIELD_CASES = ["GF(2147483647)", "GF(2147483659)", "GF(5^2)",
+                   "QQ-fractional"]
+
+
+@lru_cache(maxsize=None)
+def _linear_form_matrix(name):
+    if name == "scroll-cubic":
+        return m2_matrix(catalog.scroll_apolar_cubic())
+    if name == "QQ-fractional":
+        M = _linear_form_matrix("QQ")
+        return LinearFormMatrix.from_entries(
+            [[e.scale(Fraction(1 + j % 4, 2 + i % 5)) for j, e in enumerate(row)]
+             for i, row in enumerate(M.entries)])
+    if name == "GF(5^2)":
+        return m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=GF(5))
+                         .lift_to(GF(5, 2)))
+    field = GF(int(name[3:-1])) if name.startswith("GF(") else QQ
+    return m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
+
+
+def _random_scalar(field, rng):
+    if field == QQ:
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+    return field.random_element(rng)
+
+
+@pytest.mark.parametrize("name", ["family(1,-1,1,-1,1)", "scroll-cubic",
+                                  "GF(101)"] + BIG_FIELD_CASES)
 def test_evaluate_at_matches_form_evaluation(name):
-    f = catalog.scroll_apolar_cubic() if name == "scroll-cubic" \
-        else catalog.cubic_family(1, -1, 1, -1, 1)
-    M = m2_matrix(f)
+    M = _linear_form_matrix(name)
+    if name == "QQ-fractional":
+        assert M.den == 60
     rng = random.Random(19)
     for _ in range(2):
-        point = [Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-                 for _ in range(6)]
+        point = [_random_scalar(M.field, rng) for _ in range(6)]
         scalar = M.evaluate_at(point)
-        assert scalar.rows == tuple(tuple(e.evaluate(point) for e in row)
-                                    for row in M.entries)
-        assert all(type(v) is Fraction for row in scalar.rows for v in row)
+        want = tuple(tuple(e.evaluate(point) for e in row)
+                     for row in M.entries)
+        assert scalar.field == M.field and scalar.rows == want
+        assert [type(v) for row in scalar.rows for v in row] \
+            == [type(v) for row in want for v in row]
     with pytest.raises(PreconditionError):
         M.evaluate_at(point[:5])
 
@@ -597,7 +628,7 @@ def _small_linear_matrix():
     x1 = HomogeneousForm.linear([0, 1, 0, 0, 0, 0], QQ, "y")
     mix = HomogeneousForm.linear([7, 0, 0, 0, 0, -2], QQ, "y")
     zero = HomogeneousForm.linear([0] * 6, QQ, "y")
-    return LinearFormMatrix([[x0, x1], [mix, zero]])
+    return LinearFormMatrix.from_entries([[x0, x1], [mix, zero]])
 
 
 def test_linear_form_matrix_is_immutable_and_serializes():
@@ -608,27 +639,32 @@ def test_linear_form_matrix_is_immutable_and_serializes():
     assert data["rows"] == 2 and data["cols"] == 2
     assert data["entries"][1][0] == "7*y0-2*y5"
     with pytest.raises(ValueError):
-        LinearFormMatrix([[parse_form("y0^2")]])
+        LinearFormMatrix.from_entries([[parse_form("y0^2")]])
 
 
 def test_linear_form_matrix_substitution_commutes_with_evaluation():
     M = _small_linear_matrix()
     subs = [parse_form(t, alphabet="z", degree=1)
             for t in ["z0", "z1", "z2", "z0+z1", "z1-z2", "z0+2*z2"]]
-    restricted = restrict_linear_matrix(M, subs)
+    restricted = M.substitute(subs)
     for point in [(1, 2, 3), (0, 1, 0), (-2, 5, 7)]:
         p = [Fraction(c) for c in point]
         images = [s.evaluate(p) for s in subs]
         assert restricted.evaluate_at(p).rows == M.evaluate_at(images).rows
 
 
-@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)], ids=str)
-def test_linear_form_matrix_substitute_matches_compose(field):
-    # the paper member's plane restriction, entry by entry against the
-    # term-by-term expansion of HomogeneousForm.compose
-    M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
-    subs = catalog.plane_substitution(field)
-    restricted = restrict_linear_matrix(M, subs)
+@pytest.mark.parametrize("name", ["QQ", "GF(5)", "GF(101)"] + BIG_FIELD_CASES)
+def test_linear_form_matrix_substitute_matches_compose(name):
+    # the plane restriction, entry by entry against the term-by-term
+    # expansion of HomogeneousForm.compose; the fractional matrix takes
+    # substituents with fractional coefficients
+    M = _linear_form_matrix(name)
+    subs = [g.lift_to(M.field)
+            for g in catalog.plane_substitution(GF(5) if name == "GF(5^2)"
+                                                else M.field)]
+    if name == "QQ-fractional":
+        subs = [g.scale(Fraction(1, 3 + t)) for t, g in enumerate(subs)]
+    restricted = M.substitute(subs)
     assert type(restricted) is LinearFormMatrix
     assert (restricted.nrows, restricted.ncols, restricted.nvars) == (35, 21, 3)
     for row, got_row in zip(M.entries, restricted.entries):
@@ -641,19 +677,39 @@ def test_linear_form_matrix_substitute_matches_compose(field):
 
 def test_linear_form_matrix_coefficient_slices_and_reduction():
     M = _small_linear_matrix()
-    assert M.coefficient_matrix(0).rows == ((1, 0), (7, 0))
-    assert M.coefficient_matrix(5).rows == ((0, 0), (-2, 0))
-    arrays = M.integer_coefficient_arrays()
-    assert len(arrays) == 6 and arrays[5][1][0] == -2
-    # built once and shared read-only by every later caller
-    assert arrays.shape == (6, 2, 2) and not arrays.flags.writeable
-    assert M.integer_coefficient_arrays() is arrays
+    # layer t: the coefficient of y_t in every entry, stored read-only
+    assert M.coefficients.shape == (6, 2, 2) and M.den == 1
+    assert not M.coefficients.flags.writeable
+    assert M.coefficients[0].tolist() == [[1, 0], [7, 0]]
+    assert M.coefficients[5].tolist() == [[0, 0], [-2, 0]]
     Mp = M.reduce_mod_p(5)
     assert Mp.field == GF(5)
     seven = Mp.evaluate_at([GF(5).one] + [GF(5).zero] * 5).entry(1, 0)
     assert seven == GF(5).from_int(7)
-    frac = HomogeneousForm.linear([Fraction(1, 2)] + [0] * 5, QQ, "y")
+    # over QQ one denominator, in lowest terms, serves every entry
+    half = HomogeneousForm.linear([Fraction(1, 2)] + [0] * 5, QQ, "y")
+    third = HomogeneousForm.linear([0, Fraction(2, 3)] + [0] * 4, QQ, "y")
+    H = LinearFormMatrix.from_entries([[half, third]])
+    assert H.den == 6
+    assert H.coefficients[:2].tolist() == [[[3, 0]], [[0, 4]]]
+    assert H.entries == ((half, third),)
+    assert LinearFormMatrix([[[2, 4]], [[6, 0]]], QQ, den=8).den == 4
+    # the reduction of the paper member, and of a matrix with
+    # denominators, is the reduction of every entry
+    for N in map(_linear_form_matrix, ("QQ", "QQ-fractional")):
+        assert N.reduce_mod_p(101).entries == tuple(
+            tuple(e.reduce_mod_p(101) for e in row) for row in N.entries)
+    # a denominator divisible by p has no reduction
+    for p in (2, 3):
+        with pytest.raises(PreconditionError):
+            H.reduce_mod_p(p)
+
+
+def test_linear_form_matrix_refuses_gf_p2_past_the_tables():
+    # GF(13^2) has no table arithmetic for at() to multiply with
+    F = GF(13, 2)
+    with pytest.raises(PreconditionError, match="GF\\(13\\^2\\)"):
+        LinearFormMatrix.from_entries(
+            [[HomogeneousForm.linear([F.one, F.zero], F, "z")]])
     with pytest.raises(PreconditionError):
-        LinearFormMatrix([[frac]]).integer_coefficient_arrays()
-
-
+        LinearFormMatrix([[[1]], [[0]]], F, "z")
