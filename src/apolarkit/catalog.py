@@ -333,8 +333,7 @@ def fermat_cubic(field=QQ):
 
 
 def random_nonzero_vector(nvars, field, rng):
-    """A seeded draw of field.random_element per coordinate, repeated
-    until some coordinate is nonzero."""
+    """nvars seeded field.random_element draws, redrawn until not all zero."""
     while True:
         vec = [field.random_element(rng) for _ in range(nvars)]
         if any(not field.is_zero(c) for c in vec):

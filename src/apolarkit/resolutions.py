@@ -506,8 +506,11 @@ class LinearFormMatrix:
         """Nested lists of the field scalars of a code array, over QQ
         divided by den."""
         F = self.field
-        decode = (lambda v: Fraction(v, den)) if F == QQ \
-            else F.decode if F.degree == 2 else int
+        if F != QQ:
+            decode = F.decode if F.degree == 2 else int
+        else:
+            # one argument takes Fraction's fast path for an int
+            decode = Fraction if den == 1 else lambda v: Fraction(v, den)
         return np.frompyfunc(decode, 1, 1)(codes).tolist()
 
     def evaluate_at(self, point):
