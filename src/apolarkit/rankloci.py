@@ -15,11 +15,10 @@ Each function works over the one field it is given: a caller who wants
 the singular points over F_{p^2} lifts the curve first.  GF(p^2) enters
 the curve computation only as interpolation nodes of the line gcds when
 p <= t + 1.  Field elements are modular.py code arrays, multiplied by
-the field's arithmetic object.  The matrix enters only through
-LinearFormMatrix.at: at the two points spanning a line, or at a chunk of
-points of the plane.  plane_drop_points, an exhaustive scan of P^2(F_p)
-for drop points, has no caller in the curve pipeline; it stays as a
-benchmark span target and as a test reference.
+the field's arithmetic object; a matrix is read only by its at(), at the
+two points of a line or at plane points.  plane_drop_points, an
+exhaustive scan of P^2(F_p) for drop points, has no caller in the curve
+pipeline; it stays as a benchmark span target and as a test reference.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call

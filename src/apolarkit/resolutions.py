@@ -24,10 +24,9 @@ module built up to degree 3 already settles the full three-row tables of
 point ideals; one degree more lets the mod-p ranks of the next strand
 row close proofs.
 
-m2_matrix(f) is a LinearFormMatrix, stored as one coefficient array with
-a layer per variable, read straight off the second-syzygy rows.  Its
-at() gives the matrix at a stack of points; evaluation, substitution and
-the line and plane scans of rankloci are all that one product.
+m2_matrix(f) is a LinearFormMatrix: one coefficient array, a layer per
+variable, read off the second-syzygy rows.  Its at() at a stack of points
+is the one product behind evaluation, substitution and rankloci's scans.
 """
 
 from __future__ import annotations
