@@ -12,7 +12,9 @@ catalecticant(f, k) is the matrix of that action on degree-k operators
 (Macaulay duality; Iarrobino-Kanev, LNM 1721), and it is the only code
 that applies an operator to a form: apolar_action, the apolarity
 certificates and the partial-rank scan all go through it.  Ideal pieces
-spanned by generators are built by ideal_span alone.
+spanned by generators are built by ideal_span alone, and point sets are
+evaluated by evaluation_matrix alone, one forms.monomial_values path for
+every field.
 
 Matrix orientation.  catalecticant(f, k) has one row per degree-k dual
 monomial and one column per degree-(d-k) primal monomial, so the row
@@ -30,7 +32,7 @@ import numpy as np
 from .errors import PreconditionError
 from .fields import QQ
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
-                    monomial_exponents, monomial_index)
+                    monomial_exponents, monomial_index, monomial_values)
 from .linalg import ExactMatrix, _primitive_integer_row
 
 
@@ -156,36 +158,18 @@ def q_f(f):
 
 
 def evaluation_matrix(Z, k):
-    """One row per point of Z, one column per degree-k dual monomial.
+    """One row per point of Z, one column per degree-k dual monomial:
+    monomial_values of the points, as Python scalars, under the field's
+    mul.
 
     A rational Z is evaluated in integers at its points scaled to coprime
     integers, which scales rows and leaves the kernel I_Z(k) alone.
     """
     F = Z.field
-    exps = monomial_exponents(Z.nvars, k)
-    if F == QQ:
-        points = np.array([_primitive_integer_row(p) for p in Z.points],
-                          dtype=object)
-        values = np.prod(points[:, None, :] ** np.array(exps, dtype=object),
-                         axis=2)
-        return ExactMatrix(values.tolist(), QQ, len(exps))
-    rows = []
-    for p in Z.points:
-        pows = []
-        for v in p:
-            row = [F.one]
-            for _ in range(k):
-                row.append(F.mul(row[-1], v))
-            pows.append(row)
-        r = []
-        for e in exps:
-            t = F.one
-            for i, ei in enumerate(e):
-                if ei:
-                    t = F.mul(t, pows[i][ei])
-            r.append(t)
-        rows.append(r)
-    return ExactMatrix(rows, F, len(exps))
+    points = ([_primitive_integer_row(p) for p in Z.points] if F == QQ
+              else Z.points)
+    values = monomial_values(np.array(points, dtype=object), k, F.mul)
+    return ExactMatrix(values.tolist(), F, values.shape[1])
 
 
 def ideal_of_points_component(Z, k):

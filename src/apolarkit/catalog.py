@@ -17,9 +17,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import PreconditionError
 from .fields import QQ
-from .forms import HomogeneousForm, monomial_exponents, parse_form
+from .forms import (HomogeneousForm, monomial_exponents, monomial_values,
+                    parse_form)
 from .linalg import ExactMatrix
 from .resolutions import GENERIC_CUBIC_APOLAR_BETTI, BettiTable
 
@@ -78,14 +81,8 @@ def veronese_point(a, field=QQ):
     """Image of (a0, a1, a2) under the degree-2 Veronese map, as a 6-tuple."""
     if len(a) != 3:
         raise PreconditionError("Veronese map wants a 3-tuple")
-    out = []
-    for w in VERONESE_WEIGHTS:
-        v = field.one
-        for ai, e in zip(a, w):
-            for _ in range(e):
-                v = field.mul(v, ai)
-        out.append(v)
-    return tuple(out)
+    return tuple(monomial_values(np.array([a], dtype=object), 2,
+                                 field.mul)[0].tolist())
 
 
 def discriminant_cubic(field=QQ):
@@ -110,14 +107,11 @@ def plane_substitution(field=QQ):
 def cubic_family(a, b, c, d, e, field=QQ):
     """Five-parameter family of cubics annihilated by the Veronese minors.
 
-    Parameters may be ints, Fractions, or scalars of the target field.
+    Parameters are ints or Fractions, read into the field.
     """
     basis = [parse_form(t, field, "x") for t in CUBIC_FAMILY_BASIS_TEXTS]
     out = HomogeneousForm.zero(6, 3, field, "x")
     for coeff, g in zip((a, b, c, d, e), basis):
-        if not isinstance(coeff, (int, Fraction)):
-            out = out + g.scale(coeff)
-            continue
         out = out + g.scale(field.from_fraction(Fraction(coeff)))
     return out
 

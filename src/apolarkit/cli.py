@@ -7,7 +7,9 @@ lines.  Exit codes: 0 success, 2 parse error or unwritable --out, 3
 precondition violation, 4 reference mismatch in a reproduction run.
 Each subcommand names the fields it computes over (q, fp, fp2) and
 refuses any other field, like a count flag below its range, with exit
-code 2.  Each repro case fixes its own field, which its envelope names.
+code 2.  Each repro case fixes its own field, which its envelope names;
+so does `catalog reference-drop-curve`, whose stored curve is over GF(5),
+and it refuses any --field but q and fp:5.
 """
 
 import argparse
@@ -555,6 +557,11 @@ def main(argv=None):
                 args.command, field.describe(), ", ".join(args.fields)))
         if args.command == "repro":
             field = REPRO_CASES[args.case][0]
+        elif args.command == "catalog" and args.name == "reference-drop-curve":
+            if field not in (QQ, GF(5)):
+                raise ParseError("the stored drop curve is over GF(5), not %s"
+                                 % field.describe())
+            field = GF(5)
         payload, ok = args.runner(args, field, args.seed)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)

@@ -6,7 +6,9 @@ values themselves are plain Python data so they stay hashable and cheap:
 
     QQ        -> fractions.Fraction
     GF(p)     -> int in range(p)
-    GF(p, 2)  -> pair (a, b) meaning a + b*w with w^2 = nonresidue
+    GF(p, 2)  -> int a + p*b in range(p*p), meaning a + b*w with
+                 w^2 = nonresidue: the packed code, the one form of
+                 F_{p^2}, so the codes below p are F_p
 
 Every container in the package carries exactly one descriptor and refuses
 to mix scalars from different descriptors.  All arithmetic is exact.
@@ -168,9 +170,6 @@ class PrimeField:
     def elements(self):
         return range(self.p)
 
-    def encode(self, a):
-        return a % self.p
-
     def random_element(self, rng, nonzero=False):
         lo = 1 if nonzero else 0
         return rng.randrange(lo, self.p)
@@ -191,9 +190,11 @@ class PrimeField:
 class QuadraticField:
     """F_{p^2} = F_p[w]/(w^2 - n) with n the smallest nonresidue mod p.
 
-    Scalars are pairs (a, b) of ints in range(p) meaning a + b*w.  Only
-    the quadratic extension is provided; nothing in the toolkit needs
-    higher extension degrees.
+    Scalars are the ints a + p*b in range(p*p) meaning a + b*w, so the
+    codes below p are F_p.  add, sub, mul and neg use only + * // %, so
+    they work alike on ints and, entry by entry, on numpy code arrays.
+    Only the quadratic extension is provided; nothing in the toolkit
+    needs higher extension degrees.
     """
 
     degree = 2
@@ -204,72 +205,63 @@ class QuadraticField:
         self.p = p
         self.char = p
         self.nonresidue = smallest_nonresidue(p)
-        self.zero = (0, 0)
-        self.one = (1, 0)
+        self.zero = 0
+        self.one = 1
         self.base = GF(p)
 
     def add(self, a, b):
         p = self.p
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
+        return (a + b) % p + p * ((a // p + b // p) % p)
 
     def sub(self, a, b):
         p = self.p
-        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
+        return (a - b) % p + p * ((a // p - b // p) % p)
 
     def mul(self, a, b):
         p = self.p
-        return ((a[0] * b[0] + self.nonresidue * a[1] * b[1]) % p,
-                (a[0] * b[1] + a[1] * b[0]) % p)
+        a0, a1, b0, b1 = a % p, a // p, b % p, b // p
+        return ((a0 * b0 + self.nonresidue * a1 * b1) % p
+                + p * ((a0 * b1 + a1 * b0) % p))
 
     def neg(self, a):
-        p = self.p
-        return ((-a[0]) % p, (-a[1]) % p)
+        return self.sub(0, a)
 
     def inv(self, a):
         p = self.p
+        a0, a1 = a % p, a // p
         # norm a^2 - n*b^2 lies in F_p and vanishes only at zero
-        nrm = (a[0] * a[0] - self.nonresidue * a[1] * a[1]) % p
+        nrm = (a0 * a0 - self.nonresidue * a1 * a1) % p
         if nrm == 0:
             raise ZeroDivisionError("inverse of zero in GF(%d^2)" % p)
         ni = pow(nrm, p - 2, p)
-        return ((a[0] * ni) % p, (-a[1] * ni) % p)
+        return a0 * ni % p + p * (-a1 * ni % p)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def from_int(self, n):
-        return (n % self.p, 0)
-
-    def from_base(self, a):
-        return (a % self.p, 0)
+        return n % self.p
 
     def from_fraction(self, fr):
-        return self.from_base(self.base.from_fraction(fr))
+        return self.base.from_fraction(fr)
 
     def is_zero(self, a):
-        return a[0] % self.p == 0 and a[1] % self.p == 0
+        return a == 0
 
     def format_scalar(self, a):
-        if a[1] % self.p == 0:
-            return str(a[0] % self.p)
-        return "(%d+%d*w)" % (a[0] % self.p, a[1] % self.p)
+        p = self.p
+        if a < p:
+            return str(a)
+        return "(%d+%d*w)" % (a % p, a // p)
 
     def elements(self):
-        p = self.p
-        return ((a, b) for b in range(p) for a in range(p))
+        return range(self.p * self.p)
 
     def random_element(self, rng, nonzero=False):
         while True:
-            a = (rng.randrange(self.p), rng.randrange(self.p))
-            if not nonzero or not self.is_zero(a):
+            a = rng.randrange(self.p) + self.p * rng.randrange(self.p)
+            if not nonzero or a:
                 return a
-
-    def encode(self, a):
-        """Pack (a, b) into the int a + p*b, the layout modular.py uses."""
-        return a[0] % self.p + self.p * (a[1] % self.p)
-
-    def decode(self, code):
-        return (code % self.p, code // self.p)
 
     def describe(self):
         return "GF(%d^2)" % self.p
@@ -311,7 +303,7 @@ def coerce_scalar(value, src, dst):
         return dst.from_fraction(value)
     if (isinstance(src, PrimeField) and isinstance(dst, QuadraticField)
             and src.p == dst.p):
-        return dst.from_base(value)
+        return dst.from_int(value)
     raise PreconditionError("no coercion from %r to %r" % (src, dst))
 
 

@@ -7,6 +7,9 @@ x0^d comes first and xn^d last.  All degrees in the toolkit are small
 comfortable and the indexing O(1).  Products multiply term by term,
 except the power of a linear form, which the multinomial theorem expands
 in one pass, over QQ on integers over one common denominator.
+monomial_values is the one evaluator of all monomials of a degree at a
+stack of points; HomogeneousForm.evaluate keeps a scalar loop for one
+form at one point.
 
 Three print alphabets exist: x0..x5 for primal forms, y0..y5 for dual
 (differential operator) forms, z0..z2 for ternary forms.  The alphabet is
@@ -23,6 +26,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
+
+import numpy as np
 
 from .errors import ParseError, PreconditionError
 from .fields import QQ, GF, coerce_scalar
@@ -53,6 +58,20 @@ def monomial_index(nvars, degree):
 
 def monomial_count(nvars, degree):
     return math.comb(nvars + degree - 1, degree)
+
+
+def monomial_values(points, degree, mul):
+    """The value of every degree-`degree` monomial, in monomial_exponents
+    order, at each row of the (k, nvars) array points: a (k, monomials)
+    array.  mul multiplies two arrays entry by entry, a field's own mul
+    or a code table's; powers come by accumulate, products by reduce.
+    """
+    nvars = points.shape[1]
+    exps = np.array(monomial_exponents(nvars, degree))
+    # powers[point, variable, exponent]
+    powers = np.stack(list(accumulate([points] * degree, mul,
+                                      initial=np.ones_like(points))), -1)
+    return reduce(mul, (powers[:, v, exps[:, v]] for v in range(nvars)))
 
 
 class HomogeneousForm:

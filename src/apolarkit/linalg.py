@@ -125,15 +125,11 @@ class ExactMatrix:
     def codes(self):
         """The matrix as an array: over QQ its rows scaled to coprime
         integers, which leaves kernel, rank and pivots alone, otherwise
-        field codes (GF(p^2) elements packed as a + p*b).  int64 where
-        every entry fits, Python ints otherwise."""
+        its scalars, which are field codes.  int64 where every entry
+        fits, Python ints otherwise."""
         F = self.field
-        if F == QQ:
-            rows = [_primitive_integer_row(r) for r in self.rows]
-        elif F.degree == 2:
-            rows = [[F.encode(a) for a in r] for r in self.rows]
-        else:
-            rows = self.rows
+        rows = ([_primitive_integer_row(r) for r in self.rows] if F == QQ
+                else self.rows)
         if not rows:
             return np.zeros((0, self.ncols), dtype=np.int64)
         try:
@@ -154,8 +150,7 @@ class ExactMatrix:
         if arith is not None:
             codes = self.codes()
             modular.eliminate(codes, arith, reduced=True)
-            return ExactMatrix([[arith.decode(v) for v in row]
-                                for row in codes.tolist()], F, self.ncols)
+            return ExactMatrix(codes.tolist(), F, self.ncols)
         pivots, basis = _pivots_and_kernel(self.codes(), F)
         free = _free_columns(pivots, self.ncols)
         rows = [[F.zero] * self.ncols for _ in range(self.nrows)]
@@ -186,8 +181,7 @@ def kernel_rows(codes, field, primitive=False):
     arith = modular.field_arithmetic(field)
     if arith is None:
         return _pivots_and_kernel(codes, field, primitive)[1]
-    basis = modular.kernel(codes.astype(np.int64), arith)
-    return [[arith.decode(v) for v in row] for row in basis.tolist()]
+    return modular.kernel(codes.astype(np.int64), arith).tolist()
 
 
 def pivot_columns(codes, field):
@@ -226,9 +220,7 @@ def _pivots_and_kernel(codes, field, primitive=False, factored=None):
         solved = _multimodular_kernel(codes, ncols, primitive, factored)
         if solved is not None:
             return solved
-    rows = [[field.decode(int(c)) for c in r] for r in codes] \
-        if field.degree == 2 else codes.tolist()
-    ref, pivots = _rref(rows, field)
+    ref, pivots = _rref(codes.tolist(), field)
     basis = []
     for f in _free_columns(pivots, ncols):
         v = [field.zero] * ncols

@@ -10,8 +10,10 @@ field's arithmetic as an object:
 
 * PrimeArithmetic reduces mod a prime p < 2^31, codes in range(p);
 * QuadraticTables looks F_{p^2} sums, products and inverses up in tables
-  for small p, elements packed as the int a + p*b, the one array form of
-  F_{p^2}.  Only it knows how w multiplies, in its tables and its matmul.
+  for small p.  The codes are the field's own scalars, the ints a + p*b,
+  and the tables are the field's own add, mul and neg on every code:
+  w^2 = nonresidue is written once for elements (QuadraticField.mul) and
+  once for dot products (QuadraticTables.matmul).
 
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 .batch_rank are thin entry points over the core (all but kernel_mod_p
@@ -198,8 +200,6 @@ class PrimeArithmetic:
             a = a.reshape(1, -1) if a.size else a.reshape(0, 0)
         return np.mod(a, self.p)
 
-    decode = int
-
     def mul(self, x, y):
         return x * y % self.p
 
@@ -313,10 +313,10 @@ def kernel_mod_p(matrix, p):
 class QuadraticTables:
     """Packed-int arithmetic tables for F_{p^2}, p small and odd.
 
-    Elements are ints a + p*b for a + b*w over F_p, w^2 = nonresidue: the
-    base field is exactly the codes below p.  The addition and
-    multiplication tables have p^2 * p^2 entries, which is tiny for the
-    primes this package allows (p <= TABLE_MAX_PRIME).
+    Elements are the field's scalars, ints a + p*b for a + b*w over F_p,
+    w^2 = nonresidue: the base field is exactly the codes below p.  The
+    addition and multiplication tables have p^2 * p^2 entries, which is
+    tiny for the primes this package allows (p <= TABLE_MAX_PRIME).
     """
 
     def __init__(self, field):
@@ -327,17 +327,13 @@ class QuadraticTables:
         self.field = field
         self.p = p
         self.q = p * p
-        codes = np.arange(self.q)
-        a, b = codes % p, codes // p
-        self.add_table = (np.add.outer(a, a) % p
-                          + p * (np.add.outer(b, b) % p)).astype(np.int64)
-        self.mul_table = self.matmul(codes[:, None], codes[None, :])
-        self.neg_table = self.mul_table[:, p - 1].copy()  # times -1
+        codes = np.arange(self.q, dtype=np.int64)
+        x, y = codes[:, None], codes[None, :]
+        self.add_table = field.add(x, y)
+        self.mul_table = field.mul(x, y)
+        self.neg_table = field.neg(codes)
         # the y with x * y = 1, and 0 for x = 0, whose row holds no 1
         self.inv_table = np.argmax(self.mul_table == 1, axis=1)
-
-    def decode(self, code):
-        return self.field.decode(int(code))
 
     def mul(self, x, y):
         return self.mul_table[x, y]
@@ -475,15 +471,14 @@ def lagrange_interpolate(xs, ys, field):
 @lru_cache(maxsize=None)
 def _inverse_vandermonde(nodes, field):
     """The (n, n) code array whose column i holds the coefficients of the
-    Lagrange basis polynomial of the node with code nodes[i]:
-    lagrange_interpolate of the i-th unit vector."""
-    xs = [field_arithmetic(field).decode(x) for x in nodes]
+    Lagrange basis polynomial of the node nodes[i]: lagrange_interpolate
+    of the i-th unit vector."""
     n = len(nodes)
     out = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         unit = [field.one if j == i else field.zero for j in range(n)]
-        for k, c in enumerate(lagrange_interpolate(xs, unit, field)):
-            out[k, i] = field.encode(c)
+        coeffs = lagrange_interpolate(nodes, unit, field)
+        out[:len(coeffs), i] = coeffs
     return out
 
 

@@ -31,15 +31,15 @@ seed).
 from __future__ import annotations
 
 import random
-from functools import partial, reduce
-from itertools import accumulate
+from functools import partial
 
 import numpy as np
 
 from . import modular
 from .errors import PreconditionError, UnstableComputationError
 from .fields import GF, PrimeField, projective_points
-from .forms import HomogeneousForm, monomial_count, monomial_exponents
+from .forms import (HomogeneousForm, monomial_count, monomial_exponents,
+                    monomial_values)
 from .linalg import ExactMatrix
 
 
@@ -366,9 +366,10 @@ def singular_points_plane_curve(F):
     A point is reported when F and all three partial derivatives vanish
     there; the scan is exhaustive over F.field (GF(p) or GF(p^2)), in
     projective_points order, and evaluates the four forms at a chunk of
-    points at once: the codes of the monomial values times the
-    coefficient columns, one matmul for F and one for its gradient.  A
-    field of more than SCAN_FIELD_MAX elements is refused.
+    points at once: forms.monomial_values under the field's code
+    arithmetic times the coefficient columns, one matmul for F and one
+    for its gradient.  A field of more than SCAN_FIELD_MAX elements is
+    refused.
     """
     if F.nvars != 3:
         raise PreconditionError("singular-point scan wants a ternary form")
@@ -377,24 +378,19 @@ def singular_points_plane_curve(F):
         raise PreconditionError("singular-point scan needs a finite field")
     require_scannable(field.char ** field.degree)
     arith = modular.field_arithmetic(field)
-    # (monomial exponents, coefficient columns) of F and of its gradient
-    systems = [(np.array(monomial_exponents(3, forms[0].degree)),
-                ExactMatrix([g.coeffs for g in forms], field).codes().T)
+    # (degree, coefficient columns) of F and of its gradient
+    systems = [(forms[0].degree, np.array([g.coeffs for g in forms]).T)
                for forms in ([F], [F.derivative(i) for i in range(3)])]
     out = []
     # a chunk's monomial values and their products: some 16 arrays of
     # (points x monomials) entries at once
     for chunk in modular.chunked(projective_points(field, 3),
                                  16 * monomial_count(3, F.degree)):
-        coords = ExactMatrix(chunk, field).codes()
-        # powers[point, variable, exponent]
-        powers = np.stack(list(accumulate([coords] * F.degree, arith.mul,
-                                          initial=np.ones_like(coords))), -1)
+        coords = np.array(chunk)
         vanish = np.ones(len(chunk), dtype=bool)
-        for exps, cols in systems:
-            monomials = reduce(arith.mul, (powers[:, v, exps[:, v]]
-                                           for v in range(3)))
-            vanish &= ~arith.matmul(monomials, cols).any(axis=1)
+        for degree, cols in systems:
+            values = monomial_values(coords, degree, arith.mul)
+            vanish &= ~arith.matmul(values, cols).any(axis=1)
         out.extend(chunk[i] for i in np.flatnonzero(vanish))
     return out
 

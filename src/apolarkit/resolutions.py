@@ -153,16 +153,6 @@ class GradedModule:
         return len(self.piece(j)[1])
 
 
-def _negated(codes, field):
-    """-codes, over QQ on integers and otherwise on field codes."""
-    if field == QQ:
-        return -codes
-    p = field.char
-    if field.degree == 1:
-        return -codes % p
-    return -codes % p + p * (-(codes // p) % p)
-
-
 # ---- module factories -------------------------------------------------
 
 
@@ -251,7 +241,7 @@ def koszul_differential(module, i, j):
     if basis and E.size:
         face, subset, t, sign = _contractions(n, i)
         images = E[:, _shifts(n, j - i)[:, basis]].transpose(1, 0, 2)
-        signed = np.stack((images, _negated(images, module.field)))
+        signed = np.stack((images, module.field.neg(images)))
         out[face, :, subset, :] = signed[sign, t]
     return out.reshape(nfaces * E.shape[0], nsubsets * len(basis))
 
@@ -364,7 +354,7 @@ def _betti_guard(quadrics, order):
 
 
 @lru_cache(maxsize=32)
-def _linear_syzygies_cached(quadrics, order, coefficient_degree, guard):
+def _linear_syzygies_cached(quadrics, order, guard):
     if not quadrics:
         raise PreconditionError("empty quadric system")
     field = quadrics[0].field
@@ -375,63 +365,50 @@ def _linear_syzygies_cached(quadrics, order, coefficient_degree, guard):
         _betti_guard(quadrics, order)
 
     if order == 1:
-        # (l_i) -> sum l_i Q_i, from (S^c V*)^q to S^{2+c} V*
-        return ideal_span(quadrics, 2 + coefficient_degree).transpose() \
+        # (l_i) -> sum l_i Q_i, from (V*)^q to S^3 V*
+        return ideal_span(quadrics, 3).transpose() \
             .kernel_basis(primitive=True)
 
     # order 2: kernel of (V*)^{s1} -> (S^2 V*)^q, (m_j) -> sum m_j s_j,
     # written over the cached order-1 basis
-    syz1 = _linear_syzygies_cached(quadrics, 1, coefficient_degree, False)
-    nvars = quadrics[0].nvars
+    syz1 = _linear_syzygies_cached(quadrics, 1, False)
+    n = quadrics[0].nvars
     q = len(quadrics)
-    exps = monomial_exponents(nvars, coefficient_degree)
-    cdim1 = len(exps)
-    idx = monomial_index(nvars, 2 * coefficient_degree)
-    cdim2 = len(idx)
-    # column (s, e) holds y^e * s block by block; y^e times distinct
-    # monomials gives distinct monomials, so each block is a scatter of
-    # the block of s to the positions of y^e * y^k
-    at = np.array([[idx[tuple(a + b for a, b in zip(e, k))] for k in exps]
-                   for e in exps])
-    syz = syz1.codes().reshape(syz1.nrows, q, cdim1)
-    i, s, e, k = np.ix_(range(q), range(syz1.nrows), range(cdim1),
-                        range(cdim1))
-    phi2 = np.zeros((q, cdim2, syz1.nrows, cdim1), dtype=syz.dtype)
+    cdim2 = monomial_count(n, 2)
+    # column (s, e) holds y_e * s block by block; y_e times distinct
+    # variables gives distinct monomials, so each block is a scatter of
+    # the block of s to the positions of y_e * y_k
+    at = _shifts(n, 1)  # at[e, k]: index of y_e * y_k
+    syz = syz1.codes().reshape(syz1.nrows, q, n)
+    i, s, e, k = np.ix_(range(q), range(syz1.nrows), range(n), range(n))
+    phi2 = np.zeros((q, cdim2, syz1.nrows, n), dtype=syz.dtype)
     phi2[i, at[e, k], s, e] = syz[s, i, k]
-    ncols = syz1.nrows * cdim1
+    ncols = syz1.nrows * n
     return ExactMatrix(kernel_rows(phi2.reshape(q * cdim2, ncols), field,
                                    primitive=True), field, ncols)
 
 
-def linear_syzygies(quadrics, order, coefficient_degree=1, guard=True):
-    """The (first or second) syzygies with the given coefficient degree
-    among independent quadric forms, as the ExactMatrix of their
-    canonical basis rows: a first syzygy is q blocks of coefficient
-    forms, one per quadric, a second syzygy one block per first syzygy.
+def linear_syzygies(quadrics, order, guard=True):
+    """The linear first or second syzygies among independent quadric
+    forms, as the ExactMatrix of their canonical basis rows: a first
+    syzygy is q blocks of linear forms, one per quadric, a second syzygy
+    one block per first syzygy.
 
-    With the default coefficient degree 1 these are the linear-strand
-    syzygies and their count is the Betti number b_{order+1, order+2} of
-    the ideal generated by the quadrics; the guard refuses dependent
-    quadrics and enforces the Betti-shape condition that makes that
-    identification valid.  An explicit coefficient_degree (for example 2
-    to see the Koszul syzygy of two coprime squares) bypasses the strand
-    bookkeeping, and the guard with it.
+    Their count is the Betti number b_{order+1, order+2} of the ideal
+    generated by the quadrics; the guard refuses dependent quadrics and
+    enforces the Betti-shape condition that makes that identification
+    valid.
     """
     if order not in (1, 2):
         raise PreconditionError("order must be 1 or 2")
-    if coefficient_degree < 1:
-        raise PreconditionError("coefficient degree must be at least 1")
-    if coefficient_degree != 1:
-        guard = False
-    return _linear_syzygies_cached(tuple(quadrics), order,
-                                   coefficient_degree, guard)
+    return _linear_syzygies_cached(tuple(quadrics), order, guard)
 
 
 def _codes(values, field):
     """Scalars as codes over a denominator: over QQ integers over their
-    common denominator, otherwise field codes over 1."""
+    common denominator, otherwise the scalars, field codes, over 1."""
     if field != QQ:
-        return [field.encode(v) for v in values], 1
+        return list(values), 1
     values = [Fraction(v) for v in values]
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
@@ -504,12 +481,10 @@ class LinearFormMatrix:
     def _scalars(self, codes, den):
         """Nested lists of the field scalars of a code array, over QQ
         divided by den."""
-        F = self.field
-        if F != QQ:
-            decode = F.decode if F.degree == 2 else int
-        else:
-            # one argument takes Fraction's fast path for an int
-            decode = Fraction if den == 1 else lambda v: Fraction(v, den)
+        if self.field != QQ:
+            return codes.tolist()
+        # one argument takes Fraction's fast path for an int
+        decode = Fraction if den == 1 else lambda v: Fraction(v, den)
         return np.frompyfunc(decode, 1, 1)(codes).tolist()
 
     def evaluate_at(self, point):

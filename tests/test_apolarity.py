@@ -23,8 +23,9 @@ from apolarkit.apolarity import (
 from apolarkit.cli import random_rational_points
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ
-from apolarkit.forms import HomogeneousForm, monomial_count, parse_form
-from apolarkit.linalg import _primitive_integer_row
+from apolarkit.forms import (HomogeneousForm, monomial_count,
+                             monomial_exponents, parse_form)
+from apolarkit.linalg import ExactMatrix, _primitive_integer_row
 
 
 def _random_linear(rng, spread=5):
@@ -144,6 +145,38 @@ def test_points_ideal_dimensions():
     assert ideal_of_points_component(Z, 2).nrows == 21 - 9
     assert ideal_of_points_component(Z, 3).nrows == 56 - 9
     assert evaluation_matrix(Z, 3).rank() == 9
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(5, 2), GF(13, 2),
+                                   GF(2147483659)], ids=repr)
+def test_evaluation_matrix_matches_pointwise_products(field):
+    # each entry is the product of the coordinates' powers under
+    # field.mul, over QQ at the point scaled to coprime integers
+    rng = random.Random(7)
+    for nvars in (3, 6):
+        points = [[field.random_element(rng) for _ in range(nvars)]
+                  for _ in range(5)]
+        if field == QQ:
+            points = [[c / rng.randint(1, 4) for c in pt] for pt in points]
+        points[0][0], points[0][-1] = field.zero, field.from_int(-1)
+        for pt in points:
+            pt[1] = field.one  # no zero point
+        Z = PointSet(points, field, allow_duplicates=True)
+        for k in range(5):
+            rows = []
+            for pt in points:
+                if field == QQ:
+                    pt = _primitive_integer_row(pt)
+                row = []
+                for e in monomial_exponents(nvars, k):
+                    value = field.one
+                    for c, ei in zip(pt, e):
+                        for _ in range(ei):
+                            value = field.mul(value, c)
+                    row.append(value)
+                rows.append(row)
+            assert evaluation_matrix(Z, k) \
+                == ExactMatrix(rows, field, monomial_count(nvars, k))
 
 
 def test_dual_route_apolarity_positive_and_negative():

@@ -305,6 +305,17 @@ def test_catalog_listing_and_lookup(capsys):
     rc, env = run_json(capsys, ["catalog", "reference-drop-curve"])
     assert rc == 0
     assert "z0^9" in env["report"]["value"]
+    # the stored curve is over GF(5), whatever --field says
+    assert env["field"] == "GF(5)"
+    rc, env5 = run_json(capsys, ["--field", "fp:5", "catalog",
+                                 "reference-drop-curve"])
+    assert rc == 0 and env5 == env
+    for other in ("fp:7", "fp:101"):
+        assert main(["--field", other, "catalog", "reference-drop-curve"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("parse error: the stored drop curve is over "
+                                "GF(5), not GF(%s)\n" % other[3:])
     assert main(["catalog", "no-such-entry"]) == 2
     capsys.readouterr()
 
@@ -318,6 +329,33 @@ def test_powersum_routes_agree(capsys):
                                 "--coplanar"])
     assert rc == 0
     assert env["report"]["routes_agree"]
+
+
+# sha256 of the stdout of `powersum` over GF(p^2), all exiting 0: the
+# seeded draws of GF(p^2) scalars, their text and both certificates
+# over a tabled field (p = 5) and a Fraction-fallback one (p = 13) must
+# not change
+POWERSUM_STDOUT_SHA256 = {
+    ("--field", "fp2:5", "--seed", "0", "powersum", "--count", "6",
+     "--coplanar"):
+        "45131f4cf4d9d1b3a04b8d8b57c5362167aab7bee21ee5f00a7f09f2899a13cb",
+    ("--field", "fp2:5", "--seed", "3", "powersum", "--count", "6",
+     "--coplanar"):
+        "88478cbb816ec406e3cdcf140eaeb2b2306e0b89d1b89b1c5e0b8a4e530fc94a",
+    ("--field", "fp2:13", "--seed", "0", "powersum", "--count", "5"):
+        "a0261c732de052ee7a44faf89b54c0fe8bb8793a8c714f48437da1617ec17198",
+    ("--field", "fp2:13", "--seed", "3", "powersum", "--count", "5"):
+        "ebd85039bc5f8e0cd2b4218f6e2585665a34fefdf48c60f217f6b1d1b106a128",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(POWERSUM_STDOUT_SHA256))
+def test_powersum_report_bytes_are_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == POWERSUM_STDOUT_SHA256[argv]
 
 
 def test_repro_betti_generic_passes(capsys):

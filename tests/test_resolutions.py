@@ -409,7 +409,6 @@ def test_two_coprime_squares_guard_and_koszul_syzygy():
     with pytest.raises(PreconditionError):
         linear_syzygies(Q, 2)
     assert linear_syzygies(Q, 1).nrows == 0
-    assert linear_syzygies(Q, 1, coefficient_degree=2).nrows == 1
 
 
 def test_linear_syzygies_refuse_dependent_quadrics():
