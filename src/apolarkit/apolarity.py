@@ -24,6 +24,7 @@ the graded piece I_f(k) of the apolar ideal is the LEFT kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -44,11 +45,19 @@ def _require_char(field, degree):
 
 
 class PointSet:
-    """A list of projective points with exact coordinates.
+    """A list of projective points with exact coordinates, read-only once
+    built.
 
-    Points are stored as given (not rescaled).  Reduced sets refuse
+    Points are stored as given (not rescaled).  Over GF(p^2) each
+    coordinate must be a code in range(p*p).  Reduced sets refuse
     duplicates up to scale; pass allow_duplicates=True to model a
     multiset, in which case the reduced-scheme operations refuse it.
+
+    Each power-sum certificate keeps its own data about the points,
+    computed on first use and held on the instance, so testing one set
+    against several cubics builds it once: cubic_ideal_basis for
+    is_apolar_pointset and cube_span for cube_span_contains.  The set
+    cannot change after __init__, so neither goes stale.
     """
 
     def __init__(self, points, field=QQ, allow_duplicates=False):
@@ -59,12 +68,16 @@ class PointSet:
         for p in pts:
             if len(p) != n:
                 raise PreconditionError("points of unequal length")
+            if field.degree == 2 and any(c not in field.elements() for c in p):
+                raise PreconditionError(
+                    "%s coordinates are codes in range(%d): %r"
+                    % (field.describe(), field.p * field.p, p))
             if all(field.is_zero(c) for c in p):
                 raise PreconditionError("zero vector is not a projective point")
-        self.points = tuple(pts)
-        self.nvars = n
-        self.field = field
-        self.allow_duplicates = allow_duplicates
+        object.__setattr__(self, "points", tuple(pts))
+        object.__setattr__(self, "nvars", n)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "allow_duplicates", allow_duplicates)
         if not allow_duplicates:
             seen = set()
             for p in pts:
@@ -73,6 +86,24 @@ class PointSet:
                     raise PreconditionError(
                         "duplicate point up to scale: %r" % (p,))
                 seen.add(key)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PointSet is immutable")
+
+    @functools.cached_property
+    def cubic_ideal_basis(self):
+        """I_Z(3) as primitive integer rows over QQ (canonical rows over a
+        finite field): the left side of is_apolar_pointset's product."""
+        return evaluation_matrix(self, 3).kernel_basis(primitive=True)
+
+    @functools.cached_property
+    def cube_span(self):
+        """(the coefficient rows of l^3 for [l] in Z, their rank), the
+        span cube_span_contains tests a cubic against."""
+        F = self.field
+        cubes = [HomogeneousForm.linear(p, F).power(3).coeffs
+                 for p in self.points]
+        return cubes, ExactMatrix(cubes, F).rank()
 
     def _scale_key(self, p):
         F = self.field
@@ -180,6 +211,13 @@ def ideal_of_points_component(Z, k):
     return evaluation_matrix(Z, k).kernel_basis()
 
 
+def _require_cubic_on(Z, f):
+    if f.degree != 3:
+        raise PreconditionError("point-set certificates are for cubics")
+    if Z.nvars != f.nvars or Z.field != f.field:
+        raise PreconditionError("point set and form must share arity and field")
+
+
 def is_apolar_pointset(Z, f):
     """Is the reduced point set Z apolar to the cubic f?
 
@@ -188,15 +226,14 @@ def is_apolar_pointset(Z, f):
     containment in degrees 1 and 2 as well: if D has degree 2 and y_i*D
     kills f for every i, the partials of the linear form D(f) all vanish,
     so D(f) = 0.  Hence the single degree suffices for a cubic.  Over QQ
-    the basis and the catalecticant column are taken in integers.
+    the basis and the catalecticant column are taken in integers.  The
+    basis is Z.cubic_ideal_basis, built on Z's first test; only the
+    product with f's catalecticant is taken anew for each f.
     """
-    if f.degree != 3:
-        raise PreconditionError("apolarity certificate is for cubics")
-    if Z.nvars != f.nvars or Z.field != f.field:
-        raise PreconditionError("point set and form must share arity and field")
+    _require_cubic_on(Z, f)
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
-    basis = evaluation_matrix(Z, 3).kernel_basis(primitive=True)
+    basis = Z.cubic_ideal_basis
     if f.field != QQ:
         return _annihilates(basis, f, 3)
     column = _primitive_integer_row([r[0] for r in catalecticant(f, 3).rows])
@@ -204,16 +241,18 @@ def is_apolar_pointset(Z, f):
 
 
 def cube_span_contains(Z, f):
-    """Independent certificate: does f lie in span of the cubes l^3, [l] in Z?
+    """Independent certificate: does the cubic f lie in the span of the
+    cubes l^3, [l] in Z?
 
+    Compares the rank of the cubes with f appended against the rank of
+    the cubes alone.  The cubes and their rank are Z.cube_span, built on
+    Z's first test; only the stacked rank is taken anew for each f.
     Used to cross-check is_apolar_pointset; the two implementations share
     no linear algebra beyond the matrix class.
     """
-    F = f.field
-    cubes = [HomogeneousForm.linear(p, F, f.alphabet).power(3).coeffs
-             for p in Z.points]
-    stacked = ExactMatrix(cubes + [f.coeffs], F)
-    return stacked.rank() == ExactMatrix(cubes, F, stacked.ncols).rank()
+    _require_cubic_on(Z, f)
+    cubes, rank = Z.cube_span
+    return ExactMatrix(cubes + [f.coeffs], Z.field).rank() == rank
 
 
 def ideal_span(generators, degree):

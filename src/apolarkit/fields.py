@@ -165,7 +165,8 @@ class PrimeField:
         except PreconditionError:
             raise
         except (ValueError, ZeroDivisionError):
-            raise ParseError("bad scalar %r for GF(%d)" % (text, self.p), position)
+            raise ParseError("bad scalar %r for %s" % (text, self.describe()),
+                             position)
 
     def elements(self):
         return range(self.p)
@@ -247,6 +248,11 @@ class QuadraticField:
 
     def is_zero(self, a):
         return a == 0
+
+    def parse_scalar(self, text, position=None):
+        """Rational text, read into F_p as a code below p.  The (a+b*w)
+        form that format_scalar prints is not parsed."""
+        return PrimeField.parse_scalar(self, text, position)
 
     def format_scalar(self, a):
         p = self.p

@@ -138,6 +138,55 @@ def test_pointset_rejects_projective_duplicates():
     assert len(Z) == 2
 
 
+def test_pointset_refuses_gf_p2_coordinates_outside_the_codes():
+    # -1 is no code of GF(25): read as one it is 4 + 4w, not 4
+    F = GF(5, 2)
+    for points in ([(-1, 1, 0), (0, 1, 3)], [(1, 0, 0), (0, 1, 30)],
+                   [(1, 0, 0), (0, 1, 25)]):
+        with pytest.raises(PreconditionError):
+            PointSet(points, F)
+    assert PointSet([(4, 1, 0), (0, 1, 24)], F).points == ((4, 1, 0), (0, 1, 24))
+    # over GF(p) every op reduces mod p, so a negative int is an element
+    Z = PointSet([(-1, 1, 0), (0, 1, 30)], GF(5))
+    assert Z._scale_key(Z.points[0]) == (1, 4, 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_pointset_keeps_its_certificate_data(field):
+    # each cached value equals a fresh computation, is computed once and
+    # cannot be replaced; the points cannot be replaced either
+    forms, _, _ = catalog.random_power_sum(6, field, seed=3)
+    Z = PointSet([g.coeffs for g in forms], field)
+    basis = Z.cubic_ideal_basis
+    assert basis == evaluation_matrix(Z, 3).kernel_basis(primitive=True)
+    assert basis.nrows == 56 - 6
+    cubes = [g.power(3).coeffs for g in forms]
+    assert Z.cube_span == (cubes, ExactMatrix(cubes, field, 56).rank())
+    assert Z.cube_span[1] == 6
+    assert Z.cubic_ideal_basis is basis
+    for name in ("points", "field", "cubic_ideal_basis", "cube_span"):
+        with pytest.raises(AttributeError):
+            setattr(Z, name, None)
+
+
+@pytest.mark.parametrize("case", ["other-field", "other-arity", "quadric"])
+def test_point_set_certificates_refuse_a_mismatched_form(case):
+    # both certificates refuse a form they cannot compare with Z, where
+    # cube_span_contains used to answer True or raise "ragged rows"
+    forms, _, f = catalog.random_power_sum(5, QQ, seed=4)
+    Z = PointSet([g.coeffs for g in forms], QQ)
+    other = {
+        "other-field": f.reduce_mod_p(7),
+        "other-arity": HomogeneousForm.linear(
+            [Fraction(c) for c in (1, 2, 3, 4, 5)], QQ).power(3),
+        "quadric": parse_form("x0^2+x1*x5"),
+    }[case]
+    for certificate in (cube_span_contains, is_apolar_pointset):
+        with pytest.raises(PreconditionError):
+            certificate(Z, other)
+    assert cube_span_contains(Z, f) and is_apolar_pointset(Z, f)
+
+
 def test_points_ideal_dimensions():
     Z = PointSet(random_rational_points(9, seed=0), QQ)
     # 9 generic points impose independent conditions on quadrics and cubics

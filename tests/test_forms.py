@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apolarkit import catalog
 from apolarkit.errors import ParseError
 from apolarkit.fields import GF, QQ
 from apolarkit.forms import (
@@ -164,6 +165,19 @@ def test_reduce_and_lift_between_fields():
     h = g.lift_to(GF(5, 2))
     assert h.field == GF(5, 2)
     assert h.coefficient((1, 1, 0)) == 3
+
+
+def test_quadratic_field_parses_rational_text():
+    # rational text lands in F_p, as a code below p; the (a+b*w) form that
+    # format_scalar prints is not read
+    F = GF(5, 2)
+    assert [F.parse_scalar(t) for t in ("3", "-1", "1/2", "7")] == [3, 4, 3, 2]
+    for text in ("w", "(1+2*w)", "1/0"):
+        with pytest.raises(ParseError):
+            F.parse_scalar(text)
+    assert parse_form("x0+2*x1", F) == parse_form("x0+2*x1", GF(5)).lift_to(F)
+    family = catalog.cubic_family(1, -1, 1, -1, 1, field=F)
+    assert family == catalog.cubic_family(1, -1, 1, -1, 1, field=GF(5)).lift_to(F)
 
 
 def test_finite_field_round_trip():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 from apolarkit import catalog, linalg, modular
-from apolarkit.apolarity import PointSet, cube_span_contains
+from apolarkit.apolarity import PointSet, cube_span_contains, is_apolar_pointset
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ, is_prime
 from apolarkit.forms import HomogeneousForm
@@ -475,6 +475,48 @@ def test_positive_power_sum_certificate_eliminates_once(monkeypatch):
     shapes = _count_eliminations(monkeypatch)
     assert cube_span_contains(Z, f)
     assert shapes.count((56, 8)) == 1
+
+
+def _power_sum_pair():
+    # criterion 11's instance i = 2: Z, the cubic f it sums to, and
+    # f + l^3, which it does not
+    forms, _, f = catalog.random_power_sum(7, seed=102)
+    Z = PointSet([g.coeffs for g in forms], QQ)
+    rng = random.Random(502)
+    l = HomogeneousForm.linear(
+        [Fraction(rng.randint(-7, 7) or 1) for _ in range(6)], QQ, "x")
+    return Z, f, f + l.power(3)
+
+
+def test_apolarity_certificate_lifts_the_point_ideal_once(monkeypatch):
+    # I_Z(3) is the kernel of the 7 x 56 evaluation matrix; the second
+    # cubic reuses the basis the first one lifted
+    Z, f, bad = _power_sum_pair()
+    calls = _count_exact_work(monkeypatch)
+    shapes = _count_eliminations(monkeypatch)
+    assert is_apolar_pointset(Z, f)
+    assert not is_apolar_pointset(Z, bad)
+    assert calls == [("_multimodular_kernel", 7, 56)]
+    assert shapes.count((7, 56)) == 1
+
+
+def test_cube_span_certificate_expands_the_cubes_once(monkeypatch):
+    # the k cubes and their 56 x 7 rank are built once for both cubics;
+    # each cubic then ranks its own 56 x 8 stack
+    Z, f, bad = _power_sum_pair()
+    expansions = []
+    real = HomogeneousForm.power_sum
+
+    def counting(scalars, forms, n):
+        expansions.append(n)
+        return real(scalars, forms, n)
+
+    monkeypatch.setattr(HomogeneousForm, "power_sum", staticmethod(counting))
+    shapes = _count_eliminations(monkeypatch)
+    assert not cube_span_contains(Z, bad)
+    assert cube_span_contains(Z, f)
+    assert expansions == [3] * len(Z)
+    assert shapes.count((56, 7)) == 1 and shapes.count((56, 8)) == 2
 
 
 def _rational_rref_cases():
