@@ -44,6 +44,13 @@ def _require_char(field, degree):
             % (field.char, degree))
 
 
+def projective_key(point, field):
+    """A nonzero vector scaled to lead with 1: equal for two vectors just
+    when they agree up to a nonzero scalar."""
+    inv = field.inv(next(c for c in point if not field.is_zero(c)))
+    return tuple(field.mul(inv, c) for c in point)
+
+
 class PointSet:
     """A list of projective points with exact coordinates, read-only once
     built.
@@ -81,7 +88,7 @@ class PointSet:
         if not allow_duplicates:
             seen = set()
             for p in pts:
-                key = self._scale_key(p)
+                key = projective_key(p, field)
                 if key in seen:
                     raise PreconditionError(
                         "duplicate point up to scale: %r" % (p,))
@@ -104,12 +111,6 @@ class PointSet:
         cubes = [HomogeneousForm.linear(p, F).power(3).coeffs
                  for p in self.points]
         return cubes, ExactMatrix(cubes, F).rank()
-
-    def _scale_key(self, p):
-        F = self.field
-        lead = next(c for c in p if not F.is_zero(c))
-        inv = F.inv(lead)
-        return tuple(F.mul(inv, c) for c in p)
 
     def __len__(self):
         return len(self.points)

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .apolarity import projective_key
 from .errors import PreconditionError
 from .fields import QQ
 from .forms import (HomogeneousForm, monomial_exponents, monomial_values,
@@ -339,7 +340,9 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
 
     With coplanar=True the first four forms are drawn from a common
     3-dimensional space of linear forms (and the draw is retried until
-    their coefficient matrix has rank exactly 3).
+    their coefficient matrix has rank exactly 3).  A whole draw is retried
+    while two of its forms agree up to scale, which PointSet refuses, or
+    the sum is zero.
     """
     if k < 1:
         raise PreconditionError("need at least one summand")
@@ -367,5 +370,6 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
                 random_nonzero_vector(6, field, rng), field))
         lams = [field.random_element(rng, nonzero=True) for _ in range(k)]
         f = HomogeneousForm.power_sum(lams, forms, 3)
-        if not f.is_zero():
+        if not f.is_zero() and len({projective_key(g.coeffs, field)
+                                    for g in forms}) == k:
             return forms, lams, f

@@ -210,7 +210,7 @@ def run_m2(args, field, seed):
         pt = catalog.random_nonzero_vector(M.nvars, field, rng)
         samples.append({
             "point": [field.format_scalar(c) for c in pt],
-            "rank": M.evaluate_at(pt).rank(),
+            "rank": M.rank_at(pt),
         })
     payload = {
         "input": label,
@@ -388,8 +388,8 @@ def _repro_scroll_example(field, seed, checks):
            parse_form("z2", field, "z"), zero, zero, zero]
     R = M.substitute(sub)
     rng = random.Random(seed)
-    ranks = [R.evaluate_at(catalog.random_nonzero_vector(3, field, rng))
-             .rank() for _ in range(5)]
+    ranks = [R.rank_at(catalog.random_nonzero_vector(3, field, rng))
+             for _ in range(5)]
     _check(checks, "restricted-ranks", [21] * 5, ranks)
 
 
@@ -402,7 +402,7 @@ def _repro_veronese_rank_drop(field, seed, checks):
         if not any(a):
             continue
         point = list(catalog.veronese_point(a, field))
-        ranks.append(M.evaluate_at(point).rank())
+        ranks.append(M.rank_at(point))
     _check_true(checks, "all-ranks-drop", all(r <= 20 for r in ranks),
                 detail={"ranks": ranks})
     _check_true(checks, "majority-rank-20",

@@ -90,6 +90,11 @@ class HomogeneousForm:
             raise ValueError(
                 "expected %d coefficients for degree %d in %d variables, got %d"
                 % (monomial_count(nvars, degree), degree, nvars, len(coeffs)))
+        if field.degree == 2 and any(c not in field.elements()
+                                     for c in coeffs):
+            raise PreconditionError(
+                "%s coefficients are codes in range(%d): %r"
+                % (field.describe(), field.p * field.p, coeffs))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", coeffs)

@@ -9,8 +9,10 @@ is the ExactMatrix of its canonical basis rows; its degree and alphabet
 are the caller's.
 
 Every rational kernel is p-adic: one elimination mod a prime below 2^31
-on the numpy core, then lifting steps (Dixon) and rational
-reconstruction, accepted only once A K = 0 holds exactly, which proves
+on the numpy core, the inverse of its pivot block built once from that
+LU, then lifting steps (Dixon), one product with that inverse each, and
+rational reconstruction over one common denominator, accepted only once
+A K = 0 holds exactly, which proves
 it is the rational one.  That one verified (pivots, kernel) result gives
 every exact rational answer: kernel_basis is K, rref is read off K, and
 pivot_columns, which decides the proved pivots of a matrix over any
@@ -161,12 +163,7 @@ class ExactMatrix:
         return ExactMatrix(rows, F, self.ncols)
 
     def rank(self):
-        codes = self.codes()
-        if self.field == QQ and self.nrows < self.ncols:
-            # rank is the same on both sides, and the certificate of the
-            # narrower one is the smaller kernel
-            codes = codes.T
-        return len(pivot_columns(codes, self.field))
+        return code_rank(self.codes(), self.field)
 
     def kernel_basis(self, primitive=False):
         """Canonical basis of the right kernel {v : M v = 0}: kernel_rows."""
@@ -182,6 +179,16 @@ def kernel_rows(codes, field, primitive=False):
     if arith is None:
         return _pivots_and_kernel(codes, field, primitive)[1]
     return modular.kernel(codes.astype(np.int64), arith).tolist()
+
+
+def code_rank(codes, field):
+    """The rank of a matrix over the field given as codes (see
+    ExactMatrix.codes), proved as pivot_columns proves its pivots."""
+    if field == QQ and len(codes) < codes.shape[1]:
+        # rank is the same on both sides, and the certificate of the
+        # narrower one is the smaller kernel
+        codes = codes.T
+    return len(pivot_columns(codes, field))
 
 
 def pivot_columns(codes, field):
@@ -320,56 +327,107 @@ def _multimodular_kernel(matrix, ncols, primitive=False, factored=None):
 
 
 def _lift(rows, lu, pivots, free, p, budget):
-    """(digits taken, columns as _reconstruct gives them or None if the
-    budget runs out) of A_RP^-1 A_RF, from the rows of A behind the pivots
-    (in pivot order) and the LU of A mod p.  Digit y_k solves A_RP y_k =
-    res_k mod p, from res_0 = A_RF and res_(k+1) = (res_k - A_RP y_k) / p;
-    once one probe column reconstructs alike from two digit counts in a
-    row, all are.  A_RP y is exact in int64 limbs of s bits (r 2^s p <= 2^62).
+    """(digits taken, columns as _reconstruct_columns gives them or None if
+    the budget runs out) of A_RP^-1 A_RF, from the rows of A behind the
+    pivots (in pivot order) and the LU of A mod p.
+
+    Digit y_k = A_RP^-1 res_k mod p is one product with A_RP^-1 mod p,
+    built once from the LU, from res_0 = A_RF and res_(k+1) = (res_k -
+    A_RP y_k) / p; once one probe column reconstructs alike from two digit
+    counts in a row, all columns are reconstructed.  res is kept exactly
+    as int64 limbs R_j of b bits, res = sum R_j 2^(b j), the top one
+    signed: each limb of A_RP y is one float64 product, exact because
+    r (p - 1) 2^b < 2^53 (modular.limb_bits), and the exact division by p
+    runs from the lowest limb up, each limb becoming its quotient mod 2^b
+    and the rest carrying into the next.
     """
     r = len(pivots)
-    arith = modular.prime_arithmetic(p)
-    t = lu[:r, pivots]  # multipliers below the diagonal, pivots on it, U above
-    inv_lead = arith.inv(t.diagonal().copy())
-    # A_RP = L1 D U with L1 unit lower triangular and D the pivots
-    lower, upper = ([(j, at, m[at, j]) for j in order
-                     for at in [np.flatnonzero(m[:, j])] if at.size]
-                    for m, order in [(np.tril(t * inv_lead % p, -1), range(r)),
-                                     (np.triu(t, 1), range(r - 1, -1, -1))])
-    a, s = rows[:, pivots], 31 - r.bit_length()
-    top = int(np.abs(rows).max(initial=0)).bit_length() // s  # signed limb
-    limbs = [(a >> (s * k) if k == top else a >> (s * k) & ((1 << s) - 1))
-             .astype(np.int64) for k in range(top + 1)]
-    res = rows[:, free].astype(object if len(limbs) > 1 else rows.dtype)
-    z = lu[:r, free]  # the first digit is half solved: (L1 D)^-1 A_RF mod p
+    inverse = _inverse_from_lu(lu[:r, pivots], p)
+    b = modular.limb_bits(max(r, 1), p)
+    mask, p_inv = (1 << b) - 1, pow(p, -1, 1 << b)
+    count = int(np.abs(rows).max(initial=0)).bit_length() // b + 1
+
+    def limbs(m, dtype):  # b-bit limbs, the top one signed
+        out = np.empty((count,) + m.shape, dtype=dtype)
+        for j in range(count - 1):
+            out[j], m = m & mask, m >> b
+        out[-1] = m
+        return out
+
+    a, res = limbs(rows[:, pivots], np.float64), limbs(rows[:, free], np.int64)
+    weights = np.array([pow(2, b * j, p) for j in range(count)])
     digits, probe, probe_at, acc = [], None, len(free) - 1, [0] * r
     while len(digits) < budget:
-        if digits:
-            z = (res % p).astype(np.int64)
-            for j, at, m in lower:
-                z[at] = arith.sub_mul(z[at], m, z[j])
-            z = z * inv_lead[:, None] % p
-        for j, at, m in upper:
-            z[at] = arith.sub_mul(z[at], m, z[j])
-        acc = [u + v * p ** len(digits)
+        # res mod p: the limbs below the top are under 2^b, so only the
+        # top needs reducing before its weight multiplies it
+        low = weights[:-1] @ res[:-1].reshape(count - 1, res[0].size)
+        residue = (low.reshape(res[0].shape) + res[-1] % p * weights[-1]) % p
+        z = modular.matmul_mod(inverse, residue, p)
+        modulus = p ** (len(digits) + 1)
+        acc = [u + v * (modulus // p)
                for u, v in zip(acc, z[:, probe_at].tolist())]
         digits.append(z)
-        guess = _reconstruct(acc, p ** len(digits))
+        guess = _reconstruct(acc, modulus)
         if guess is not None and guess == probe:
             x = digits[-1].astype(object)
             for y in reversed(digits[:-1]):
                 x = x * p + y
-            lifted = [_reconstruct(col, p ** len(digits)) for col in x.T.tolist()]
+            columns = x.T.tolist()
+            lifted = _reconstruct_columns(columns, modulus)
             if None not in lifted:
                 return len(digits), lifted
             # later digits probe a vector that failed
             probe_at, guess = lifted.index(None), None
-            acc = x[:, probe_at].tolist()
+            acc = columns[probe_at]
         probe = guess
-        res = (res - sum((limb @ z).astype(object) << (s * k)
-                         for k, limb in enumerate(limbs))
-               if len(limbs) > 1 else res - limbs[0] @ z) // p
+        res -= (a @ z.astype(np.float64)).astype(np.int64)
+        carry = 0
+        for j in range(count):
+            v = res[j] + carry
+            res[j] = (v & mask) * p_inv & mask
+            carry = (v - res[j] * p) >> b
+        # p divides res - A_RP y, so it divides the carry out of the top
+        res[-1] += carry // p << b
     return len(digits), None
+
+
+def _inverse_from_lu(t, p):
+    """A^-1 mod p of a square matrix A from its LU t, as eliminate leaves
+    it: the multipliers below the diagonal, the pivots on it and U above.
+    A = L1 D U with L1 unit lower triangular, D the pivots and U unit
+    upper triangular, so A^-1 = U^-1 D^-1 L1^-1."""
+    inv_lead = modular.prime_arithmetic(p).inv(t.diagonal().copy())
+    lower = np.tril(t, -1)
+    lower *= inv_lead  # L1 is the multipliers over their pivots
+    lower %= p
+    lower = _unit_lower_inverse(lower, p)
+    lower *= inv_lead[:, None]
+    lower %= p
+    return modular.matmul_mod(_unit_lower_inverse(np.triu(t, 1).T, p).T,
+                              lower, p)
+
+
+def _unit_lower_inverse(strict, p):
+    """(I + strict)^-1 mod p for a strictly lower triangular code array:
+    by halving, [[A, 0], [C, B]]^-1 = [[A^-1, 0], [-B^-1 C A^-1, B^-1]]
+    with two products, and at blocks of at most 32 rows by a column
+    sweep."""
+    n = len(strict)
+    if n <= 32:
+        out = np.eye(n, dtype=np.int64)
+        arith = modular.prime_arithmetic(p)
+        for j in range(n - 1):
+            out[j + 1:] = arith.sub_mul(out[j + 1:], strict[j + 1:, j], out[j])
+        return out
+    h = n // 2
+    top, bottom = (_unit_lower_inverse(strict[:h, :h], p),
+                   _unit_lower_inverse(strict[h:, h:], p))
+    out = np.zeros((n, n), dtype=np.int64)
+    out[:h, :h], out[h:, h:] = top, bottom
+    out[h:, :h] = p - modular.matmul_mod(
+        modular.matmul_mod(bottom, strict[h:, :h], p), top, p)
+    out[h:, :h] %= p
+    return out
 
 
 def _reconstruct(residues, modulus):
@@ -404,6 +462,25 @@ def _reconstruct(residues, modulus):
             w, den = r1, den * t1
         out.append(w)
     return out, den
+
+
+def _reconstruct_columns(columns, modulus):
+    """_reconstruct of each column, from one reconstruction of all the
+    entries over their common denominator D: column c is then (its
+    numerators / g, D / g) with g = gcd(D, its numerators).  Where the
+    columns' denominators differ so much that D pushes a numerator past
+    the bound, column by column."""
+    common = _reconstruct([u for col in columns for u in col], modulus)
+    if common is None:
+        return [_reconstruct(col, modulus) for col in columns]
+    nums, den = common
+    r = len(columns[0])
+    out = []
+    for c in range(len(columns)):
+        part = nums[c * r:(c + 1) * r]
+        g = gcd(den, *part)
+        out.append(([u // g for u in part], den // g))
+    return out
 
 
 def _annihilates(columns, nrows, vectors):

@@ -35,7 +35,8 @@ cached.
 Primes stay below 2^31, so a product of two residues stays below 2^62
 and fits in int64; the core only ever forms one product per entry
 before it reduces.  matmul_mod, whose dot products sum many of them,
-takes Python ints wherever int64 could overflow.  word_primes lists
+splits one operand into limbs whose float64 products stay exact below
+2^53 wherever int64 could overflow.  word_primes lists
 the largest of them, the primes of the multimodular rational kernels.
 Every field GF(p) with p < 2^31 takes the core; below 2^16 a stack
 inverts through a table of every code, above it each distinct code once.
@@ -257,11 +258,46 @@ def word_primes(count):
 
 
 def matmul_mod(x, y, p):
-    """x @ y mod p for integer code arrays, through Python ints where an
-    int64 dot product could overflow."""
-    if x.shape[-1] * (p - 1) ** 2 < 1 << 63:
+    """x @ y mod p for int64 code arrays in range(p), exact for every
+    p < 2^31 and inner dimension k below 2^22.
+
+    Where no int64 dot product can overflow, k (p - 1)^2 < 2^63, it is
+    one int64 product.  Otherwise the operand with fewer entries is split
+    into b-bit limbs, b as large as keeps every float64 dot product of a
+    limb, below k (p - 1) (2^b - 1) < 2^53, exact in BLAS; each limb
+    product is reduced mod p and added in at its weight 2^(b j) mod p.
+    """
+    if p >= _MAX_PRIME:
+        raise PreconditionError("prime %d too large for the int64 engine" % p)
+    k = x.shape[-1]
+    if k * (p - 1) ** 2 < 1 << 63:
         return x @ y % p
-    return (x.astype(object) @ y.astype(object) % p).astype(np.int64)
+    b = limb_bits(k, p)
+    if b < 1:
+        raise PreconditionError("inner dimension %d too large for exact "
+                                "float64 limbs mod %d" % (k, p))
+    split_x = x.size < y.size
+    part, whole = (x, y.astype(np.float64)) if split_x \
+        else (y, x.astype(np.float64))
+    out = 0
+    # in place where it can be: a product takes one array of its size
+    for shift in range(0, (p - 1).bit_length(), b):
+        limb = part >> shift
+        limb &= (1 << b) - 1
+        limb = limb.astype(np.float64)
+        limb = (limb @ whole if split_x else whole @ limb).astype(np.int64)
+        limb %= p
+        limb *= pow(2, shift, p)
+        limb += out
+        limb %= p
+        out = limb
+    return out
+
+
+def limb_bits(k, p):
+    """The largest b with k (p - 1) (2^b - 1) < 2^53: a dot product of k
+    codes mod p with k integers below 2^b in size is exact in float64."""
+    return (((1 << 53) - 1) // (k * (p - 1)) + 1).bit_length() - 1
 
 
 def _primes_below(n):

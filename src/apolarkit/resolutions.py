@@ -47,6 +47,7 @@ from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
     _primitive_integer_row,
+    code_rank,
     kernel_rows,
     pivot_columns,
 )
@@ -468,14 +469,13 @@ class LinearFormMatrix:
         codes; points is a (k, nvars) array of codes, over QQ integers,
         where the values are den times the matrix's."""
         F, flat = self.field, self.coefficients.reshape(self.nvars, -1)
-        if F == QQ:
+        arith = modular.field_arithmetic(F)
+        if arith is not None:
+            values = arith.matmul(np.array(points, dtype=np.int64), flat)
+        else:  # QQ, and GF(p) past the numpy core: Python ints
             values = np.array(points, dtype=object) @ flat
-        elif F.degree == 1:
-            values = modular.matmul_mod(np.array(points, dtype=np.int64),
-                                        flat, F.p)
-        else:
-            values = modular.quadratic_tables(F).matmul(
-                np.array(points, dtype=np.int64), flat)
+            if F.char:
+                values = (values % F.p).astype(np.int64)
         return values.reshape(-1, self.nrows, self.ncols)
 
     def _scalars(self, codes, den):
@@ -495,6 +495,17 @@ class LinearFormMatrix:
         codes, den = _codes(point, self.field)
         return ExactMatrix(self._scalars(self.at([codes])[0], self.den * den),
                            self.field, self.ncols)
+
+    def rank_at(self, point):
+        """The rank of the matrix at one point, taken on at(): over QQ at
+        the point scaled to coprime integers, which scales the matrix by a
+        nonzero constant and leaves its rank alone."""
+        if len(point) != self.nvars:
+            raise PreconditionError(
+                "point length %d, expected %d" % (len(point), self.nvars))
+        if self.field == QQ:
+            point = _primitive_integer_row(point)
+        return code_rank(self.at([point])[0], self.field)
 
     def substitute(self, substituents):
         """Substitution of substituents[t] for variable t in every entry,
@@ -528,11 +539,35 @@ class LinearFormMatrix:
                          self.coefficients.transpose(1, 2, 0), self.den))
 
     def to_json(self):
+        """The entries as HomogeneousForm.to_text writes them, straight
+        from the coefficient layers: the signed term text of each distinct
+        code is made once, over QQ from the integers over den."""
+        F, den = self.field, self.den
+        terms = {}
+        for c in set(self.coefficients.ravel().tolist()):
+            if F != QQ:
+                text = F.format_scalar(c)
+            else:
+                g = gcd(c, den)
+                text = "%d" % (c // g) if g == den else "%d/%d" % (c // g,
+                                                                  den // g)
+            sign, text = ("-", text[1:]) if text[0] == "-" else ("+", text)
+            terms[c] = ("" if text == "0" else sign if text == "1"
+                        else sign + text + "*")
+        names = ["%s%d" % (self.alphabet, t) for t in range(self.nvars)]
+
+        def entry(coeffs):
+            text = "".join([terms[c] + x for c, x in zip(coeffs, names)
+                            if terms[c]])
+            return text[1:] if text[:1] == "+" else text or "0"
+
+        entries = [[entry(coeffs) for coeffs in row] for row in
+                   self.coefficients.transpose(1, 2, 0).tolist()]
         return {
             "rows": self.nrows,
             "cols": self.ncols,
-            "field": self.field.describe(),
-            "entries": [[e.to_text() for e in row] for row in self.entries],
+            "field": F.describe(),
+            "entries": entries,
         }
 
     def __repr__(self):

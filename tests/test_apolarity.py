@@ -18,6 +18,7 @@ from apolarkit.apolarity import (
     is_apolar_pointset,
     is_apolar_variety,
     min_partial_rank_scan,
+    projective_key,
     q_f,
 )
 from apolarkit.cli import random_rational_points
@@ -148,7 +149,7 @@ def test_pointset_refuses_gf_p2_coordinates_outside_the_codes():
     assert PointSet([(4, 1, 0), (0, 1, 24)], F).points == ((4, 1, 0), (0, 1, 24))
     # over GF(p) every op reduces mod p, so a negative int is an element
     Z = PointSet([(-1, 1, 0), (0, 1, 30)], GF(5))
-    assert Z._scale_key(Z.points[0]) == (1, 4, 0)
+    assert projective_key(Z.points[0], Z.field) == (1, 4, 0)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from apolarkit import catalog
-from apolarkit.apolarity import apolar_action, q_f
+from apolarkit.apolarity import PointSet, apolar_action, projective_key, q_f
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ, projective_points
 from apolarkit.forms import HomogeneousForm, monomial_count
@@ -179,6 +179,17 @@ def test_random_power_sum_matches_the_running_sum(field):
                 for lam, l in zip(lams, forms):
                     running = running + l.power(3).scale(lam)
                 assert f.to_text() == running.to_text()
+
+
+def test_random_power_sum_redraws_forms_equal_up_to_scale():
+    # seed 2 over GF(7) first draws two coplanar forms that agree up to
+    # scale, which PointSet refuses; the whole draw is retried
+    F = GF(7)
+    forms, _, f = catalog.random_power_sum(6, F, 2, coplanar=True)
+    assert len({projective_key(g.coeffs, F) for g in forms}) == 6
+    assert len(PointSet([g.coeffs for g in forms], F)) == 6
+    assert ExactMatrix([list(g.coeffs) for g in forms[:4]], F, 6).rank() == 3
+    assert not f.is_zero()
 
 
 def test_random_power_sum_options():

@@ -358,6 +358,48 @@ def test_powersum_report_bytes_are_pinned(argv, capsys):
     assert digest == POWERSUM_STDOUT_SHA256[argv]
 
 
+def test_powersum_redraws_a_form_equal_to_another_up_to_scale(capsys):
+    # the first draw of seed 2 repeats a form up to scale over GF(7), which
+    # the point set would refuse with exit 3
+    rc, env = run_json(capsys, ["--field", "fp:7", "--seed", "2", "powersum",
+                                "--count", "6", "--coplanar"])
+    assert rc == 0
+    assert env["report"]["routes_agree"]
+
+
+# sha256 of the stdout of `m2 --samples 3 --dump` for the paper member: the
+# sample ranks, taken on the integer matrix at the point over QQ, and the
+# entries, written straight from the coefficient layers, must not change
+M2_DUMP_SHA256 = {
+    ("--field", "q", "--seed", "0"):
+        "7dc15afcdd30a4390b924b8d8202bbfceff08d79a42b786b650f27d6925a15ce",
+    ("--field", "q", "--seed", "3"):
+        "3a867c22a12e5514b41b95ae0db1cc962b1da6e3c0a80bcc77316ba1e6e9e6f9",
+    ("--field", "fp:101", "--seed", "0"):
+        "a91275aeaa8d13944019568ce457a6fd76489be2a1418880da3b72ac710a2faf",
+    ("--field", "fp:101", "--seed", "3"):
+        "6228eae025b0dbc24da52550cfeaaacc4451ea0e5f22b58090bb9f164157b593",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(M2_DUMP_SHA256))
+def test_m2_dump_bytes_are_pinned(flags, capsys):
+    argv = list(flags) + ["m2", "--family=1,-1,1,-1,1", "--samples", "3",
+                          "--dump"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode()).hexdigest()
+    assert digest == M2_DUMP_SHA256[flags]
+
+
+def test_m2_refuses_gf_p2(capsys):
+    # m2 has no GF(p^2) route; test_resolutions pins its GF(25) entries
+    assert main(["--field", "fp2:5", "m2", "--family=1,-1,1,-1,1",
+                 "--dump"]) == 2
+    assert "m2 does not compute over GF(5^2)" in capsys.readouterr().err
+
+
 def test_repro_betti_generic_passes(capsys):
     rc = main(["--format", "text", "repro", "betti-generic"])
     out = capsys.readouterr().out

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolarkit import catalog
-from apolarkit.errors import ParseError
+from apolarkit.errors import ParseError, PreconditionError
 from apolarkit.fields import GF, QQ
 from apolarkit.forms import (
     HomogeneousForm,
@@ -184,3 +184,16 @@ def test_finite_field_round_trip():
     F = GF(11)
     f = parse_form("10*z0^2+z0*z1+6*z1^2", F)
     assert parse_form(f.to_text(), F) == f
+
+
+def test_gf_p2_form_refuses_coefficients_outside_the_codes():
+    # as PointSet does: -1 is no code of GF(25), and 30 would print as
+    # (0+6*w)
+    F = GF(5, 2)
+    for coeffs in ([30, -1, 0], [25, 0, 0], [0, 0, -1],
+                   [Fraction(1, 2), 0, 0]):
+        with pytest.raises(PreconditionError):
+            HomogeneousForm(3, 1, coeffs, F)
+    assert HomogeneousForm(3, 1, [3, 24, 0], F).to_text() == "3*x0+(4+4*w)*x1"
+    # over GF(p) every op reduces mod p, so any int is an element
+    assert HomogeneousForm(3, 1, [30, -1, 0], GF(5)).to_text() == "4*x1"

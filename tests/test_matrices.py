@@ -578,6 +578,115 @@ def test_rational_rank_rref_and_kernel_match_fraction_elimination(rows):
                        ncols).rank() <= len(pivots)
 
 
+# 2^31 - 1 and the next two word primes; inner dimension 1 is one int64
+# product, 3, 189 (the 315x210 pivot block) and 4096 take float64 limbs
+@pytest.mark.parametrize("p", linalg.KERNEL_PRIMES[:3])
+@pytest.mark.parametrize("k", [1, 3, 189, 4096])
+def test_matmul_mod_matches_python_ints(p, k):
+    rng = np.random.default_rng(k)
+    # either operand the one with fewer entries, and stacks broadcast as
+    # the compressed minors take them
+    for xshape, yshape in [((5, k), (k, 3)), ((3, k), (k, 7)),
+                           ((2, 1, 4, k), (3, k, 2))]:
+        x, y = rng.integers(0, p, xshape), rng.integers(0, p, yshape)
+        x[..., 0] = p - 1  # the largest code in every row
+        y[..., :1, :] = p - 1
+        got = modular.matmul_mod(x, y, p)
+        assert got.dtype == np.int64
+        assert got.tolist() \
+            == (x.astype(object) @ y.astype(object) % p).tolist()
+    # every dot product at its largest
+    full = np.full((2, k), p - 1)
+    assert modular.matmul_mod(full, full.T.copy(), p).tolist() \
+        == [[k * (p - 1) ** 2 % p] * 2] * 2
+    with pytest.raises(PreconditionError):
+        modular.matmul_mod(full, full.T.copy(), 2147483659)
+
+
+def test_inverse_from_lu_inverts_the_pivot_block():
+    # blocks of more than 32 rows are halved, smaller ones swept
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 5, 33, 100):
+        a = rng.integers(0, P1, (n, n))
+        lu, perm, pivots = linalg._lu(a, P1)
+        assert pivots == list(range(n))
+        inverse = linalg._inverse_from_lu(lu[:n, pivots], P1)
+        assert (modular.matmul_mod(a[perm], inverse, P1) == np.eye(n)).all()
+
+
+def _rank_deficient_rows(rng, bits, nrows, ncols, rank):
+    """Seeded integer rows of the given rank: `rank` rows of signed
+    bits-bit entries, then sums of two of them."""
+    rows = [[rng.randrange(-(1 << bits), 1 << bits) for _ in range(ncols)]
+            for _ in range(rank)]
+    while len(rows) < nrows:
+        a, b = rng.sample(rows[:rank], 2)
+        rows.append([u + v for u, v in zip(a, b)])
+    return [[Fraction(v) for v in r] for r in rows]
+
+
+@pytest.mark.parametrize("bits", [20, 60, 120])
+def test_lift_and_kernel_match_fraction_rref(bits):
+    # _lift gives A_RP^-1 A_RF, the rref's free columns, as numerators
+    # over each column's least denominator; int64 codes below 2^63 and
+    # Python-int codes above
+    rng = random.Random(bits)
+    for nrows, ncols, rank in [(4, 7, 4), (6, 9, 4), (7, 5, 3)]:
+        rows = _rank_deficient_rows(rng, bits, nrows, ncols, rank)
+        codes = ExactMatrix(rows, QQ, ncols).codes()
+        assert codes.dtype == (np.int64 if bits < 62 else object)
+        ref, pivots = linalg._rref([list(r) for r in rows], QQ)
+        lu, perm, lu_pivots = linalg._lu(codes, P1)
+        assert lu_pivots == pivots
+        free = [j for j in range(ncols) if j not in pivots]
+        used, lifted = linalg._lift(codes[perm[:rank]], lu, pivots, free,
+                                    P1, len(linalg.KERNEL_PRIMES))
+        assert 2 <= used < len(linalg.KERNEL_PRIMES)
+        for f, (nums, den) in zip(free, lifted):
+            assert [Fraction(x, den) for x in nums] \
+                == [ref[i][f] for i in range(rank)]
+            assert den == math.lcm(*(ref[i][f].denominator
+                                     for i in range(rank)))
+        assert linalg._multimodular_kernel(codes, ncols) \
+            == (pivots, _fraction_kernel(rows, ncols))
+
+
+def _residues(columns, modulus):
+    return [[x.numerator * pow(x.denominator, -1, modulus) % modulus
+             for x in col] for col in columns]
+
+
+def test_common_denominator_reconstruction_matches_each_column():
+    rng = random.Random(3)
+    modulus = math.prod(linalg.KERNEL_PRIMES[:4])
+
+    def column(den):
+        return [Fraction(rng.randrange(-10 ** 6, 10 ** 6), den)
+                for _ in range(6)]
+    cases = {
+        # one shared denominator: a kernel's columns over det(A_RP)
+        "shared": [column(7 ** 9) for _ in range(5)],
+        "varied": [column(rng.randrange(1, 1000)) for _ in range(5)],
+        # coprime denominators near 2^21: their lcm pushes the numerators
+        # past the bound, so the columns are taken one by one
+        "coprime": [column(d) for d in (2 ** 21 + 1, 2 ** 21 + 3,
+                                         2 ** 21 + 5, 2 ** 21 + 9)],
+    }
+    for name, columns in cases.items():
+        residues = _residues(columns, modulus)
+        lifted = linalg._reconstruct_columns(residues, modulus)
+        assert lifted == [linalg._reconstruct(col, modulus)
+                          for col in residues], name
+        assert [[Fraction(x, den) for x in nums] for nums, den in lifted] \
+            == columns, name
+    # a column with no small fraction fails alone, and the others do not
+    residues = _residues(cases["varied"], modulus)
+    residues[2][0] = rng.randrange(modulus)
+    lifted = linalg._reconstruct_columns(residues, modulus)
+    assert lifted == [linalg._reconstruct(col, modulus) for col in residues]
+    assert lifted.index(None) == 2 and lifted.count(None) == 1
+
+
 def test_reconstruction_shares_one_denominator():
     # 1/2, 3/4 and -5/6 come back as numerators over their lcm 12
     modulus = P1 * P2
@@ -705,7 +814,7 @@ def test_stacked_det_of_a_large_gf25_batch():
 def test_arithmetic_matmul_matches_exact_matmul(field):
     # packed GF(p^2) codes and GF(p) residues multiply as the field
     # scalars do, empty shapes included; over GF(2^31 - 1) an inner
-    # dimension of 3 sums past int64 and takes matmul_mod's Python ints
+    # dimension of 3 sums past int64 and takes matmul_mod's float64 limbs
     arith = modular.field_arithmetic(field)
     q = field.char ** field.degree
     assert 3 * (2 ** 31 - 2) ** 2 >= 1 << 63

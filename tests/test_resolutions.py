@@ -480,6 +480,72 @@ def test_m2_matrix_matches_golden_fixture(name):
     assert hashlib.sha256(text.encode()).hexdigest() == M2_GOLDEN_SHA256[name]
 
 
+# sha256 of the compact sorted JSON of to_json() where the coefficients are
+# no integers: the GF(25) m2 matrix of the paper member, in that matrix
+# substituted by forms with w in their coefficients, and the QQ one
+# substituted by forms with fractions, whose entries lie over den > 1
+TO_JSON_SHA256 = {
+    "gf25":
+        "f825f79d6b206dea023656e933f1c8c0001ae069d518561f4c5af286bb94dac4",
+    "gf25-substituted":
+        "7244115478a0c9ce530400e9055e7c140159f3c9d094047031c4691438f95e4f",
+    "qq-substituted":
+        "b1ee6b65e53b7c9028f7e6c0c534ba076f997f11578f3e88c2acb6d753faec1c",
+}
+
+
+def test_to_json_text_of_codes_and_fractions_is_pinned():
+    F = GF(5, 2)
+    w_rows = [[1, 5, 0], [0, 1, 6], [7, 0, 1], [1, 1, 1], [0, 0, 13],
+              [24, 2, 0]]
+    half_rows = [[1, Fraction(1, 3), 0], [0, 1, -2], [Fraction(-5, 7), 0, 1],
+                 [1, 1, 1], [0, 0, 3], [2, 2, 0]]
+    M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F))
+    N = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1))
+    matrices = {
+        "gf25": M,
+        "gf25-substituted": M.substitute(
+            [HomogeneousForm.linear(r, F, "z") for r in w_rows]),
+        "qq-substituted": N.substitute(
+            [HomogeneousForm.linear(r, QQ, "z") for r in half_rows]),
+    }
+    texts = {name: json.dumps(A.to_json(), sort_keys=True,
+                              separators=(",", ":"))
+             for name, A in matrices.items()}
+    assert "*w)*z" in texts["gf25-substituted"]
+    assert matrices["qq-substituted"].den > 1
+    for name, text in texts.items():
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == TO_JSON_SHA256[name], name
+    # the same text as each entry's own form gives
+    for A in matrices.values():
+        assert A.to_json()["entries"] == [[e.to_text() for e in row]
+                                          for row in A.entries]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
+def test_rank_at_matches_evaluate_at(field):
+    # the m2 sample ranks and the repro ranks take rank_at, on the integer
+    # matrix at() gives at the point scaled to coprime integers over QQ;
+    # evaluate_at goes through the field's scalars
+    M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
+    R = M.substitute(catalog.plane_substitution(field))
+    rng = random.Random(23)
+    points = [catalog.random_nonzero_vector(6, field, rng) for _ in range(3)]
+    # points of the Veronese surface, where the rank drops to 20
+    points += [list(catalog.veronese_point(
+        [rng.randint(1, 9), rng.randint(-9, 9), rng.randint(-9, 9)], field))
+        for _ in range(3)]
+    ranks = [M.rank_at(pt) for pt in points]
+    assert ranks == [M.evaluate_at(pt).rank() for pt in points]
+    assert ranks == [21] * 3 + [20] * 3
+    planar = [catalog.random_nonzero_vector(3, field, rng) for _ in range(3)]
+    assert [R.rank_at(pt) for pt in planar] \
+        == [R.evaluate_at(pt).rank() for pt in planar]
+    with pytest.raises(PreconditionError):
+        M.rank_at(points[0][:5])
+
+
 # the cubics of the benchmark's syzygy-qq workload: the paper member, the
 # scroll cubic and four family members
 SYZYGY_QQ_CUBICS = [(1, -1, 1, -1, 1), "scroll", (3, 3, 1, -2, 4),
