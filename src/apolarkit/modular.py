@@ -17,8 +17,8 @@ field's arithmetic as an object:
 
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 .batch_rank are thin entry points over the core (all but kernel_mod_p
-take stacks too); no library code calls .batch_rank, which stays as a
-benchmark span target and a test reference.  ExactMatrix and
+take stacks too); no library code calls det_mod_p, .det or .batch_rank,
+which stay as benchmark span targets and test references.  ExactMatrix and
 linalg.pivot_columns send their finite-field ranks, pivots, rrefs and
 kernels through it, and every rational rank, pivot set, rref and kernel
 as well: the mod-p rank that bounds a rational rank from below is an
@@ -26,11 +26,9 @@ elimination of the core, whose LU the p-adic rational kernel then lifts
 from.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
-evaluation, gcd, derivative.  lagrange_interpolate works over any
-field object; interpolate_at_nodes interpolates many code rows at fixed
-node codes by one matmul with the inverse Vandermonde code matrix, built
-once per (nodes, field) from lagrange_interpolate of the unit vectors and
-cached.
+evaluation, gcd, derivative.  lagrange_interpolate works over any field
+object; no library code calls it, and it stays as a benchmark span
+target and a test reference.
 
 Primes stay below 2^31, so a product of two residues stays below 2^62
 and fits in int64; the core only ever forms one product per entry
@@ -125,6 +123,8 @@ def _eliminate_rows(rows, batch, arith, reduced, perm=None):
             owners, dst, pivot_of_target = 0, r, r
             pivots.append(c)
         else:
+            if rank.min() == nrows:
+                break
             nz = np.flatnonzero(rows[:, c])
             owner = nz // nrows
             top = owner * nrows + rank[owner]
@@ -140,7 +140,9 @@ def _eliminate_rows(rows, batch, arith, reduced, perm=None):
                 rows[np.concatenate((dst[moved], src[moved]))] = \
                     rows[np.concatenate((src[moved], dst[moved]))]
                 det[owners[moved]] = arith.neg(det[owners[moved]])
-            is_target = np.isin(owner, owners) if reduced else nz >= top
+            # reduced: every nonzero of a matrix that has a pivot here
+            is_target = (np.bincount(owners, minlength=batch)[owner] > 0
+                         if reduced else nz >= top)
             is_target[first] = False
             targets = nz[is_target]
             # owner is sorted, so owners is too
@@ -503,28 +505,3 @@ def lagrange_interpolate(xs, ys, field):
         coeffs.pop()
     return coeffs
 
-
-@lru_cache(maxsize=None)
-def _inverse_vandermonde(nodes, field):
-    """The (n, n) code array whose column i holds the coefficients of the
-    Lagrange basis polynomial of the node nodes[i]: lagrange_interpolate
-    of the i-th unit vector."""
-    n = len(nodes)
-    out = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        unit = [field.one if j == i else field.zero for j in range(n)]
-        coeffs = lagrange_interpolate(nodes, unit, field)
-        out[:len(coeffs), i] = coeffs
-    return out
-
-
-def interpolate_at_nodes(values, nodes, field):
-    """lagrange_interpolate of every row of an int64 code array at once.
-
-    values has one row of codes per polynomial, one column per node;
-    nodes are the codes of the nodes.  Returns the coefficient codes, low
-    degree first and untrimmed, from one product with the inverse
-    Vandermonde matrix of (nodes, field), cached.
-    """
-    arith = field_arithmetic(field)
-    return arith.matmul(values, _inverse_vandermonde(tuple(nodes), field).T)

@@ -12,18 +12,18 @@ Three instruments over finite fields:
   the singularities of plane curves.
 
 Each function works over the one field it is given: a caller who wants
-the singular points over F_{p^2} lifts the curve first.  GF(p^2) enters
-the curve computation only as interpolation nodes of the line gcds when
-p <= t + 1.  Field elements are modular.py code arrays, multiplied by
-the field's arithmetic object; a matrix is read only by its at(), at the
-two points of a line or at plane points.  plane_drop_points, an
+the singular points over F_{p^2} lifts the curve first; the curve
+itself takes F_p alone, with no interpolation nodes.  Field elements are
+modular.py code arrays, multiplied by the field's arithmetic object; a
+matrix is read only by its at(), at the two points of a line or at
+plane points.  plane_drop_points, an
 exhaustive scan of P^2(F_p) for drop points, has no caller in the curve
 pipeline; it stays as a benchmark span target and as a test reference.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
-per stack: every compression of a gcd round at every interpolation
-node, and the points of a plane scan.  Randomness is always driven by
+per stack: every pencil of a gcd round, the shifts of its singular
+pencils, and the points of a plane scan.  Randomness is always driven by
 an explicit seed and the outputs are deterministic functions of (input,
 seed).
 """
@@ -31,13 +31,13 @@ seed).
 from __future__ import annotations
 
 import random
-from functools import partial
+from math import comb
 
 import numpy as np
 
 from . import modular
 from .errors import PreconditionError, UnstableComputationError
-from .fields import GF, PrimeField, projective_points
+from .fields import PrimeField, projective_points
 from .forms import (HomogeneousForm, monomial_count, monomial_exponents,
                     monomial_values)
 from .linalg import ExactMatrix
@@ -77,26 +77,17 @@ def _line_minor_gcd(A, B, size, p, rng):
     size x nrows and, when ncols > size, R of shape ncols x size (else
     None), with entries uniform over F_p.  By Cauchy-Binet, det(L M R) is
     a random F_p-combination of all size x size minors of M, so their gcd
-    divides it (Kaltofen-Saunders, AAECC-9, 1991).  Each restriction is
-    interpolated at the first size+1 elements of GF(p) when p > size and
-    of GF(p^2) otherwise, so small primes still have enough nodes.  Each
-    round folds COMPRESSIONS_PER_ROUND nonzero restrictions into the gcd
-    and into the multiplicity at infinity (size minus the degree); two
-    consecutive rounds without change is the stabilization contract.  A
-    round draws the compressions it still misses at once, and again for
-    those that vanished.  Returns (gcd, multiplicity at infinity).
-    Raises UnstableComputationError when 40 * COMPRESSIONS_PER_ROUND
-    draws of a round leave it short, or the gcd does not settle within
-    MAX_ROUNDS, instead of guessing.
+    divides it (Kaltofen-Saunders, AAECC-9, 1991); _pencil_minor_polys
+    expands it over F_p.  Each round folds COMPRESSIONS_PER_ROUND nonzero
+    restrictions into the gcd and into the multiplicity at infinity (size
+    minus the degree); two consecutive rounds without change is the
+    stabilization contract.  A round draws the compressions it still
+    misses at once, and again for those that vanished.  Returns (gcd,
+    multiplicity at infinity).  Raises UnstableComputationError when
+    40 * COMPRESSIONS_PER_ROUND draws of a round leave it short, or the
+    gcd does not settle within MAX_ROUNDS, instead of guessing.
     """
     nrows, ncols = A.shape
-    field = GF(p) if p > size else GF(p, 2)
-    if p * p < size + 1:
-        raise PreconditionError("p^2=%d too small to interpolate degree %d"
-                                % (p * p, size))
-    nodes = range(size + 1)  # the codes of the first size + 1 elements
-    det = (partial(modular.det_mod_p, p=p) if field.degree == 1
-           else modular.quadratic_tables(field).det)
     cap = 40 * COMPRESSIONS_PER_ROUND
 
     def uniform(rows, cols):
@@ -116,7 +107,7 @@ def _line_minor_gcd(A, B, size, p, rng):
                      for _ in range(min(COMPRESSIONS_PER_ROUND - produced,
                                         cap - attempts))]
             attempts += len(draws)
-            for poly in _compressed_minor_polys(A, B, nodes, field, det, draws):
+            for poly in _pencil_minor_polys(A, B, draws, p):
                 if not poly:
                     continue
                 produced += 1
@@ -134,40 +125,74 @@ def _line_minor_gcd(A, B, size, p, rng):
         "minor gcd did not stabilize within %d rounds" % MAX_ROUNDS)
 
 
-def _compressed_minor_polys(A, B, nodes, field, det, draws):
-    """Restrictions det(L (A + sB) R) of a batch of compressions.
+def _pencil_minor_polys(A, B, draws, p):
+    """Restrictions det(P + sQ), P = L A R and Q = L B R, of a batch of
+    compressions over F_p, as coefficient lists ([] where one vanishes).
 
-    nodes are the codes of the interpolation nodes in field (GF(p) or
-    GF(p^2)), det takes a stack of codes.  L A R and L B R are formed
-    once per draw; their node stack is taken through det in chunks of at
-    most modular.CHUNK_ENTRIES entries.  L, R, A and B are F_p-rational,
-    so every restriction must interpolate into F_p: the codes below p.
+    Each draw takes the first shift s0 = 0, 1, ... below min(p, size + 1)
+    with C = P + s0 Q invertible, each shift one stack of the draws still
+    singular: a reduced elimination of [C | -Q] leaves I on the left
+    exactly then, and N = -C^-1 Q on the right.  det(P + sQ) is det C times
+    det(I - (s - s0) N) = sum_i chi_i (s - s0)^i, for det(xI - N) =
+    sum_i chi_i x^(size - i).  A pencil singular at every shift vanishes
+    identically when p > size; for smaller p it is drawn again.
     """
-    p = field.char
-    arith = modular.field_arithmetic(field)
+    arith = modular.prime_arithmetic(p)
     size = len(draws[0][0])
-    minus_s = arith.neg(np.array(nodes))  # -s at each node
-    # compressed[draw] = (L A R, L B R), flattened
-    compressed = modular.matmul_mod(np.array([L for L, _ in draws])[:, None],
-                                    np.array([A, B]), p)
+    # pencils[draw] = (L A R, L B R)
+    pencils = modular.matmul_mod(np.array([L for L, _ in draws])[:, None],
+                                 np.array([A, B]), p)
     if draws[0][1] is not None:
-        compressed = modular.matmul_mod(
-            compressed, np.array([R for _, R in draws])[:, None], p)
-    compressed = compressed.reshape(len(draws), 2, -1)
+        pencils = modular.matmul_mod(
+            pencils, np.array([R for _, R in draws])[:, None], p)
+    P, Q = pencils[:, 0], pencils[:, 1]
+    shifts, dets = np.zeros((2, len(draws)), dtype=np.int64)  # det C or 0
+    N = np.zeros((len(draws), size, size), dtype=np.int64)
+    for s0 in range(min(p, size + 1)):
+        todo = np.flatnonzero(dets == 0)
+        if not todo.size:
+            break
+        stack = np.concatenate(((P[todo] + s0 * Q[todo]) % p, -Q[todo] % p),
+                               axis=2)
+        _, stack_dets = modular.eliminate(stack, arith, reduced=True)
+        ok = (stack[:, :, :size] == np.eye(size)).all(axis=(1, 2))
+        shifts[todo[ok]], dets[todo[ok]] = s0, stack_dets[ok]
+        N[todo[ok]] = stack[ok, :, size:]
+    f = _charpolys(N, p) * dets[:, None] % p
+    g = np.zeros_like(f)  # f(s - s0), by Horner's rule in s - s0
+    for c in f.T[::-1]:
+        g = (np.column_stack((c, g[:, :-1])) - shifts[:, None] * g) % p
+    return [modular.poly_trim(row, p) for row in g.tolist()]
 
-    vals = []
-    for chunk in modular.chunked(np.ndindex(len(draws), len(nodes)),
-                                 size * size):
-        d, n = np.array(chunk).T
-        # L A R + s L B R for each (draw d, node s)
-        stack = arith.sub_mul(compressed[d, 0], minus_s[n], compressed[d, 1])
-        vals.append(det(stack.reshape(-1, size, size)))
-    coeffs = modular.interpolate_at_nodes(
-        np.concatenate(vals).reshape(len(draws), -1), nodes, field)
-    if (coeffs >= p).any():
-        raise PreconditionError(
-            "minor restriction interpolated outside GF(%d)" % p)
-    return [modular.poly_trim(c, p) for c in coeffs.tolist()]
+
+def _charpolys(N, p):
+    """det(xI - N) of a (batch, n, n) stack of codes mod p, as rows of
+    coefficients (1, chi_1, ..., chi_n), highest degree first.
+
+    Berkowitz's division-free algorithm (IPL 18, 1984): bordering the
+    leading k x k block N_k by row R, column S and corner a multiplies
+    the coefficients by the lower triangular Toeplitz matrix with first
+    column (1, -a, -R S, -R N_k S, ..., -R N_k^(k-1) S); R N_k^j S is
+    entry k of the diagonal of N V_j, V_0 the strict upper triangle of N
+    and V_(j+1) that of N V_j.  Products go through modular.matmul_mod,
+    exact for every p < 2^31.
+    """
+    batch, n, _ = N.shape
+    upper = np.triu(np.ones((n, n), dtype=np.int64), 1)
+    columns = np.ones((batch, n, n + 1), dtype=np.int64)
+    V = np.eye(n, dtype=np.int64)
+    for j in range(n):
+        W = modular.matmul_mod(N, V, p)
+        columns[:, :, j + 1] = -np.diagonal(W, axis1=1, axis2=2) % p
+        V = W * upper
+    # toeplitz[:, k, i, j]: entry i - j of column k, 0 above the diagonal
+    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
+    toeplitz = np.tril(columns[:, :, lag % (n + 1)])
+    chi = np.eye(1, n + 1, dtype=np.int64).repeat(batch, axis=0)
+    for k in range(n):  # step k's matrix: the top left (k + 2) x (k + 1)
+        chi[:, :k + 2] = modular.matmul_mod(
+            toeplitz[:, k, :k + 2, :k + 1], chi[:, :k + 1, None], p)[:, :, 0]
+    return chi
 
 
 def drop_degree_on_line(M, line, t, seed=0):
@@ -202,8 +227,8 @@ def drop_degree_on_line(M, line, t, seed=0):
             "threshold %d leaves no %dx%d minors in a %dx%d matrix"
             % (t, size, size, M.nrows, M.ncols))
     if p <= size + 1:
-        raise PreconditionError("p=%d too small to interpolate degree %d"
-                                % (p, size))
+        raise PreconditionError("p=%d too small: a squarefree degree-%d "
+                                "gcd needs p > %d" % (p, size, size + 1))
     A, B = _line_arrays(M, line)
     rng = random.Random(seed)
 
@@ -245,7 +270,7 @@ def _binary_restriction_weights(a, b, degree, p):
     """weights[k][i]: coefficient of s^k u^(d-k) in monomial_i(u*a + s*b).
 
     Each monomial prod_v z_v^e_v restricts to prod_v (a_v u + b_v s)^e_v,
-    multiplied out in Python integers mod p.
+    whose factors are C(e, j) a_v^(e-j) b_v^j, multiplied out mod p.
     """
     def times(f, g):
         out = [0] * (len(f) + len(g) - 1)
@@ -255,12 +280,9 @@ def _binary_restriction_weights(a, b, degree, p):
         return [c % p for c in out]
 
     # powers[v][e]: coefficients of (a_v u + b_v s)^e, by the power of s
-    powers = []
-    for x, y in zip(a, b):
-        row = [[1]]
-        for _ in range(degree):
-            row.append(times(row[-1], [x % p, y % p]))
-        powers.append(row)
+    powers = [[[comb(e, j) * pow(x, e - j, p) * pow(y, j, p) % p
+                for j in range(e + 1)] for e in range(degree + 1)]
+              for x, y in zip(a, b)]
     columns = [times(times(powers[0][e0], powers[1][e1]), powers[2][e2])
                for e0, e1, e2 in monomial_exponents(3, degree)]
     return [list(row) for row in zip(*columns)]

@@ -1,5 +1,5 @@
 import random
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -48,6 +48,11 @@ def test_drop_degree_guards():
         drop_degree_on_line(M, ((0, 0, 0), (0, 1, 0)), 1)
     with pytest.raises(PreconditionError):
         drop_degree_on_line(M, ((1, 0, 0), (0, 1, 0)), 2)
+    # a gcd of degree up to 52 has its squarefree degree over F_p only
+    # for p > 53
+    zero = LinearFormMatrix(np.zeros((3, 52, 52), dtype=np.int64), GF(53))
+    with pytest.raises(PreconditionError, match="squarefree"):
+        drop_degree_on_line(zero, ((1, 0, 0), (0, 1, 0)), 51)
     # both entries vanish on the z0 = 0 line, so the rank never clears t
     with pytest.raises(PreconditionError):
         drop_degree_on_line(diag_matrix(GF(101), repeat=True),
@@ -260,14 +265,12 @@ def _det7(rows):
 def test_compressed_minor_is_the_cauchy_binet_combination():
     # det(L M(s) R) = sum over row sets S and column sets T of
     # det(L_S) det(M(s)_{S,T}) det(R_T), for M(s) = A + sB of shape 6x4
-    # compressed to 3x3 from both sides; the interpolated restriction
-    # agrees with it at every s in F_7
+    # compressed to 3x3 from both sides; the pencil's restriction agrees
+    # with it at every s in F_7
     rng = np.random.default_rng(7)
     A, B = rng.integers(0, 7, (2, 6, 4))
     L, R = rng.integers(0, 7, (3, 6)), rng.integers(0, 7, (4, 3))
-    [poly] = rankloci._compressed_minor_polys(
-        A, B, list(range(4)), GF(7), partial(modular.det_mod_p, p=7),
-        [(L, R)])
+    [poly] = rankloci._pencil_minor_polys(A, B, [(L, R)], 7)
     assert poly and len(poly) <= 4
     for s in range(7):
         Ms = (A + s * B) % 7
@@ -278,38 +281,52 @@ def test_compressed_minor_is_the_cauchy_binet_combination():
         assert sum(c * s ** k for k, c in enumerate(poly)) % 7 == binet
 
 
-def test_restriction_outside_the_base_field_is_refused():
-    # over GF(25) the base field is the codes below 5: a det that gives w
-    # (code 5) at the node 0 interpolates to the constant term w
-    zero, L = np.zeros((3, 3), dtype=np.int64), np.eye(3, dtype=np.int64)
+@pytest.mark.parametrize("p", [3, 7, 2147483647])
+def test_pencil_singular_at_zero_takes_a_shift(p):
+    # A has rank 2, so every compression L A R, the pencil at s = 0, is
+    # singular and the restriction comes from a shifted pencil; it agrees
+    # with det(L M(s) R) at every s in F_p, or at size + 2 of them
+    rng = np.random.default_rng(p)
+    A = rng.integers(0, p, (6, 2)) @ rng.integers(0, p, (2, 4)) % p
+    B = rng.integers(0, p, (6, 4))
+    draws = [(rng.integers(0, p, (3, 6)), rng.integers(0, p, (4, 3)))
+             for _ in range(3)]
+    polys = rankloci._pencil_minor_polys(A, B, draws, p)
+    for (L, R), poly in zip(draws, polys):
+        assert poly and len(poly) <= 4 and poly[0] == 0
+        for s in range(min(p, 5)):
+            LMR = L.astype(object) @ ((A + s * B) % p).astype(object) \
+                @ R.astype(object) % p
+            assert sum(c * s ** k for k, c in enumerate(poly)) % p \
+                == modular.det_mod_p(LMR, p)
 
-    def det_with(value):
-        return lambda stack: np.array([value] + [0] * (len(stack) - 1))
 
-    def polys(value):
-        return rankloci._compressed_minor_polys(
-            zero, zero, range(4), GF(5, 2), det_with(value), [(L, None)])
-
-    with pytest.raises(PreconditionError, match=r"outside GF\(5\)"):
-        polys(5)
-    # code 4 is the base-field 4: the polynomial 4 (1 - s)(2 - s)(3 - s)/6
-    [poly] = polys(4)
-    assert [sum(c * s ** k for k, c in enumerate(poly)) % 5
-            for s in range(4)] == [4, 0, 0, 0]
+def test_pencil_singular_on_all_of_a_small_field_is_vanished():
+    # det(diag(0, 1, 2) + sI) = s^3 - s is not zero but vanishes at every
+    # point of F_3, so no shift finds C invertible: the draw counts as
+    # vanished and is redrawn.  diag(0, 0, 1) + sI is singular at s = 0
+    # and s = 2 only, so the shift s0 = 1 gives s^2 (s + 1)
+    L = np.eye(3, dtype=np.int64)
+    polys = rankloci._pencil_minor_polys(
+        np.diag([0, 1, 2]), np.eye(3, dtype=np.int64), [(L, None)], 3)
+    assert polys == [[]]
+    polys = rankloci._pencil_minor_polys(
+        np.diag([0, 0, 1]), np.eye(3, dtype=np.int64), [(L, None)], 3)
+    assert polys == [[0, 0, 1, 1]]
 
 
 def test_batched_minor_gcd_keeps_the_attempt_cap(monkeypatch):
     # every compressed minor of a zero matrix vanishes: a round stops after
     # exactly 40 * COMPRESSIONS_PER_ROUND draws, R only where ncols > size
-    compressed_minor_polys = rankloci._compressed_minor_polys
+    pencil_minor_polys = rankloci._pencil_minor_polys
     for nrows, ncols, size in [(35, 21, 21), (10, 8, 4)]:
         draws = []
 
-        def counting(A, B, params, field, det, batch):
+        def counting(A, B, batch, p):
             draws.extend(batch)
-            return compressed_minor_polys(A, B, params, field, det, batch)
+            return pencil_minor_polys(A, B, batch, p)
 
-        monkeypatch.setattr(rankloci, "_compressed_minor_polys", counting)
+        monkeypatch.setattr(rankloci, "_pencil_minor_polys", counting)
         zero = np.zeros((nrows, ncols), dtype=np.int64)
         with pytest.raises(UnstableComputationError, match="almost all random"):
             rankloci._line_minor_gcd(zero, zero, size, 101, random.Random(3))
@@ -358,17 +375,11 @@ def test_gf23_paper_plane_curve_is_pinned(seed):
         == GF23_PAPER_CURVE
 
 
-def test_interpolate_drop_curve_over_a_31_bit_prime():
-    # the restriction weights multiply residues near 2^31 without wrapping
-    # in int64, so the paper member's curve comes back, and it restricts
-    # to the line gcd on fresh lines the interpolation never drew
-    p = 2147483647
-    F = GF(p)
-    R = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)) \
-        .substitute(catalog.plane_substitution(F))
-    curve = interpolate_drop_curve(R, 20)
-    assert curve.degree == 9
-    rng = random.Random(31)
+def _assert_restricts_on_fresh_lines(R, curve, seed):
+    # the curve restricts to the line gcd on 3 random lines, up to scale
+    F = R.field
+    p = F.char
+    rng = random.Random(seed)
     for _ in range(3):
         a, b = ([rng.randrange(p) for _ in range(3)] for _ in range(2))
         affine, inf_mult = rankloci._line_minor_gcd(
@@ -379,6 +390,32 @@ def test_interpolate_drop_curve_over_a_31_bit_prime():
         restriction = [image.coefficient((9 - k, k)) for k in range(10)]
         assert any(restriction) and len(G) == 10
         assert rankloci.proportional(G, restriction, p), (a, b)
+
+
+def test_interpolate_drop_curve_over_a_31_bit_prime():
+    # the restriction weights multiply residues near 2^31 without wrapping
+    # in int64, so the paper member's curve comes back, and it restricts
+    # to the line gcd on fresh lines the interpolation never drew
+    p = 2147483647
+    F = GF(p)
+    R = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)) \
+        .substitute(catalog.plane_substitution(F))
+    curve = interpolate_drop_curve(R, 20)
+    assert curve.degree == 9
+    _assert_restricts_on_fresh_lines(R, curve, 31)
+
+
+@pytest.mark.parametrize("p", [13, 17, 19])
+def test_interpolate_drop_curve_between_11_and_23(p):
+    # no GF(p^2) table is needed at these primes any more: the curve is
+    # the same at two seeds and restricts to the gcd on fresh lines
+    F = GF(p)
+    R = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=F)) \
+        .substitute(catalog.plane_substitution(F))
+    curve = interpolate_drop_curve(R, 20)
+    assert curve.degree == 9
+    assert interpolate_drop_curve(R, 20, seed=3).to_text() == curve.to_text()
+    _assert_restricts_on_fresh_lines(R, curve, p)
 
 
 def test_singular_scan_refuses_fields_past_121_elements():
