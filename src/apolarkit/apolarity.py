@@ -33,8 +33,9 @@ import numpy as np
 from .errors import PreconditionError
 from .fields import QQ
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
-                    monomial_exponents, monomial_index, monomial_values)
-from .linalg import ExactMatrix, _primitive_integer_row
+                    monomial_exponents, monomial_index, monomial_values,
+                    power_rows)
+from .linalg import ExactMatrix, _primitive_integer_row, as_codes, code_rank
 
 
 def _require_char(field, degree):
@@ -105,12 +106,16 @@ class PointSet:
 
     @functools.cached_property
     def cube_span(self):
-        """(the coefficient rows of l^3 for [l] in Z, their rank), the
-        span cube_span_contains tests a cubic against."""
+        """(the rows l^3 for [l] in Z as one code array, their rank), the
+        span cube_span_contains tests a cubic against.  All k cubes are
+        expanded in one power_rows call, over QQ at the points scaled to
+        coprime integers, which scales rows and leaves span and rank
+        alone; the array follows ExactMatrix.codes' rule."""
         F = self.field
-        cubes = [HomogeneousForm.linear(p, F).power(3).coeffs
-                 for p in self.points]
-        return cubes, ExactMatrix(cubes, F).rank()
+        points = ([_primitive_integer_row(p) for p in self.points]
+                  if F == QQ else self.points)
+        cubes = as_codes(power_rows(np.array(points, dtype=object), 3, F), F)
+        return cubes, code_rank(cubes, F)
 
     def __len__(self):
         return len(self.points)
@@ -247,13 +252,14 @@ def cube_span_contains(Z, f):
 
     Compares the rank of the cubes with f appended against the rank of
     the cubes alone.  The cubes and their rank are Z.cube_span, built on
-    Z's first test; only the stacked rank is taken anew for each f.
-    Used to cross-check is_apolar_pointset; the two implementations share
-    no linear algebra beyond the matrix class.
+    Z's first test; only f's codes are stacked under them and ranked anew
+    for each f.  Used to cross-check is_apolar_pointset; the two
+    implementations share no linear algebra beyond the rank core.
     """
     _require_cubic_on(Z, f)
     cubes, rank = Z.cube_span
-    return ExactMatrix(cubes + [f.coeffs], Z.field).rank() == rank
+    stack = np.concatenate([cubes, ExactMatrix([f.coeffs], Z.field).codes()])
+    return code_rank(stack, Z.field) == rank
 
 
 def ideal_span(generators, degree):

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .apolarity import projective_key
-from .errors import PreconditionError
+from .errors import PreconditionError, UnstableComputationError
 from .fields import QQ
 from .forms import (HomogeneousForm, monomial_exponents, monomial_values,
                     parse_form)
@@ -67,6 +67,9 @@ SCROLL_APOLAR_CUBIC_TEXT = (
 SCROLL_CONIC_PARAMETERS = (0, 1, -1, 2)
 SCROLL_RESIDUAL_PARAMETERS = (
     (1, 1, 0), (-1, 1, 0), (2, 2, 1), (-2, 1, 1), (3, 1, -1), (0, 1, -2))
+
+# whole draws random_power_sum makes before it gives up
+POWER_SUM_DRAWS = 100
 
 # global scale making s_map exactly inverse to m_star; see
 # derive_s_normalization for the computation that pins it
@@ -342,14 +345,23 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
     3-dimensional space of linear forms (and the draw is retried until
     their coefficient matrix has rank exactly 3).  A whole draw is retried
     while two of its forms agree up to scale, which PointSet refuses, or
-    the sum is zero.
+    the sum is zero; after POWER_SUM_DRAWS whole draws it gives up with
+    UnstableComputationError.  Over a finite field a k above the number
+    of points of P^5 is refused up front.
     """
     if k < 1:
         raise PreconditionError("need at least one summand")
     if coplanar and k < 4:
         raise PreconditionError("coplanar option needs k >= 4")
+    if field.char:
+        q = field.p ** field.degree
+        points = (q ** 6 - 1) // (q - 1)
+        if k > points:
+            raise PreconditionError(
+                "P^5 over %s has %d points, fewer than %d distinct forms"
+                % (field.describe(), points, k))
     rng = random.Random(seed)
-    while True:
+    for _ in range(POWER_SUM_DRAWS):
         forms = []
         if coplanar:
             span = [HomogeneousForm.linear(random_nonzero_vector(6, field, rng),
@@ -369,7 +381,11 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
             forms.append(HomogeneousForm.linear(
                 random_nonzero_vector(6, field, rng), field))
         lams = [field.random_element(rng, nonzero=True) for _ in range(k)]
+        if len({projective_key(g.coeffs, field) for g in forms}) < k:
+            continue
         f = HomogeneousForm.power_sum(lams, forms, 3)
-        if not f.is_zero() and len({projective_key(g.coeffs, field)
-                                    for g in forms}) == k:
+        if not f.is_zero():
             return forms, lams, f
+    raise UnstableComputationError(
+        "no %d distinct forms with a nonzero cube sum over %s in %d draws"
+        % (k, field.describe(), POWER_SUM_DRAWS))

@@ -5,11 +5,12 @@ the exponent vectors of total degree d in graded-lex descending order, so
 x0^d comes first and xn^d last.  All degrees in the toolkit are small
 (at most 9 in at most 6 variables), which keeps the dense representation
 comfortable and the indexing O(1).  Products multiply term by term,
-except the power of a linear form, which the multinomial theorem expands
-in one pass, over QQ on integers over one common denominator.
-monomial_values is the one evaluator of all monomials of a degree at a
-stack of points; HomogeneousForm.evaluate keeps a scalar loop for one
-form at one point.
+except powers of linear forms: power_rows expands l^n for a whole stack
+of them in one pass, the multinomials times monomial_values at their
+coefficient vectors, and power_sum and power are that array's products,
+over QQ on integers over one common denominator.  monomial_values is the
+one evaluator of all monomials of a degree at a stack of points;
+HomogeneousForm.evaluate keeps a scalar loop for one form at one point.
 
 Three print alphabets exist: x0..x5 for primal forms, y0..y5 for dual
 (differential operator) forms, z0..z2 for ternary forms.  The alphabet is
@@ -21,7 +22,6 @@ apolarity.py deliberately pairs y-forms against x-forms positionally.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -60,6 +60,14 @@ def monomial_count(nvars, degree):
     return math.comb(nvars + degree - 1, degree)
 
 
+@lru_cache(maxsize=None)
+def multinomials(nvars, n):
+    """n! / e! for each exponent vector e of degree n, in
+    monomial_exponents order: the coefficients of (x0 + ... )^n."""
+    return tuple(math.factorial(n) // math.prod(map(math.factorial, e))
+                 for e in monomial_exponents(nvars, n))
+
+
 def monomial_values(points, degree, mul):
     """The value of every degree-`degree` monomial, in monomial_exponents
     order, at each row of the (k, nvars) array points: a (k, monomials)
@@ -72,6 +80,18 @@ def monomial_values(points, degree, mul):
     powers = np.stack(list(accumulate([points] * degree, mul,
                                       initial=np.ones_like(points))), -1)
     return reduce(mul, (powers[:, v, exps[:, v]] for v in range(nvars)))
+
+
+def power_rows(bases, n, field):
+    """The coefficient rows of l^n for each row l of the (k, nvars)
+    object array bases: a (k, monomials) array, the multinomials times
+    monomial_values at the rows.  Over QQ the bases are integers and the
+    rows stay integers; otherwise both are field scalars, the
+    multinomials entering through field.from_int."""
+    lift = int if field == QQ else field.from_int
+    scale = np.array([lift(m) for m in multinomials(bases.shape[1], n)],
+                     dtype=object)
+    return field.mul(monomial_values(bases, n, field.mul), scale)
 
 
 class HomogeneousForm:
@@ -216,9 +236,18 @@ class HomogeneousForm:
 
     @staticmethod
     def power_sum(scalars, forms, n):
-        """The sum of scalar * form^n over linear forms of one field, by the
-        multinomial theorem; over QQ on integer numerators over one common
-        denominator, with one Fraction per monomial."""
+        """The sum of scalar * form^n over linear forms of one field and
+        arity: scalars @ power_rows(forms); over QQ on integer numerators
+        over one common denominator, with one Fraction per monomial."""
+        if not forms or len(scalars) != len(forms):
+            raise PreconditionError(
+                "need one scalar per form, got %d scalars and %d forms"
+                % (len(scalars), len(forms)))
+        for l in forms:
+            forms[0]._require_compatible(l)
+            if l.degree != 1:
+                raise PreconditionError(
+                    "power_sum expands linear forms, got degree %d" % l.degree)
         F, nvars, alphabet = forms[0].field, forms[0].nvars, forms[0].alphabet
         if F == QQ:
             dens = [math.lcm(*(c.denominator for c in l.coeffs)) for l in forms]
@@ -227,19 +256,11 @@ class HomogeneousForm:
                      for l, d in zip(forms, dens)]
             scalars = [s.numerator * (den // (s.denominator * d ** n))
                        for s, d in zip(scalars, dens)]
-            mul, add, lift = operator.mul, operator.add, int
         else:
             bases = [l.coeffs for l in forms]
-            mul, add, lift = F.mul, F.add, F.from_int
-        # pows[t][i][k] = c_i^k for the coefficients c_i of form t
-        pows = [[list(accumulate([c] * n, mul, initial=lift(1))) for c in base]
-                for base in bases]
-        coeffs = []
-        for e in monomial_exponents(nvars, n):
-            terms = (reduce(mul, (row[k] for row, k in zip(p, e) if k), s)
-                     for p, s in zip(pows, scalars))
-            multinomial = math.factorial(n) // math.prod(map(math.factorial, e))
-            coeffs.append(mul(lift(multinomial), reduce(add, terms)))
+        rows = power_rows(np.array(bases, dtype=object), n, F)
+        weights = np.array(scalars, dtype=object)[:, None]
+        coeffs = reduce(F.add, F.mul(weights, rows)).tolist()
         if F == QQ:
             coeffs = [Fraction(c, den) for c in coeffs]
         return HomogeneousForm(nvars, n, coeffs, F, alphabet)

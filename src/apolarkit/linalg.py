@@ -134,14 +134,7 @@ class ExactMatrix:
                 else self.rows)
         if not rows:
             return np.zeros((0, self.ncols), dtype=np.int64)
-        try:
-            codes = np.array(rows, dtype=np.int64)
-        except OverflowError:
-            codes = np.array(rows, dtype=object)
-        else:
-            if codes.size and codes.min() == np.iinfo(np.int64).min:
-                codes = codes.astype(object)  # its negative overflows
-        return codes % F.p if F.char and F.degree == 1 else codes
+        return as_codes(rows, F)
 
     def rref(self):
         """Canonical reduced row echelon form.  Away from the numpy core
@@ -169,6 +162,19 @@ class ExactMatrix:
         """Canonical basis of the right kernel {v : M v = 0}: kernel_rows."""
         return ExactMatrix(kernel_rows(self.codes(), self.field, primitive),
                            self.field, self.ncols)
+
+
+def as_codes(rows, field):
+    """Integer rows (or field scalars) as one array, int64 where every
+    entry fits and Python ints otherwise, reduced mod p over GF(p)."""
+    try:
+        codes = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        codes = np.array(rows, dtype=object)
+    else:
+        if codes.size and codes.min() == np.iinfo(np.int64).min:
+            codes = codes.astype(object)  # its negative overflows
+    return codes % field.p if field.char and field.degree == 1 else codes
 
 
 def kernel_rows(codes, field, primitive=False):

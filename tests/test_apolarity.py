@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from apolarkit import catalog
@@ -161,9 +162,15 @@ def test_pointset_keeps_its_certificate_data(field):
     basis = Z.cubic_ideal_basis
     assert basis == evaluation_matrix(Z, 3).kernel_basis(primitive=True)
     assert basis.nrows == 56 - 6
-    cubes = [g.power(3).coeffs for g in forms]
-    assert Z.cube_span == (cubes, ExactMatrix(cubes, field, 56).rank())
-    assert Z.cube_span[1] == 6
+    # the held rows are the cubes as int64 codes, over QQ at the points
+    # scaled to coprime integers: their primitive rows are the cubes'
+    cubes = ExactMatrix([g.power(3).coeffs for g in forms], field, 56)
+    held, rank = Z.cube_span
+    assert held.dtype == np.int64 and held.shape == (6, 56)
+    assert np.array_equal(ExactMatrix(held.tolist(), field, 56).codes(),
+                          cubes.codes())
+    assert rank == cubes.rank() == 6
+    assert Z.cube_span[0] is held
     assert Z.cubic_ideal_basis is basis
     for name in ("points", "field", "cubic_ideal_basis", "cube_span"):
         with pytest.raises(AttributeError):
@@ -186,6 +193,28 @@ def test_point_set_certificates_refuse_a_mismatched_form(case):
         with pytest.raises(PreconditionError):
             certificate(Z, other)
     assert cube_span_contains(Z, f) and is_apolar_pointset(Z, f)
+
+
+def test_point_set_certificates_agree_beyond_int64():
+    # 40-bit coordinates make 120-bit cubes: the cube span is held as
+    # Python-int codes, f's codes are stacked under it, and both routes
+    # still agree on f and on f + l^3
+    rng = random.Random(11)
+    big = 1 << 40
+    forms = [HomogeneousForm.linear(
+        [Fraction(rng.randint(-big, big)) for _ in range(6)], QQ)
+        for _ in range(6)]
+    lams = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in forms]
+    f = HomogeneousForm.power_sum(lams, forms, 3)
+    bad = f + HomogeneousForm.linear(
+        [Fraction(c) for c in (1, -2, 3, 1, 5, -1)], QQ).power(3)
+    Z = PointSet([g.coeffs for g in forms], QQ)
+    for g, inside in ((f, True), (bad, False)):
+        assert cube_span_contains(Z, g) is inside
+        assert is_apolar_pointset(Z, g) is inside
+    cubes, rank = Z.cube_span
+    assert cubes.dtype == object and rank == 6
+    assert max(abs(c) for c in cubes.flat) >= 1 << 63
 
 
 def test_points_ideal_dimensions():

@@ -5,7 +5,7 @@ import pytest
 
 from apolarkit import catalog
 from apolarkit.apolarity import PointSet, apolar_action, projective_key, q_f
-from apolarkit.errors import PreconditionError
+from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
 from apolarkit.forms import HomogeneousForm, monomial_count
 from apolarkit.linalg import ExactMatrix
@@ -204,6 +204,23 @@ def test_random_power_sum_options():
         catalog.random_power_sum(0)
     with pytest.raises(PreconditionError):
         catalog.random_power_sum(3, coplanar=True)
+
+
+def test_random_power_sum_gives_up_after_its_draws(monkeypatch):
+    # P^5(F_2) has 63 points, so 64 distinct forms are refused up front;
+    # 300 distinct points of P^5(F_5) are almost never drawn, and the
+    # draws stop after POWER_SUM_DRAWS (both used to redraw without end)
+    with pytest.raises(PreconditionError, match="63 points"):
+        catalog.random_power_sum(64, GF(2))
+    with pytest.raises(UnstableComputationError):
+        catalog.random_power_sum(300, GF(5))
+    # seed 2 over GF(7) succeeds on its third whole draw
+    monkeypatch.setattr(catalog, "POWER_SUM_DRAWS", 2)
+    with pytest.raises(UnstableComputationError):
+        catalog.random_power_sum(6, GF(7), 2, coplanar=True)
+    monkeypatch.setattr(catalog, "POWER_SUM_DRAWS", 3)
+    forms, _, _ = catalog.random_power_sum(6, GF(7), 2, coplanar=True)
+    assert len(forms) == 6
 
 
 def _plane_curve_mod5(params):

@@ -331,10 +331,11 @@ def test_powersum_routes_agree(capsys):
     assert env["report"]["routes_agree"]
 
 
-# sha256 of the stdout of `powersum` over GF(p^2), all exiting 0: the
-# seeded draws of GF(p^2) scalars, their text and both certificates
-# over a tabled field (p = 5) and a Fraction-fallback one (p = 13) must
-# not change
+# sha256 of the stdout of `powersum`, all exiting 0: the seeded draws,
+# their text and both certificates must not change, over GF(p^2) on a
+# tabled field (p = 5) and a Fraction-fallback one (p = 13), and over QQ
+# and GF(101) at seeds 0 and 3, counts 6 and 10, with and without
+# --coplanar
 POWERSUM_STDOUT_SHA256 = {
     ("--field", "fp2:5", "--seed", "0", "powersum", "--count", "6",
      "--coplanar"):
@@ -346,6 +347,46 @@ POWERSUM_STDOUT_SHA256 = {
         "a0261c732de052ee7a44faf89b54c0fe8bb8793a8c714f48437da1617ec17198",
     ("--field", "fp2:13", "--seed", "3", "powersum", "--count", "5"):
         "ebd85039bc5f8e0cd2b4218f6e2585665a34fefdf48c60f217f6b1d1b106a128",
+    ("--field", "fp:101", "--seed", "0", "powersum", "--count", "10"):
+        "19d6726f2506e610dca3db62e69681d7ae792bdc2e1b32ba3a0e701ec4819d46",
+    ("--field", "fp:101", "--seed", "0", "powersum", "--count", "10",
+     "--coplanar"):
+        "25dc686ca88e2abba0e3bd86908c3b663646cdc54578adca12d5369f05d8aeef",
+    ("--field", "fp:101", "--seed", "0", "powersum", "--count", "6"):
+        "c052f37d9eec6eb00f7f9ae5ec0e5f9088f8c8f16f0a91d40b06c5f166deff08",
+    ("--field", "fp:101", "--seed", "0", "powersum", "--count", "6",
+     "--coplanar"):
+        "0528a33c38ba46d97c2c13f191fb22e040f7ff3bee3df49d80904241d40f90c2",
+    ("--field", "fp:101", "--seed", "3", "powersum", "--count", "10"):
+        "2801381bd74cb9ccf932bb895983e3166b7dc53a3949c39c8f3265deecb33ebd",
+    ("--field", "fp:101", "--seed", "3", "powersum", "--count", "10",
+     "--coplanar"):
+        "a24283c9f28f4b8851c039c2dc79585d6f62ecccec669672c0f13735cd39cf8b",
+    ("--field", "fp:101", "--seed", "3", "powersum", "--count", "6"):
+        "ef5c0d2840d9fed7776fb6edfaa8bf62c8617885dc8784427d894c8089ef3d56",
+    ("--field", "fp:101", "--seed", "3", "powersum", "--count", "6",
+     "--coplanar"):
+        "1d90a6933e5af67065dee2d1cc63d5989c65bdcb375d345c66568efe53437f4b",
+    ("--field", "q", "--seed", "0", "powersum", "--count", "10"):
+        "59aa298aeb1af977ae4a57ff1294c00c2800c95a4086141a6cadbe270eabbcea",
+    ("--field", "q", "--seed", "0", "powersum", "--count", "10",
+     "--coplanar"):
+        "a579119bd799326f009a44ed9a2618c48c45d479bdbf5e48a136a4dccc6c1b72",
+    ("--field", "q", "--seed", "0", "powersum", "--count", "6"):
+        "a364c1f09291b48aabbe1df2de705ec49761d2de88df8bda81faf41090315a79",
+    ("--field", "q", "--seed", "0", "powersum", "--count", "6",
+     "--coplanar"):
+        "ef1a4cd14da79a8128c0bb4db4e323ee1a3c3071378597583936007c46d89040",
+    ("--field", "q", "--seed", "3", "powersum", "--count", "10"):
+        "f43c6ba900e12ca1ce6ad6d0b061d7d91132ac50af7da592096f4830def2f37c",
+    ("--field", "q", "--seed", "3", "powersum", "--count", "10",
+     "--coplanar"):
+        "88a10c5449127c54d618152ffe38241d3ffd30aca0e1da788c8a48bcde772a66",
+    ("--field", "q", "--seed", "3", "powersum", "--count", "6"):
+        "0daf0e199687b6e5cd9ec931747bfc299aae0ed85c6fb951cbef91ff2402e267",
+    ("--field", "q", "--seed", "3", "powersum", "--count", "6",
+     "--coplanar"):
+        "0eb27e63884f521c56b0629eda4c5bbc21d46cb5d638a4af08227a7da16e8b52",
 }
 
 
@@ -365,6 +406,21 @@ def test_powersum_redraws_a_form_equal_to_another_up_to_scale(capsys):
                                 "--count", "6", "--coplanar"])
     assert rc == 0
     assert env["report"]["routes_agree"]
+
+
+def test_powersum_refuses_counts_no_draw_reaches(capsys):
+    # both used to redraw without end: P^5(F_2) has 63 points, and 300
+    # distinct points of P^5(F_5) are almost never drawn
+    for argv, message in (
+            (["--field", "fp:2", "powersum", "--count", "64"],
+             "P^5 over GF(2) has 63 points, fewer than 64 distinct forms"),
+            (["--field", "fp:5", "powersum", "--count", "300"],
+             "no 300 distinct forms with a nonzero cube sum over GF(5) in "
+             "100 draws")):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "precondition violated: %s\n" % message
 
 
 # sha256 of the stdout of `m2 --samples 3 --dump` for the paper member: the

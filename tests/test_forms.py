@@ -122,24 +122,60 @@ def _repeated_product(f, n):
 
 
 POWER_CASES = {
-    "QQ": (QQ, [Fraction(1, 2), 0, Fraction(-3, 4), 5, 0, Fraction(7, 3)]),
-    "QQ-ints": (QQ, [1, -2, 0, 3, 0, 0]),
-    "GF(7)": (GF(7), [3, 0, 6, 9, 0, 2]),
-    # codes a + 5*b of a + b*w: 1+2w, 0, 3, 4+4w, w, 2+3w
-    "GF(25)": (GF(5, 2), [11, 0, 3, 24, 5, 17]),
+    # three forms and their scalars; power() expands the first alone
+    "QQ": (QQ, [[Fraction(1, 2), 0, Fraction(-3, 4), 5, 0, Fraction(7, 3)],
+                [Fraction(2, 5), -1, 0, 0, 3, Fraction(1, 6)],
+                [0, 0, 1, Fraction(-1, 2), 0, 4]],
+           [Fraction(3, 7), -2, Fraction(-5, 3)]),
+    "QQ-ints": (QQ, [[1, -2, 0, 3, 0, 0], [0, 1, 1, 0, -4, 2],
+                     [5, 0, 0, 0, 1, -1]], [1, -3, 2]),
+    "GF(7)": (GF(7), [[3, 0, 6, 9, 0, 2], [1, 5, 0, 0, 4, 6],
+                      [0, 2, 2, 3, 0, 1]], [4, 6, 9]),
+    # codes a + 5*b of a + b*w: 1+2w, 0, 3, 4+4w, w, 2+3w, ...; the
+    # scalar 6 is 1+w
+    "GF(25)": (GF(5, 2), [[11, 0, 3, 24, 5, 17], [1, 7, 0, 12, 0, 20],
+                          [0, 0, 9, 4, 13, 5]], [6, 19, 2]),
+    "GF(169)": (GF(13, 2), [[14, 0, 27, 168, 13, 90], [1, 100, 0, 55, 7, 0],
+                            [0, 12, 131, 0, 26, 3]], [6, 150, 40]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(POWER_CASES))
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 6])
 def test_multinomial_power_matches_repeated_multiply(name, n):
-    # zero coefficients, fractions over QQ and an unreduced GF(7) entry
-    field, coeffs = POWER_CASES[name]
-    l = HomogeneousForm.linear(coeffs, field, "x")
-    got, want = l.power(n), _repeated_product(l, n)
-    assert got == want
-    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
-    assert got.to_text() == want.to_text()
+    # zero coefficients, fractions over QQ and an unreduced GF(7) entry;
+    # power_sum of three forms against the running sum of their scaled
+    # repeated products
+    field, vectors, scalars = POWER_CASES[name]
+    forms = [HomogeneousForm.linear(v, field, "x") for v in vectors]
+    running = HomogeneousForm.zero(6, n, field, "x")
+    for scalar, l in zip(scalars, forms):
+        running = running + _repeated_product(l, n).scale(scalar)
+    for got, want in ((forms[0].power(n), _repeated_product(forms[0], n)),
+                      (HomogeneousForm.power_sum(scalars, forms, n), running)):
+        assert got == want
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+        assert got.to_text() == want.to_text()
+
+
+@pytest.mark.parametrize("case", ["no-forms", "extra-scalar", "arity",
+                                  "quadric", "field"])
+def test_power_sum_refuses_mismatched_input(case):
+    # each used to raise a bare IndexError or return a wrong form: an
+    # empty sum, a dropped scalar, a 3-variable result, x0^2 for the
+    # quadric and a QQ sum of a GF(7) form
+    x = HomogeneousForm.linear([Fraction(c) for c in (1, 2, 0)], QQ)
+    scalars, forms = {
+        "no-forms": ([], []),
+        "extra-scalar": ([Fraction(1), Fraction(2)], [x]),
+        "arity": ([Fraction(1)] * 2, [x, HomogeneousForm.linear(
+            [Fraction(c) for c in (1, 0, 0, 3)], QQ)]),
+        "quadric": ([Fraction(1)], [parse_form("x0^2+x1*x2")]),
+        "field": ([Fraction(1)] * 2, [x, HomogeneousForm.linear(
+            [1, 2, 3], GF(7))]),
+    }[case]
+    with pytest.raises(PreconditionError):
+        HomogeneousForm.power_sum(scalars, forms, 3)
 
 
 def test_power_of_a_quadratic_form_multiplies(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from apolarkit import catalog, linalg, modular
+from apolarkit import apolarity, catalog, linalg, modular
 from apolarkit.apolarity import PointSet, cube_span_contains, is_apolar_pointset
 from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ, is_prime
@@ -501,21 +501,21 @@ def test_apolarity_certificate_lifts_the_point_ideal_once(monkeypatch):
 
 
 def test_cube_span_certificate_expands_the_cubes_once(monkeypatch):
-    # the k cubes and their 56 x 7 rank are built once for both cubics;
-    # each cubic then ranks its own 56 x 8 stack
+    # the k cubes are expanded in one call and their 56 x 7 rank taken
+    # once for both cubics; each cubic then ranks its own 56 x 8 stack
     Z, f, bad = _power_sum_pair()
     expansions = []
-    real = HomogeneousForm.power_sum
+    real = apolarity.power_rows
 
-    def counting(scalars, forms, n):
-        expansions.append(n)
-        return real(scalars, forms, n)
+    def counting(bases, n, field):
+        expansions.append((len(bases), n))
+        return real(bases, n, field)
 
-    monkeypatch.setattr(HomogeneousForm, "power_sum", staticmethod(counting))
+    monkeypatch.setattr(apolarity, "power_rows", counting)
     shapes = _count_eliminations(monkeypatch)
     assert not cube_span_contains(Z, bad)
     assert cube_span_contains(Z, f)
-    assert expansions == [3] * len(Z)
+    assert expansions == [(len(Z), 3)]
     assert shapes.count((56, 7)) == 1 and shapes.count((56, 8)) == 2
 
 
