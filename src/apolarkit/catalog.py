@@ -68,8 +68,13 @@ SCROLL_CONIC_PARAMETERS = (0, 1, -1, 2)
 SCROLL_RESIDUAL_PARAMETERS = (
     (1, 1, 0), (-1, 1, 0), (2, 2, 1), (-2, 1, 1), (3, 1, -1), (0, 1, -2))
 
-# whole draws random_power_sum makes before it gives up
-POWER_SUM_DRAWS = 100
+# random_power_sum refuses a k whose forms come out distinct in more than
+# this many whole draws on average, and gives up after POWER_SUM_DRAWS
+# draws: a hundred times that mean, so an accepted k runs out with
+# probability about exp(-100), or exp(-30) for coplanar draws over GF(2),
+# which come out distinct about a third as often
+POWER_SUM_EXPECTED_DRAWS = 1000
+POWER_SUM_DRAWS = 100 * POWER_SUM_EXPECTED_DRAWS
 
 # global scale making s_map exactly inverse to m_star; see
 # derive_s_normalization for the computation that pins it
@@ -346,8 +351,11 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
     their coefficient matrix has rank exactly 3).  A whole draw is retried
     while two of its forms agree up to scale, which PointSet refuses, or
     the sum is zero; after POWER_SUM_DRAWS whole draws it gives up with
-    UnstableComputationError.  Over a finite field a k above the number
-    of points of P^5 is refused up front.
+    UnstableComputationError.  Over a finite field a draw's forms are
+    uniform points of P^5, all distinct with probability
+    prod_{i<k} (1 - i/N) for N points, so a k above N, or one needing
+    more than POWER_SUM_EXPECTED_DRAWS draws on average, is refused up
+    front.
     """
     if k < 1:
         raise PreconditionError("need at least one summand")
@@ -360,6 +368,13 @@ def random_power_sum(k, field=QQ, seed=0, coplanar=False):
             raise PreconditionError(
                 "P^5 over %s has %d points, fewer than %d distinct forms"
                 % (field.describe(), points, k))
+        log_draws = -math.fsum(math.log1p(-i / points) for i in range(k))
+        if log_draws > math.log(POWER_SUM_EXPECTED_DRAWS):
+            raise PreconditionError(
+                "%d distinct points of P^5 over %s take about 10^%.1f whole "
+                "draws on average, more than %d"
+                % (k, field.describe(), log_draws / math.log(10),
+                   POWER_SUM_EXPECTED_DRAWS))
     rng = random.Random(seed)
     for _ in range(POWER_SUM_DRAWS):
         forms = []

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -207,13 +208,13 @@ def test_random_power_sum_options():
 
 
 def test_random_power_sum_gives_up_after_its_draws(monkeypatch):
-    # P^5(F_2) has 63 points, so 64 distinct forms are refused up front;
-    # 300 distinct points of P^5(F_5) are almost never drawn, and the
-    # draws stop after POWER_SUM_DRAWS (both used to redraw without end)
+    # P^5(F_2) has 63 points, so 64 distinct forms are refused up front,
+    # and 28 of them take about 1250 whole draws on average, above
+    # POWER_SUM_EXPECTED_DRAWS (both used to redraw for long or for ever)
     with pytest.raises(PreconditionError, match="63 points"):
         catalog.random_power_sum(64, GF(2))
-    with pytest.raises(UnstableComputationError):
-        catalog.random_power_sum(300, GF(5))
+    with pytest.raises(PreconditionError, match=r"10\^3.1 whole draws"):
+        catalog.random_power_sum(28, GF(2))
     # seed 2 over GF(7) succeeds on its third whole draw
     monkeypatch.setattr(catalog, "POWER_SUM_DRAWS", 2)
     with pytest.raises(UnstableComputationError):
@@ -221,6 +222,31 @@ def test_random_power_sum_gives_up_after_its_draws(monkeypatch):
     monkeypatch.setattr(catalog, "POWER_SUM_DRAWS", 3)
     forms, _, _ = catalog.random_power_sum(6, GF(7), 2, coplanar=True)
     assert len(forms) == 6
+
+
+# sha256 of the forms, weights and cubic random_power_sum drew, one text
+# per line, before it had a draw budget: each case takes hundreds of whole
+# draws, and must still come out the same
+LARGE_POWER_SUM_SHA256 = {
+    (25, 2, 28, False):
+        "88f99c2e3938e3d5fc78ecaddbbca00a52d90607b0091c27b7096783a1934a70",
+    (60, 3, 4, False):
+        "1ee71d73ebd680e7fa0f9c4230eabfb09eb7d4d91c53bcbbc87c96c09211029b",
+    (20, 2, 18, True):
+        "b2969569b8f7bbc4d95158215d32cdb6a6f9a7c0afaa857eeaadf20ba0c1dc11",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LARGE_POWER_SUM_SHA256),
+                         ids="k{0[0]}-GF({0[1]})-seed{0[2]}-coplanar{0[3]}".format)
+def test_random_power_sum_keeps_draws_that_take_hundreds_of_tries(case):
+    k, p, seed, coplanar = case
+    F = GF(p)
+    forms, lams, f = catalog.random_power_sum(k, F, seed, coplanar=coplanar)
+    text = "\n".join([g.to_text() for g in forms]
+                     + [F.format_scalar(v) for v in lams] + [f.to_text()])
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == LARGE_POWER_SUM_SHA256[case]
 
 
 def _plane_curve_mod5(params):
