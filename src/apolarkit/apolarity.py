@@ -10,11 +10,12 @@ degree of the acted-on form.
 
 catalecticant(f, k) is the matrix of that action on degree-k operators
 (Macaulay duality; Iarrobino-Kanev, LNM 1721), and it is the only code
-that applies an operator to a form: apolar_action, the apolarity
-certificates and the partial-rank scan all go through it.  Ideal pieces
-spanned by generators are built by ideal_span alone, and point sets are
-evaluated by evaluation_matrix alone, one forms.monomial_values path for
-every field.
+that applies an operator to a form: apolar_action, is_apolar_variety
+and the partial-rank scan go through it, and is_apolar_pointset reads
+its one column for a cubic.  Ideal pieces spanned by generators are
+built by ideal_span alone, and point sets are evaluated by
+evaluation_matrix alone at PointSet.codes, one forms.monomial_values
+path for every field.
 
 Matrix orientation.  catalecticant(f, k) has one row per degree-k dual
 monomial and one column per degree-(d-k) primal monomial, so the row
@@ -26,15 +27,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 
 import numpy as np
 
 from .errors import PreconditionError
-from .fields import QQ
+from .fields import QQ, integer_codes
 from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
                     monomial_exponents, monomial_index, monomial_values,
-                    power_rows)
+                    multinomials, power_rows)
 from .linalg import ExactMatrix, _primitive_integer_row, as_codes, code_rank
 
 
@@ -46,8 +46,12 @@ def _require_char(field, degree):
 
 
 def projective_key(point, field):
-    """A nonzero vector scaled to lead with 1: equal for two vectors just
-    when they agree up to a nonzero scalar."""
+    """Equal for two nonzero vectors just when they agree up to a nonzero
+    scalar: over QQ the primitive integer row with a positive leading
+    entry, otherwise the vector scaled to lead with 1."""
+    if field == QQ:
+        row = _primitive_integer_row(point)
+        return row if next(c for c in row if c) > 0 else tuple(-c for c in row)
     inv = field.inv(next(c for c in point if not field.is_zero(c)))
     return tuple(field.mul(inv, c) for c in point)
 
@@ -56,10 +60,13 @@ class PointSet:
     """A list of projective points with exact coordinates, read-only once
     built.
 
-    Points are stored as given (not rescaled).  Over GF(p^2) each
-    coordinate must be a code in range(p*p).  Reduced sets refuse
-    duplicates up to scale; pass allow_duplicates=True to model a
-    multiset, in which case the reduced-scheme operations refuse it.
+    Points are stored as given; codes, the read-only array every
+    evaluation reads, holds them over QQ scaled to coprime integers
+    (which leaves kernels, spans and ranks alone), otherwise as given.
+    Over GF(p^2) each coordinate must be a code in range(p*p).  Reduced
+    sets refuse duplicates up to scale; pass allow_duplicates=True to
+    model a multiset, in which case the reduced-scheme operations refuse
+    it.
 
     Each power-sum certificate keeps its own data about the points,
     computed on first use and held on the instance, so testing one set
@@ -83,6 +90,10 @@ class PointSet:
             if all(field.is_zero(c) for c in p):
                 raise PreconditionError("zero vector is not a projective point")
         object.__setattr__(self, "points", tuple(pts))
+        codes = np.array([_primitive_integer_row(p) for p in pts]
+                         if field == QQ else pts, dtype=object)
+        codes.flags.writeable = False
+        object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "nvars", n)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "allow_duplicates", allow_duplicates)
@@ -108,13 +119,10 @@ class PointSet:
     def cube_span(self):
         """(the rows l^3 for [l] in Z as one code array, their rank), the
         span cube_span_contains tests a cubic against.  All k cubes are
-        expanded in one power_rows call, over QQ at the points scaled to
-        coprime integers, which scales rows and leaves span and rank
-        alone; the array follows ExactMatrix.codes' rule."""
+        expanded in one power_rows call at the codes; the array follows
+        ExactMatrix.codes' rule."""
         F = self.field
-        points = ([_primitive_integer_row(p) for p in self.points]
-                  if F == QQ else self.points)
-        cubes = as_codes(power_rows(np.array(points, dtype=object), 3, F), F)
+        cubes = as_codes(power_rows(self.codes, 3, F), F)
         return cubes, code_rank(cubes, F)
 
     def __len__(self):
@@ -196,16 +204,10 @@ def q_f(f):
 
 def evaluation_matrix(Z, k):
     """One row per point of Z, one column per degree-k dual monomial:
-    monomial_values of the points, as Python scalars, under the field's
-    mul.
-
-    A rational Z is evaluated in integers at its points scaled to coprime
-    integers, which scales rows and leaves the kernel I_Z(k) alone.
-    """
+    monomial_values at Z.codes (see PointSet), as Python scalars, under
+    the field's mul."""
     F = Z.field
-    points = ([_primitive_integer_row(p) for p in Z.points] if F == QQ
-              else Z.points)
-    values = monomial_values(np.array(points, dtype=object), k, F.mul)
+    values = monomial_values(Z.codes, k, F.mul)
     return ExactMatrix(values.tolist(), F, values.shape[1])
 
 
@@ -231,19 +233,24 @@ def is_apolar_pointset(Z, f):
     catalecticant(f, 3) must vanish.  Containment in degree 3 forces
     containment in degrees 1 and 2 as well: if D has degree 2 and y_i*D
     kills f for every i, the partials of the linear form D(f) all vanish,
-    so D(f) = 0.  Hence the single degree suffices for a cubic.  Over QQ
-    the basis and the catalecticant column are taken in integers.  The
-    basis is Z.cubic_ideal_basis, built on Z's first test; only the
-    product with f's catalecticant is taken anew for each f.
+    so D(f) = 0.  Hence the single degree suffices for a cubic.  That
+    catalecticant is one column, c_b * b!, read off f's integer_codes
+    (over QQ a nonzero multiple) and dotted with each row of
+    Z.cubic_ideal_basis, built on Z's first test, under the field's ops.
     """
     _require_cubic_on(Z, f)
     if Z.allow_duplicates:
         raise PreconditionError("ideal of a non-reduced point multiset")
-    basis = Z.cubic_ideal_basis
-    if f.field != QQ:
-        return _annihilates(basis, f, 3)
-    column = _primitive_integer_row([r[0] for r in catalecticant(f, 3).rows])
-    return not any(sum(map(operator.mul, v, column)) for v in basis.rows)
+    F = f.field
+    _require_char(F, 3)
+    coeffs, _ = integer_codes(f.coeffs, F)
+    factorials, _ = integer_codes(
+        [F.from_int(6 // m) for m in multinomials(f.nvars, 3)], F)
+    column = list(map(F.mul, coeffs, factorials))
+    # the basis rows are sparse; 0 is the zero code of every field
+    return all(F.is_zero(functools.reduce(
+        F.add, [F.mul(a, c) for a, c in zip(v, column) if a], 0))
+        for v in Z.cubic_ideal_basis.rows)
 
 
 def cube_span_contains(Z, f):
@@ -348,8 +355,8 @@ def exists_cubic_singular_along(Z):
     coefficient space of dual cubics; Euler's relation makes the value
     condition redundant in characteristic coprime to 3.  The gradient
     entries are read off evaluation_matrix(Z, 2): d(y^e)/dy_i is
-    e_i y^(e - u_i).  Over QQ that evaluates each point scaled to
-    integers, which scales its n rows and leaves the rank alone.
+    e_i y^(e - u_i), at Z.codes (see PointSet), which leaves the rank
+    alone.
     """
     F = Z.field
     _require_char(F, 3)

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .apolarity import projective_key
+from .apolarity import _require_char, projective_key
 from .errors import PreconditionError, UnstableComputationError
 from .fields import QQ
 from .forms import (HomogeneousForm, monomial_exponents, monomial_values,
@@ -172,13 +172,6 @@ def scroll_minors(field=QQ):
 # ---- transfer maps ----------------------------------------------------
 
 
-def _check_transfer_char(field):
-    ch = getattr(field, "char", 0)
-    if ch in (2, 3, 5):
-        raise PreconditionError(
-            "transfer maps need characteristic 0 or > 5 (factorials up to 6!)")
-
-
 def _pairing_weight(alpha):
     """Sextic exponent gamma paired with the cubic monomial alpha, and the
     unnormalized weight gamma! / alpha! of the pairing."""
@@ -205,7 +198,7 @@ def s_map(g):
     if g.nvars != 3 or g.degree != 6:
         raise PreconditionError("s_map wants a ternary sextic")
     F = g.field
-    _check_transfer_char(F)
+    _require_char(F, 6)  # factorials up to 6!
     coeffs = []
     for alpha in monomial_exponents(6, 3):
         gamma, weight = _pairing_weight(alpha)
@@ -235,7 +228,7 @@ def m_star(f):
     """Pull a six-variable cubic back to a ternary sextic."""
     if f.nvars != 6 or f.degree != 3:
         raise PreconditionError("m_star wants a cubic in six variables")
-    _check_transfer_char(f.field)
+    _require_char(f.field, 6)
     return f.compose(m_star_substituents(f.field))
 
 

@@ -6,7 +6,8 @@ renderer exists for eyeball comparison of Betti tables and PASS/FAIL
 lines.  Exit codes: 0 success, 2 parse error or unwritable --out, 3
 precondition violation, 4 reference mismatch in a reproduction run.
 Each subcommand names the fields it computes over (q, fp, fp2) and
-refuses any other field, like a count flag below its range, with exit
+refuses any other field, like a count flag below its range or a second
+input (a form, --family and --points exclude each other), with exit
 code 2.  Each repro case fixes its own field, which its envelope names;
 so does `catalog reference-drop-curve`, whose stored curve is over GF(5),
 and it refuses any --field but q and fp:5.
@@ -28,6 +29,7 @@ from .apolarity import (
     is_apolar_pointset,
     is_apolar_variety,
     min_partial_rank_scan,
+    projective_key,
     q_f,
 )
 from .errors import ParseError, PreconditionError, ReferenceMismatch
@@ -82,8 +84,7 @@ def random_rational_points(count, seed, nvars=6, spread=9):
                    for _ in range(nvars))
         if not any(pt):
             continue
-        lead = next(c for c in pt if c)
-        key = tuple(c / lead for c in pt)
+        key = projective_key(pt, QQ)
         if key in seen:
             continue
         seen.add(key)
@@ -555,6 +556,11 @@ def main(argv=None):
         if _field_kind(field) not in args.fields:
             raise ParseError("%s does not compute over %s (fields: %s)" % (
                 args.command, field.describe(), ", ".join(args.fields)))
+        given = [name for name in ("form", "family", "points")
+                 if getattr(args, name, None) is not None]
+        if len(given) > 1:
+            raise ParseError("give one of a form, --family and --points, "
+                             "got %s" % " and ".join(given))
         if args.command == "repro":
             field = REPRO_CASES[args.case][0]
         elif args.command == "catalog" and args.name == "reference-drop-curve":

@@ -17,6 +17,7 @@ to mix scalars from different descriptors.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError, PreconditionError
 
@@ -295,6 +296,19 @@ def GF(p, k=1):
     if key not in _GF_CACHE:
         _GF_CACHE[key] = PrimeField(p) if k == 1 else QuadraticField(p)
     return _GF_CACHE[key]
+
+
+def integer_codes(values, field):
+    """(codes, den): over QQ the rationals (Fraction or int) as integers
+    over their common denominator den, otherwise the scalars themselves,
+    field codes, over 1.  This is the one place rational data becomes
+    integers: primitive rows, power sums, the apolarity column and
+    linear-form matrices all go through it."""
+    if field != QQ:
+        return list(values), 1
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def coerce_scalar(value, src, dst):

@@ -8,8 +8,8 @@ comfortable and the indexing O(1).  Products multiply term by term,
 except powers of linear forms: power_rows expands l^n for a whole stack
 of them in one pass, the multinomials times monomial_values at their
 coefficient vectors, and power_sum and power are that array's products,
-over QQ on integers over one common denominator.  monomial_values is the
-one evaluator of all monomials of a degree at a stack of points;
+on the integers of fields.integer_codes.  monomial_values is the one
+evaluator of all monomials of a degree at a stack of points;
 HomogeneousForm.evaluate keeps a scalar loop for one form at one point.
 
 Three print alphabets exist: x0..x5 for primal forms, y0..y5 for dual
@@ -30,7 +30,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import ParseError, PreconditionError
-from .fields import QQ, GF, coerce_scalar
+from .fields import QQ, GF, coerce_scalar, integer_codes
 
 ALPHABET_SIZES = {"x": 6, "y": 6, "z": 3}
 DUAL_ALPHABET = {"x": "y", "y": "x", "z": "z"}
@@ -237,8 +237,8 @@ class HomogeneousForm:
     @staticmethod
     def power_sum(scalars, forms, n):
         """The sum of scalar * form^n over linear forms of one field and
-        arity: scalars @ power_rows(forms); over QQ on integer numerators
-        over one common denominator, with one Fraction per monomial."""
+        arity: scalars @ power_rows(forms), on the forms' and the weights'
+        integer_codes, so over QQ with one Fraction per monomial."""
         if not forms or len(scalars) != len(forms):
             raise PreconditionError(
                 "need one scalar per form, got %d scalars and %d forms"
@@ -249,17 +249,13 @@ class HomogeneousForm:
                 raise PreconditionError(
                     "power_sum expands linear forms, got degree %d" % l.degree)
         F, nvars, alphabet = forms[0].field, forms[0].nvars, forms[0].alphabet
-        if F == QQ:
-            dens = [math.lcm(*(c.denominator for c in l.coeffs)) for l in forms]
-            den = math.lcm(*(s.denominator * d ** n for s, d in zip(scalars, dens)))
-            bases = [[c.numerator * (d // c.denominator) for c in l.coeffs]
-                     for l, d in zip(forms, dens)]
-            scalars = [s.numerator * (den // (s.denominator * d ** n))
-                       for s, d in zip(scalars, dens)]
-        else:
-            bases = [l.coeffs for l in forms]
+        # l = b / d with integer codes b, so s l^n = (s / d^n) b^n
+        bases, dens = zip(*(integer_codes(l.coeffs, F) for l in forms))
+        weights, den = integer_codes(
+            [s if d == 1 else F.div(s, F.from_int(d ** n))
+             for s, d in zip(scalars, dens)], F)
         rows = power_rows(np.array(bases, dtype=object), n, F)
-        weights = np.array(scalars, dtype=object)[:, None]
+        weights = np.array(weights, dtype=object)[:, None]
         coeffs = reduce(F.add, F.mul(weights, rows)).tolist()
         if F == QQ:
             coeffs = [Fraction(c, den) for c in coeffs]

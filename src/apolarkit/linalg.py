@@ -30,13 +30,13 @@ numpy elimination core in modular.py.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 import numpy as np
 
 from . import modular
 from .errors import PreconditionError
-from .fields import QQ
+from .fields import QQ, integer_codes
 
 # the largest primes below 2^31, largest first: the p-adic kernel lifts
 # mod the first, and mod the next after an unlucky one; rational ranks
@@ -506,11 +506,9 @@ def _annihilates(columns, nrows, vectors):
 
 
 def _primitive_integer_row(row):
-    """Scale a rational row to coprime integers (empty rows stay zero)."""
-    den = lcm(*(a.denominator for a in row))
-    ints = [a.numerator * (den // a.denominator) for a in row]
+    """A rational row scaled to coprime integers: its integer_codes over
+    their gcd (empty and zero rows stay as they are)."""
+    ints, _ = integer_codes(row, QQ)
     g = gcd(*ints)
-    if g > 1:
-        ints = [a // g for a in ints]
-    return tuple(ints)
+    return tuple(a // g for a in ints) if g > 1 else tuple(ints)
 

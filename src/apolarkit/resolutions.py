@@ -8,8 +8,8 @@ Betti numbers are computed as b_{i,j} = dim H_i of the Koszul strand
 
 with the alternating-sign contraction differentials, where M = S/I is
 held degree by degree.  GradedModule presents each piece M_j by an
-integer matrix E_j whose kernel is I_j: evaluation at integer
-representatives of the points for S/I_Z, the transposed catalecticant
+integer matrix E_j whose kernel is I_j: evaluation at the points'
+codes (see apolarity.PointSet) for S/I_Z, the transposed catalecticant
 for S/I_f, and the annihilator of Q*S_{j-2} for a quadric ideal; over a
 finite field E_j holds field codes.  E_{j+1} embeds M_{j+1}, so each
 differential is written by gathering columns of E_{j+1}, with no
@@ -34,19 +34,18 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 import numpy as np
 
 from . import modular
 from .apolarity import catalecticant, evaluation_matrix, ideal_span
 from .errors import PreconditionError
-from .fields import GF, QQ
+from .fields import GF, QQ, integer_codes
 from .forms import HomogeneousForm, monomial_count, monomial_exponents, monomial_index
 from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
-    _primitive_integer_row,
     code_rank,
     kernel_rows,
     pivot_columns,
@@ -405,23 +404,13 @@ def linear_syzygies(quadrics, order, guard=True):
     return _linear_syzygies_cached(tuple(quadrics), order, guard)
 
 
-def _codes(values, field):
-    """Scalars as codes over a denominator: over QQ integers over their
-    common denominator, otherwise the scalars, field codes, over 1."""
-    if field != QQ:
-        return list(values), 1
-    values = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 class LinearFormMatrix:
     """Matrix whose entries are degree-1 forms (or zero) in shared variables.
 
     It is stored as one read-only (nvars, nrows, ncols) array whose layer
-    t holds the coefficient of variable t in every entry: over QQ Python
-    integers over the common denominator den, in lowest terms, otherwise
-    field codes.  Every reading of the matrix goes through at().
+    t holds the coefficient of variable t in every entry, as the entries'
+    fields.integer_codes (over QQ over the common denominator den, in
+    lowest terms).  Every reading of the matrix goes through at().
     """
 
     __slots__ = ("coefficients", "den", "field", "alphabet")
@@ -452,7 +441,7 @@ class LinearFormMatrix:
                or e.field != first.field for e in forms):
             raise ValueError("entries must be degree-1 forms sharing arity "
                              "and field")
-        codes, den = _codes([c for e in forms for c in e.coeffs], first.field)
+        codes, den = integer_codes([c for e in forms for c in e.coeffs], first.field)
         return cls(np.array(codes, dtype=object).reshape(
             len(rows), -1, first.nvars).transpose(2, 0, 1),
             first.field, first.alphabet, den)
@@ -492,20 +481,19 @@ class LinearFormMatrix:
         if len(point) != self.nvars:
             raise PreconditionError(
                 "point length %d, expected %d" % (len(point), self.nvars))
-        codes, den = _codes(point, self.field)
+        codes, den = integer_codes(point, self.field)
         return ExactMatrix(self._scalars(self.at([codes])[0], self.den * den),
                            self.field, self.ncols)
 
     def rank_at(self, point):
-        """The rank of the matrix at one point, taken on at(): over QQ at
-        the point scaled to coprime integers, which scales the matrix by a
-        nonzero constant and leaves its rank alone."""
+        """The rank of the matrix at one point, taken on at() at the
+        point's integer_codes: over QQ den times the point, which scales
+        the matrix by a nonzero constant and leaves its rank alone."""
         if len(point) != self.nvars:
             raise PreconditionError(
                 "point length %d, expected %d" % (len(point), self.nvars))
-        if self.field == QQ:
-            point = _primitive_integer_row(point)
-        return code_rank(self.at([point])[0], self.field)
+        codes, _ = integer_codes(point, self.field)
+        return code_rank(self.at([codes])[0], self.field)
 
     def substitute(self, substituents):
         """Substitution of substituents[t] for variable t in every entry,
@@ -514,8 +502,8 @@ class LinearFormMatrix:
         # a form's own substitution checks the substituents
         HomogeneousForm.zero(self.nvars, 1, self.field,
                              self.alphabet).substitute(substituents)
-        codes, den = _codes([c for g in substituents for c in g.coeffs],
-                            self.field)
+        codes, den = integer_codes(
+            [c for g in substituents for c in g.coeffs], self.field)
         columns = np.array(codes, dtype=object).reshape(self.nvars, -1).T
         return LinearFormMatrix(self.at(columns), self.field,
                                 substituents[0].alphabet, self.den * den)
@@ -598,9 +586,7 @@ def m2_matrix(f):
     if table.nonzero() != GENERIC_CUBIC_APOLAR_BETTI:
         raise PreconditionError(
             "apolar ideal has non-generic Betti table %s" % table.nonzero())
-    rows = Q.rref().rows
-    if f.field == QQ:
-        rows = map(_primitive_integer_row, rows)
+    rows = Q.rref().codes().tolist()  # over QQ coprime integer rows
     quadrics = [HomogeneousForm(f.nvars, 2, row, f.field, "y") for row in rows]
     syz1 = linear_syzygies(quadrics, 1, guard=False)
     syz2 = linear_syzygies(quadrics, 2, guard=False)

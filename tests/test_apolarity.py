@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from apolarkit import catalog
+from apolarkit import apolarity, catalog
 from apolarkit.apolarity import (
     PointSet,
     apolar_action,
@@ -153,6 +153,20 @@ def test_pointset_refuses_gf_p2_coordinates_outside_the_codes():
     assert projective_key(Z.points[0], Z.field) == (1, 4, 0)
 
 
+def test_projective_key_over_qq_is_an_integer_row():
+    # the primitive integer row with a positive leading entry: no Fraction
+    # is made, and a nonzero scalar such as -3/7 does not move it
+    v = [Fraction(2, 3), Fraction(-4), Fraction(0), Fraction(1, 5),
+         Fraction(6), Fraction(-1)]
+    key = projective_key(v, QQ)
+    assert key == (10, -60, 0, 3, 90, -15)
+    assert all(type(c) is int for c in key)
+    assert projective_key([Fraction(-3, 7) * c for c in v], QQ) == key
+    w = list(v)
+    w[2] = Fraction(1)
+    assert projective_key(w, QQ) != key
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=repr)
 def test_pointset_keeps_its_certificate_data(field):
     # each cached value equals a fresh computation, is computed once and
@@ -172,7 +186,10 @@ def test_pointset_keeps_its_certificate_data(field):
     assert rank == cubes.rank() == 6
     assert Z.cube_span[0] is held
     assert Z.cubic_ideal_basis is basis
-    for name in ("points", "field", "cubic_ideal_basis", "cube_span"):
+    # the codes every evaluation reads are built once and read-only
+    assert Z.codes.shape == (6, 6) and not Z.codes.flags.writeable
+    for name in ("points", "field", "codes", "cubic_ideal_basis",
+                 "cube_span"):
         with pytest.raises(AttributeError):
             setattr(Z, name, None)
 
@@ -268,6 +285,38 @@ def test_dual_route_apolarity_positive_and_negative():
         g = f + _random_linear(rng).power(3)
         assert is_apolar_pointset(Z, g) == cube_span_contains(Z, g)
         assert not cube_span_contains(Z, g)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(5, 2), GF(13, 2),
+                                   GF(2147483659)], ids=repr)
+def test_is_apolar_pointset_reads_the_catalecticant_column(field,
+                                                           monkeypatch):
+    # one path for every field, GF(13^2) and GF(2147483659) with no numpy
+    # arithmetic among them: f's column c_b * b! dotted with I_Z(3) gives
+    # the answer of the full catalecticant product, which it never builds
+    forms, _, f = catalog.random_power_sum(7, field, seed=2)
+    Z = PointSet([g.coeffs for g in forms], field)
+    rng = random.Random(5)
+    l = HomogeneousForm.linear(
+        [field.random_element(rng, nonzero=True) for _ in range(6)], field)
+    g = f + l.power(3)
+    expected = [apolarity._annihilates(Z.cubic_ideal_basis, h, 3)
+                for h in (f, g)]
+    assert expected == [True, False]
+
+    def refuse(*args):
+        raise AssertionError("catalecticant built")
+
+    monkeypatch.setattr(apolarity, "catalecticant", refuse)
+    assert [is_apolar_pointset(Z, h) for h in (f, g)] == expected
+
+
+def test_is_apolar_pointset_refuses_characteristic_three():
+    # b! = 6 vanishes mod 3, as catalecticant(f, 3) refuses it
+    forms, _, f = catalog.random_power_sum(5, GF(3), seed=0)
+    Z = PointSet([g.coeffs for g in forms], GF(3))
+    with pytest.raises(PreconditionError, match="characteristic 3"):
+        is_apolar_pointset(Z, f)
 
 
 def test_graded_pieces_match_veronese_resolution():

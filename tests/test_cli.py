@@ -46,6 +46,16 @@ def test_random_rational_points_are_seeded_and_distinct():
         lead = next(c for c in pt if c)
         seen.add(tuple(c / lead for c in pt))
     assert len(seen) == 9
+    # pinned draws: the projective key decides which draws are kept
+    assert pts == [
+        (3, 4, -8, -1, 7, 6), (3, 0, 6, 2, 9, -3), (7, -5, 0, -5, -6, -1),
+        (8, -5, 0, -6, -7, 1), (6, 8, -6, 2, 4, 1), (-3, 8, 6, 5, 7, -1),
+        (-8, 8, -9, -7, 3, -9), (6, 1, -2, 1, -7, -3), (9, -2, -2, -5, 8, 5)]
+    assert random_rational_points(10, seed=1) == [
+        (-5, 9, -7, -1, -6, 6), (5, 6, 3, -3, -6, 6), (-9, 3, 4, -9, 5, -1),
+        (-2, 9, -6, 1, -9, -9), (-9, 8, -9, 3, -3, 4), (-9, 7, -2, 5, 6, 8),
+        (-2, 2, -2, -2, 5, 0), (-9, 4, 8, -6, -4, 0), (-6, 1, 7, 4, 7, -3),
+        (0, 0, 9, 6, 7, 3)]
 
 
 def test_apolar_family_report(capsys):
@@ -139,6 +149,13 @@ def test_negative_first_family_value_joins_the_flag_with_equals(capsys):
     ["--out", "/nonexistent/dir/x.json", "apolar", "x0^3"],
     ["--field", "fp:101", "ranklocus", "--family", "1,-1,1,-1,1",
      "--threshold", "-5", "--lines", "1"],
+    # two inputs at once: neither is silently dropped
+    ["apolar", "x0^3", "--family", "1,1,1,1,1"],
+    ["m2", "x0^3", "--family", "1,-1,1,-1,1"],
+    ["ranklocus", "x0^3", "--family", "1,-1,1,-1,1"],
+    ["betti", "x0^3", "--points", "3"],
+    ["betti", "--family", "1,-1,1,-1,1", "--points", "3"],
+    ["betti", "x0^3", "--family", "1,-1,1,-1,1", "--points", "3"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_inputs_exit_2_with_one_line(argv):
     src = os.path.dirname(os.path.dirname(apolarkit.__file__))
