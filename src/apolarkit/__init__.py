@@ -29,6 +29,7 @@ from .resolutions import (
 from .rankloci import (
     classify_singularity,
     drop_degree_on_line,
+    drop_degrees_on_lines,
     interpolate_drop_curve,
     plane_drop_points,
     singular_points_plane_curve,
@@ -55,7 +56,7 @@ __all__ = [
     "min_partial_rank_scan", "q_f", "BettiTable", "GradedModule",
     "LinearFormMatrix", "apolar_quotient_module", "graded_betti",
     "linear_syzygies", "m2_matrix", "points_quotient_module",
-    "classify_singularity", "drop_degree_on_line",
+    "classify_singularity", "drop_degree_on_line", "drop_degrees_on_lines",
     "interpolate_drop_curve", "plane_drop_points",
     "singular_points_plane_curve", "cubic_family",
     "fermat_cubic", "m_star", "plane_substitution", "random_power_sum",

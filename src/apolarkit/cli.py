@@ -19,7 +19,7 @@ import json
 import random
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import __version__, catalog, rankloci
 from .apolarity import (
@@ -92,12 +92,17 @@ def random_rational_points(count, seed, nvars=6, spread=9):
     return points
 
 
-def _random_line(field, rng, nvars):
-    while True:
-        a = catalog.random_nonzero_vector(nvars, field, rng)
-        b = catalog.random_nonzero_vector(nvars, field, rng)
-        if not rankloci.proportional(a, b, field.char):
-            return (a, b)
+def _line_degrees(M, threshold, count, rng):
+    """Drop degrees of M on count random lines, each with its own seed:
+    every line and seed is drawn first, then measured in one stack."""
+    lines, seeds = [], []
+    while len(lines) < count:
+        a = catalog.random_nonzero_vector(M.nvars, M.field, rng)
+        b = catalog.random_nonzero_vector(M.nvars, M.field, rng)
+        if not rankloci.proportional(a, b, M.field.char):
+            lines.append((a, b))
+            seeds.append(rng.randrange(1 << 30))
+    return rankloci.drop_degrees_on_lines(M, lines, threshold, seeds)
 
 
 def _field_kind(field):
@@ -240,13 +245,8 @@ def run_ranklocus(args, field, seed):
                 "interpolation needs a 3-variable matrix; use --restrict-plane")
         curve, singulars, classification = _drop_curve_and_node(
             M, args.threshold, seed)
-    rng = random.Random(seed)
-    degrees = []
-    if field.char > 50 and field.degree == 1:
-        for _ in range(args.lines):
-            line = _random_line(field, rng, M.nvars)
-            degrees.append(rankloci.drop_degree_on_line(
-                M, line, args.threshold, seed=rng.randrange(1 << 30)))
+    degrees = (_line_degrees(M, args.threshold, args.lines, random.Random(seed))
+               if args.lines and field.char > 50 and field.degree == 1 else [])
     payload = {
         "matrix": matrix_ref,
         "threshold": args.threshold,
@@ -352,10 +352,7 @@ def _repro_points(count, name, field, seed, checks):
 
 def _repro_thom_porteous(field, seed, checks):
     M = m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=field))
-    rng = random.Random(seed)
-    degrees = [rankloci.drop_degree_on_line(M, _random_line(field, rng, 6), 20,
-                                            seed=rng.randrange(1 << 30))
-               for _ in range(5)]
+    degrees = _line_degrees(M, 20, 5, random.Random(seed))
     _check(checks, "line-degrees", [9] * 5, degrees)
 
 
@@ -471,6 +468,7 @@ def _render_text(envelope):
     return "\n".join(lines) + "\n"
 
 
+@cache  # built once: argparse finds sys.stdout and sys.stderr as it prints
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="apolarkit",
@@ -549,8 +547,7 @@ def _input_text(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         field = parse_field_flag(args.field)
         if _field_kind(field) not in args.fields:

@@ -263,8 +263,10 @@ def matmul_mod(x, y, p):
     """x @ y mod p for int64 code arrays in range(p), exact for every
     p < 2^31 and inner dimension k below 2^22.
 
-    Where no int64 dot product can overflow, k (p - 1)^2 < 2^63, it is
-    one int64 product.  Otherwise the operand with fewer entries is split
+    Where k (p - 1)^2 < 2^53 (small primes) it is one float64 product in
+    BLAS, exact since every partial sum is an integer below 2^53; else,
+    where no int64 dot product can overflow, k (p - 1)^2 < 2^63, one
+    int64 product.  Otherwise the operand with fewer entries is split
     into b-bit limbs, b as large as keeps every float64 dot product of a
     limb, below k (p - 1) (2^b - 1) < 2^53, exact in BLAS; each limb
     product is reduced mod p and added in at its weight 2^(b j) mod p.
@@ -272,6 +274,8 @@ def matmul_mod(x, y, p):
     if p >= _MAX_PRIME:
         raise PreconditionError("prime %d too large for the int64 engine" % p)
     k = x.shape[-1]
+    if k * (p - 1) ** 2 < 1 << 53:
+        return np.matmul(x, y, dtype=np.float64).astype(np.int64) % p
     if k * (p - 1) ** 2 < 1 << 63:
         return x @ y % p
     b = limb_bits(k, p)

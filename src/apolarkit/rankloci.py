@@ -2,9 +2,9 @@
 
 Three instruments over finite fields:
 
-* drop_degree_on_line measures the degree of the rank-drop divisor of a
-  matrix along a line, through the gcd of random compressions det(L M R),
-  each a random combination of all maximal minors (Cauchy-Binet);
+* drop_degrees_on_lines measures the degree of the rank-drop divisor of
+  a matrix along lines, through the gcd of random compressions
+  det(L M R), each a random combination of all maximal minors;
 * interpolate_drop_curve recovers the drop curve of a 3-variable matrix
   from those gcds along F_p-rational lines, each matched against the
   curve's restriction weights, which are taken over F_p;
@@ -16,16 +16,16 @@ the singular points over F_{p^2} lifts the curve first; the curve
 itself takes F_p alone, with no interpolation nodes.  Field elements are
 modular.py code arrays, multiplied by the field's arithmetic object; a
 matrix is read only by its at(), at the two points of a line or at
-plane points.  plane_drop_points, an
-exhaustive scan of P^2(F_p) for drop points, has no caller in the curve
-pipeline; it stays as a benchmark span target and as a test reference.
+plane points.  plane_drop_points, an exhaustive scan of P^2(F_p) for
+drop points, has no caller in the curve pipeline; it stays as a
+benchmark span target and as a test reference.
 
 Everything here samples; nothing expands symbolic determinants of the
 full matrix.  Samples are ranked in stacks, one modular.eliminate call
-per stack: every pencil of a gcd round, the shifts of its singular
-pencils, and the points of a plane scan.  Randomness is always driven by
-an explicit seed and the outputs are deterministic functions of (input,
-seed).
+per stack: the pencils of every line gcd in flight (all lines of a
+drop_degrees_on_lines call, both opening rounds of each), the shifts of
+singular pencils, and the points of a plane scan.  Randomness is driven
+by explicit seeds; outputs are deterministic functions of (input, seed).
 """
 
 from __future__ import annotations
@@ -70,64 +70,101 @@ SCAN_FIELD_MAX = 121  # singular scans stop at P^2(F_121): 14,763 points
 
 
 def _line_minor_gcd(A, B, size, p, rng):
-    """Stabilized gcd of the size x size minors of M = A + sB over F_p.
+    """(gcd, multiplicity at infinity) of the size x size minors of
+    M = A + sB over F_p, for the coefficient arrays of one line."""
+    return _line_minor_gcds([(A, B, rng)], size, p)[0]
 
-    A and B are the coefficient arrays of a matrix along a line (see
-    _line_arrays).  Each draw is a compression (L, R): L of shape
-    size x nrows and, when ncols > size, R of shape ncols x size (else
-    None), with entries uniform over F_p.  By Cauchy-Binet, det(L M R) is
-    a random F_p-combination of all size x size minors of M, so their gcd
-    divides it (Kaltofen-Saunders, AAECC-9, 1991); _pencil_minor_polys
-    expands it over F_p.  Each round folds COMPRESSIONS_PER_ROUND nonzero
-    restrictions into the gcd and into the multiplicity at infinity (size
-    minus the degree); two consecutive rounds without change is the
-    stabilization contract.  A round draws the compressions it still
-    misses at once, and again for those that vanished.  Returns (gcd,
-    multiplicity at infinity).  Raises UnstableComputationError when
-    40 * COMPRESSIONS_PER_ROUND draws of a round leave it short, or the
-    gcd does not settle within MAX_ROUNDS, instead of guessing.
+
+def _minor_gcd_steps(A, B, size, p, rng):
+    """The stabilization loop of one line gcd, as a generator: it yields
+    each batch of compressions it draws, is sent their restrictions, and
+    returns (gcd, multiplicity at infinity).
+
+    A draw (L, R) has L of shape size x nrows and, when ncols > size, R of
+    shape ncols x size (else None), uniform over F_p.  By Cauchy-Binet,
+    det(L M R) is a random F_p-combination of all size x size minors of
+    M, so their gcd divides it (Kaltofen-Saunders, AAECC-9, 1991).  Each
+    round folds COMPRESSIONS_PER_ROUND nonzero restrictions, in draw
+    order, into the gcd and into the multiplicity at infinity (size minus
+    the degree); two equal consecutive rounds is the stabilization
+    contract.  No gcd settles before its second round, so the first batch
+    holds two rounds (one if MAX_ROUNDS is 1) and later ones what the
+    round misses: never a draw the loop might not reach, so the rng
+    stream is that of round-by-round draws.  Raises
+    UnstableComputationError when 40 * COMPRESSIONS_PER_ROUND draws of a
+    round leave it short, or the gcd does not settle within MAX_ROUNDS.
     """
     nrows, ncols = A.shape
-    cap = 40 * COMPRESSIONS_PER_ROUND
+    quota, cap = COMPRESSIONS_PER_ROUND, 40 * COMPRESSIONS_PER_ROUND
 
     def uniform(rows, cols):
         # 64 random bits per entry, reduced mod p < 2^31: bias below 2^-33
         bits = np.frombuffer(rng.randbytes(8 * rows * cols), dtype=np.uint64)
         return (bits % p).astype(np.int64).reshape(rows, cols)
 
-    gcd_acc = None
-    inf_acc = None
-    for _ in range(MAX_ROUNDS):
-        before = (gcd_acc, inf_acc)
-        produced = 0
-        attempts = 0
-        while produced < COMPRESSIONS_PER_ROUND:
-            draws = [(uniform(size, nrows),
-                      uniform(ncols, size) if ncols > size else None)
-                     for _ in range(min(COMPRESSIONS_PER_ROUND - produced,
-                                        cap - attempts))]
-            attempts += len(draws)
-            for poly in _pencil_minor_polys(A, B, draws, p):
-                if not poly:
-                    continue
+    gcd_acc = inf_acc = before = None
+    rounds = produced = attempts = 0
+    while True:
+        ahead = quota if rounds == 0 and MAX_ROUNDS > 1 else 0
+        polys = yield [(uniform(size, nrows),
+                        uniform(ncols, size) if ncols > size else None)
+                       for _ in range(min(quota - produced + ahead,
+                                          cap - attempts))]
+        for poly in polys:
+            attempts += 1
+            if poly:
                 produced += 1
                 gcd_acc = modular.poly_monic(poly, p) if gcd_acc is None \
                     else modular.poly_gcd(gcd_acc, poly, p)
                 inf_mult = size - modular.poly_degree(poly)
                 inf_acc = inf_mult if inf_acc is None else min(inf_acc, inf_mult)
-            if produced < COMPRESSIONS_PER_ROUND and attempts == cap:
+            if produced == quota:
+                rounds += 1
+                if (gcd_acc, inf_acc) == before:
+                    return gcd_acc, inf_acc
+                if rounds == MAX_ROUNDS:
+                    raise UnstableComputationError(
+                        "minor gcd did not stabilize within %d rounds"
+                        % MAX_ROUNDS)
+                before, produced, attempts = (gcd_acc, inf_acc), 0, 0
+            elif attempts == cap:
                 raise UnstableComputationError(
                     "almost all random %dx%d compressed minors vanish on the "
                     "line" % (size, size))
-        if gcd_acc is not None and (gcd_acc, inf_acc) == before:
-            return gcd_acc, inf_acc
-    raise UnstableComputationError(
-        "minor gcd did not stabilize within %d rounds" % MAX_ROUNDS)
+
+
+def _line_minor_gcds(lines, size, p):
+    """_line_minor_gcd of each (A, B, rng), every line in flight at once:
+    one _pencil_minor_polys call stacks the batches of all lines still
+    running.  The first line, in order, whose loop failed raises."""
+    arrays = np.array([(A, B) for A, B, _ in lines])
+    steps = [_minor_gcd_steps(A, B, size, p, rng) for A, B, rng in lines]
+    results = [None] * len(lines)
+    batches = {i: next(step) for i, step in enumerate(steps)}
+    while batches:
+        owner = np.repeat(list(batches), [len(d) for d in batches.values()])
+        polys = iter(_pencil_minor_polys(
+            arrays[owner, 0], arrays[owner, 1],
+            [draw for draws in batches.values() for draw in draws], p))
+        running = {}
+        for i, draws in batches.items():
+            try:
+                running[i] = steps[i].send([next(polys) for _ in draws])
+            except StopIteration as done:
+                results[i] = done.value
+            except UnstableComputationError as exc:
+                results[i] = exc
+        batches = running
+    for failed in filter(lambda r: isinstance(r, Exception), results):
+        raise failed
+    return results
 
 
 def _pencil_minor_polys(A, B, draws, p):
     """Restrictions det(P + sQ), P = L A R and Q = L B R, of a batch of
     compressions over F_p, as coefficient lists ([] where one vanishes).
+    A and B are one line's coefficient arrays, or per-draw stacks of
+    them, shape (len(draws), nrows, ncols).
 
     Each draw takes the first shift s0 = 0, 1, ... below min(p, size + 1)
     with C = P + s0 Q invertible, each shift one stack of the draws still
@@ -141,7 +178,7 @@ def _pencil_minor_polys(A, B, draws, p):
     size = len(draws[0][0])
     # pencils[draw] = (L A R, L B R)
     pencils = modular.matmul_mod(np.array([L for L, _ in draws])[:, None],
-                                 np.array([A, B]), p)
+                                 np.stack((A, B), axis=-3), p)
     if draws[0][1] is not None:
         pencils = modular.matmul_mod(
             pencils, np.array([R for _, R in draws])[:, None], p)
@@ -174,8 +211,9 @@ def _charpolys(N, p):
     the coefficients by the lower triangular Toeplitz matrix with first
     column (1, -a, -R S, -R N_k S, ..., -R N_k^(k-1) S); R N_k^j S is
     entry k of the diagonal of N V_j, V_0 the strict upper triangle of N
-    and V_(j+1) that of N V_j.  Products go through modular.matmul_mod,
-    exact for every p < 2^31.
+    and V_(j+1) that of N V_j.  Each step builds only its own
+    (k + 2) x (k + 1) Toeplitz block.  Products go through
+    modular.matmul_mod, exact for every p < 2^31.
     """
     batch, n, _ = N.shape
     upper = np.triu(np.ones((n, n), dtype=np.int64), 1)
@@ -185,13 +223,12 @@ def _charpolys(N, p):
         W = modular.matmul_mod(N, V, p)
         columns[:, :, j + 1] = -np.diagonal(W, axis1=1, axis2=2) % p
         V = W * upper
-    # toeplitz[:, k, i, j]: entry i - j of column k, 0 above the diagonal
-    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1))
-    toeplitz = np.tril(columns[:, :, lag % (n + 1)])
+    lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) % (n + 1)
     chi = np.eye(1, n + 1, dtype=np.int64).repeat(batch, axis=0)
-    for k in range(n):  # step k's matrix: the top left (k + 2) x (k + 1)
+    for k in range(n):  # step k's Toeplitz block, 0 above the diagonal
+        toeplitz = np.tril(columns[:, k, lag[:k + 2, :k + 1]])
         chi[:, :k + 2] = modular.matmul_mod(
-            toeplitz[:, k, :k + 2, :k + 1], chi[:, :k + 1, None], p)[:, :, 0]
+            toeplitz, chi[:, :k + 1, None], p)[:, :, 0]
     return chi
 
 
@@ -211,9 +248,16 @@ def drop_degree_on_line(M, line, t, seed=0):
     deg g - deg gcd(g, g').
 
     The gcd of the compressions only equals the full-minor gcd when
-    enough random ones agree; see _line_minor_gcd for the stabilization
+    enough random ones agree; see _minor_gcd_steps for the stabilization
     contract and the UnstableComputationError raised when it fails.
     """
+    return drop_degrees_on_lines(M, [line], t, [seed])[0]
+
+
+def drop_degrees_on_lines(M, lines, t, seeds):
+    """drop_degree_on_line for each line with its seed, all gcds in one
+    stack (_line_minor_gcds).  Guards that no line passes raise first,
+    then the first line, in order, whose probe or gcd fails."""
     field = M.field
     if not isinstance(field, PrimeField):
         raise PreconditionError("line degree measurement works over GF(p)")
@@ -229,21 +273,26 @@ def drop_degree_on_line(M, line, t, seed=0):
     if p <= size + 1:
         raise PreconditionError("p=%d too small: a squarefree degree-%d "
                                 "gcd needs p > %d" % (p, size, size + 1))
-    A, B = _line_arrays(M, line)
-    rng = random.Random(seed)
-
-    # the line must leave the drop locus somewhere: probe 3 parameters
-    if all(modular.rank_mod_p((A + rng.randrange(p) * B) % p, p) < size
-           for _ in range(3)):
-        raise PreconditionError("line inside drop locus: rank <= %d at "
-                                "3 random parameters" % t)
-
-    gcd_acc, inf_acc = _line_minor_gcd(A, B, size, p, rng)
-    repeated = modular.poly_gcd(gcd_acc, modular.poly_derivative(gcd_acc, p), p)
-    degree = modular.poly_degree(gcd_acc) - modular.poly_degree(repeated)
-    if inf_acc >= 1:
-        degree += 1
-    return degree
+    running = []  # (A, B, rng) of each line that passes its probe
+    try:
+        for line, seed in zip(lines, seeds):
+            A, B = _line_arrays(M, line)
+            rng = random.Random(seed)
+            # the line must leave the drop locus: probe 3 parameters
+            if all(modular.rank_mod_p((A + rng.randrange(p) * B) % p, p)
+                   < size for _ in range(3)):
+                raise PreconditionError("line inside drop locus: rank <= %d "
+                                        "at 3 random parameters" % t)
+            running.append((A, B, rng))
+    finally:  # a refused line raises only once the lines before it pass
+        gcds = _line_minor_gcds(running, size, p)
+    degrees = []
+    for gcd_acc, inf_acc in gcds:
+        repeated = modular.poly_gcd(gcd_acc,
+                                    modular.poly_derivative(gcd_acc, p), p)
+        degrees.append(modular.poly_degree(gcd_acc)
+                       - modular.poly_degree(repeated) + (inf_acc >= 1))
+    return degrees
 
 
 def plane_drop_points(M, t):
@@ -270,22 +319,20 @@ def _binary_restriction_weights(a, b, degree, p):
     """weights[k][i]: coefficient of s^k u^(d-k) in monomial_i(u*a + s*b).
 
     Each monomial prod_v z_v^e_v restricts to prod_v (a_v u + b_v s)^e_v,
-    whose factors are C(e, j) a_v^(e-j) b_v^j, multiplied out mod p.
+    whose factors are C(e, j) a_v^(e-j) b_v^j; every monomial's product
+    is multiplied out at once mod p, a factor as its Toeplitz matrix.
     """
-    def times(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-        return [c % p for c in out]
-
-    # powers[v][e]: coefficients of (a_v u + b_v s)^e, by the power of s
-    powers = [[[comb(e, j) * pow(x, e - j, p) * pow(y, j, p) % p
-                for j in range(e + 1)] for e in range(degree + 1)]
-              for x, y in zip(a, b)]
-    columns = [times(times(powers[0][e0], powers[1][e1]), powers[2][e2])
-               for e0, e1, e2 in monomial_exponents(3, degree)]
-    return [list(row) for row in zip(*columns)]
+    exponents = np.array(monomial_exponents(3, degree))
+    span = range(degree + 1)
+    lag = np.subtract.outer(span, span) % (degree + 1)  # e - j, for j <= e
+    binomials = np.array([[comb(e, j) % p for j in span] for e in span])
+    out = np.eye(1, degree + 1, dtype=np.int64)
+    for x, y, e in zip(a, b, exponents.T):
+        xs, ys = (np.array([pow(c, i, p) for i in span]) for c in (x, y))
+        powers = binomials * xs[lag] % p * ys % p  # row e: (x u + y s)^e
+        out = modular.matmul_mod(np.tril(powers[e][:, lag]), out[..., None],
+                                 p)[..., 0]
+    return out.T.tolist()
 
 
 def _shuffled_plane_points(p, rng):

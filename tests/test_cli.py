@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import apolarkit
+from apolarkit import cli
 from apolarkit.cli import main, parse_family_flag, parse_field_flag, random_rational_points
 from apolarkit.errors import ParseError
 from apolarkit.fields import GF, QQ
@@ -275,10 +276,18 @@ def test_ranklocus_interpolation_over_gf5(capsys):
     assert report["classification"] == "node"
 
 
-# sha256 of the stdout of `ranklocus --family 1,-1,1,-1,1`, all exiting 0;
-# the rng draws of the line gcds and their interpolation nodes must not
-# change
+# sha256 of the stdout of `ranklocus` and of `repro thom-porteous`, all
+# exiting 0; the rng draws of the line gcds must not change, whether a
+# line is measured alone or stacked with the others of its call
 RANKLOCUS_STDOUT_SHA256 = {
+    ("--field", "fp:101", "--seed", "2", "ranklocus", "--family=-5,3,3,2,-3",
+     "--lines", "5"):
+        "181b6ae6fc4a165ecccc656dded5830e7277f89afc8b631ea20b14d116738258",
+    ("--field", "fp:101", "--seed", "4", "ranklocus", "--family",
+     "2,0,-3,-1,5", "--lines", "5"):
+        "615b938f9b0602b4cd4cdb593af3585c87cb5e4f2de82613134c9d0cc0cfc51a",
+    ("--seed", "3", "repro", "thom-porteous"):
+        "bf304c63ebd1d3084a05da913ce332b4c8f7b61629269cd3218c7851acc08189",
     ("--field", "fp:101", "--seed", "0", "ranklocus", "--family",
      "1,-1,1,-1,1", "--threshold", "20"):
         "74afd60559d7a10992245a9b3e03f13a6bbfe40939683c09bb200de5a8f784be",
@@ -312,6 +321,49 @@ def test_ranklocus_report_bytes_are_pinned(argv, capsys):
     assert captured.err == ""
     digest = hashlib.sha256(captured.out.encode()).hexdigest()
     assert digest == RANKLOCUS_STDOUT_SHA256[argv]
+
+
+def test_ranklocus_refuses_a_non_generic_member_before_any_line(
+        capsys, monkeypatch):
+    def no_lines(*args):
+        raise AssertionError("a line was measured")
+
+    monkeypatch.setattr(apolarkit.rankloci, "drop_degrees_on_lines", no_lines)
+    assert main(["--field", "fp:101", "--seed", "1", "ranklocus", "--family",
+                 "2,2,0,-2,3", "--lines", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "precondition violated: apolar ideal has non-generic Betti table "
+        "{(0, 0): 1, (1, 2): 15, (2, 3): 35, (2, 4): 4, (3, 4): 25, "
+        "(3, 5): 25, (4, 5): 4, (4, 6): 35, (5, 7): 15, (6, 9): 1}\n")
+
+
+def test_main_reuses_its_parser_without_changing_any_output(capsys):
+    # argparse prints usage errors and --help to the streams current at
+    # the call, so a parser built under other streams stays correct
+    calls = [["--field", "fp:7", "catalog", "plane-substitution"],
+             ["ranklocus", "--lines", "many"],
+             ["--field", "fp:7", "apolar", "--family", "1,-1,1,-1,1"],
+             ["m2", "--help"]]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0]
+    assert "invalid int value: 'many'" in reused[1][2]
+    assert reused[3][1].startswith("usage: apolarkit m2")
 
 
 def test_catalog_listing_and_lookup(capsys):

@@ -579,9 +579,12 @@ def test_rational_rank_rref_and_kernel_match_fraction_elimination(rows):
 
 
 # 2^31 - 1 and the next two word primes; inner dimension 1 is one int64
-# product, 3, 189 (the 315x210 pivot block) and 4096 take float64 limbs
-@pytest.mark.parametrize("p", linalg.KERNEL_PRIMES[:3])
-@pytest.mark.parametrize("k", [1, 3, 189, 4096])
+# product, 3, 189 (the 315x210 pivot block) and 4096 take float64 limbs.
+# Then the primes on both sides of k (p - 1)^2 = 2^53 for k = 21 (a
+# compressed minor) and 189: below it one float64 product, above it int64
+@pytest.mark.parametrize("k, p", [
+    (k, p) for k in [1, 3, 189, 4096] for p in linalg.KERNEL_PRIMES[:3]]
+    + [(21, 20710237), (21, 20710259), (189, 6903397), (189, 6903419)])
 def test_matmul_mod_matches_python_ints(p, k):
     rng = np.random.default_rng(k)
     # either operand the one with fewer entries, and stacks broadcast as

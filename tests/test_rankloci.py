@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -337,6 +339,98 @@ def test_batched_minor_gcd_keeps_the_attempt_cap(monkeypatch):
                 assert R is None
             else:
                 assert R.shape == (ncols, size) and 0 <= R.min() <= R.max() < 101
+
+
+@lru_cache(maxsize=None)
+def _paper_m2_mod101():
+    return m2_matrix(catalog.cubic_family(1, -1, 1, -1, 1, field=GF(101)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_stacked_line_degrees_match_the_line_by_line_loop(seed):
+    # three seeded lines of the paper member's m2 over GF(101), each with
+    # its own gcd seed: one stacked call gives what each line gives alone
+    M = _paper_m2_mod101()
+    rng = random.Random(seed)
+    lines, seeds = [], []
+    for _ in range(3):
+        lines.append(tuple([rng.randrange(101) for _ in range(6)]
+                           for _ in range(2)))
+        seeds.append(rng.randrange(1 << 30))
+    loop = [drop_degree_on_line(M, line, 20, seed=s)
+            for line, s in zip(lines, seeds)]
+    assert loop == [9, 9, 9]
+    assert rankloci.drop_degrees_on_lines(M, lines, 20, seeds) == loop
+
+
+def test_stacked_line_degrees_raise_the_first_failing_line(monkeypatch):
+    # the doubled entry z0 drops along z0 = 0: the third line lies in the
+    # drop locus, and with one round the first line's gcd cannot settle
+    M = diag_matrix(GF(101), repeat=True)
+    lines = [((1, 2, 3), (4, 5, 6)), ((1, 0, 0), (0, 1, 1)),
+             ((0, 1, 0), (0, 0, 1))]
+    with pytest.raises(PreconditionError, match="line inside drop locus"):
+        rankloci.drop_degrees_on_lines(M, lines, 1, [0, 1, 2])
+    assert rankloci.drop_degrees_on_lines(M, lines[:2], 1, [0, 1]) == [1, 1]
+    monkeypatch.setattr(rankloci, "MAX_ROUNDS", 1)
+    with pytest.raises(UnstableComputationError,
+                       match="^minor gcd did not stabilize within 1 rounds$"):
+        rankloci.drop_degrees_on_lines(M, lines, 1, [0, 1, 2])
+    # the guards no line passes come before any line's own refusal
+    with pytest.raises(PreconditionError, match="threshold 2 leaves no"):
+        rankloci.drop_degrees_on_lines(M, lines, 2, [0, 1, 2])
+    assert rankloci.drop_degrees_on_lines(M, [], 1, []) == []
+
+
+# sha256 of every compression (L, then R or "-") one line gcd draws, the
+# gcd and the rng's next 32 bits: a GF(101) line of the paper member's m2
+# and a GF(5) plane line where two pencils are singular at every shift
+# and are drawn again
+LINE_DRAW_STREAMS = [
+    (101, ([1, 2, 3, 4, 5, 6], [6, 0, 5, 1, 4, 2]), 7,
+     "44a884b3d2e3d6818d0e159a33a067e3bde9af9bd2968a874c65f596e484dbd6",
+     ([2, 52, 79, 14, 59, 76, 25, 90, 15, 1], 0), 1086584080),
+    (5, ([1, 0, 0], [0, 3, 1]), 0,
+     "82e35eceae6f0e35df41f0ea2ba932f0e13d44aa9aa1d06735742cdec463cf13",
+     ([0, 0, 3, 0, 2, 3, 2, 4, 3, 1], 0), 2107907651),
+]
+
+
+@pytest.mark.parametrize("p, line, seed, digest, gcd, next_bits",
+                         LINE_DRAW_STREAMS)
+def test_line_gcd_draws_are_pinned(p, line, seed, digest, gcd, next_bits,
+                                   monkeypatch):
+    M = _paper_m2_mod101() if p == 101 else _paper_plane_mod5()[0]
+    pencil_minor_polys = rankloci._pencil_minor_polys
+    stream = hashlib.sha256()
+
+    def recording(A, B, batch, q):
+        for L, R in batch:
+            stream.update(L.tobytes())
+            stream.update(b"-" if R is None else R.tobytes())
+        return pencil_minor_polys(A, B, batch, q)
+
+    monkeypatch.setattr(rankloci, "_pencil_minor_polys", recording)
+    rng = random.Random(seed)
+    assert rankloci._line_minor_gcd(*rankloci._line_arrays(M, line), 21, p,
+                                    rng) == gcd
+    assert stream.hexdigest() == digest
+    assert rng.getrandbits(32) == next_bits
+
+
+def test_charpolys_build_one_toeplitz_step_at_a_time():
+    # 40 pencils of size 21, a stacked call's worth: the whole
+    # (40, 21, 22, 22) Toeplitz tensor and its copy took about 6.5 MB
+    N = np.random.default_rng(40).integers(0, 101, (40, 21, 21))
+    tracemalloc.start()
+    try:
+        chi = rankloci._charpolys(N, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+    assert hashlib.sha256(chi.astype(np.int64).tobytes()).hexdigest() \
+        == "a5cc4e247f1d94ff69355b2e9fefee959f621589a7d5268a87fbbb352b82f047"
 
 
 @lru_cache(maxsize=None)
