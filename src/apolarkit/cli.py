@@ -93,8 +93,7 @@ def random_rational_points(count, seed, nvars=6, spread=9):
 
 
 def _line_degrees(M, threshold, count, rng):
-    """Drop degrees of M on count random lines, each with its own seed:
-    every line and seed is drawn first, then measured in one stack."""
+    """Drop degrees on count seeded random lines, all drawn, then stacked."""
     lines, seeds = [], []
     while len(lines) < count:
         a = catalog.random_nonzero_vector(M.nvars, M.field, rng)

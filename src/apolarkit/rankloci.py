@@ -70,8 +70,8 @@ SCAN_FIELD_MAX = 121  # singular scans stop at P^2(F_121): 14,763 points
 
 
 def _line_minor_gcd(A, B, size, p, rng):
-    """(gcd, multiplicity at infinity) of the size x size minors of
-    M = A + sB over F_p, for the coefficient arrays of one line."""
+    """Stabilized (gcd, multiplicity at infinity) of the size x size minors
+    of A + sB over F_p: one line in flight, with both opening rounds."""
     return _line_minor_gcds([(A, B, rng)], size, p)[0]
 
 
@@ -88,11 +88,11 @@ def _minor_gcd_steps(A, B, size, p, rng):
     order, into the gcd and into the multiplicity at infinity (size minus
     the degree); two equal consecutive rounds is the stabilization
     contract.  No gcd settles before its second round, so the first batch
-    holds two rounds (one if MAX_ROUNDS is 1) and later ones what the
-    round misses: never a draw the loop might not reach, so the rng
-    stream is that of round-by-round draws.  Raises
-    UnstableComputationError when 40 * COMPRESSIONS_PER_ROUND draws of a
-    round leave it short, or the gcd does not settle within MAX_ROUNDS.
+    holds two rounds (one if MAX_ROUNDS is 1), later ones what the round
+    misses: never a draw the loop might not reach, so the rng stream is
+    that of round-by-round draws.  Raises UnstableComputationError when
+    40 * COMPRESSIONS_PER_ROUND draws of a round leave it short, or the
+    gcd does not settle within MAX_ROUNDS.
     """
     nrows, ncols = A.shape
     quota, cap = COMPRESSIONS_PER_ROUND, 40 * COMPRESSIONS_PER_ROUND
@@ -134,9 +134,9 @@ def _minor_gcd_steps(A, B, size, p, rng):
 
 
 def _line_minor_gcds(lines, size, p):
-    """_line_minor_gcd of each (A, B, rng), every line in flight at once:
-    one _pencil_minor_polys call stacks the batches of all lines still
-    running.  The first line, in order, whose loop failed raises."""
+    """(gcd, multiplicity at infinity) of each line (A, B, rng), all in flight
+    at once: one _pencil_minor_polys call stacks the batches of every line
+    still running.  The first line, in order, that failed raises."""
     arrays = np.array([(A, B) for A, B, _ in lines])
     steps = [_minor_gcd_steps(A, B, size, p, rng) for A, B, rng in lines]
     results = [None] * len(lines)
@@ -211,9 +211,8 @@ def _charpolys(N, p):
     the coefficients by the lower triangular Toeplitz matrix with first
     column (1, -a, -R S, -R N_k S, ..., -R N_k^(k-1) S); R N_k^j S is
     entry k of the diagonal of N V_j, V_0 the strict upper triangle of N
-    and V_(j+1) that of N V_j.  Each step builds only its own
-    (k + 2) x (k + 1) Toeplitz block.  Products go through
-    modular.matmul_mod, exact for every p < 2^31.
+    and V_(j+1) that of N V_j.  Products go through modular.matmul_mod,
+    exact for every p < 2^31.
     """
     batch, n, _ = N.shape
     upper = np.triu(np.ones((n, n), dtype=np.int64), 1)
@@ -225,7 +224,7 @@ def _charpolys(N, p):
         V = W * upper
     lag = np.subtract.outer(np.arange(n + 1), np.arange(n + 1)) % (n + 1)
     chi = np.eye(1, n + 1, dtype=np.int64).repeat(batch, axis=0)
-    for k in range(n):  # step k's Toeplitz block, 0 above the diagonal
+    for k in range(n):  # step k builds its own (k + 2) x (k + 1) block
         toeplitz = np.tril(columns[:, k, lag[:k + 2, :k + 1]])
         chi[:, :k + 2] = modular.matmul_mod(
             toeplitz, chi[:, :k + 1, None], p)[:, :, 0]
@@ -273,9 +272,9 @@ def drop_degrees_on_lines(M, lines, t, seeds):
     if p <= size + 1:
         raise PreconditionError("p=%d too small: a squarefree degree-%d "
                                 "gcd needs p > %d" % (p, size, size + 1))
-    running = []  # (A, B, rng) of each line that passes its probe
-    try:
-        for line, seed in zip(lines, seeds):
+    running, refusal = [], None  # (A, B, rng) of each line before a refusal
+    for line, seed in zip(lines, seeds, strict=True):
+        try:
             A, B = _line_arrays(M, line)
             rng = random.Random(seed)
             # the line must leave the drop locus: probe 3 parameters
@@ -283,15 +282,18 @@ def drop_degrees_on_lines(M, lines, t, seeds):
                    < size for _ in range(3)):
                 raise PreconditionError("line inside drop locus: rank <= %d "
                                         "at 3 random parameters" % t)
-            running.append((A, B, rng))
-    finally:  # a refused line raises only once the lines before it pass
-        gcds = _line_minor_gcds(running, size, p)
+        except PreconditionError as exc:
+            refusal = exc
+            break
+        running.append((A, B, rng))
+    gcds = _line_minor_gcds(running, size, p)  # raises before the refusal
+    if refusal is not None:
+        raise refusal
     degrees = []
-    for gcd_acc, inf_acc in gcds:
-        repeated = modular.poly_gcd(gcd_acc,
-                                    modular.poly_derivative(gcd_acc, p), p)
-        degrees.append(modular.poly_degree(gcd_acc)
-                       - modular.poly_degree(repeated) + (inf_acc >= 1))
+    for g, inf_mult in gcds:
+        repeated = modular.poly_gcd(g, modular.poly_derivative(g, p), p)
+        degrees.append(modular.poly_degree(g) - modular.poly_degree(repeated)
+                       + (inf_mult >= 1))
     return degrees
 
 
