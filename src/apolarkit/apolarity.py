@@ -9,13 +9,14 @@ module insists on characteristic 0 or characteristic larger than the
 degree of the acted-on form.
 
 catalecticant(f, k) is the matrix of that action on degree-k operators
-(Macaulay duality; Iarrobino-Kanev, LNM 1721), and it is the only code
-that applies an operator to a form: apolar_action, is_apolar_variety
-and the partial-rank scan go through it, and is_apolar_pointset reads
-its one column for a cubic.  Ideal pieces spanned by generators are
-built by ideal_span alone, and point sets are evaluated by
-evaluation_matrix alone at PointSet.codes, one forms.monomial_values
-path for every field.
+(Macaulay duality; Iarrobino-Kanev, LNM 1721): f's coefficients
+gathered through forms.monomial_products times forms.falling_factorials.
+It is the only code that applies an operator to a form: apolar_action,
+is_apolar_variety and the partial-rank scan go through it, and
+is_apolar_pointset reads its one column for a cubic.  Ideal pieces
+spanned by generators are built by ideal_span alone, a scatter through
+the same product table, and point sets are evaluated by
+forms.monomial_values at PointSet.codes, one path for every field.
 
 Matrix orientation.  catalecticant(f, k) has one row per degree-k dual
 monomial and one column per degree-(d-k) primal monomial, so the row
@@ -26,15 +27,14 @@ the graded piece I_f(k) of the apolar ideal is the LEFT kernel.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 from .errors import PreconditionError
 from .fields import QQ, integer_codes
-from .forms import (DUAL_ALPHABET, HomogeneousForm, monomial_count,
-                    monomial_exponents, monomial_index, monomial_values,
-                    multinomials, power_rows)
+from .forms import (DUAL_ALPHABET, HomogeneousForm, falling_factorials,
+                    field_integers, monomial_count, monomial_products,
+                    monomial_values, power_rows)
 from .linalg import ExactMatrix, _primitive_integer_row, as_codes, code_rank
 
 
@@ -163,25 +163,11 @@ def catalecticant(f, k):
     if k < 0 or k > f.degree:
         raise PreconditionError("catalecticant degree k=%d out of range" % k)
     _require_char(f.field, f.degree)
-    F = f.field
-    n = f.nvars
-    rows = []
-    out_idx = monomial_index(n, f.degree - k)
-    width = monomial_count(n, f.degree - k)
-    fidx = monomial_index(n, f.degree)
-    for b in monomial_exponents(n, k):
-        row = [F.zero] * width
-        for g in monomial_exponents(n, f.degree - k):
-            a = tuple(bi + gi for bi, gi in zip(b, g))
-            c = f.coeffs[fidx[a]]
-            if F.is_zero(c):
-                continue
-            scale = 1
-            for ai, gi in zip(a, g):
-                scale *= math.factorial(ai) // math.factorial(gi)
-            row[out_idx[g]] = F.mul(c, F.from_int(scale))
-        rows.append(row)
-    return ExactMatrix(rows, F, width)
+    F, n, m = f.field, f.nvars, f.degree - k
+    # entry [b, g] is c_(b+g) (b+g)!/g!, as y^b takes x^(b+g) to x^g
+    cat = F.mul(np.array(f.coeffs, dtype=object)[monomial_products(n, k, m)],
+                field_integers(falling_factorials(n, k, m), F))
+    return ExactMatrix(cat.tolist(), F, cat.shape[1])
 
 
 def _annihilates(operators, f, k):
@@ -234,9 +220,9 @@ def is_apolar_pointset(Z, f):
     containment in degrees 1 and 2 as well: if D has degree 2 and y_i*D
     kills f for every i, the partials of the linear form D(f) all vanish,
     so D(f) = 0.  Hence the single degree suffices for a cubic.  That
-    catalecticant is one column, c_b * b!, read off f's integer_codes
-    (over QQ a nonzero multiple) and dotted with each row of
-    Z.cubic_ideal_basis, built on Z's first test, under the field's ops.
+    catalecticant is one column, c_b * b! (b! from falling_factorials),
+    read off f's integer_codes (over QQ a nonzero multiple) and dotted
+    with each row of Z.cubic_ideal_basis, built on Z's first test.
     """
     _require_cubic_on(Z, f)
     if Z.allow_duplicates:
@@ -244,8 +230,7 @@ def is_apolar_pointset(Z, f):
     F = f.field
     _require_char(F, 3)
     coeffs, _ = integer_codes(f.coeffs, F)
-    factorials, _ = integer_codes(
-        [F.from_int(6 // m) for m in multinomials(f.nvars, 3)], F)
+    factorials = field_integers(falling_factorials(f.nvars, 3, 0)[:, 0], F)
     column = list(map(F.mul, coeffs, factorials))
     # the basis rows are sparse; 0 is the zero code of every field
     return all(F.is_zero(functools.reduce(
@@ -284,18 +269,17 @@ def ideal_span(generators, degree):
     for g in generators:
         if g.nvars != nvars or g.field != field:
             raise PreconditionError("generators must share arity and field")
-    idx = monomial_index(nvars, degree)
+    width = monomial_count(nvars, degree)
     rows = []
     for g in generators:
         if g.degree > degree:
             continue
-        terms = g.terms()
-        for e in monomial_exponents(nvars, degree - g.degree):
-            row = [field.zero] * len(idx)
-            for c, a in terms:
-                row[idx[tuple(ai + ei for ai, ei in zip(a, e))]] = c
-            rows.append(row)
-    return ExactMatrix(rows, field, len(idx))
+        # row e holds each c_a of g at the index of a + e
+        at = monomial_products(nvars, g.degree, degree - g.degree).T
+        block = np.full((len(at), width), field.zero, dtype=object)
+        np.put_along_axis(block, at, np.array([g.coeffs], dtype=object), 1)
+        rows += block.tolist()
+    return ExactMatrix(rows, field, width)
 
 
 def is_apolar_variety(ideal_generators, f):
@@ -353,23 +337,16 @@ def exists_cubic_singular_along(Z):
 
     Stacks the gradient-evaluation conditions (n per point) on the
     coefficient space of dual cubics; Euler's relation makes the value
-    condition redundant in characteristic coprime to 3.  The gradient
-    entries are read off evaluation_matrix(Z, 2): d(y^e)/dy_i is
-    e_i y^(e - u_i), at Z.codes (see PointSet), which leaves the rank
-    alone.
+    condition redundant in characteristic coprime to 3.  d/dy_i takes
+    y_i y^g to (g_i + 1) y^g: the (1, 2) tables scatter the degree-2
+    monomial_values at Z.codes (see PointSet), which leave the rank alone.
     """
-    F = Z.field
+    F, n = Z.field, Z.nvars
     _require_char(F, 3)
-    n = Z.nvars
-    at = monomial_index(n, 2)
-    exps = monomial_exponents(n, 3)
-
-    def partial(values, i, e):
-        if not e[i]:
-            return F.zero
-        lower = e[:i] + (e[i] - 1,) + e[i + 1:]
-        return F.mul(F.from_int(e[i]), values[at[lower]])
-
-    rows = [[partial(values, i, e) for e in exps]
-            for values in evaluation_matrix(Z, 2).rows for i in range(n)]
-    return ExactMatrix(rows, F, len(exps)).rank() < len(exps)
+    width = monomial_count(n, 3)
+    gradients = F.mul(monomial_values(Z.codes, 2, F.mul)[:, None, :],
+                      field_integers(falling_factorials(n, 1, 2), F))
+    rows = np.full((len(Z), n, width), F.zero, dtype=object)
+    np.put_along_axis(rows, monomial_products(n, 1, 2)[None], gradients, 2)
+    return ExactMatrix(rows.reshape(-1, width).tolist(), F, width).rank() \
+        < width

@@ -22,16 +22,24 @@ from math import lcm
 from .errors import ParseError, PreconditionError
 
 
+# the least strong pseudoprime to all thirteen primes 2..41 (Sorenson and
+# Webster, Math. Comp. 86, 2017): Miller-Rabin on them decides below it
+PRIMALITY_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Exact primality by Miller-Rabin; refuses n >= PRIMALITY_BOUND."""
+    if n >= PRIMALITY_BOUND:
+        raise PreconditionError("primality is decided only below %d, got %d"
+                                % (PRIMALITY_BOUND, n))
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in witnesses):
+        return n in witnesses
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    for a in witnesses:
+        powers = [pow(a, (n - 1) >> (s - r), n) for r in range(s)]
+        if powers[0] != 1 and n - 1 not in powers:
             return False
-        d += 2
     return True
 
 

@@ -4,9 +4,12 @@ A form of degree d in n variables is a dense coefficient vector indexed by
 the exponent vectors of total degree d in graded-lex descending order, so
 x0^d comes first and xn^d last.  All degrees in the toolkit are small
 (at most 9 in at most 6 variables), which keeps the dense representation
-comfortable and the indexing O(1).  Products multiply term by term,
-except powers of linear forms: power_rows expands l^n for a whole stack
-of them in one pass, the multinomials times monomial_values at their
+comfortable and the indexing O(1).  Products, partials, catalecticants,
+ideal spans and Koszul shifts are gathers or scatters on two lru_cached
+integer tables, monomial_products and falling_factorials, which hold the
+rule of Macaulay duality (Iarrobino-Kanev, LNM 1721).  Powers of linear
+forms are the exception: power_rows expands l^n for a whole stack of
+them in one pass, the multinomials n!/e! times monomial_values at their
 coefficient vectors, and power_sum and power are that array's products,
 on the integers of fields.integer_codes.  monomial_values is the one
 evaluator of all monomials of a degree at a stack of points;
@@ -25,7 +28,8 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, product
+from operator import add
 
 import numpy as np
 
@@ -61,11 +65,35 @@ def monomial_count(nvars, degree):
 
 
 @lru_cache(maxsize=None)
-def multinomials(nvars, n):
-    """n! / e! for each exponent vector e of degree n, in
-    monomial_exponents order: the coefficients of (x0 + ... )^n."""
-    return tuple(math.factorial(n) // math.prod(map(math.factorial, e))
-                 for e in monomial_exponents(nvars, n))
+def monomial_products(nvars, d1, d2):
+    """products[i, j]: the index of degree-d1 monomial i times degree-d2
+    monomial j among the degree-(d1 + d2) monomials."""
+    idx = monomial_index(nvars, d1 + d2)
+    table = np.array([[idx[tuple(map(add, a, b))]
+                       for b in monomial_exponents(nvars, d2)]
+                      for a in monomial_exponents(nvars, d1)], dtype=np.intp)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def falling_factorials(nvars, k, m):
+    """weights[b, g]: (b+g)!/g! = prod_i (b_i+g_i)!/g_i! as Python ints,
+    for b of degree k and g of degree m, as monomial_products orders them:
+    the factor y^b brings down from x^(b+g) to x^g."""
+    table = np.array([[math.prod(map(math.perm, map(add, b, g), b))
+                       for g in monomial_exponents(nvars, m)]
+                      for b in monomial_exponents(nvars, k)], dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+def field_integers(values, field):
+    """Integers as field scalars, in an object array: over QQ the integers
+    themselves, otherwise through field.from_int, so over GF(p^2) an
+    integer n >= p is the element n mod p, never read as a code a + b*w."""
+    lift = int if field == QQ else field.from_int
+    return np.frompyfunc(lift, 1, 1)(np.array(values, dtype=object))
 
 
 def monomial_values(points, degree, mul):
@@ -84,13 +112,12 @@ def monomial_values(points, degree, mul):
 
 def power_rows(bases, n, field):
     """The coefficient rows of l^n for each row l of the (k, nvars)
-    object array bases: a (k, monomials) array, the multinomials times
-    monomial_values at the rows.  Over QQ the bases are integers and the
-    rows stay integers; otherwise both are field scalars, the
-    multinomials entering through field.from_int."""
-    lift = int if field == QQ else field.from_int
-    scale = np.array([lift(m) for m in multinomials(bases.shape[1], n)],
-                     dtype=object)
+    object array bases: a (k, monomials) array, the multinomials n!/e!
+    times monomial_values at the rows.  Over QQ the bases are integers
+    and the rows stay integers; otherwise both are field scalars, the
+    multinomials entering through field_integers."""
+    factorials = falling_factorials(bases.shape[1], n, 0)[:, 0]  # e!
+    scale = field_integers(math.factorial(n) // factorials, field)
     return field.mul(monomial_values(bases, n, field.mul), scale)
 
 
@@ -215,13 +242,14 @@ class HomogeneousForm:
         self._require_compatible(other)
         F = self.field
         deg = self.degree + other.degree
-        idx = monomial_index(self.nvars, deg)
+        left, right = ([i for i, c in enumerate(g.coeffs) if not F.is_zero(c)]
+                       for g in (self, other))
+        at = monomial_products(self.nvars, self.degree, other.degree)
         coeffs = [F.zero] * monomial_count(self.nvars, deg)
-        for ca, ea in self.terms():
-            for cb, eb in other.terms():
-                e = tuple(a + b for a, b in zip(ea, eb))
-                i = idx[e]
-                coeffs[i] = F.add(coeffs[i], F.mul(ca, cb))
+        for k, (i, j) in zip(at[np.ix_(left, right)].ravel().tolist(),
+                             product(left, right)):
+            coeffs[k] = F.add(coeffs[k],
+                              F.mul(self.coeffs[i], other.coeffs[j]))
         return HomogeneousForm(self.nvars, deg, coeffs, F, self.alphabet)
 
     def power(self, n):
@@ -292,17 +320,13 @@ class HomogeneousForm:
         """Formal partial derivative with respect to variable i."""
         if self.degree == 0:
             raise PreconditionError("derivative of a degree-0 form")
-        F = self.field
-        deg = self.degree - 1
-        idx = monomial_index(self.nvars, deg)
-        coeffs = [F.zero] * monomial_count(self.nvars, deg)
-        for c, e in self.terms():
-            if e[i] == 0:
-                continue
-            e2 = list(e)
-            e2[i] -= 1
-            coeffs[idx[tuple(e2)]] = F.mul(c, F.from_int(e[i]))
-        return HomogeneousForm(self.nvars, deg, coeffs, F, self.alphabet)
+        F, n, deg = self.field, self.nvars, self.degree - 1
+        # x_i * x^g goes to (g_i + 1) x^g: row i of the (1, deg) tables
+        at = monomial_products(n, 1, deg)[i].tolist()
+        coeffs = [self.coeffs[k] for k in at]
+        weights = field_integers(falling_factorials(n, 1, deg)[i], F)
+        return HomogeneousForm(n, deg, list(map(F.mul, coeffs, weights)), F,
+                               self.alphabet)
 
     def compose(self, substituents):
         """Substitute one homogeneous form per variable and expand.

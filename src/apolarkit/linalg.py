@@ -284,23 +284,20 @@ def _multimodular_kernel(matrix, ncols, primitive=False, factored=None):
     elimination mod a word prime (Dixon, "Exact solution of linear
     equations using p-adic expansions", Numer. Math. 40, 1982).
 
-    matrix is an integer array (see ExactMatrix.codes) or rows of ints
-    and Fractions.  The LU of A mod p (factored: _lu mod KERNEL_PRIMES[0])
-    gives the pivots P and the rows R behind them, and _lift the rational
-    A_RP^-1 A_RF.  The result K is accepted only if A K = 0 exactly.  K
-    has a 1 in its own free column f and zeros in the other free columns
-    and the pivot columns after f, by construction.  Since rank over QQ
-    >= rank mod p, A K = 0 makes the kernel dimension the number of free
-    columns, and each free column lies in the span of the columns before
-    it, so the rational pivots are the mod-p ones and K is the canonical
-    basis.  A prime whose pivots are wrong over QQ fails A K = 0, and the
+    matrix is an integer array (see ExactMatrix.codes).  The LU of A
+    mod p (factored: _lu mod KERNEL_PRIMES[0]) gives the pivots P and the
+    rows R behind them, and _lift the rational A_RP^-1 A_RF.  The result
+    K is accepted only if A K = 0 exactly.  K has a 1 in its own free
+    column f and zeros in the other free columns and the pivot columns
+    after f, by construction.  Since rank over QQ >= rank mod p, A K = 0
+    makes the kernel dimension the number of free columns, and each free
+    column lies in the span of the columns before it, so the rational
+    pivots are the mod-p ones and K is the canonical basis.  A prime whose pivots are wrong over QQ fails A K = 0, and the
     next prime starts again.  Returns the pivot columns and the basis
     rows, as Fractions or, with primitive, as coprime integers (each
     canonical row times the lcm of its denominators), or None once the
     primes together have taken len(KERNEL_PRIMES) digits.
     """
-    if not isinstance(matrix, np.ndarray):
-        matrix = ExactMatrix(matrix, QQ, ncols).codes()
     nrows = len(matrix)
     # per column: (row, integer entry) of its nonzero entries
     columns = [[(i, a) for i, a in enumerate(col.tolist()) if a]

@@ -12,12 +12,12 @@ integer matrix E_j whose kernel is I_j: evaluation at the points'
 codes (see apolarity.PointSet) for S/I_Z, the transposed catalecticant
 for S/I_f, and the annihilator of Q*S_{j-2} for a quadric ideal; over a
 finite field E_j holds field codes.  E_{j+1} embeds M_{j+1}, so each
-differential is written by gathering columns of E_{j+1}, with no
-coordinates to solve for.  Over QQ the differentials are ranked modulo a
-word-sized prime and every mod-p rank is kept only where semicontinuity
-proves it equal to the rational rank; the rest are ranked by
-ExactMatrix.rank, which proves a rational rank with a verified
-multimodular kernel, so the tables stay exact (see graded_betti).
+differential gathers the columns of y_t*m (forms.monomial_products) of
+E_{j+1}, with no coordinates to solve for.  Over QQ the differentials
+are ranked modulo a word-sized prime and every mod-p rank is kept only
+where semicontinuity proves it equal to the rational rank; the rest are
+ranked by linalg.code_rank, which proves a rational rank with a
+verified multimodular kernel, so the tables stay exact (see graded_betti).
 
 A cell (i, j) only consumes the module in degrees j-i-1 .. j-i+1, so a
 module built up to degree 3 already settles the full three-row tables of
@@ -42,7 +42,7 @@ from . import modular
 from .apolarity import catalecticant, evaluation_matrix, ideal_span
 from .errors import PreconditionError
 from .fields import GF, QQ, integer_codes
-from .forms import HomogeneousForm, monomial_count, monomial_exponents, monomial_index
+from .forms import HomogeneousForm, monomial_count, monomial_products
 from .linalg import (
     CERTIFICATE_PRIMES,
     ExactMatrix,
@@ -199,15 +199,6 @@ def quadric_ideal_module(quadrics, max_degree):
 
 
 @lru_cache(maxsize=None)
-def _shifts(nvars, degree):
-    """shifts[t, m]: index of y_t times the degree-`degree` monomial m."""
-    idx = monomial_index(nvars, degree + 1)
-    return np.array([[idx[e[:t] + (e[t] + 1,) + e[t + 1:]]
-                      for e in monomial_exponents(nvars, degree)]
-                     for t in range(nvars)], dtype=np.intp)
-
-
-@lru_cache(maxsize=None)
 def _contractions(nvars, i):
     """Rows (face, subset, variable, sign), one column for each i-subset
     S and each position pos of a variable t in S: the face is S minus t
@@ -240,7 +231,8 @@ def koszul_differential(module, i, j):
     out = np.zeros((nfaces, E.shape[0], nsubsets, len(basis)), dtype=E.dtype)
     if basis and E.size:
         face, subset, t, sign = _contractions(n, i)
-        images = E[:, _shifts(n, j - i)[:, basis]].transpose(1, 0, 2)
+        images = E[:, monomial_products(n, 1, j - i)[:, basis]] \
+            .transpose(1, 0, 2)
         signed = np.stack((images, module.field.neg(images)))
         out[face, :, subset, :] = signed[sign, t]
     return out.reshape(nfaces * E.shape[0], nsubsets * len(basis))
@@ -265,7 +257,7 @@ def graded_betti(module, max_i, max_j, max_row=None):
     ranks.  The cells of the strand row just past the window are ranked
     mod p too, when the module is built that high, only to close proofs;
     they are never reported.  Every other differential of the window is
-    ranked by ExactMatrix.rank, which matches the mod-p lower bound with
+    ranked by code_rank, which matches the mod-p lower bound with
     the upper bound ncols - dim K of a verified kernel K of the narrower
     side, so the table is always exact.  Over other fields the
     differentials are ranked directly, by linalg.pivot_columns.
@@ -315,7 +307,7 @@ def graded_betti(module, max_i, max_j, max_row=None):
             pending.pop((i, j), None)
             pending.pop((i + 1, j), None)
     for key, mat in pending.items():
-        ranks[key] = ExactMatrix(mat.tolist(), QQ, mat.shape[1]).rank()
+        ranks[key] = code_rank(mat, QQ)
 
     entries = {}
     for i, j in cells:
@@ -378,7 +370,7 @@ def _linear_syzygies_cached(quadrics, order, guard):
     # column (s, e) holds y_e * s block by block; y_e times distinct
     # variables gives distinct monomials, so each block is a scatter of
     # the block of s to the positions of y_e * y_k
-    at = _shifts(n, 1)  # at[e, k]: index of y_e * y_k
+    at = monomial_products(n, 1, 1)  # at[e, k]: index of y_e * y_k
     syz = syz1.codes().reshape(syz1.nrows, q, n)
     i, s, e, k = np.ix_(range(q), range(syz1.nrows), range(n), range(n))
     phi2 = np.zeros((q, cdim2, syz1.nrows, n), dtype=syz.dtype)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,6 +105,24 @@ def test_missing_input_and_bad_field_exit_2(capsys):
     assert main(["apolar"]) == 2
     assert main(["--field", "fp:4", "apolar", "--family", "1,1,1,1,1"]) == 2
     assert main(["apolar", "x0^2+x1"]) == 2
+    capsys.readouterr()
+
+
+def test_a_prime_past_the_primality_bound_exits_2_at_once(capsys):
+    # 2^89 - 1 is prime, but above the bound Miller-Rabin on the bases
+    # 2..41 decides; trial division would not finish
+    p = 2 ** 89 - 1
+    start = time.perf_counter()
+    assert main(["--field", "fp:%d" % p, "catalog", "family-basis"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "parse error: bad field 'fp:%d': primality is decided only below "
+        "3317044064679887385961981, got %d\n" % (p, p))
+    assert main(["--field", "fp:1000000000000000000000007", "catalog",
+                 "family-basis"]) == 0
+    assert time.perf_counter() - start < 1
     capsys.readouterr()
 
 

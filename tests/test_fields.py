@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,9 @@ from apolarkit.errors import PreconditionError
 from apolarkit.fields import (
     GF,
     QQ,
+    PRIMALITY_BOUND,
     coerce_scalar,
+    is_prime,
     projective_points,
     smallest_nonresidue,
 )
@@ -24,6 +28,29 @@ def test_gf_rejects_nonprime():
         GF(1)
     with pytest.raises(PreconditionError):
         GF(5, 3)
+
+
+def test_is_prime_matches_trial_division_on_small_numbers():
+    def trial(n):
+        return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert [n for n in range(-3, 5000) if is_prime(n)] \
+        == [n for n in range(-3, 5000) if trial(n)]
+
+
+def test_is_prime_decides_large_numbers_at_once():
+    start = time.perf_counter()
+    # 2^64 - 59, the largest prime below 2^64: twenty digits
+    assert is_prime(18446744073709551557)
+    assert GF(18446744073709551557).p == 18446744073709551557
+    # strong pseudoprimes to the bases 2, 3, 5, 7, and to 2..37
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert not is_prime(2 ** 64 + 1)
+    assert time.perf_counter() - start < 1
+    with pytest.raises(PreconditionError):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(PreconditionError):
+        GF(2 ** 89 - 1)
 
 
 def test_gf_descriptors_are_cached_and_comparable():

@@ -268,7 +268,8 @@ def _multimodular_cases():
 def test_multimodular_kernel_matches_fraction_kernel(name):
     rows = _multimodular_cases()[name]
     ncols = len(rows[0]) if rows else 5
-    pivots, basis = linalg._multimodular_kernel(rows, ncols)
+    pivots, basis = linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, ncols).codes(), ncols)
     assert basis == _fraction_kernel(rows, ncols)
     assert pivots == linalg._rref([list(r) for r in rows], QQ)[1]
     assert all(type(x) is Fraction for v in basis for x in v)
@@ -304,7 +305,8 @@ def test_multimodular_kernel_discards_unlucky_primes(monkeypatch):
     assert modular.kernel_mod_p([[int(x) for x in r] for r in rows],
                                 P3).tolist() == [[1, 0, 0]]
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:5])
-    assert linalg._multimodular_kernel(rows, 3)[1] \
+    assert linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, 3).codes(), 3)[1] \
         == _fraction_kernel(rows, 3)
 
 
@@ -328,7 +330,8 @@ def test_lifting_restarts_after_an_unlucky_prime(monkeypatch):
     assert modular.kernel_mod_p(ints, P1).tolist() == [[1, 0, 0, 0]]
     assert modular.rank_mod_p(ints, P2) == 3
     shapes = _count_eliminations(monkeypatch)
-    assert linalg._multimodular_kernel(rows, 4) \
+    assert linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, 4).codes(), 4) \
         == ([0, 1, 2], _fraction_kernel(rows, 4))
     # the lifted vector e_0 - A_RP^-1 A_R0 of P1 fails A K = 0, and P2
     # starts again with an elimination of its own
@@ -341,9 +344,11 @@ def test_lifting_digits_share_one_budget(monkeypatch):
     rows = _multimodular_cases()["many-digits"]
     primes = linalg.KERNEL_PRIMES
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", primes[:10])
-    assert linalg._multimodular_kernel(rows, 4) is None
+    assert linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, 4).codes(), 4) is None
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", primes[:20])
-    assert linalg._multimodular_kernel(rows, 4)[1] \
+    assert linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, 4).codes(), 4)[1] \
         == _fraction_kernel(rows, 4)
 
 
@@ -354,7 +359,8 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     a, b = 3 ** 50, 2 ** 80 + 1
     rows = [[Fraction(k * a), Fraction(k * b)] for k in range(1, 10001)]
     expected = [[Fraction(-b, a), Fraction(1)]]
-    assert linalg._multimodular_kernel(rows, 2) == ([0], expected)
+    assert linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, 2).codes(), 2) == ([0], expected)
 
     rref_calls = []
     real_rref = linalg._rref
@@ -373,8 +379,10 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     assert rref_calls == []
 
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:2])
-    assert linalg._multimodular_kernel(rows, 2) is None
-    assert linalg._multimodular_kernel(small, 4) == ([0, 1], small_kernel)
+    assert linalg._multimodular_kernel(
+        ExactMatrix(rows, QQ, 2).codes(), 2) is None
+    assert linalg._multimodular_kernel(
+        ExactMatrix(small, QQ, 4).codes(), 4) == ([0, 1], small_kernel)
     assert ExactMatrix(rows, QQ, 2).kernel_basis() \
         == ExactMatrix(expected, QQ, 2)
     assert rref_calls == [10000]

@@ -219,13 +219,13 @@ def test_points_betti_matches_exact_cells(name, scale, monkeypatch):
     module = _points_module(name, scale)
     expected = _exact_betti_cells(name)
     exact_ranks = []
-    rank = ExactMatrix.rank
+    rank = resolutions.code_rank
 
-    def counting_rank(self):
-        exact_ranks.append((self.nrows, self.ncols))
-        return rank(self)
+    def counting_rank(codes, field):
+        exact_ranks.append(codes.shape)
+        return rank(codes, field)
 
-    monkeypatch.setattr(linalg.ExactMatrix, "rank", counting_rank)
+    monkeypatch.setattr(resolutions, "code_rank", counting_rank)
     table = graded_betti(module, 6, 9, max_row=3)
     assert table.entry(0, 0) == 1
     for (i, j), b in expected.items():
@@ -246,8 +246,8 @@ def _count_exact_work(monkeypatch):
 
     for name in ("_rref", "_multimodular_kernel"):
         monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
-    monkeypatch.setattr(linalg.ExactMatrix, "rank",
-                        counting("rank", linalg.ExactMatrix.rank))
+    monkeypatch.setattr(resolutions, "code_rank",
+                        counting("rank", resolutions.code_rank))
     return calls
 
 
@@ -257,7 +257,7 @@ def test_generic_points_betti_takes_no_exact_elimination(count, monkeypatch):
     # the mod-p ranks, with the strand row past the window, prove every
     # cell from 5 points on; the module is built one degree past the
     # window, as `betti` does.  Below 5 points some ranks are left to
-    # ExactMatrix.rank, which proves them by a verified kernel, never by
+    # code_rank, which proves them by a verified kernel, never by
     # Fraction elimination.
     Z = PointSet(random_rational_points(count, seed=0), QQ)
     calls = _count_exact_work(monkeypatch)
