@@ -346,7 +346,6 @@ def exists_cubic_singular_along(Z):
     width = monomial_count(n, 3)
     gradients = F.mul(monomial_values(Z.codes, 2, F.mul)[:, None, :],
                       field_integers(falling_factorials(n, 1, 2), F))
-    rows = np.full((len(Z), n, width), F.zero, dtype=object)
+    rows = np.zeros((len(Z), n, width), dtype=object)  # every field's 0
     np.put_along_axis(rows, monomial_products(n, 1, 2)[None], gradients, 2)
-    return ExactMatrix(rows.reshape(-1, width).tolist(), F, width).rank() \
-        < width
+    return code_rank(as_codes(rows.reshape(-1, width), F), F) < width

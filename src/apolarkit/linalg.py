@@ -292,8 +292,9 @@ def _multimodular_kernel(matrix, ncols, primitive=False, factored=None):
     after f, by construction.  Since rank over QQ >= rank mod p, A K = 0
     makes the kernel dimension the number of free columns, and each free
     column lies in the span of the columns before it, so the rational
-    pivots are the mod-p ones and K is the canonical basis.  A prime whose pivots are wrong over QQ fails A K = 0, and the
-    next prime starts again.  Returns the pivot columns and the basis
+    pivots are the mod-p ones and K is the canonical basis.  A prime
+    whose pivots are wrong over QQ fails A K = 0, and the next prime
+    starts again.  Returns the pivot columns and the basis
     rows, as Fractions or, with primitive, as coprime integers (each
     canonical row times the lcm of its denominators), or None once the
     primes together have taken len(KERNEL_PRIMES) digits.
