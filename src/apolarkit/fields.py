@@ -124,8 +124,8 @@ class PrimeField:
     degree = 1
 
     def __init__(self, p):
-        if not is_prime(p):
-            raise PreconditionError("%d is not prime" % p)
+        if p >= 1 << 63 or not is_prime(p):  # codes are int64 throughout
+            raise PreconditionError("GF(p) needs a prime p < 2^63, got %d" % p)
         self.p = p
         self.char = p
         self.zero = 0

@@ -408,10 +408,9 @@ class LinearFormMatrix:
     __slots__ = ("coefficients", "den", "field", "alphabet")
 
     def __init__(self, coefficients, field, alphabet="y", den=1):
-        if field.char >= 1 << 63 or field.degree == 2 \
-                and field.char > modular.TABLE_MAX_PRIME:
-            raise PreconditionError("no int64 code arithmetic for %s"
-                                    % field.describe())
+        if field.degree == 2 and field.char > modular.TABLE_MAX_PRIME:
+            raise PreconditionError("no table arithmetic for GF(%d^2)"
+                                    % field.char)
         coefficients = np.array(coefficients,
                                 dtype=object if field == QQ else np.int64)
         g = gcd(den, *coefficients.flat) if den != 1 else 1

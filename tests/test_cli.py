@@ -108,22 +108,26 @@ def test_missing_input_and_bad_field_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_a_prime_past_the_primality_bound_exits_2_at_once(capsys):
-    # 2^89 - 1 is prime, but above the bound Miller-Rabin on the bases
-    # 2..41 decides; trial division would not finish
-    p = 2 ** 89 - 1
+def test_fields_past_int64_codes_exit_2_at_once(capsys):
+    # 2^63 + 29 and 2^89 - 1 are prime; GF(p) codes are int64, so both
+    # are refused, and 2^89 - 1 is past the bound below which Miller-Rabin
+    # on the bases 2..41 decides primality; trial division would not finish
     start = time.perf_counter()
-    assert main(["--field", "fp:%d" % p, "catalog", "family-basis"]) == 2
-    assert time.perf_counter() - start < 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "parse error: bad field 'fp:%d': primality is decided only below "
+    for p in (2 ** 63 + 29, 2 ** 89 - 1, 10 ** 24 + 7):
+        assert main(["--field", "fp:%d" % p, "m2", "--family",
+                     "1,-1,1,-1,1"]) == 2
+        assert capsys.readouterr().err == (
+            "parse error: bad field 'fp:%d': GF(p) needs a prime p < 2^63, "
+            "got %d\n" % (p, p))
+    p = 2 ** 89 - 1
+    assert main(["--field", "fp2:%d" % p, "powersum", "--count", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: bad field 'fp2:%d': primality is decided only below "
         "3317044064679887385961981, got %d\n" % (p, p))
-    assert main(["--field", "fp:1000000000000000000000007", "catalog",
+    assert main(["--field", "fp:%d" % (2 ** 63 - 25), "catalog",
                  "family-basis"]) == 0
-    assert time.perf_counter() - start < 1
     capsys.readouterr()
+    assert time.perf_counter() - start < 1
 
 
 def test_argparse_rejections_exit_2():

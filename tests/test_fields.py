@@ -41,7 +41,6 @@ def test_is_prime_decides_large_numbers_at_once():
     start = time.perf_counter()
     # 2^64 - 59, the largest prime below 2^64: twenty digits
     assert is_prime(18446744073709551557)
-    assert GF(18446744073709551557).p == 18446744073709551557
     # strong pseudoprimes to the bases 2, 3, 5, 7, and to 2..37
     assert not is_prime(3215031751)
     assert not is_prime(318665857834031151167461)
@@ -49,8 +48,12 @@ def test_is_prime_decides_large_numbers_at_once():
     assert time.perf_counter() - start < 1
     with pytest.raises(PreconditionError):
         is_prime(PRIMALITY_BOUND)
-    with pytest.raises(PreconditionError):
-        GF(2 ** 89 - 1)
+    # field codes are int64: 2^63 - 25 is the largest prime GF takes
+    assert GF(2 ** 63 - 25, 2).p == 2 ** 63 - 25
+    for p in (2 ** 63 + 29, 2 ** 89 - 1):
+        for k in (1, 2):
+            with pytest.raises(PreconditionError):
+                GF(p, k)
 
 
 def test_gf_descriptors_are_cached_and_comparable():

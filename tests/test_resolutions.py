@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from apolarkit import catalog, cli, linalg, resolutions
+from apolarkit import catalog, linalg, resolutions
 from apolarkit.apolarity import (
     PointSet,
     apolar_ideal_component,
@@ -780,16 +780,7 @@ def test_linear_form_matrix_refuses_gf_p2_past_the_tables():
         LinearFormMatrix([[[1]], [[0]]], F, "z")
 
 
-def test_linear_form_matrix_refuses_codes_past_int64(capsys):
-    # 2^63 - 25 and 2^63 + 29 are prime; only the first has int64 codes
-    below, above = GF(2 ** 63 - 25), GF(2 ** 63 + 29)
-    assert LinearFormMatrix([[[below.p - 1]], [[0]]], below, "z") \
-        .rank_at([1, 0]) == 1
-    with pytest.raises(PreconditionError, match="GF\\(%d\\)" % above.p):
-        LinearFormMatrix([[[above.p - 1]], [[0]]], above, "z")
-    # m2 reaches the refusal and exits 3 instead of an OverflowError
-    assert cli.main(["--field", "fp:%d" % above.p, "m2",
-                     "--family", "1,-1,1,-1,1"]) == 3
-    assert capsys.readouterr().err == (
-        "precondition violated: no int64 code arithmetic for GF(%d)\n"
-        % above.p)
+def test_linear_form_matrix_holds_codes_up_to_int64():
+    # 2^63 - 25 is the largest prime GF(p) takes; its codes fill int64
+    F = GF(2 ** 63 - 25)
+    assert LinearFormMatrix([[[F.p - 1]], [[0]]], F, "z").rank_at([1, 0]) == 1
