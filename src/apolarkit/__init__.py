@@ -11,6 +11,7 @@ from .apolarity import (
     apolar_ideal_component,
     catalecticant,
     cube_span_contains,
+    exists_cubic_singular_along,
     is_apolar_pointset,
     is_apolar_variety,
     min_partial_rank_scan,
@@ -52,7 +53,8 @@ from .catalog import (
 __all__ = [
     "QQ", "GF", "HomogeneousForm", "parse_form", "ExactMatrix",
     "PointSet", "apolar_action", "apolar_ideal_component", "catalecticant",
-    "cube_span_contains", "is_apolar_pointset", "is_apolar_variety",
+    "cube_span_contains", "exists_cubic_singular_along",
+    "is_apolar_pointset", "is_apolar_variety",
     "min_partial_rank_scan", "q_f", "BettiTable", "GradedModule",
     "LinearFormMatrix", "apolar_quotient_module", "graded_betti",
     "linear_syzygies", "m2_matrix", "points_quotient_module",

@@ -1,8 +1,10 @@
 """Factories for the explicit objects the toolkit certifies: the Veronese
 surface ideal and parametrization, the discriminant cubic of singular
-conics, the transfer maps between ternary sextics and six-variable
-cubics, the five-parameter annihilated cubic family, a plane restriction,
-the quartic-scroll example with its conic-plus-points apolar
+conics, the transfer maps s_map and m_star between ternary sextics and
+six-variable cubics (both one pass over one cached table, a row per cubic
+monomial x^alpha: the index of z^gamma, m_star's doubling and the weight
+gamma!/alpha!), the five-parameter annihilated cubic family, a plane
+restriction, the quartic-scroll example with its conic-plus-points apolar
 configuration, reference Betti tables, the stored mod-5 drop curve, and
 random power-sum generators.
 
@@ -16,13 +18,15 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .apolarity import _require_char, projective_key
 from .errors import PreconditionError, UnstableComputationError
 from .fields import QQ
-from .forms import (HomogeneousForm, monomial_exponents, monomial_values,
+from .forms import (HomogeneousForm, falling_factorials, monomial_count,
+                    monomial_exponents, monomial_products, monomial_values,
                     parse_form)
 from .linalg import ExactMatrix
 from .resolutions import GENERIC_CUBIC_APOLAR_BETTI, BettiTable
@@ -76,9 +80,9 @@ SCROLL_RESIDUAL_PARAMETERS = (
 POWER_SUM_EXPECTED_DRAWS = 1000
 POWER_SUM_DRAWS = 100 * POWER_SUM_EXPECTED_DRAWS
 
-# global scale making s_map exactly inverse to m_star; see
-# derive_s_normalization for the computation that pins it
-S_NORMALIZATION = Fraction(1, 120)
+# global scale of s_map, 3!/6!: at every alpha, s(a^6) has
+# S * 6!/alpha! * a^gamma and (a^2)^3 has 3!/alpha! * a^gamma
+S_NORMALIZATION = Fraction(6, 720)
 
 
 def veronese_ideal_quadrics(field=QQ):
@@ -172,89 +176,53 @@ def scroll_minors(field=QQ):
 # ---- transfer maps ----------------------------------------------------
 
 
-def _pairing_weight(alpha):
-    """Sextic exponent gamma paired with the cubic monomial alpha, and the
-    unnormalized weight gamma! / alpha! of the pairing."""
-    gamma = [0, 0, 0]
-    for ai, w in zip(alpha, VERONESE_WEIGHTS):
-        for t in range(3):
-            gamma[t] += ai * w[t]
-    num = 1
-    for t in gamma:
-        num *= math.factorial(t)
-    den = 1
-    for t in alpha:
-        den *= math.factorial(t)
-    return gamma, Fraction(num, den)
+@lru_cache(maxsize=None)
+def _veronese_transfer():
+    """One row per cubic monomial x^alpha, in monomial_exponents(6, 3)
+    order: the index of z^gamma, gamma = sum_i alpha_i w_i for w_i =
+    VERONESE_WEIGHTS[i]; m_star's doubling prod_i (2!/w_i!)^alpha_i; and
+    the pairing weight gamma!/alpha!."""
+    at = np.arange(6)  # x_i goes to z^(w_i), monomial i of degree 2
+    for d in (1, 2):  # x^alpha * x_i goes to z^gamma * z^(w_i)
+        into = np.empty(monomial_count(6, d + 1), dtype=np.intp)
+        into[monomial_products(6, d, 1)] = monomial_products(3, 2 * d, 2)[at]
+        at = into
+    twos = 2 // falling_factorials(3, 2, 0)[:, 0]  # 2!/w_i!
+    doubling = [math.prod(map(pow, twos, alpha))
+                for alpha in monomial_exponents(6, 3)]
+    weights = map(Fraction, falling_factorials(3, 6, 0)[at, 0],
+                  falling_factorials(6, 3, 0)[:, 0])
+    return tuple(zip(at.tolist(), doubling, weights))
 
 
 def s_map(g):
     """Lift a ternary sextic to the six-variable cubic pairing with it
-    through the Veronese multiplication map.
-
-    Normalized so that s(a^6) = (a^2)^3 for linear a, where a^2 is the
-    image point of a under the degree-2 Veronese map.
+    through the Veronese multiplication map: x^alpha gets
+    S_NORMALIZATION * gamma!/alpha! times g's coefficient of z^gamma, so
+    that s(a^6) = (a^2)^3 for linear a, where a^2 is the image point of
+    a under the degree-2 Veronese map.
     """
     if g.nvars != 3 or g.degree != 6:
         raise PreconditionError("s_map wants a ternary sextic")
     F = g.field
     _require_char(F, 6)  # factorials up to 6!
-    coeffs = []
-    for alpha in monomial_exponents(6, 3):
-        gamma, weight = _pairing_weight(alpha)
-        scalar = F.from_fraction(S_NORMALIZATION * weight)
-        coeffs.append(F.mul(scalar, g.coefficient(gamma)))
+    coeffs = [F.mul(F.from_fraction(S_NORMALIZATION * weight), g.coeffs[k])
+              for k, _, weight in _veronese_transfer()]
     return HomogeneousForm(6, 3, coeffs, F, "x")
 
 
-def m_star_substituents(field=QQ):
-    """The six quadrics substituted into a cubic by m_star.
-
-    These are the Veronese coordinate quadrics with the off-diagonal ones
-    doubled; the doubling is what makes (a dot z)^2 expand correctly, so
-    that m_star is a section of s_map.
-    """
-    two = field.from_int(2)
-    out = []
-    for w in VERONESE_WEIGHTS:
-        q = HomogeneousForm.monomial(3, w, field, "z")
-        if max(w) == 1:
-            q = q.scale(two)
-        out.append(q)
-    return out
-
-
 def m_star(f):
-    """Pull a six-variable cubic back to a ternary sextic."""
+    """Pull a six-variable cubic back to a ternary sextic: x_i becomes the
+    Veronese coordinate z^(w_i), doubled off the diagonal so that
+    (a dot z)^2 expands correctly and m_star is a section of s_map."""
     if f.nvars != 6 or f.degree != 3:
         raise PreconditionError("m_star wants a cubic in six variables")
-    _require_char(f.field, 6)
-    return f.compose(m_star_substituents(f.field))
-
-
-def derive_s_normalization():
-    """Recompute the s_map scale from the defining identity.
-
-    Runs the unnormalized pairing formula on one symbolic instance
-    g = (a dot z)^6 and divides by the target (a^2)^3; the golden test
-    asserts the result equals the frozen S_NORMALIZATION.
-    """
-    a = (Fraction(1), Fraction(2), Fraction(3))
-    lin = HomogeneousForm.linear(a, QQ, "z")
-    g = lin.power(6)
-    target = HomogeneousForm.linear(veronese_point(a), QQ, "x").power(3)
-    ratios = set()
-    for alpha, want in zip(monomial_exponents(6, 3), target.coeffs):
-        gamma, weight = _pairing_weight(alpha)
-        raw = weight * g.coefficient(gamma)
-        if raw == 0:
-            if want != 0:
-                raise AssertionError("unnormalized pairing lost a coefficient")
-            continue
-        ratios.add(Fraction(want) / raw)
-    if len(ratios) != 1:
-        raise AssertionError("normalization is not a single scale: %s" % ratios)
-    return ratios.pop()
+    F = f.field
+    _require_char(F, 6)
+    coeffs = [F.zero] * monomial_count(3, 6)
+    for c, (k, doubling, _) in zip(f.coeffs, _veronese_transfer()):
+        coeffs[k] = F.add(coeffs[k], F.mul(F.from_int(doubling), c))
+    return HomogeneousForm(3, 6, coeffs, F, "z")
 
 
 # ---- reference tables and curve ---------------------------------------

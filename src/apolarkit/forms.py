@@ -39,12 +39,20 @@ from .fields import QQ, GF, coerce_scalar, integer_codes
 ALPHABET_SIZES = {"x": 6, "y": 6, "z": 3}
 DUAL_ALPHABET = {"x": "y", "y": "x", "z": "z"}
 
+# the most monomials one dense basis may have: every degree up to 14 in
+# six variables (11,628) passes, degree 15 (15,504) is refused
+MAX_MONOMIALS = 12_000
+
 
 @lru_cache(maxsize=None)
 def monomial_exponents(nvars, degree):
-    """All exponent vectors of the given total degree, lex descending."""
+    """All exponent vectors of the given total degree, lex descending.
+    Refuses a basis of more than MAX_MONOMIALS monomials."""
     if nvars <= 0:
         raise ValueError("need at least one variable")
+    if monomial_count(nvars, degree) > MAX_MONOMIALS:
+        raise PreconditionError("degree %d in %d variables has more than %d "
+                                "monomials" % (degree, nvars, MAX_MONOMIALS))
     if nvars == 1:
         return ((degree,),)
     out = []

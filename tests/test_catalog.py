@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from apolarkit import catalog
 from apolarkit.apolarity import PointSet, apolar_action, projective_key, q_f
 from apolarkit.errors import PreconditionError, UnstableComputationError
 from apolarkit.fields import GF, QQ, projective_points
-from apolarkit.forms import HomogeneousForm, monomial_count
+from apolarkit.forms import HomogeneousForm, monomial_count, monomial_exponents
 from apolarkit.linalg import ExactMatrix
 from apolarkit.rankloci import (
     classify_singularity,
@@ -101,7 +102,55 @@ def test_s_map_cube_identity_and_section():
     for _ in range(3):
         g = random_ternary_sextic(QQ, rng)
         assert catalog.m_star(catalog.s_map(g)) == g
-    assert catalog.derive_s_normalization() == catalog.S_NORMALIZATION
+
+
+TRANSFER_FIELDS = [QQ, GF(7), GF(101), GF(7, 2), GF(13, 2)]
+
+
+def random_form(nvars, degree, field, rng, alphabet):
+    n = monomial_count(nvars, degree)
+    if field == QQ:
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                  for _ in range(n)]
+    else:
+        coeffs = [field.random_element(rng) for _ in range(n)]
+    return HomogeneousForm(nvars, degree, coeffs, field, alphabet)
+
+
+def m_star_substituents(field):
+    """The Veronese coordinate quadrics z^(w_i), the off-diagonal ones
+    doubled: m_star substitutes them into a cubic."""
+    return [HomogeneousForm.monomial(3, w, field, "z").scale(
+                field.from_int(2 if max(w) == 1 else 1))
+            for w in catalog.VERONESE_WEIGHTS]
+
+
+@pytest.mark.parametrize("F", TRANSFER_FIELDS, ids=str)
+def test_m_star_is_the_doubled_veronese_substitution(F):
+    # random cubics lie off the 28-dimensional image of s_map, the only
+    # cubics on which the section identity m_star(s_map(g)) = g checks m_star
+    rng = random.Random(21)
+    quadrics = m_star_substituents(F)
+    for _ in range(4):
+        f = random_form(6, 3, F, rng, "x")
+        assert catalog.m_star(f) == f.compose(quadrics)
+
+
+@pytest.mark.parametrize("F", TRANSFER_FIELDS, ids=str)
+def test_s_map_is_the_term_by_term_pairing(F):
+    rng = random.Random(22)
+    for _ in range(4):
+        g = random_form(3, 6, F, rng, "z")
+        terms = []
+        for alpha in monomial_exponents(6, 3):
+            gamma = [sum(a * w[t]
+                         for a, w in zip(alpha, catalog.VERONESE_WEIGHTS))
+                     for t in range(3)]
+            weight = Fraction(math.prod(map(math.factorial, gamma)),
+                              math.prod(map(math.factorial, alpha)))
+            scalar = F.from_fraction(catalog.S_NORMALIZATION * weight)
+            terms.append((F.mul(scalar, g.coefficient(gamma)), alpha))
+        assert catalog.s_map(g) == HomogeneousForm.from_terms(6, 3, terms, F)
 
 
 def test_s_map_image_is_veronese_apolar():

@@ -192,6 +192,18 @@ def test_out_of_range_inputs_exit_2_with_one_line(argv):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["apolar", "x0^99999"],
+    ["betti", "--points", "9", "--max-row", "40"],
+], ids=lambda argv: " ".join(argv))
+def test_oversized_dense_bases_exit_3_with_one_line(capsys, argv):
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("precondition violated: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_field_contract_keeps_supported_fields(capsys):
     rc, env = run_json(capsys, ["--field", "fp:7", "betti", "--family",
                                 "1,-1,1,-1,1"])
@@ -664,6 +676,9 @@ def _cli_argv(draw):
 @example(argv=["apolar", "x0^3"], out="missing-dir")
 @example(argv=["--field", "fp:101", "ranklocus", "--family", "1,-1,1,-1,1",
                "--threshold", "-5", "--lines", "1"], out=None)
+# dense monomial bases past forms.MAX_MONOMIALS: refused, not enumerated
+@example(argv=["apolar", "x0^99999"], out=None)
+@example(argv=["betti", "--points", "9", "--max-row", "40"], out=None)
 @settings(max_examples=50, deadline=None)
 def test_cli_fuzz_exits_with_a_documented_code(argv, out):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,7 @@
-"""Every module of the package uses each name it imports, and every
-private name the package defines is used somewhere in it.
+"""Every module of the package uses each name it imports, every private
+name the package defines is used somewhere in it, and so is every public
+module-level function that is neither exported nor a benchmark span
+target.
 
 Stdlib stand-ins for a linter's unused-import and dead-code rules: the
 import check leaves __init__.py out, since its imports are the package's
@@ -7,6 +9,7 @@ public names.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -15,6 +18,7 @@ import apolarkit
 
 PACKAGE = pathlib.Path(apolarkit.__file__).parent
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
 def unused_imports(source):
@@ -59,10 +63,19 @@ def _private_definitions(tree):
                 yield name, node
 
 
-def unreferenced_private_names(sources):
-    """(source index, name, line) of each private name the sources define
-    and never read outside its own definition: as a name or as an
-    attribute, in any of the sources."""
+def _public_functions(tree):
+    """(name, node) for each public function defined at the top level of
+    a module."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+
+
+def unread_definitions(sources, definitions, exempt=()):
+    """(source index, name, line) of each name that definitions(tree)
+    yields for one of the sources, is not in exempt, and is never read
+    outside its own definition: as a name or as an attribute, in any of
+    the sources."""
     trees = [ast.parse(source) for source in sources]
     reads = [(node.id, node) if isinstance(node, ast.Name) else (node.attr, node)
              for tree in trees for node in ast.walk(tree)
@@ -70,12 +83,20 @@ def unreferenced_private_names(sources):
              and not isinstance(node.ctx, ast.Store)]
     unread = []
     for k, tree in enumerate(trees):
-        for name, node in _private_definitions(tree):
+        for name, node in definitions(tree):
             inside = {id(n) for n in ast.walk(node)}
-            if not any(read == name and id(n) not in inside
-                       for read, n in reads):
+            if name not in exempt and not any(
+                    read == name and id(n) not in inside for read, n in reads):
                 unread.append((k, name, node.lineno))
     return unread
+
+
+def span_target_functions():
+    """Module-level functions named in perfbench/spans.py TARGETS."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return {path for _, _, path in module.TARGETS if "." not in path}
 
 
 def test_the_check_sees_an_unreferenced_private_name():
@@ -85,11 +106,31 @@ def test_the_check_sees_an_unreferenced_private_name():
         "class A:\n    def _scale(self):\n        return _USED\n",
         "from m import A\nA()._scale()\n",
     ]
-    assert unreferenced_private_names(sources) == [(0, "_LEFT", 2),
-                                                   (0, "_shifts", 4)]
+    assert unread_definitions(sources, _private_definitions) \
+        == [(0, "_LEFT", 2), (0, "_shifts", 4)]
 
 
 def test_package_reads_every_private_name_it_defines():
     paths = sorted(PACKAGE.glob("*.py"))
-    unread = unreferenced_private_names([p.read_text() for p in paths])
+    unread = unread_definitions([p.read_text() for p in paths],
+                                _private_definitions)
+    assert [(paths[k].name, name, line) for k, name, line in unread] == []
+
+
+def test_the_check_sees_an_unread_public_function():
+    sources = ["def used():\n    return used()\n\n"
+               "def exported():\n    pass\n\n"
+               "def left(n):\n    return left(n - 1)\n",
+               "from m import used\nused()\n"]
+    assert unread_definitions(sources, _public_functions, {"exported"}) \
+        == [(0, "left", 7)]
+
+
+def test_package_reads_every_public_function_it_defines():
+    # a public function is read in the package, exported by __init__, or
+    # a benchmark span target; anything else only its own tests call
+    paths = sorted(PACKAGE.glob("*.py"))
+    exempt = set(apolarkit.__all__) | span_target_functions()
+    unread = unread_definitions([p.read_text() for p in paths],
+                                _public_functions, exempt)
     assert [(paths[k].name, name, line) for k, name, line in unread] == []

@@ -8,8 +8,10 @@ import random
 import pytest
 
 from apolarkit.apolarity import catalecticant, ideal_span
+from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ
 from apolarkit.forms import (
+    MAX_MONOMIALS,
     HomogeneousForm,
     falling_factorials,
     monomial_count,
@@ -141,3 +143,13 @@ def test_weights_enter_a_quadratic_field_as_integers():
     assert catalecticant(f, 2).rows[0][0] == 1
     assert f.derivative(0).derivative(0).coeffs[0] == 1
     assert parse_form("x0^6", GF(7)).derivative(0).coeffs[0] == 6
+
+
+def test_a_dense_basis_past_the_bound_is_refused():
+    assert monomial_count(6, 14) <= MAX_MONOMIALS < monomial_count(6, 15)
+    assert len(monomial_exponents(6, 14)) == monomial_count(6, 14)
+    for nvars, degree in ((6, 15), (6, 99999), (3, 200)):
+        with pytest.raises(PreconditionError, match="variables has more than"):
+            monomial_exponents(nvars, degree)
+    with pytest.raises(PreconditionError):
+        parse_form("x0^99999")
