@@ -13,7 +13,8 @@ them in one pass, the multinomials n!/e! times monomial_values at their
 coefficient vectors, and power_sum and power are that array's products,
 on the integers of fields.integer_codes.  monomial_values is the one
 evaluator of all monomials of a degree at a stack of points;
-HomogeneousForm.evaluate keeps a scalar loop for one form at one point.
+HomogeneousForm.evaluate dots its values at one point with a form's
+coefficients.
 
 Three print alphabets exist: x0..x5 for primal forms, y0..y5 for dual
 (differential operator) forms, z0..z2 for ternary forms.  The alphabet is
@@ -303,26 +304,15 @@ class HomogeneousForm:
     __neg__ = neg
 
     def evaluate(self, point):
-        """Value at a point given as a list of scalars, one per variable."""
+        """Value at a point given as a list of scalars, one per variable:
+        monomial_values there, dotted with the coefficients."""
         if len(point) != self.nvars:
             raise PreconditionError(
                 "point length %d, expected %d" % (len(point), self.nvars))
         F = self.field
-        # precompute powers of each coordinate up to the degree
-        pows = []
-        for v in point:
-            row = [F.one]
-            for _ in range(self.degree):
-                row.append(F.mul(row[-1], v))
-            pows.append(row)
-        acc = F.zero
-        for c, e in self.terms():
-            t = c
-            for i, ei in enumerate(e):
-                if ei:
-                    t = F.mul(t, pows[i][ei])
-            acc = F.add(acc, t)
-        return acc
+        values = monomial_values(np.array([point], dtype=object), self.degree,
+                                 F.mul)[0]
+        return reduce(F.add, map(F.mul, self.coeffs, values), F.zero)
 
     def derivative(self, i):
         """Formal partial derivative with respect to variable i."""

@@ -8,23 +8,22 @@ A space of forms, such as a graded piece of an ideal or a syzygy space,
 is the ExactMatrix of its canonical basis rows; its degree and alphabet
 are the caller's.
 
-Every rational kernel is p-adic: one elimination mod a prime below 2^31
-on the numpy core, the inverse of its pivot block built once from that
-LU, then lifting steps (Dixon), one product with that inverse each, and
-rational reconstruction over one common denominator, accepted only once
-A K = 0 holds exactly, which proves
-it is the rational one.  That one verified (pivots, kernel) result gives
-every exact rational answer: kernel_basis is K, rref is read off K, and
-pivot_columns, which decides the proved pivots of a matrix over any
-field, keeps the pivots mod the first kernel prime when that rank
+Every rank, pivot set, rref and kernel runs on the one elimination core
+in modular.py, under the field's arithmetic there: int64 codes for
+GF(p), p < 2^31, and tabled GF(p^2), object arrays of the field's own
+scalars for every other finite field.  A rational kernel is p-adic: one
+elimination mod a prime below 2^31, the inverse of its pivot block built
+once from that LU, then lifting steps (Dixon), one product with that
+inverse each, and rational reconstruction over one common denominator,
+accepted only once A K = 0 holds exactly, which proves it is the
+rational one.  That one verified (pivots, kernel) result gives every
+exact rational answer: kernel_basis is K, rref is read off K, and
+pivot_columns keeps the pivots mod the first kernel prime when that rank
 reaches min(nrows, ncols) and otherwise lifts K from the same
 elimination.  A rank is proved the same way, lower bound mod p, upper
-bound ncols - dim K, on the narrower side of the matrix.  Fraction
-elimination is the one exact fallback, for a kernel whose proof does not
-close within len(KERNEL_PRIMES) digits and for the fields with no numpy
-arithmetic (GF(p) with p >= 2^31, GF(p^2) with p > 11).  Over GF(p),
-p < 2^31, and small GF(p^2) every rank, rref and kernel runs on the
-numpy elimination core in modular.py.
+bound ncols - dim K, on the narrower side of the matrix.  A kernel whose
+proof does not close within len(KERNEL_PRIMES) digits is eliminated on
+the core once more, on the rationals themselves.
 """
 
 from __future__ import annotations
@@ -137,17 +136,17 @@ class ExactMatrix:
         return as_codes(rows, F)
 
     def rref(self):
-        """Canonical reduced row echelon form.  Away from the numpy core
-        it is read off the canonical kernel K: pivot row r has a 1 at its
-        pivot column pc and -K_f[pc] at each free column f."""
+        """Canonical reduced row echelon form.  Over QQ it is read off the
+        canonical kernel K: pivot row r has a 1 at its pivot column pc
+        and -K_f[pc] at each free column f."""
         F = self.field
-        arith = modular.field_arithmetic(F)
-        if arith is not None:
-            codes = self.codes()
+        if F != QQ:
+            arith = modular.field_arithmetic(F)
+            codes = self.codes().astype(arith.dtype, copy=False)
             modular.eliminate(codes, arith, reduced=True)
             return ExactMatrix(codes.tolist(), F, self.ncols)
-        pivots, basis = _pivots_and_kernel(self.codes(), F)
-        free = _free_columns(pivots, self.ncols)
+        pivots, basis = _pivots_and_kernel(self.codes())
+        free = sorted(set(range(self.ncols)).difference(pivots))
         rows = [[F.zero] * self.ncols for _ in range(self.nrows)]
         for r, pc in enumerate(pivots):
             rows[r][pc] = F.one
@@ -181,10 +180,10 @@ def kernel_rows(codes, field, primitive=False):
     """Canonical basis rows of the right kernel of a matrix given as codes
     (see ExactMatrix.codes; left alone), a 1 in each free column; with
     primitive, over QQ, each row times the lcm of its denominators."""
+    if field == QQ:
+        return _pivots_and_kernel(codes, primitive)[1]
     arith = modular.field_arithmetic(field)
-    if arith is None:
-        return _pivots_and_kernel(codes, field, primitive)[1]
-    return modular.kernel(codes.astype(np.int64), arith).tolist()
+    return modular.kernel(codes.astype(arith.dtype), arith)[1].tolist()
 
 
 def code_rank(codes, field):
@@ -201,19 +200,19 @@ def pivot_columns(codes, field):
     """The pivot columns of a matrix over the field, given as codes (see
     ExactMatrix.codes; the array is left alone), each proved.
 
-    A field with numpy arithmetic takes the elimination core.  Over QQ
-    the columns independent mod KERNEL_PRIMES[0] are independent over QQ,
-    and they span once the mod-p rank reaches min(rows, cols), which
-    bounds the rational rank; below that they are the complement of the
-    free columns of the verified kernel lifted from that elimination.
+    A finite field takes the elimination core.  Over QQ the columns
+    independent mod KERNEL_PRIMES[0] are independent over QQ, and they
+    span once the mod-p rank reaches min(rows, cols), which bounds the
+    rational rank; below that they are the complement of the free
+    columns of the verified kernel lifted from that elimination.
     """
-    arith = modular.field_arithmetic(field)
-    if arith is not None:
-        return modular.eliminate(codes.astype(np.int64), arith)[0]
-    factored = _lu(codes, KERNEL_PRIMES[0]) if field == QQ else None
-    if factored and len(factored[2]) == min(codes.shape):
+    if field != QQ:
+        arith = modular.field_arithmetic(field)
+        return modular.eliminate(codes.astype(arith.dtype), arith)[0]
+    factored = _lu(codes, KERNEL_PRIMES[0])
+    if len(factored[2]) == min(codes.shape):
         return factored[2]
-    return _pivots_and_kernel(codes, field, True, factored)[0]
+    return _pivots_and_kernel(codes, True, factored)[0]
 
 
 def _lu(codes, p):
@@ -223,60 +222,17 @@ def _lu(codes, p):
     return lu, perm, pivots
 
 
-def _pivots_and_kernel(codes, field, primitive=False, factored=None):
-    """(pivot columns, canonical kernel basis rows) of a matrix given as
-    codes, with no numpy arithmetic: over QQ by the p-adic kernel, and by
-    Fraction elimination, the one exact fallback, when its digits run
-    out or the field is GF(p) with p >= 2^31 or GF(p^2) with p > 11."""
-    ncols = codes.shape[1]
-    if field == QQ:
-        solved = _multimodular_kernel(codes, ncols, primitive, factored)
-        if solved is not None:
-            return solved
-    ref, pivots = _rref(codes.tolist(), field)
-    basis = []
-    for f in _free_columns(pivots, ncols):
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for r, pc in enumerate(pivots):
-            v[pc] = field.neg(ref[r][f])
-        basis.append(_primitive_integer_row(v) if primitive and field == QQ
-                     else v)
-    return pivots, basis
-
-
-def _free_columns(pivots, ncols):
-    pivot_set = set(pivots)
-    return [j for j in range(ncols) if j not in pivot_set]
-
-
-def _rref(rows, field):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, a) for a in rows[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
+def _pivots_and_kernel(codes, primitive=False, factored=None):
+    """(pivot columns, canonical kernel basis rows) of an integer matrix
+    over QQ: the p-adic kernel, or, when its digits run out, the core's
+    elimination of the rationals themselves under the object arithmetic."""
+    solved = _multimodular_kernel(codes, codes.shape[1], primitive, factored)
+    if solved is not None:
+        return solved
+    pivots, basis = modular.kernel(codes.astype(object),
+                                   modular.field_arithmetic(QQ))
+    return pivots, [_primitive_integer_row(v) if primitive
+                    else [Fraction(x) for x in v] for v in basis.tolist()]
 
 
 def _multimodular_kernel(matrix, ncols, primitive=False, factored=None):
@@ -307,7 +263,7 @@ def _multimodular_kernel(matrix, ncols, primitive=False, factored=None):
     for p in KERNEL_PRIMES:
         lu, perm, pivots = factored or _lu(matrix, p)
         factored = None
-        free = _free_columns(pivots, ncols)
+        free = sorted(set(range(ncols)).difference(pivots))
         if not free:
             # rank over QQ is at least rank mod p = ncols
             return pivots, []

@@ -1,43 +1,46 @@
 """Finite-field numerics behind the sampling-heavy operations.
 
 One elimination core, `eliminate`, runs Gaussian elimination in place on
-a numpy int64 array of field codes: one matrix, for which it returns the
-pivot columns and the determinant, or a (batch, n, m) stack, for which it
-returns int64 arrays of ranks and determinants.  A stack runs through the
-same column loop with one pivot-row pointer per matrix, in chunks of at
-most CHUNK_ENTRIES entries so temporaries stay small.  It takes the
-field's arithmetic as an object:
+an array of field codes: one matrix, for which it returns the pivot
+columns and the determinant, or a (batch, n, m) stack, for which it
+returns arrays of ranks and determinants.  A stack runs through the same
+column loop with one pivot-row pointer per matrix, in chunks of at most
+CHUNK_ENTRIES entries so temporaries stay small.  It takes the field's
+arithmetic as an object, one of three, which field_arithmetic picks:
 
-* PrimeArithmetic reduces mod a prime p < 2^31, codes in range(p);
+* PrimeArithmetic reduces int64 codes mod a prime p < 2^31, codes in
+  range(p);
 * QuadraticTables looks F_{p^2} sums, products and inverses up in tables
   for small p.  The codes are the field's own scalars, the ints a + p*b,
   and the tables are the field's own add, mul and neg on every code:
   w^2 = nonresidue is written once for elements (QuadraticField.mul) and
-  once for dot products (QuadraticTables.matmul).
+  once for dot products (QuadraticTables.matmul);
+* ObjectArithmetic runs the field's own add, mul, neg and inv on object
+  arrays of its scalars: QQ, GF(p) with p >= 2^31 and GF(p^2) past the
+  tables.  Determinants stay in the array's dtype, so they are exact.
 
 rank_mod_p, det_mod_p, kernel_mod_p and QuadraticTables.det and
 .batch_rank are thin entry points over the core (all but kernel_mod_p
 take stacks too); no library code calls det_mod_p, .det or .batch_rank,
-which stay as benchmark span targets and test references.  ExactMatrix and
-linalg.pivot_columns send their finite-field ranks, pivots, rrefs and
-kernels through it, and every rational rank, pivot set, rref and kernel
-as well: the mod-p rank that bounds a rational rank from below is an
-elimination of the core, whose LU the p-adic rational kernel then lifts
-from.
+which stay as benchmark span targets and test references.  Every rank,
+pivot set, rref and kernel of linalg runs on the core: over a finite
+field directly, over QQ as the mod-p elimination whose LU the p-adic
+rational kernel lifts from, and, when that runs out of digits, as an
+elimination of the rationals themselves.
 
 Univariate polynomials over F_p are coefficient lists (low degree first):
 evaluation, gcd, derivative.  lagrange_interpolate works over any field
 object; no library code calls it, and it stays as a benchmark span
 target and a test reference.
 
-Primes stay below 2^31, so a product of two residues stays below 2^62
-and fits in int64; the core only ever forms one product per entry
-before it reduces.  matmul_mod, whose dot products sum many of them,
-splits one operand into limbs whose float64 products stay exact below
-2^53 wherever int64 could overflow.  word_primes lists
+Primes of the int64 arithmetic stay below 2^31, so a product of two
+residues stays below 2^62 and fits in int64; the core only ever forms
+one product per entry before it reduces.  matmul_mod, whose dot products
+sum many of them, splits one operand into limbs whose float64 products
+stay exact below 2^53 wherever int64 could overflow.  word_primes lists
 the largest of them, the primes of the multimodular rational kernels.
-Every field GF(p) with p < 2^31 takes the core; below 2^16 a stack
-inverts through a table of every code, above it each distinct code once.
+Below 2^16 a GF(p) stack inverts through a table of every code, above it
+each distinct code once.
 """
 
 from __future__ import annotations
@@ -65,15 +68,16 @@ def eliminate(a, arith, reduced=False, perm=None):
     canonical rref.  perm, for a matrix eliminated without reduced, is an
     index array swapped with its rows, and the LU is left in place: a
     pivot keeps its value and each entry below it the multiplier that
-    cleared it.  Returns (pivot columns, det) for a matrix and int64
-    arrays (ranks, dets) for a stack, det being the signed product of the
-    pivots: the determinant of a square matrix with full rank.
+    cleared it.  Returns (pivot columns, det) for a matrix and arrays
+    (ranks, dets) for a stack, int64 ranks and dets in the array's dtype,
+    det being the signed product of the pivots: the determinant of a
+    square matrix with full rank.
     """
     if a.ndim == 2:
         pivots, _, det = _eliminate_rows(a, 1, arith, reduced, perm)
-        return pivots, int(det[0])
+        return pivots, det.item()
     batch, nrows, ncols = a.shape
-    ranks, dets = np.zeros(batch, dtype=np.int64), np.ones(batch, dtype=np.int64)
+    ranks, dets = np.zeros(batch, dtype=np.int64), np.ones(batch, dtype=a.dtype)
     for index in chunked(range(batch), nrows * ncols):
         part = slice(index[0], index[-1] + 1)
         _, ranks[part], dets[part] = _eliminate_rows(
@@ -100,7 +104,7 @@ def _eliminate_rows(rows, batch, arith, reduced, perm=None):
     """
     nrows = len(rows) // batch
     rank = np.zeros(batch, dtype=np.int64)
-    det = [1] if batch == 1 else np.ones(batch, dtype=np.int64)
+    det = [1] if batch == 1 else np.ones(batch, dtype=rows.dtype)
     pivots = []
     for c in range(rows.shape[1]):
         if batch == 1:
@@ -161,7 +165,7 @@ def _eliminate_rows(rows, batch, arith, reduced, perm=None):
                 rows[targets, c] = block[:, 0]  # the LU keeps the multipliers
         if perm is not None:
             rows[dst, c] = lead  # and the pivots
-    return pivots, rank, np.asarray(det, dtype=np.int64)
+    return pivots, rank, np.asarray(det, dtype=rows.dtype)
 
 
 def _det(a, arith):
@@ -175,22 +179,23 @@ def _det(a, arith):
 
 
 def kernel(a, arith):
-    """Canonical right-kernel basis of the code array a (consumed), one
-    row per vector: a 1 in its free column, zeros in the other free ones.
+    """(pivot columns, canonical right-kernel basis) of the code array a
+    (consumed), one basis row per vector: a 1 in its free column, zeros
+    in the other free ones.
     """
     pivots, _ = eliminate(a, arith, reduced=True)
-    ncols = a.shape[1]
-    pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = np.zeros((len(free), ncols), dtype=np.int64)
+    free = sorted(set(range(a.shape[1])).difference(pivots))
+    basis = np.zeros((len(free), a.shape[1]), dtype=a.dtype)
     basis[np.arange(len(free)), free] = 1
     if pivots and free:
         basis[:, pivots] = arith.neg(a[:len(pivots), free].T)
-    return basis
+    return pivots, basis
 
 
 class PrimeArithmetic:
     """GF(p) arithmetic on int64 codes in range(p), p < 2^31."""
+
+    dtype = np.int64
 
     def __init__(self, p):
         if p >= _MAX_PRIME:
@@ -316,12 +321,46 @@ def _primes_below(n):
 
 
 def field_arithmetic(field):
-    """The core's arithmetic for a finite field, None where it has none."""
-    if field.char == 0:
-        return None
-    if field.degree == 1:
-        return prime_arithmetic(field.p) if field.p < _MAX_PRIME else None
-    return quadratic_tables(field) if field.char <= TABLE_MAX_PRIME else None
+    """The core's arithmetic for a field: int64 codes for GF(p), p < 2^31,
+    and tabled GF(p^2); the field's own scalars on object arrays for QQ
+    and every other finite field."""
+    if field.degree == 1 and 0 < field.char < _MAX_PRIME:
+        return prime_arithmetic(field.p)
+    if field.degree == 2 and field.char <= TABLE_MAX_PRIME:
+        return quadratic_tables(field)
+    return object_arithmetic(field)
+
+
+class ObjectArithmetic:
+    """Any field's arithmetic on object arrays of its own scalars (Python
+    ints for GF(p) and GF(p^2), ints or Fractions for QQ): the field's
+    mul, neg and inv, which compute entry by entry, so no product
+    overflows and every determinant stays exact."""
+
+    dtype = object
+
+    def __init__(self, field):
+        self.field = field
+        self.mul, self.neg = field.mul, field.neg
+        self.inv = np.frompyfunc(field.inv, 1, 1)  # a pivot or a stack's
+
+    def sub_mul(self, block, factors, row):
+        """block minus the outer product of factors and row."""
+        F = self.field
+        return F.sub(block, F.mul(factors[:, None], row))
+
+    def matmul(self, x, y):
+        """x @ y under the field's own add and mul, so packed GF(p^2)
+        codes multiply as field elements, not as integers."""
+        F = self.field
+        x, y = np.asarray(x, dtype=object), np.asarray(y, dtype=object)
+        out = np.zeros(x.shape[:-1] + y.shape[-1:], dtype=object)
+        for t in range(x.shape[-1]):
+            out = F.add(out, F.mul(x[..., t, None], y[..., t, None, :]))
+        return out
+
+
+object_arithmetic = lru_cache(maxsize=None)(ObjectArithmetic)
 
 
 def _rank(a, arith):
@@ -346,7 +385,7 @@ def det_mod_p(matrix, p):
 def kernel_mod_p(matrix, p):
     """Canonical right-kernel basis over F_p, one numpy row per vector."""
     arith = prime_arithmetic(p)
-    return kernel(arith.encode(matrix), arith)
+    return kernel(arith.encode(matrix), arith)[1]
 
 
 # ---- F_{p^2} table arithmetic -----------------------------------------
@@ -360,6 +399,8 @@ class QuadraticTables:
     addition and multiplication tables have p^2 * p^2 entries, which is
     tiny for the primes this package allows (p <= TABLE_MAX_PRIME).
     """
+
+    dtype = np.int64
 
     def __init__(self, field):
         p = field.char

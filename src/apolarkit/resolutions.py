@@ -449,14 +449,9 @@ class LinearFormMatrix:
         """The matrix at each of k points, as a (k, nrows, ncols) array of
         codes; points is a (k, nvars) array of codes, over QQ integers,
         where the values are den times the matrix's."""
-        F, flat = self.field, self.coefficients.reshape(self.nvars, -1)
-        arith = modular.field_arithmetic(F)
-        if arith is not None:
-            values = arith.matmul(np.array(points, dtype=np.int64), flat)
-        else:  # QQ, and GF(p) past the numpy core: Python ints
-            values = np.array(points, dtype=object) @ flat
-            if F.char:
-                values = (values % F.p).astype(np.int64)
+        arith = modular.field_arithmetic(self.field)
+        values = arith.matmul(np.array(points, dtype=arith.dtype),
+                              self.coefficients.reshape(self.nvars, -1))
         return values.reshape(-1, self.nrows, self.ncols)
 
     def _scalars(self, codes, den):
@@ -503,12 +498,23 @@ class LinearFormMatrix:
     def reduce_mod_p(self, p):
         """Coefficientwise reduction of a matrix over QQ into GF(p).  den
         is in lowest terms, so p divides it just when it divides the
-        denominator of some entry's coefficient."""
+        denominator of some entry's coefficient.  A bad prime is refused:
+        one mod which a flattening of the coefficient array, (nvars
+        nrows) x ncols or (nvars ncols) x nrows, loses rank."""
         if self.field != QQ:
             raise PreconditionError("reduce_mod_p expects a matrix over QQ")
         scale = GF(p).from_fraction(Fraction(1, self.den))
-        return LinearFormMatrix(self.coefficients * scale % p, GF(p),
-                                self.alphabet)
+        reduced = LinearFormMatrix(self.coefficients * scale % p, GF(p),
+                                   self.alphabet)
+        for axes in ((0, 1, 2), (0, 2, 1)):
+            qq, fp = (code_rank(M.coefficients.transpose(axes).reshape(
+                -1, M.coefficients.shape[axes[2]]), M.field)
+                for M in (self, reduced))
+            if fp < qq:
+                raise PreconditionError(
+                    "bad reduction mod %d: a flattening of rank %d over QQ "
+                    "has rank %d" % (p, qq, fp))
+        return reduced
 
     @property
     def entries(self):

@@ -275,8 +275,9 @@ def test_m2_rank_samples(capsys):
     assert [s["rank"] for s in report["samples"]] == [21, 21]
 
 
-# sha256 of the stdout of `m2` over a prime past 2^31, which has no numpy
-# field arithmetic: the sampled rank is taken by Fraction elimination
+# sha256 of the stdout of `m2` over a prime past 2^31, where no int64
+# product is exact: the sampled rank is taken by the elimination core on
+# object arrays of the field's own Python-int scalars
 M2_PAST_WORD_PRIME_ARGV = ["--field", "fp:2147483659", "m2",
                            "--family=1,-1,1,-1,1", "--samples", "1"]
 M2_PAST_WORD_PRIME_SHA256 = \
@@ -289,6 +290,26 @@ def test_m2_over_a_prime_past_2_31_is_pinned(capsys):
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() \
         == M2_PAST_WORD_PRIME_SHA256
+
+
+# sha256 of the stdout of two more runs on fields with object arithmetic:
+# power sums over GF(13^2), past the lookup tables, and a Betti table
+# over a prime past 2^31
+OBJECT_ARITHMETIC_STDOUT_SHA256 = {
+    ("--field", "fp2:13", "--seed", "0", "powersum", "--count", "8"):
+        "70b477a14cec26a5c798cf2cbd0d0b2bd600e8e53598e45f911b4bc187e2d8c6",
+    ("--field", "fp:2147483659", "betti", "--family=2,-1,3,1,1"):
+        "5f3497ba99d03e66b2de75da78d19f7974c944e0e6f2cdd724fcbcf5ef0142f4",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(OBJECT_ARITHMETIC_STDOUT_SHA256))
+def test_object_arithmetic_runs_are_pinned(argv, capsys):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() \
+        == OBJECT_ARITHMETIC_STDOUT_SHA256[argv]
 
 
 def test_ranklocus_line_degrees_over_big_prime(capsys):
@@ -437,7 +458,7 @@ def test_powersum_routes_agree(capsys):
 
 # sha256 of the stdout of `powersum`, all exiting 0: the seeded draws,
 # their text and both certificates must not change, over GF(p^2) on a
-# tabled field (p = 5) and a Fraction-fallback one (p = 13), and over QQ
+# tabled field (p = 5) and an object-arithmetic one (p = 13), and over QQ
 # and GF(101) at seeds 0 and 3, counts 6 and 10, with and without
 # --coplanar
 POWERSUM_STDOUT_SHA256 = {

@@ -14,6 +14,8 @@ from apolarkit.errors import PreconditionError
 from apolarkit.fields import GF, QQ, is_prime
 from apolarkit.forms import HomogeneousForm
 from apolarkit.linalg import ExactMatrix
+from reference_elimination import rref as reference_rref
+from reference_elimination import watch_object_eliminations
 
 
 def _random_int_matrix(rng, nrows, ncols, spread=6):
@@ -134,8 +136,8 @@ def _generic_det(rows, F):
 
 
 def test_prime_field_fast_paths_match_generic_elimination():
-    # the numpy elimination core against the generic Fraction-free _rref,
-    # over two prime fields and GF(25), including rectangular,
+    # the int64 elimination core against the reference rref, one scalar
+    # at a time, over two prime fields and GF(25), including rectangular,
     # rank-deficient, all-zero and 0-row matrices
     rng = random.Random(9)
     for F in (GF(7), GF(101), GF(5, 2)):
@@ -150,7 +152,7 @@ def test_prime_field_fast_paths_match_generic_elimination():
         for rows in cases:
             ncols = len(rows[0]) if rows else 3
             M = ExactMatrix(rows, F, ncols)
-            ref_rows, pivots = linalg._rref([list(r) for r in rows], F)
+            ref_rows, pivots = reference_rref([list(r) for r in rows], F)
             assert M.rank() == len(pivots)
             assert M.rref() == ExactMatrix(ref_rows, F, ncols)
             K = M.kernel_basis()
@@ -172,19 +174,22 @@ def test_prime_field_fast_paths_match_generic_elimination():
                     assert tabs.batch_rank(np.array(rows)) == len(pivots)
 
 
-@pytest.mark.parametrize("F", [GF(13, 2), GF(2147483659)], ids=str)
-def test_fields_without_numpy_arithmetic_take_the_fraction_fallback(F):
-    # GF(p^2) with p > 11 and GF(p) with p >= 2^31 have no core
-    # arithmetic: rank, rref and kernel fall back to _rref
-    assert modular.field_arithmetic(F) is None
+@pytest.mark.parametrize("F", [GF(13, 2), GF(2147483659), GF(2 ** 63 - 25)],
+                         ids=str)
+def test_object_arithmetic_fields_match_the_reference(F):
+    # GF(p^2) with p > 11 and GF(p) with p >= 2^31 take the core on object
+    # arrays of their own scalars: rank, pivots, rref, kernel and the
+    # determinant against the reference rref and cofactor expansion
+    arith = modular.field_arithmetic(F)
+    assert arith.dtype == object
     rng = random.Random(13)
-    for nrows, ncols in [(3, 5), (5, 3), (4, 4), (0, 3)]:
+    for nrows, ncols in [(3, 5), (5, 3), (4, 4), (0, 3), (2, 2), (1, 1)]:
         rows = [[F.random_element(rng) for _ in range(ncols)]
                 for _ in range(nrows)]
         if nrows > 2:
             rows[-1] = [F.add(a, b) for a, b in zip(rows[0], rows[1])]
         M = ExactMatrix(rows, F, ncols)
-        ref, pivots = linalg._rref([list(r) for r in rows], F)
+        ref, pivots = reference_rref([list(r) for r in rows], F)
         assert M.rank() == len(pivots)
         assert linalg.pivot_columns(M.codes(), F) == pivots
         assert M.rref() == ExactMatrix(ref, F, ncols)
@@ -193,12 +198,22 @@ def test_fields_without_numpy_arithmetic_take_the_fraction_fallback(F):
         if nrows and K.nrows:
             assert M.matmul(K.transpose()) \
                 == ExactMatrix.zeros(nrows, K.nrows, F)
+        if nrows == ncols:
+            # one matrix, and a stack of it and its rows reversed
+            square = [rows, rows[::-1]]
+            got, det = modular.eliminate(np.array(rows, dtype=object), arith)
+            ranks, dets = modular.eliminate(np.array(square, dtype=object),
+                                            arith)
+            assert ranks.tolist() == [len(got)] * 2 and dets[0] == det
+            for matrix, d in zip(square, dets):
+                want = _generic_det(matrix, F)
+                assert (d == want) if len(got) == nrows else F.is_zero(want)
 
 
 def _fraction_kernel(rows, ncols):
     # the reference: the canonical basis read off the Fraction rref, which
     # shares nothing with the multimodular route of kernel_basis
-    ref, pivots = linalg._rref([list(r) for r in rows], QQ)
+    ref, pivots = reference_rref([list(r) for r in rows], QQ)
     basis = []
     for f in (j for j in range(ncols) if j not in pivots):
         v = [Fraction(0)] * ncols
@@ -271,7 +286,7 @@ def test_multimodular_kernel_matches_fraction_kernel(name):
     pivots, basis = linalg._multimodular_kernel(
         ExactMatrix(rows, QQ, ncols).codes(), ncols)
     assert basis == _fraction_kernel(rows, ncols)
-    assert pivots == linalg._rref([list(r) for r in rows], QQ)[1]
+    assert pivots == reference_rref([list(r) for r in rows], QQ)[1]
     assert all(type(x) is Fraction for v in basis for x in v)
 
 
@@ -354,29 +369,24 @@ def test_lifting_digits_share_one_budget(monkeypatch):
 
 def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
     # the kernel vector (-b/a, 1) needs about 2 * 81 bits of modulus, far
-    # more than two 31-bit primes; 10000 copies of the row make the
-    # Fraction fallback easy to tell from any other rref
+    # more than two 31-bit primes; 10000 copies of the row make the exact
+    # fallback, an elimination of the rationals themselves on an object
+    # array, easy to tell from any other elimination
     a, b = 3 ** 50, 2 ** 80 + 1
     rows = [[Fraction(k * a), Fraction(k * b)] for k in range(1, 10001)]
     expected = [[Fraction(-b, a), Fraction(1)]]
     assert linalg._multimodular_kernel(
         ExactMatrix(rows, QQ, 2).codes(), 2) == ([0], expected)
 
-    rref_calls = []
-    real_rref = linalg._rref
-
-    def counting_rref(rows, field):
-        rref_calls.append(len(rows))
-        return real_rref(rows, field)
-
     # small entries still reconstruct alike on two primes
     small = [[Fraction(v) for v in r] for r in [[1, 2, 3, 4], [0, 1, 1, 2]]]
     small_kernel = _fraction_kernel(small, 4)
 
-    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    exact_calls = []
+    watch_object_eliminations(monkeypatch, exact_calls.append)
     assert ExactMatrix(rows, QQ, 2).kernel_basis() \
         == ExactMatrix(expected, QQ, 2)
-    assert rref_calls == []
+    assert exact_calls == []
 
     monkeypatch.setattr(linalg, "KERNEL_PRIMES", linalg.KERNEL_PRIMES[:2])
     assert linalg._multimodular_kernel(
@@ -385,18 +395,18 @@ def test_multimodular_kernel_falls_back_when_primes_run_out(monkeypatch):
         ExactMatrix(small, QQ, 4).codes(), 4) == ([0, 1], small_kernel)
     assert ExactMatrix(rows, QQ, 2).kernel_basis() \
         == ExactMatrix(expected, QQ, 2)
-    assert rref_calls == [10000]
+    assert exact_calls == [(10000, 2)]
     # the rank is deficient mod P1, and its kernel certificate cannot
     # close on two primes either
     assert ExactMatrix(rows, QQ, 2).rank() == 1
-    assert rref_calls == [10000, 10000]
+    assert exact_calls == [(10000, 2), (10000, 2)]
 
 
 @pytest.mark.parametrize("kernel_primes", [128, 2])
 def test_primitive_kernel_rows_scale_the_canonical_rows(kernel_primes,
                                                         monkeypatch):
     # each row is the canonical row times the lcm of its denominators, on
-    # the multimodular route and, with two primes, on the Fraction fallback
+    # the multimodular route and, with two primes, on the exact fallback
     monkeypatch.setattr(linalg, "KERNEL_PRIMES",
                         linalg.KERNEL_PRIMES[:kernel_primes])
     for name, rows in sorted(_multimodular_cases().items()):
@@ -414,17 +424,18 @@ def test_primitive_kernel_rows_scale_the_canonical_rows(kernel_primes,
 
 
 def _count_exact_work(monkeypatch):
-    """Record the shape of every multimodular kernel and Fraction rref."""
+    """Record the shape of every multimodular kernel and of every
+    elimination of the rationals themselves, its exact fallback."""
     calls = []
+    real = linalg._multimodular_kernel
 
-    def counting(name, real):
-        def wrapper(rows, *args):
-            calls.append((name, len(rows), len(rows[0]) if len(rows) else 0))
-            return real(rows, *args)
-        return wrapper
+    def counting(rows, *args):
+        calls.append(("_multimodular_kernel",) + rows.shape)
+        return real(rows, *args)
 
-    for name in ("_multimodular_kernel", "_rref"):
-        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg, "_multimodular_kernel", counting)
+    watch_object_eliminations(monkeypatch,
+                              lambda shape: calls.append(("eliminate",) + shape))
     return calls
 
 
@@ -544,7 +555,7 @@ def _rational_rref_cases():
 def test_rational_rref_is_read_off_the_kernel(name, monkeypatch):
     rows = _rational_rref_cases()[name]
     ncols = len(rows[0]) if rows else 4
-    ref, _ = linalg._rref([list(r) for r in rows], QQ)
+    ref, _ = reference_rref([list(r) for r in rows], QQ)
     calls = _count_exact_work(monkeypatch)
     assert ExactMatrix(rows, QQ, ncols).rref() == ExactMatrix(ref, QQ, ncols)
     assert [name for name, _, _ in calls] == ["_multimodular_kernel"]
@@ -576,7 +587,7 @@ def _integer_products(draw):
 def test_rational_rank_rref_and_kernel_match_fraction_elimination(rows):
     ncols = len(rows[0])
     M = ExactMatrix([[Fraction(a) for a in r] for r in rows], QQ, ncols)
-    ref, pivots = linalg._rref([[Fraction(a) for a in r] for r in rows], QQ)
+    ref, pivots = reference_rref([[Fraction(a) for a in r] for r in rows], QQ)
     assert M.rank() == len(pivots)
     assert M.rref() == ExactMatrix(ref, QQ, ncols)
     assert M.kernel_basis().rows == tuple(map(tuple,
@@ -646,7 +657,7 @@ def test_lift_and_kernel_match_fraction_rref(bits):
         rows = _rank_deficient_rows(rng, bits, nrows, ncols, rank)
         codes = ExactMatrix(rows, QQ, ncols).codes()
         assert codes.dtype == (np.int64 if bits < 62 else object)
-        ref, pivots = linalg._rref([list(r) for r in rows], QQ)
+        ref, pivots = reference_rref([list(r) for r in rows], QQ)
         lu, perm, lu_pivots = linalg._lu(codes, P1)
         assert lu_pivots == pivots
         free = [j for j in range(ncols) if j not in pivots]
@@ -821,11 +832,13 @@ def test_stacked_det_of_a_large_gf25_batch():
 
 
 @pytest.mark.parametrize("field", [GF(5, 2), GF(7, 2), GF(11, 2), GF(101),
-                                   GF(2 ** 31 - 1)], ids=repr)
+                                   GF(2 ** 31 - 1), GF(13, 2), GF(17, 2),
+                                   GF(2147483659), GF(2 ** 63 - 25)], ids=repr)
 def test_arithmetic_matmul_matches_exact_matmul(field):
     # packed GF(p^2) codes and GF(p) residues multiply as the field
     # scalars do, empty shapes included; over GF(2^31 - 1) an inner
-    # dimension of 3 sums past int64 and takes matmul_mod's float64 limbs
+    # dimension of 3 sums past int64 and takes matmul_mod's float64 limbs;
+    # past the tables and past 2^31 the object arithmetic multiplies
     arith = modular.field_arithmetic(field)
     q = field.char ** field.degree
     assert 3 * (2 ** 31 - 2) ** 2 >= 1 << 63
@@ -838,7 +851,7 @@ def test_arithmetic_matmul_matches_exact_matmul(field):
         x, y = rng.integers(0, q, (n, k)), rng.integers(0, q, (k, m))
         x[:, :1] = q - 1  # the largest code in every row
         got = arith.matmul(x, y)
-        assert got.shape == (n, m) and got.dtype == np.int64
+        assert got.shape == (n, m) and got.dtype == arith.dtype
         assert got.tolist() == exact(x, k).matmul(exact(y, m)).codes().tolist()
 
 
@@ -855,7 +868,7 @@ def test_reduced_elimination_keeps_the_canonical_rref():
             rows[-1] = [(2 * a + b) % p for a, b in zip(rows[0], rows[1])]
             a = np.array(rows, dtype=np.int64)
             pivots, _ = modular.eliminate(a, arith, reduced=True)
-            ref_rows, ref_pivots = linalg._rref([list(r) for r in rows], F)
+            ref_rows, ref_pivots = reference_rref([list(r) for r in rows], F)
             assert pivots == ref_pivots
             assert a.tolist() == [[int(v) for v in r] for r in ref_rows]
             # a stack reduces each of its matrices to the same rref

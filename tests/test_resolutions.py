@@ -45,6 +45,8 @@ from apolarkit.resolutions import (
     points_quotient_module,
     quadric_ideal_module,
 )
+from reference_elimination import rref as reference_rref
+from reference_elimination import watch_object_eliminations
 
 
 def _three_point_module():
@@ -71,7 +73,7 @@ def _module_coordinates(module, k, ambient):
         block = ambient[start:start + nrows]
         augmented = [[Fraction(E[r, m]) for m in basis]
                      + [Fraction(v) for v in block[r]] for r in range(nrows)]
-        rows, pivots = linalg._rref(augmented, QQ)
+        rows, pivots = reference_rref(augmented, QQ)
         # E_k[:, B_k] has independent columns and the block lies in its span
         assert pivots == list(range(len(basis)))
         coords.extend(row[len(basis):] for row in rows[:len(basis)])
@@ -151,10 +153,10 @@ def _fraction_betti_cells(nvars, presentations, cells):
     GradedModule: each M_j is read off the rref of its presentation (the
     pivot monomials are a basis and the rref column of a monomial holds
     its coordinates), y_t sends m to the rref column of y_t*m one degree
-    up, and every Koszul differential is ranked by linalg._rref."""
+    up, and every Koszul differential is ranked by reference_rref."""
     pieces = []
     for mat in presentations:
-        rows, pivots = linalg._rref([[Fraction(a) for a in r]
+        rows, pivots = reference_rref([[Fraction(a) for a in r]
                                      for r in mat.rows], QQ)
         pieces.append((rows[:len(pivots)], pivots))
 
@@ -182,7 +184,7 @@ def _fraction_betti_cells(nvars, presentations, cells):
                 columns.append(col)
         if not columns or not columns[0]:
             return 0
-        return len(linalg._rref(columns, QQ)[1])
+        return len(reference_rref(columns, QQ)[1])
 
     return {(i, j): comb(nvars, i) * len(pieces[j - i][1])
             - rank(i, j) - rank(i + 1, j) for i, j in cells}
@@ -235,7 +237,8 @@ def test_points_betti_matches_exact_cells(name, scale, monkeypatch):
 
 
 def _count_exact_work(monkeypatch):
-    """Record every Fraction rref, multimodular kernel and exact rank."""
+    """Record every multimodular kernel, exact rank and elimination of the
+    rationals themselves, the kernel's exact fallback."""
     calls = []
 
     def counting(name, real):
@@ -244,10 +247,13 @@ def _count_exact_work(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("_rref", "_multimodular_kernel"):
-        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name)))
+    monkeypatch.setattr(linalg, "_multimodular_kernel",
+                        counting("_multimodular_kernel",
+                                 linalg._multimodular_kernel))
     monkeypatch.setattr(resolutions, "code_rank",
                         counting("rank", resolutions.code_rank))
+    watch_object_eliminations(monkeypatch,
+                              lambda shape: calls.append("eliminate"))
     return calls
 
 
@@ -257,12 +263,12 @@ def test_generic_points_betti_takes_no_exact_elimination(count, monkeypatch):
     # the mod-p ranks, with the strand row past the window, prove every
     # cell from 5 points on; the module is built one degree past the
     # window, as `betti` does.  Below 5 points some ranks are left to
-    # code_rank, which proves them by a verified kernel, never by
-    # Fraction elimination.
+    # code_rank, which proves them by a verified kernel, never by the
+    # exact fallback.
     Z = PointSet(random_rational_points(count, seed=0), QQ)
     calls = _count_exact_work(monkeypatch)
     table = graded_betti(points_quotient_module(Z, 5), 6, 9, max_row=3)
-    assert "_rref" not in calls
+    assert "eliminate" not in calls
     if count >= 5:
         assert calls == []
     assert table.entry(0, 0) == 1
@@ -276,13 +282,13 @@ def test_module_pivots_match_fraction_pivots(name, monkeypatch):
     else:
         points = random_rational_points(int(name[-1]), seed=0)
     Z = PointSet(points, QQ)
-    want = [tuple(linalg._rref([[Fraction(a) for a in r]
+    want = [tuple(reference_rref([[Fraction(a) for a in r]
                                 for r in evaluation_matrix(Z, j).rows], QQ)[1])
             for j in range(5)]
     calls = _count_exact_work(monkeypatch)
     module = points_quotient_module(Z, 4)
     assert [module.piece(j)[1] for j in range(5)] == want
-    assert "_rref" not in calls
+    assert "eliminate" not in calls
     if name == "congruent-pair":
         # the two points agree mod p, so degrees 1 to 4 take the kernel
         assert calls.count("_multimodular_kernel") == 4
@@ -560,13 +566,7 @@ def test_linear_syzygies_take_no_fraction_rref(params, monkeypatch):
     Q = [HomogeneousForm(6, 2, _primitive_integer_row(row), QQ, "y")
          for row in q_f(f).rref().rows]
     calls = []
-    real_rref = linalg._rref
-
-    def counting_rref(rows, field):
-        calls.append((len(rows), len(rows[0]) if rows else 0))
-        return real_rref(rows, field)
-
-    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    watch_object_eliminations(monkeypatch, calls.append)
     resolutions._linear_syzygies_cached.cache_clear()
     dims = [linear_syzygies(Q, order, guard=False).nrows for order in (1, 2)]
     assert dims == [35, 21]
@@ -601,21 +601,24 @@ def test_q_f_rref_matches_fraction_rref(params, monkeypatch):
     f = catalog.scroll_apolar_cubic() if params == "scroll" \
         else catalog.cubic_family(*params)
     basis = q_f(f)
-    ref, _ = linalg._rref([list(r) for r in basis.rows], QQ)
+    ref, _ = reference_rref([list(r) for r in basis.rows], QQ)
     calls = _count_exact_work(monkeypatch)
     assert basis.rref() == ExactMatrix(ref, QQ, 21)
     assert calls == ["_multimodular_kernel"]
 
 
-CROSS_BACKEND_FIELDS = [QQ, GF(101), GF(linalg.KERNEL_PRIMES[0])]
+CROSS_BACKEND_FIELDS = [QQ, GF(101), GF(linalg.KERNEL_PRIMES[0]),
+                        GF(2147483659)]
 
 
 @pytest.mark.parametrize("params", [(1, -1, 1, -1, 1), (3, 3, 1, -2, 4),
-                                    (1, 4, 2, 3, 3)], ids=str)
+                                    (1, 4, 2, 3, 3), (-5, 4, 4, 3, -3),
+                                    (1, -3, -1, 3, -2)], ids=str)
 def test_betti_table_and_m2_ranks_agree_across_backends(params):
     # exact QQ (certified mod-p ranks and multimodular kernels), the
-    # GF(101) core and the GF(p) core at the first kernel prime, p near
-    # 2^31; (1, 4, 2, 3, 3) is a rank-20 member of the syzygy-qq pool
+    # GF(101) core, the GF(p) core at the first kernel prime, p near 2^31,
+    # and the object arithmetic past 2^31; (1, 4, 2, 3, 3) is a rank-20
+    # member of the syzygy-qq pool
     rng = random.Random(23)
     points = [[rng.randint(-30, 30) for _ in range(6)] for _ in range(3)]
     seen = []
@@ -770,8 +773,35 @@ def test_linear_form_matrix_coefficient_slices_and_reduction():
             H.reduce_mod_p(p)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 23, 29, 79])
+def test_reduce_mod_p_refuses_bad_reduction(p):
+    # the paper member's QQ m2, reduced coefficient by coefficient: mod 5,
+    # 7 and 13 its (nvars nrows) x ncols flattening drops from rank 21 to
+    # 4, 10 and 4, which caps its rank at every point; elsewhere it
+    # reaches 21 at 8 points, as the native GF(p) matrix does
+    M = _linear_form_matrix("QQ")
+    assert M.den == 1
+    naive = LinearFormMatrix(M.coefficients % p, GF(p), M.alphabet)
+    rng = random.Random(p)
+    best = max(naive.rank_at([rng.randrange(p) for _ in range(6)])
+               for _ in range(8))
+    bad = {5: 4, 7: 10, 13: 4}
+    if p in bad:
+        assert best == bad[p]
+        with pytest.raises(PreconditionError,
+                           match="bad reduction mod %d: .* rank 21 over QQ "
+                                 "has rank %d" % (p, bad[p])):
+            M.reduce_mod_p(p)
+    else:
+        assert best == 21
+        assert M.reduce_mod_p(p).coefficients.tolist() \
+            == naive.coefficients.tolist()
+
+
 def test_linear_form_matrix_refuses_gf_p2_past_the_tables():
-    # GF(13^2) has no table arithmetic for at() to multiply with
+    # GF(13^2) is past the lookup tables: its object arithmetic would
+    # multiply at() right, but the matrix stays refused, so m2 and the
+    # rank-locus scans over GF(p^2) keep to the tabled fields
     F = GF(13, 2)
     with pytest.raises(PreconditionError, match="GF\\(13\\^2\\)"):
         LinearFormMatrix.from_entries(
